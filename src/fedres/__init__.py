@@ -19,7 +19,6 @@ from .core import (
     HyperParams,
     ResidualMessage,
     Sample,
-    SquaredLoss,
     default_eta,
     grad_global,
     grad_global_from_message,

@@ -176,8 +176,8 @@ def _run_policy(env, delays, hyper, rounds, period, seed, uniform):
     return BanditRunResult(
         traces=traces,
         exploration_rounds=exploration_rounds,
-        final_global=system.server.wg,
-        final_locals=[c.wl for c in system.clients],
+        final_global=system.wg,
+        final_locals=list(system.wl),
         rounds=rounds,
         clients=env.n_clients,
     )

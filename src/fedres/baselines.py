@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HyperParams, Sample
+from .core import HyperParams
+from .datagen import SampleRows, rows_block
 from .engine import run_fedres_sgd
 from .results import RunResult
-
-_EMPTY = np.zeros(0)
 
 
 class _RoutedView:
@@ -39,16 +38,17 @@ class _RoutedView:
     def n_clients(self) -> int:
         return self.base.n_clients
 
-    def _convert(self, s: Sample) -> Sample:
+    def _route(self, xg: np.ndarray, xl: np.ndarray, y: np.ndarray):
+        empty = np.zeros((len(y), 0))
         if self.mode == "independent":
-            return Sample(_EMPTY, np.concatenate([s.x_global, s.x_local]), s.y)
-        return Sample(s.x_global, _EMPTY, s.y)
+            return empty, np.concatenate([xg, xl], axis=1), y
+        return xg, empty, y
 
-    def round_stream(self, client_id, rounds, rng):
-        return [self._convert(s) for s in self.base.round_stream(client_id, rounds, rng)]
+    def stream_block(self, client_id, rounds, rng):
+        return self._route(*self.base.stream_block(client_id, rounds, rng))
 
     def test_sets(self):
-        return [[self._convert(s) for s in tests] for tests in self.base.test_sets()]
+        return [SampleRows(*self._route(*rows_block(tests))) for tests in self.base.test_sets()]
 
 
 def independent_view(dataset) -> _RoutedView:

@@ -3,8 +3,8 @@ its two block gradients, and the ball projection.
 
 Predictions are additive: a global linear model scores the global feature
 block, a per-client local model scores the local block, and the sum is the
-joint prediction. The squared loss of that sum is the only loss that ships;
-learners accept any object with the same `value`/`grad_*` surface.
+joint prediction. The squared loss of that sum is the only loss; the
+delayed-gradient engine applies the same formulas to stacked arrays.
 
 All vectors are dense float64 ndarrays. Parameter vectors are treated as
 immutable: every update produces a new array.
@@ -12,12 +12,13 @@ immutable: every update produces a new array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 
 DEFAULT_RADIUS = 100.0
 
@@ -38,14 +39,11 @@ class ResidualMessage:
     Carries the global features, the label, and the client's local
     prediction (its residual) instead of the local model itself; this is
     all the server needs to form its global-block gradient.
-
-    For batched rounds the fields are stacked: ``x_global`` is (b, d),
-    ``local_prediction`` and ``y`` are length-b arrays.
     """
 
     x_global: np.ndarray
-    local_prediction: float | np.ndarray
-    y: float | np.ndarray
+    local_prediction: float
+    y: float
     client_id: int
     sent_at: int
 
@@ -129,35 +127,45 @@ def grad_global_from_message(wg: np.ndarray, m: ResidualMessage) -> np.ndarray:
     return 2.0 * (pred - m.y) * m.x_global
 
 
+_NON_FINITE = "cannot project a vector with a non-finite norm onto the ball"
+
+
 def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the ball of the given radius.
+    """Euclidean projection onto the ball of the given radius; a 2-D array
+    is projected row by row.
 
     The scaled result is nudged down by ulps until its norm is truly
     <= radius, so projecting twice is bit-identical to projecting once.
+    Rows inside the ball come back unchanged. A row whose norm is not
+    finite (NaN or infinite entries, or a squared norm that overflows)
+    raises InvariantError; the check rides on the norm screen, so inputs
+    inside the ball pay nothing for it.
     """
     if radius <= 0:
         raise ConfigError(f"projection radius must be positive, got {radius}")
-    n = float(np.linalg.norm(v))
-    if n <= radius:
-        return v
-    f = radius / n
-    w = v * f
-    while float(np.linalg.norm(w)) > radius:
-        f = np.nextafter(f, 0.0)
+    if v.ndim == 1:  # one vector: scalar arithmetic is cheapest
+        n = math.sqrt(v @ v)
+        if n <= radius:  # NaN fails the screen
+            return v
+        if not math.isfinite(n):
+            raise InvariantError(_NON_FINITE)
+        f = radius / n
         w = v * f
+        while math.sqrt(w @ w) > radius:
+            f = np.nextafter(f, 0.0)
+            w = v * f
+        return w
+    norms = np.sqrt(np.vecdot(v, v))
+    if np.count_nonzero(norms <= radius) == norms.size:
+        return v
+    if np.count_nonzero(np.isfinite(norms)) != norms.size:
+        raise InvariantError(_NON_FINITE)
+    f = radius / np.maximum(norms, radius)  # 1 for rows inside the ball
+    w = v * f[:, None]
+    while np.count_nonzero(long := np.sqrt(np.vecdot(w, w)) > radius):
+        f = np.where(long, np.nextafter(f, 0.0), f)
+        w = v * f[:, None]
     return w
-
-
-class SquaredLoss:
-    """Pluggable loss surface; the shipped instantiation of the kernel."""
-
-    value = staticmethod(loss)
-    grad_global = staticmethod(grad_global)
-    grad_local = staticmethod(grad_local)
-    grad_global_from_message = staticmethod(grad_global_from_message)
-
-
-SQUARED_LOSS = SquaredLoss()
 
 
 def suggested_step_size(

@@ -15,12 +15,16 @@ Three sources feed the learners:
   latent variables with constant label, whose unique zero-loss model pair
   requires the global and local models to move in a coordinated way.
 
-All randomness comes from named substreams of the caller's seed.
+All randomness comes from named substreams of the caller's seed. Sample
+data is kept as row blocks - x_global (n, dg), x_local (n, dl), y (n,) - in
+SampleRows, which builds a Sample object only when one is read; learners
+take the blocks themselves through stream_block and rows_block.
 """
 
 from __future__ import annotations
 
 import gzip
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,10 +148,49 @@ def serialize_libsvm(corpus: MulticlassCorpus) -> str:
 # Federated datasets
 
 
+class SampleRows(Sequence):
+    """Read-only Sample sequence over row blocks x_global (n, dg), x_local (n, dl), y (n,).
+
+    A row's Sample is built on first read and kept; a slice is a new view.
+    """
+
+    def __init__(self, x_global: np.ndarray, x_local: np.ndarray, y: np.ndarray):
+        self.x_global, self.x_local, self.y = x_global, x_local, y
+        self._built: list | None = None
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return SampleRows(self.x_global[k], self.x_local[k], self.y[k])
+        k = range(len(self))[k]
+        if self._built is None:
+            self._built = [None] * len(self)
+        sample = self._built[k]
+        if sample is None:
+            sample = self._built[k] = Sample(self.x_global[k], self.x_local[k], float(self.y[k]))
+        return sample
+
+
+def rows_block(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x_global (n, dg), x_local (n, dl), y (n,)) of a Sample sequence: SampleRows
+    hand over their arrays, other sequences are stacked (empty: (0, 0) blocks)."""
+    if isinstance(samples, SampleRows):
+        return samples.x_global, samples.x_local, samples.y
+    if not len(samples):
+        return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0)
+    return (
+        np.stack([s.x_global for s in samples]),
+        np.stack([s.x_local for s in samples]),
+        np.array([s.y for s in samples], dtype=float),
+    )
+
+
 @dataclass
 class ClientData:
-    train: list[Sample]
-    test: list[Sample]
+    train: Sequence[Sample]
+    test: Sequence[Sample]
     task: tuple
     train_lines: list[int] = field(default_factory=list)
     test_lines: list[int] = field(default_factory=list)
@@ -167,30 +210,38 @@ class FederatedDataset:
     d_locals: list[int]
     global_index: np.ndarray | None = None
     local_index: np.ndarray | None = None
-    pregenerated: list[list[Sample]] | None = None
+    pregenerated: list[Sequence[Sample]] | None = None
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
 
-    def round_stream(self, client_id: int, rounds: int, rng: np.random.Generator) -> list[Sample]:
+    def _draws(self, client_id: int, rounds: int, rng: np.random.Generator):
+        """(rows, picks): the Sample sequence a stream draws from and which rows, in order."""
         if self.pregenerated is not None:
             stream = self.pregenerated[client_id]
             if rounds > len(stream):
                 raise ConfigError(
                     f"client {client_id} has {len(stream)} pre-generated rounds, need {rounds}"
                 )
-            return stream[:rounds]
+            return stream, slice(rounds)
         pool = self.clients[client_id].train
         if not pool:
             raise ConfigError(f"client {client_id} has an empty train pool")
-        out: list[Sample] = []
-        while len(out) < rounds:
-            order = rng.permutation(len(pool))
-            out.extend(pool[j] for j in order)
-        return out[:rounds]
+        epochs = [rng.permutation(len(pool)) for _ in range(-(-rounds // len(pool)))]
+        return pool, np.concatenate(epochs)[:rounds]
 
-    def test_sets(self) -> list[list[Sample]]:
+    def round_stream(self, client_id: int, rounds: int,
+                     rng: np.random.Generator) -> Sequence[Sample]:
+        rows, picks = self._draws(client_id, rounds, rng)
+        return rows[picks] if isinstance(picks, slice) else [rows[j] for j in picks]
+
+    def stream_block(self, client_id: int, rounds: int, rng: np.random.Generator):
+        """round_stream as (x_global, x_local, y) row blocks, from the same draws."""
+        rows, picks = self._draws(client_id, rounds, rng)
+        return tuple(a[picks] for a in rows_block(rows))
+
+    def test_sets(self) -> list[Sequence[Sample]]:
         return [c.test for c in self.clients]
 
 
@@ -261,9 +312,10 @@ def partition_federated(
     global_index = np.sort(perm[:d_g])
     local_index = np.sort(perm[d_g:])
 
-    def make_sample(row_index: int, y: float) -> Sample:
-        x = corpus.features[row_index]
-        return Sample(x[global_index], x[local_index], y)
+    def rows(pos: np.ndarray, neg: np.ndarray) -> SampleRows:
+        x = corpus.features[np.concatenate([pos, neg])]
+        y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
+        return SampleRows(x[:, global_index], x[:, local_index], y)
 
     client_data = []
     for i in range(clients):
@@ -273,10 +325,8 @@ def partition_federated(
         neg_class, bucket = buckets[bucket_order[i]]
         train_neg = bucket[:n_train]
         test_neg = bucket[n_train : n_train + n_test]
-        train = [make_sample(j, 1.0) for j in train_pos] + [
-            make_sample(j, -1.0) for j in train_neg
-        ]
-        test = [make_sample(j, 1.0) for j in test_pos] + [make_sample(j, -1.0) for j in test_neg]
+        train = rows(train_pos, train_neg)
+        test = rows(test_pos, test_neg)
         lines = corpus.line_numbers
         client_data.append(
             ClientData(
@@ -341,16 +391,17 @@ def gen_example2(
     xs = rng.standard_normal((clients, total, dim))
     eps = rng.standard_normal((clients, total)) * noise if noise > 0 else np.zeros((clients, total))
 
-    streams: list[list[Sample]] = []
+    streams: list[SampleRows] = []
     client_data: list[ClientData] = []
     for i in range(clients):
         u_i = v if i < clients // 2 else -v
         w = ug + u_i
         ys = xs[i] @ w + eps[i]
-        samples = [Sample(xs[i, t], xs[i, t], float(ys[t])) for t in range(total)]
-        streams.append(samples[:rounds])
+        train = SampleRows(xs[i, :rounds], xs[i, :rounds], ys[:rounds])
+        test = SampleRows(xs[i, rounds:], xs[i, rounds:], ys[rounds:])
+        streams.append(train)
         client_data.append(
-            ClientData(train=samples[:rounds], test=samples[rounds:], task=("sign-split", i < clients // 2))
+            ClientData(train=train, test=test, task=("sign-split", i < clients // 2))
         )
     return FederatedDataset(
         clients=client_data,
@@ -374,10 +425,9 @@ def gen_appendixc(rounds: int, seed: int) -> FederatedDataset:
     a = rng.standard_normal(rounds)
     b = rng.standard_normal(rounds)
     eps = rng.normal(0.0, 0.5, rounds)
-    samples = [
-        Sample(np.array([a[t] + eps[t], b[t]]), np.array([1.0 - a[t], 1.0 - b[t]]), 1.0)
-        for t in range(rounds)
-    ]
+    samples = SampleRows(
+        np.stack([a + eps, b], axis=1), np.stack([1.0 - a, 1.0 - b], axis=1), np.ones(rounds)
+    )
     return FederatedDataset(
         clients=[ClientData(train=samples, test=[], task=("complementary-views",))],
         d_global=2,

@@ -34,7 +34,7 @@ import numpy as np
 from .channel import DelayConfig, DelayedChannel, as_delay_config
 from .core import HyperParams, ResidualMessage, Sample
 from .errors import ConfigError, InvariantError
-from .results import RoundTrace, RunResult
+from .results import RunResult
 from .engine import build_streams
 from .solver import solve_gram
 
@@ -76,22 +76,22 @@ class ErmClient:
             return self.ly - self.cross @ fetched
         return self.frozen_rhs
 
-    def round(self, t: int, fetched: np.ndarray, sample: Sample) -> tuple[RoundTrace, ErmUplink | ResidualMessage]:
+    def round(self, t: int, fetched: np.ndarray, sample: Sample) -> tuple[float, ErmUplink | ResidualMessage]:
+        """Solve, predict, archive; returns (prediction, uplink message)."""
         if self.archive:
             self.wl = solve_gram(self.gram, self._rhs(fetched), self.radius)
         lp = float(self.wl @ sample.x_local)
         pred = float(fetched @ sample.x_global) + lp
-        trace = RoundTrace(t, self.client_id, (sample.y - pred) ** 2, pred, sample.y, sample)
         self.archive.append((sample, fetched))
-        self.gram += np.outer(sample.x_local, sample.x_local)
+        self.gram += sample.x_local[:, None] * sample.x_local
         self.ly += sample.y * sample.x_local
-        self.cross += np.outer(sample.x_local, sample.x_global)
+        self.cross += sample.x_local[:, None] * sample.x_global
         self.frozen_rhs += (sample.y - float(fetched @ sample.x_global)) * sample.x_local
         if self.variant == "erm":
             msg = ErmUplink(sample, self.wl, self.client_id, t)
         else:
             msg = ResidualMessage(sample.x_global, lp, sample.y, self.client_id, t)
-        return trace, msg
+        return pred, msg
 
 
 class ErmServer:
@@ -115,13 +115,13 @@ class ErmServer:
             s, lp = msg.sample, float(msg.local_model @ msg.sample.x_local)
             self.latest_wl[i] = msg.local_model
             self.gy[i] += s.y * s.x_global
-            self.cross[i] += np.outer(s.x_global, s.x_local)
+            self.cross[i] += s.x_global[:, None] * s.x_local
         else:
             # frozen variant: only the residual triplet travels uplink
             s = Sample(msg.x_global, np.zeros(0), msg.y)
             lp = msg.local_prediction
         self.archive[i].append((s, lp))
-        self.gram += np.outer(s.x_global, s.x_global)
+        self.gram += s.x_global[:, None] * s.x_global
         self.frozen_rhs += (s.y - lp) * s.x_global
         self.count += 1
 
@@ -195,24 +195,25 @@ class ErmSystem:
         self.channel = DelayedChannel(delays, self.server.wg)
         self.t = 0
 
-    def run_round(self, samples: Sequence[Sample]) -> list[RoundTrace]:
+    def run_round(self, samples: Sequence[Sample]) -> list[float]:
+        """One round; returns every client's prediction."""
         t = self.t = self.t + 1
         self.channel.publish_global(t, self.server.wg)
-        traces = []
+        preds = []
         for client, sample in zip(self.clients, samples):
             fetched = self.channel.fetch_global(client.client_id, t)
-            trace, msg = client.round(t, fetched, sample)
+            pred, msg = client.round(t, fetched, sample)
             self.channel.uplink_send(client.client_id, t, msg)
-            traces.append(trace)
+            preds.append(pred)
         self.server.round(t, self.channel.uplink_receive(t))
-        return traces
+        return preds
 
 
 def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals, exact_rebuild):
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     delays = as_delay_config(delays, dataset.n_clients)
-    streams = build_streams(dataset, rounds, seed)
+    x_global, x_local, label = build_streams(dataset, rounds, seed)
     system = ErmSystem(
         dataset.d_global,
         dataset.d_locals,
@@ -223,16 +224,21 @@ def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals
         init_locals=init_locals,
         exact_rebuild=exact_rebuild,
     )
-    traces: list[RoundTrace] = []
+    prediction = np.empty(label.shape)
     for t in range(rounds):
-        traces.extend(system.run_round([st[t] for st in streams]))
+        samples = [
+            Sample(x_global[t, i, 0], x_local[t, i, 0], float(label[t, i, 0]))
+            for i in range(dataset.n_clients)
+        ]
+        prediction[t, :, 0] = system.run_round(samples)
     return RunResult(
-        traces=traces,
+        prediction=prediction,
+        label=label,
+        x_global=x_global,
+        x_local=x_local,
         final_global=system.server.wg,
         final_locals=[c.wl for c in system.clients],
-        fetch_counts=list(system.channel.fetch_counts),
-        rounds=rounds,
-        clients=dataset.n_clients,
+        fetch_counts=system.channel.fetch_counts,
     )
 
 

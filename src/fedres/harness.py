@@ -21,11 +21,18 @@ import numpy as np
 from . import bandit as bandit_mod
 from .baselines import central_view, independent_view, run_central, run_independent
 from .core import DEFAULT_RADIUS, HyperParams, default_eta
-from .datagen import FederatedDataset, gen_appendixc, gen_example2, load_libsvm, partition_federated
+from .datagen import (
+    FederatedDataset,
+    gen_appendixc,
+    gen_example2,
+    load_libsvm,
+    partition_federated,
+    rows_block,
+)
 from .engine import run_fedres_sgd
 from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError
-from .results import RoundTrace, RunResult
+from .results import RunResult, TraceView
 from .solver import alternating_joint_ls
 
 CSV_HEADER = "rollout,algo,clients,delay_up,delay_down,batch,rounds,axis_value,train_loss,test_accuracy,avg_regret"
@@ -67,7 +74,9 @@ class ExperimentConfig:
     exploration_period: int = 10
     k_actions: int = 4
 
-    def validate(self) -> None:
+    def validate(self, *, uses_data: bool = True) -> None:
+        """ConfigError on an inconsistent config; uses_data=False skips the
+        rules of the `data` source (bandit runs draw their own contexts)."""
         if self.algo not in ALGOS:
             raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
         if self.rounds < 1 or self.clients < 1 or self.rollouts < 1:
@@ -80,12 +89,12 @@ class ExperimentConfig:
             )
         if self.algo in ("fedres-erm", "fictitious") and self.batch_size != 1:
             raise ConfigError("exact-solve learners do not support batching")
-        if self.data == "appendixc" and self.clients != 1:
-            raise ConfigError("the appendixc stream is single-client")
-        if self.data == "example2" and self.clients % 2:
-            raise ConfigError("example2 needs an even number of clients")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if uses_data and self.data == "appendixc" and self.clients != 1:
+            raise ConfigError("the appendixc stream is single-client")
+        if uses_data and self.data == "example2" and self.clients % 2:
+            raise ConfigError("example2 needs an even number of clients")
 
     def hyper(self) -> HyperParams:
         eta = default_eta(self.rounds)
@@ -147,50 +156,72 @@ def dispatch(cfg: ExperimentConfig, dataset: FederatedDataset, seed: int):
 # Metrics
 
 
-def compute_regret(traces: list[RoundTrace], comparator=None, *,
+def _merge_leading(a: np.ndarray) -> np.ndarray:
+    """a with its first two axes merged, C-contiguous (explicit sizes: d may be 0)."""
+    return np.ascontiguousarray(a.reshape(a.shape[0] * a.shape[1], *a.shape[2:]))
+
+
+def _record_groups(traces) -> tuple:
+    """(loss (K,), groups) of K records in trace order; one group per client
+    id, ascending: (record positions, x_global (n, b, dg), x_local (n, b, dl),
+    y (n, b)) with the client's records in order. A run's trace view is read
+    as columns; any other RoundTrace sequence is stacked."""
+    if isinstance(traces, TraceView):
+        r = traces.result
+        return r.loss.ravel(), [
+            (slice(i, None, r.clients), r.x_global[:, i], r.x_local[:, i], r.label[:, i])
+            for i in range(r.clients)
+        ]
+    if not traces:
+        raise ConfigError("empty trace")
+    batches = [tr.sample if isinstance(tr.sample, tuple) else (tr.sample,) for tr in traces]
+    k, b = len(batches), len(batches[0])
+    xg, xl, y = (a.reshape(k, b, *a.shape[1:])
+                 for a in rows_block([s for batch in batches for s in batch]))
+    owner = np.array([tr.client_id for tr in traces])
+    at = [np.flatnonzero(owner == i) for i in np.unique(owner)]
+    return np.array([tr.loss for tr in traces]), [(j, xg[j], xl[j], y[j]) for j in at]
+
+
+def compute_regret(traces, comparator=None, *,
                    radius: float = DEFAULT_RADIUS, tol: float = 1e-8) -> float:
     """Average played loss minus the best fixed joint model's loss.
 
-    The default comparator is the ball-constrained joint fit of the full
-    offline data (alternating exact solves to the given objective
-    tolerance). Batched records compare batch mean against batch mean.
+    traces is a run's trace view, read as columns, or any sequence of
+    RoundTrace records. The default comparator is the ball-constrained
+    joint fit of the full offline data (alternating exact solves to the
+    given objective tolerance). Batched records compare batch mean against
+    batch mean. The sum runs in record order.
     """
-    if not traces:
-        raise ConfigError("empty trace")
-    by_client: dict[int, list] = {}
-    for tr in traces:
-        batch = tr.sample if isinstance(tr.sample, tuple) else (tr.sample,)
-        by_client.setdefault(tr.client_id, []).extend(batch)
-    ids = sorted(by_client)
+    loss, groups = _record_groups(traces)
     if comparator is None:
-        xg = [np.stack([s.x_global for s in by_client[i]]) for i in ids]
-        xl = [np.stack([s.x_local for s in by_client[i]]) for i in ids]
-        ys = [np.array([s.y for s in by_client[i]]) for i in ids]
-        wg, wls, _ = alternating_joint_ls(xg, xl, ys, radius, tol)
+        data = ([_merge_leading(g[k]) for g in groups] for k in (1, 2, 3))
+        wg, wls, _ = alternating_joint_ls(*data, radius, tol)
     else:
         wg, wls = comparator
-        if len(wls) != len(ids):
-            raise ConfigError(f"comparator has {len(wls)} locals for {len(ids)} clients")
-    wl_of = dict(zip(ids, wls))
+        if len(wls) != len(groups):
+            raise ConfigError(f"comparator has {len(wls)} locals for {len(groups)} clients")
+    comp = np.empty_like(loss)
+    for (at, xg, xl, y), wl in zip(groups, wls):
+        pred = np.vecdot(xg, wg) + np.vecdot(xl, wl)
+        comp[at] = np.float_power(y - pred, 2.0).mean(axis=-1)
     total = 0.0
-    for tr in traces:
-        batch = tr.sample if isinstance(tr.sample, tuple) else (tr.sample,)
-        wl = wl_of[tr.client_id]
-        comp = np.mean([(s.y - float(wg @ s.x_global + wl @ s.x_local)) ** 2 for s in batch])
-        total += tr.loss - comp
-    return total / len(traces)
+    for gap in (loss - comp).tolist():
+        total += gap
+    return total / len(loss)
 
 
 def evaluate_accuracy(dataset, result: RunResult) -> float:
     """Sign-agreement accuracy of the final model pairs on the test sets."""
     correct = 0
     n = 0
-    for i, tests in enumerate(dataset.test_sets()):
-        wg, wl = result.final_global, result.final_locals[i]
-        for s in tests:
-            pred = float(wg @ s.x_global + wl @ s.x_local)
-            correct += (pred >= 0) == (s.y > 0)
-            n += 1
+    for tests, wl in zip(dataset.test_sets(), result.final_locals):
+        xg, xl, y = rows_block(tests)
+        if not len(y):
+            continue
+        pred = np.vecdot(xg, result.final_global) + np.vecdot(xl, wl)
+        correct += int(np.count_nonzero((pred >= 0) == (y > 0)))
+        n += len(y)
     return correct / n if n else float("nan")
 
 
@@ -232,12 +263,12 @@ def _rollout_row(args) -> tuple[tuple, str]:
     return (order_key, rollout), _row(rollout, cfg, axis_value, train_loss, accuracy, regret)
 
 
-def _run_tasks(tasks: list, jobs: int) -> list[str]:
+def _run_tasks(tasks: list, jobs: int, task=_rollout_row) -> list[str]:
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            keyed = list(pool.map(_rollout_row, tasks))
+            keyed = list(pool.map(task, tasks))
     else:
-        keyed = [_rollout_row(t) for t in tasks]
+        keyed = [task(t) for t in tasks]
     keyed.sort(key=lambda kr: kr[0])
     return [row for _, row in keyed]
 
@@ -288,13 +319,7 @@ def appendixc_rows(rounds: int = 20000, rollouts: int = 50, eta: float = 1.0,
         cfg = replace(base, algo=algo)
         cfg.validate()
         tasks.extend((cfg, None, k, r) for r in range(rollouts))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            keyed = list(pool.map(_appendixc_task, tasks))
-    else:
-        keyed = [_appendixc_task(t) for t in tasks]
-    keyed.sort(key=lambda kr: kr[0])
-    return [row for _, row in keyed]
+    return _run_tasks(tasks, jobs, _appendixc_task)
 
 
 def run_appendixc(cfg: ExperimentConfig, seed: int) -> RunResult:
@@ -323,7 +348,7 @@ def _appendixc_task(args) -> tuple[tuple, str]:
 
 def bandit_rows(cfg: ExperimentConfig) -> list[str]:
     """Paired periodic-exploration vs uniform-random rows on one env."""
-    cfg.validate()
+    cfg.validate(uses_data=False)
     rows = []
     for r in range(cfg.rollouts):
         seed = cfg.base_seed + r
@@ -335,16 +360,9 @@ def bandit_rows(cfg: ExperimentConfig) -> list[str]:
         )
         uniform = bandit_mod.run_uniform_policy(env, cfg.rounds, seed)
         for algo, res in (("bandit-epsgreedy", greedy), ("bandit-uniform", uniform)):
-            regret = bandit_mod.cb_regret(res.traces, env)
-            mean_loss = float(np.mean([tr.loss for tr in res.traces]))
-            row = ",".join(
-                _fmt(c)
-                for c in [
-                    r, algo, cfg.clients, cfg.alpha, cfg.beta, cfg.batch_size, cfg.rounds,
-                    cfg.exploration_period, float(mean_loss), float("nan"), float(regret),
-                ]
-            )
-            rows.append(row)
+            mean_loss = np.mean([tr.loss for tr in res.traces])
+            rows.append(_row(r, replace(cfg, algo=algo), cfg.exploration_period, mean_loss,
+                             float("nan"), bandit_mod.cb_regret(res.traces, env)))
     return rows
 
 

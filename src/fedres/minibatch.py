@@ -44,18 +44,5 @@ def run_batched(dataset, delays, hyper: HyperParams, rounds: int, batch_size: in
                 seed: int, *, variant: str = "aligned",
                 init_global=None, init_locals=None) -> RunResult:
     """Run the delayed-gradient learner once per batch of the given size."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    if rounds % batch_size != 0:
-        raise ConfigError(f"batch size {batch_size} does not divide horizon {rounds}")
-    return run_fedres_sgd(
-        dataset,
-        delays,
-        hyper,
-        rounds,
-        seed,
-        variant=variant,
-        batch_size=batch_size,
-        init_global=init_global,
-        init_locals=init_locals,
-    )
+    return run_fedres_sgd(dataset, delays, hyper, rounds, seed, variant=variant,
+                          batch_size=batch_size, init_global=init_global, init_locals=init_locals)

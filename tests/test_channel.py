@@ -30,6 +30,68 @@ class TestDelayConfig:
         assert as_delay_config(3, 2) == DelayConfig.uniform(2, 3, 3)
         assert as_delay_config((1, 2), 2) == DelayConfig(alpha=(1, 1), beta=(2, 2))
 
+    def test_numpy_integers_accepted(self):
+        assert as_delay_config(np.int64(3), 2) == DelayConfig.uniform(2, 3, 3)
+        cfg = as_delay_config((np.int32(1), np.array([0, 2])), 2)
+        assert cfg == DelayConfig(alpha=(1, 1), beta=(0, 2))
+        assert all(type(d) is int for d in cfg.alpha + cfg.beta)
+
+    def test_bools_rejected(self):
+        for bad in (True, np.True_, (True, 0), ((0, 1), (False, 0))):
+            with pytest.raises(ConfigError):
+                as_delay_config(bad, 2)
+
+    def test_wrong_shapes_rejected(self):
+        for bad in ((1, 2, 3), (1,), 2.0, "12", ((1, 2, 3), (0, 0, 0)), {"alpha": 1}):
+            with pytest.raises(ConfigError):
+                as_delay_config(bad, 2)
+
+
+INTS = st.integers(0, 50)
+NP_INTS = INTS.map(np.int64) | INTS.map(np.int32)
+DELAY = INTS | NP_INTS
+
+
+class TestDelayCoercionProperties:
+    @given(DELAY, st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_is_uniform_round_trip_split(self, d, clients):
+        assert as_delay_config(d, clients) == DelayConfig.uniform(clients, int(d), int(d))
+
+    @given(DELAY, DELAY, st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_of_scalars(self, a, b, clients):
+        assert as_delay_config((a, b), clients) == DelayConfig.uniform(clients, int(a), int(b))
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.lists(DELAY, min_size=n, max_size=n),
+                            st.lists(DELAY, min_size=n, max_size=n))))
+    @settings(max_examples=60, deadline=None)
+    def test_per_client_tuples(self, sides):
+        alpha, beta = sides
+        cfg = as_delay_config((tuple(alpha), tuple(beta)), len(alpha))
+        assert cfg.alpha == tuple(int(a) for a in alpha)
+        assert cfg.beta == tuple(int(b) for b in beta)
+        assert all(type(d) is int for d in cfg.alpha + cfg.beta)
+
+    @given(st.one_of(st.booleans(), st.floats(allow_nan=True), st.integers(-50, -1),
+                     st.tuples(DELAY, DELAY, DELAY), st.tuples(st.booleans(), DELAY)),
+           st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_everything_else_is_a_config_error(self, bad, clients):
+        with pytest.raises(ConfigError):
+            as_delay_config(bad, clients)
+
+    @given(st.integers(1, 5), st.integers(1, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_per_client_length_must_match(self, n, clients):
+        sides = (tuple(range(n)), tuple(range(n)))
+        if n == clients:
+            assert as_delay_config(sides, clients).clients == clients
+        else:
+            with pytest.raises(ConfigError):
+                as_delay_config(sides, clients)
+
 
 class TestUplink:
     def test_zero_delay_same_round(self):
@@ -81,7 +143,7 @@ class TestDownlink:
         ch = make_channel([0], [0])
         wg = np.array([1.0, 2.0])
         ch.publish_global(1, wg)
-        assert ch.fetch_global(0, 1) is wg
+        assert np.array_equal(ch.fetch_global(0, 1), wg)
 
     def test_beta_four_fetches_round_six_at_ten(self):
         ch = make_channel([0], [4])
@@ -89,7 +151,7 @@ class TestDownlink:
         for t in range(1, 11):
             snaps[t] = np.array([float(t), 0.0])
             ch.publish_global(t, snaps[t])
-        assert ch.fetch_global(0, 10) is snaps[6]
+        assert np.array_equal(ch.fetch_global(0, 10), snaps[6])
 
     def test_warmup_returns_initial(self):
         init = np.array([7.0, 7.0])
@@ -121,7 +183,7 @@ class TestDownlink:
         for t in range(1, 6):
             wg = np.array([float(t), 1.0])
             ch.publish_global(t, wg)
-            assert ch.fetch_global(0, t) is wg
+            assert np.array_equal(ch.fetch_global(0, t), wg)
             ch.uplink_send(0, t, ("payload", t))
             ch.uplink_send(1, t, ("payload2", t))
             assert ch.uplink_receive(t) == [("payload", t), ("payload2", t)]
@@ -177,7 +239,7 @@ class TestDeliveryExactness:
             all_snaps[t] = wg
             for i in range(clients):
                 # what a client fetch needs
-                assert ch.fetch_global(i, t) is all_snaps[max(t - beta[i], 0)]
+                assert np.array_equal(ch.fetch_global(i, t), all_snaps[max(t - beta[i], 0)])
                 ch.uplink_send(i, t, (i, t))
             for _, sent_at in ch.uplink_receive(t):
                 pass
@@ -185,4 +247,5 @@ class TestDeliveryExactness:
             for i in range(clients):
                 s = t - alpha[i]
                 if s >= 1:
-                    assert ch.snapshot(max(s - beta[i], 0)) is all_snaps[max(s - beta[i], 0)]
+                    snap = ch.snapshot(max(s - beta[i], 0))
+                    assert np.array_equal(snap, all_snaps[max(s - beta[i], 0)])

@@ -15,7 +15,7 @@ from fedres.core import (
     project_ball,
     suggested_step_size,
 )
-from fedres.errors import ConfigError
+from fedres.errors import ConfigError, InvariantError
 
 from conftest import finite_diff_grads, random_instance
 
@@ -109,6 +109,33 @@ class TestProjectBall:
         once = project_ball(v, radius)
         assert np.all(project_ball(once.copy(), radius) == once)
         assert np.linalg.norm(once) <= radius * (1 + 1e-12)
+
+
+    def test_infinite_entry_raises(self):
+        with pytest.raises(InvariantError):
+            project_ball(vec(np.inf, 1), 1.0)
+
+    def test_nan_entry_raises(self):
+        with pytest.raises(InvariantError):
+            project_ball(vec(np.nan, 0), 1.0)
+        with pytest.raises(InvariantError):
+            project_ball(np.array([[0.1, 0.1], [np.nan, 0.0]]), 1.0)
+
+    def test_overflowing_norm_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(InvariantError):
+            project_ball(vec(1e200, 1e200), 1e300)
+
+    @given(
+        st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3), min_size=1, max_size=5),
+        st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_project_like_vectors(self, rows, radius):
+        v = np.array(rows)
+        out = project_ball(v, radius)
+        assert out.shape == v.shape
+        for row, got in zip(v, out):
+            assert np.array_equal(project_ball(row, radius), got)
 
 
 class TestLossSignProperties:

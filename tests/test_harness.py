@@ -78,6 +78,15 @@ class TestComputeRegret:
         true = compute_regret(res.traces, comparator=(np.zeros(2), [v, -v]))
         assert fitted <= true + 1e-9
 
+    def test_trace_list_matches_run_columns(self):
+        # the RoundTrace-list adapter and the column path give the same bits, batched or not
+        ds = gen_example2(4, 2, np.array([0.6, 0.8]), 0.1, 40, seed=1)
+        hp = HyperParams(eta_global=0.05, eta_local=0.05)
+        for b in (1, 4):
+            res = run_fedres_sgd(ds, (1, 2), hp, 40, 1, batch_size=b)
+            assert len(res.traces) == res.rounds * res.clients
+            assert compute_regret(list(res.traces)) == compute_regret(res.traces)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
             compute_regret([])
@@ -263,6 +272,23 @@ class TestCli:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_bandit_ignores_the_example2_client_rule(self, tmp_path, capsys):
+        # the README's bandit example uses an odd client count; bandit runs draw no example2 data
+        out = tmp_path / "b.csv"
+        code = cli_main(["bandit", "--period", "10", "--actions", "4", "--clients", "5",
+                         "--rounds", "50", "--output", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3
+        assert cli_main(["run", "--data", "example2", "--clients", "5", "--rounds", "10",
+                         "--output", "-"]) == 1
+
+    def test_divergence_exit_code(self, capsys):
+        code = cli_main(["run", "--data", "example2", "--clients", "2", "--rounds", "200",
+                         "--radius", "1e300", "--eta-global", "50", "--eta-local", "50",
+                         "--output", "-"])
+        assert code == 3
+        assert "round" in capsys.readouterr().err
 
     def test_appendixc_cli(self, tmp_path):
         out = tmp_path / "a.csv"

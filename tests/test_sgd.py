@@ -3,9 +3,9 @@ import pytest
 
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams, Sample
-from fedres.datagen import FederatedDataset, ClientData, gen_appendixc
+from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2
 from fedres.engine import SgdSystem, run_fedres_sgd
-from fedres.errors import ConfigError
+from fedres.errors import ConfigError, InvariantError
 
 from conftest import ball_project_oracle
 
@@ -56,18 +56,17 @@ class TestClientRound:
             assert tr.loss == pytest.approx(expected, rel=1e-12)
 
     def test_missing_history_is_guarded(self, rng):
-        # direct state abuse: drop a history entry and step into the gap
-        from fedres.engine import SgdClient
-        from fedres.core import SQUARED_LOSS
+        # direct state abuse: shrink the history ring below the round trip and step into the gap
+        from fedres.channel import Lag
         from fedres.errors import InvariantError
 
-        client = SgdClient(0, 2, 0.1, 1.0, 1, 1, "aligned", SQUARED_LOSS)
+        system = SgdSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0))
+        system._history = Lag((2,), ring=2)
         s = Sample(np.ones(2), np.ones(2), 1.0)
-        client.round(1, np.zeros(2), s)
-        client.round(2, np.zeros(2), s)
-        client.history.clear()
+        system.run_round([s])
+        system.run_round([s])
         with pytest.raises(InvariantError):
-            client.round(3, np.zeros(2), s)
+            system.run_round([s])
 
 
 class TestServerRound:
@@ -152,9 +151,9 @@ class TestInvariants:
         system = SgdSystem(2, [2, 2, 2], DelayConfig.uniform(3, 1, 1), hp)
         for t in range(30):
             system.run_round([st[t] for st in streams])
-            assert np.linalg.norm(system.server.wg) <= 0.25 * (1 + 1e-12)
-            for c in system.clients:
-                assert np.linalg.norm(c.wl) <= 0.25 * (1 + 1e-12)
+            assert np.linalg.norm(system.wg) <= 0.25 * (1 + 1e-12)
+            for wl in system.wl:
+                assert np.linalg.norm(wl) <= 0.25 * (1 + 1e-12)
 
     def test_alignment_provenance(self, rng):
         for variant in ("aligned", "asymmetric"):
@@ -208,3 +207,26 @@ class TestInvariants:
         ds = dataset_from_streams([scripted_stream(rng, 2, 1, 1)], 1, [1])
         with pytest.raises(ConfigError):
             run_fedres_sgd(ds, 0, HyperParams(), 2, 0, variant="bogus")
+
+
+class TestNumericHealth:
+    def test_diverging_run_names_round_and_client(self):
+        ds = gen_example2(2, 4, np.full(4, 0.5), 0.0, 200, 0)
+        hp = HyperParams(radius=1e300, eta_global=50.0, eta_local=50.0)
+        with pytest.raises(InvariantError, match=r"client \d+ .*round \d+"):
+            run_fedres_sgd(ds, 0, hp, 200, 0)
+
+    def test_overflowing_loss_is_caught_after_the_loop(self):
+        # tiny features and steps keep the models finite while (y - pred)^2 overflows
+        stream = [Sample(np.array([1e-10]), np.array([1e-10]), 1e155) for _ in range(3)]
+        ds = dataset_from_streams([stream], 1, [1])
+        hp = HyperParams(radius=1.0, eta_global=1e-150, eta_local=1e-150)
+        with pytest.raises(InvariantError, match="non-finite loss at round 1, client 0"):
+            run_fedres_sgd(ds, 0, hp, 3, 0)
+
+    def test_nan_data_is_caught(self, rng):
+        streams = [scripted_stream(rng, 6, 2, 2) for _ in range(2)]
+        streams[1][3] = Sample(np.array([np.nan, 0.0]), np.zeros(2), 0.0)
+        ds = dataset_from_streams(streams, 2, [2, 2])
+        with pytest.raises(InvariantError, match=r"round 4, client 1|client 1 .*round 4"):
+            run_fedres_sgd(ds, 0, HyperParams(eta_global=0.1, eta_local=0.1), 6, 0)
