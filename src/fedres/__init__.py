@@ -17,11 +17,9 @@ from .baselines import run_central, run_independent
 from .channel import DelayConfig, DelayedChannel
 from .core import (
     HyperParams,
-    ResidualMessage,
     Sample,
     default_eta,
     grad_global,
-    grad_global_from_message,
     grad_local,
     loss,
     predict_joint,
@@ -47,4 +45,17 @@ from .minibatch import aggregate_grads, aggregate_loss, run_batched
 from .results import RoundTrace, RunResult
 from .solver import ConstrainedLsProblem, alternating_joint_ls, solve_constrained_ls, solve_gram
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BanditEnv", "cb_regret", "choose_action", "make_realizable_env", "run_epsilon_greedy",
+    "run_uniform_policy", "suggested_exploration_period",
+    "run_central", "run_independent", "DelayConfig", "DelayedChannel",
+    "HyperParams", "Sample", "default_eta", "grad_global", "grad_local", "loss",
+    "predict_joint", "project_ball", "suggested_step_size",
+    "FederatedDataset", "MulticlassCorpus", "gen_appendixc", "gen_example2", "load_libsvm",
+    "parse_libsvm", "partition_federated", "serialize_libsvm", "write_partition_manifest",
+    "SgdSystem", "run_fedres_sgd", "run_fedres_erm", "run_fictitious_play",
+    "ConfigError", "InvariantError", "ExperimentConfig", "compute_regret",
+    "evaluate_accuracy", "run_experiment", "sweep",
+    "aggregate_grads", "aggregate_loss", "run_batched", "RoundTrace", "RunResult",
+    "ConstrainedLsProblem", "alternating_joint_ls", "solve_constrained_ls", "solve_gram",
+]

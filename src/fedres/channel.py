@@ -1,25 +1,26 @@
-"""Round-indexed message transport with fixed per-client delays, kept as
+"""Round-indexed transport with fixed per-client delays, kept as
 ring-buffer index arithmetic.
 
-Uplink: a payload sent by client i at round t is delivered to the server at
-round t + alpha[i], FIFO per client. Downlink: the server publishes one
-global-model snapshot per round before any client fetches; a fetch by
-client i at round t returns the snapshot of round t - beta[i], with every
-round index <= 0 resolving to the initial model (warmup convention).
+Uplink: the message client i sends at round t reaches the server at round
+t + alpha[i]. Downlink: the server publishes one global-model snapshot per
+round before any client fetches; client i's fetch at round t returns the
+snapshot of round t - beta[i], with every round index <= 0 resolving to
+the initial model (warmup convention).
 
-Snapshots live in a (keep, d) ring whose rows all start as the initial
-model; no read reaches back keep rounds, so rounds <= 0 find it intact.
-A system whose every client sends one message per round (the SGD engine)
-keeps its messages in its own round-indexed rows and asks exchange(t)
-which rows arrive; learners that send objects queue them with
-uplink_send / uplink_receive. A channel serves one single-threaded run.
+There is one path, and it serves whole rounds: every client fetches and
+sends once per round. A learner keeps its messages in its own
+round-indexed rows (a ring of `ring` rows, a required argument), and
+exchange(t) says which rows arrive at round t. Snapshots live in a
+(max(beta) + 1, d) ring whose rows all start as the initial model; no
+fetch reaches back further, so rounds <= 0 find it intact. A channel
+serves one single-threaded run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class DelayConfig:
     beta: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(isinstance(side, (Sequence, np.ndarray)) for side in (self.alpha, self.beta)):
+            raise ConfigError(f"alpha and beta must be per-client sequences, got {self!r}")
         alpha, beta = tuple(self.alpha), tuple(self.beta)
         if len(alpha) != len(beta):
             raise ConfigError("alpha and beta must have one entry per client")
@@ -122,70 +125,41 @@ class Lag:
 
 
 class DelayedChannel:
-    """Snapshot ring, fetch counts and the two uplink paths (see module doc).
+    """Snapshot ring, fetch count and the whole-round uplink (see module doc).
 
-    The ring keeps the last max(alpha)+max(beta)+1 rounds: enough for the
-    slowest fetch and for pairing a message sent at s with the snapshot of
-    s - beta[i]. `ring` is the length of the caller's rows for exchange().
+    `ring` is the length of the caller's round-indexed rows for exchange().
     """
 
-    def __init__(self, delays: DelayConfig, initial_global: np.ndarray, ring: int | None = None):
+    def __init__(self, delays: DelayConfig, initial_global: np.ndarray, ring: int):
         self.delays = delays
         self.initial_global = np.asarray(initial_global, dtype=float)
-        self._keep = max(delays.alpha, default=0) + max(delays.beta, default=0) + 1
+        self._keep = max(delays.beta, default=0) + 1
         self._snapshots = np.tile(self.initial_global, (self._keep, 1))
         self._beta = np.array(delays.beta, dtype=int)
         self._uniform_beta = len(set(delays.beta)) <= 1
-        self._arrivals = None if ring is None else Lag(delays.alpha, ring)
-        self._uplink: dict[int, list[tuple[int, int, Any]]] = {}
-        self._seq = 0
+        self._arrivals = Lag(delays.alpha, ring)
         self._last_published = 0
-        self._last_received = 0
-        self._exchanged = 0  # last round of the whole-round path
-        self._fetches = [0] * delays.clients  # single-client fetches
-        self._round_fetches = 0  # whole-round fetches, one per client each
+        self._exchanged = 0
+        self._round_fetches = 0
 
     # -- uplink ---------------------------------------------------------
 
-    def uplink_send(self, client_id: int, t: int, payload: Any) -> None:
-        if not 0 <= client_id < self.delays.clients:
-            raise ConfigError(f"unknown client {client_id}")
-        if t < 1:
-            raise InvariantError(f"uplink_send at round {t} < 1")
-        deliver_at = t + self.delays.alpha[client_id]
-        self._seq += 1
-        self._uplink.setdefault(deliver_at, []).append((client_id, self._seq, payload))
-
-    def _receiving(self, t: int) -> None:
-        # A repeated round would silently double-deliver, so it is a hard error.
-        if t <= self._last_received:
-            raise InvariantError(
-                f"uplink_receive({t}) after round {self._last_received} was already received"
-            )
-        self._last_received = t
-
-    def uplink_receive(self, t: int) -> list[Any]:
-        """All payloads due at round t, ascending client id, FIFO within one.
-
-        Must be called with strictly increasing rounds.
-        """
-        self._receiving(t)
-        due = self._uplink.pop(t, [])
-        due.sort(key=lambda rec: (rec[0], rec[1]))
-        return [payload for _, _, payload in due]
-
     def exchange(self, t: int):
         """Every client sent its round-t message; returns the Lag index of the
-        caller's rows due now, the messages sent at t - alpha[i]."""
-        self._receiving(t)
+        caller's rows due now, the messages sent at t - alpha[i].
+
+        Must be called with strictly increasing rounds: a repeated round
+        would deliver twice, so it is a hard error.
+        """
+        if t <= self._exchanged:
+            raise InvariantError(f"exchange({t}) after round {self._exchanged} was delivered")
         self._exchanged = t
         return self._arrivals.at(t)
 
     @property
     def pending_payloads(self) -> int:
         """Messages sent but not yet delivered."""
-        queued = sum(len(v) for v in self._uplink.values())
-        return queued + sum(min(a, self._exchanged) for a in self.delays.alpha)
+        return sum(min(a, self._exchanged) for a in self.delays.alpha)
 
     # -- downlink -------------------------------------------------------
 
@@ -198,33 +172,16 @@ class DelayedChannel:
         self._last_published = t
         self._snapshots[t % self._keep] = wg
 
-    def snapshot(self, r: int) -> np.ndarray:
-        """Snapshot of round r (a copy); any r <= 0 resolves to the initial model."""
-        if r <= 0:
-            return self.initial_global
-        if not self._last_published - self._keep < r <= self._last_published:
-            raise InvariantError(f"snapshot for round {r} is missing (evicted or never published)")
-        return self._snapshots[r % self._keep].copy()
-
-    def _fetching(self, t: int) -> None:
-        if self._last_published < t:
-            raise InvariantError(f"fetch_global at round {t} before publish_global({t})")
-
-    def fetch_global(self, client_id: int, t: int) -> np.ndarray:
-        if not 0 <= client_id < self.delays.clients:
-            raise ConfigError(f"unknown client {client_id}")
-        self._fetching(t)
-        self._fetches[client_id] += 1
-        return self.snapshot(t - self.delays.beta[client_id])
-
     @property
     def fetch_counts(self) -> list[int]:
-        return [n + self._round_fetches for n in self._fetches]
+        return [self._round_fetches] * self.delays.clients
 
     def fetch_round(self, t: int) -> np.ndarray:
         """Every client's fetch at round t: one ring row shared by all clients
-        when beta is uniform, else one row per client (views until t + 1)."""
-        self._fetching(t)
+        when beta is uniform, else one row per client (views until the
+        publish of round t + 1)."""
+        if self._last_published < t:
+            raise InvariantError(f"fetch_round at round {t} before publish_global({t})")
         self._round_fetches += 1
         if self._uniform_beta:
             return self._snapshots[(t - self.delays.beta[0]) % self._keep]

@@ -33,22 +33,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class ResidualMessage:
-    """Uplink record for one round of one client.
-
-    Carries the global features, the label, and the client's local
-    prediction (its residual) instead of the local model itself; this is
-    all the server needs to form its global-block gradient.
-    """
-
-    x_global: np.ndarray
-    local_prediction: float
-    y: float
-    client_id: int
-    sent_at: int
-
-
-@dataclass(frozen=True)
 class HyperParams:
     """Step sizes and the feasible-ball radius.
 
@@ -115,16 +99,6 @@ def grad_local(wg: np.ndarray, wl: np.ndarray, s: Sample) -> np.ndarray:
     _check_dims(wg, wl, s)
     pred = wg @ s.x_global + wl @ s.x_local
     return 2.0 * (pred - s.y) * s.x_local
-
-
-def grad_global_from_message(wg: np.ndarray, m: ResidualMessage) -> np.ndarray:
-    """Global-block gradient reconstructed from an uplink record alone.
-
-    The residual (local prediction) substitutes for the local model, so
-    this equals grad_global evaluated at the sending client's model pair.
-    """
-    pred = wg @ m.x_global + m.local_prediction
-    return 2.0 * (pred - m.y) * m.x_global
 
 
 _NON_FINITE = "cannot project a vector with a non-finite norm onto the ball"

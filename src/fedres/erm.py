@@ -14,244 +14,154 @@ stale targets.
 Solves run in O(d^3) per round from incrementally maintained Gram blocks:
 the frozen variant accumulates its residual right-hand sides once per
 sample, while the re-applying variant keeps per-client cross blocks and
-recombines them with the newest counterpart each round. A slow
-explicit-rebuild mode recomputes every right-hand side from the raw
-archive with one shared per-sample loop; the two variants then differ
-only in which counterpart value that loop reads, which is what the
-stale-models-only equivalence test exercises.
+recombines them with the newest counterpart each round.
 
-Delays must be uniform across clients here; the delayed-gradient learner
-handles heterogeneous delays.
+Array layout (ErmSystem, P clients):
+  client side  wl (P, dl), gram (P, dl, dl) = sum xl xl^T, ly (P, dl) =
+               sum y xl, cross (P, dl, dg) = sum xl xg^T, frozen_rhs (P, dl)
+               = sum (y - fetched . xg) xl with the fetch of each sample's round;
+  server side  wg (dg,), gram_g (dg, dg) over every arrived sample, gy (P, dg),
+               cross_g (P, dg, dl) = sum xg xl^T, frozen_rhs_g (dg,) =
+               sum (y - local prediction) xg;
+  round-indexed rows (N, P, ...) of the stream blocks, the predictions and
+  the local predictions, plus (erm only) the local model each client sent.
+A round publishes wg, takes every client's fetch with channel.fetch_round(t),
+solves each client's local model in a loop over clients, predicts, and then
+asks channel.exchange(t) which round's rows reach the server: an uplink is
+a row index, never an object. The server reads the arrived rows' features,
+labels and either the sent local models (erm) or local predictions
+(fictitious), then re-solves wg.
+
+Bits: each right-hand side is formed on row views with the expression of
+the per-client learner this replaced (ly[i] - cross[i] @ fetched), dot
+products are np.vecdot (on a row, the kernel of 1-D `@`), client-side outer
+products broadcast x[:, :, None] * x[:, None, :], and the server's
+cross-client sums (gram_g, frozen_rhs_g, the erm right-hand side) add
+clients one at a time in ascending order; the results equal the per-client
+formulas exactly (tests/data/sgd_characterization.json).
+
+Delays must be uniform across clients here, so every round after the first
+alpha delivers one row of every client; the delayed-gradient learner
+handles heterogeneous delays. There is no explicit-rebuild mode: the
+explicit-archive oracle the fast path is checked against lives with the
+tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channel import DelayConfig, DelayedChannel, as_delay_config
-from .core import HyperParams, ResidualMessage, Sample
-from .errors import ConfigError, InvariantError
-from .results import RunResult
+from .core import HyperParams
 from .engine import build_streams
+from .errors import ConfigError
+from .results import RunResult
 from .solver import solve_gram
 
 VARIANTS = ("erm", "fictitious")
 
 
-@dataclass(frozen=True)
-class ErmUplink:
-    """Full-sample upload of the re-applying variant: z_t and the local model."""
-
-    sample: Sample
-    local_model: np.ndarray
-    client_id: int
-    sent_at: int
-
-
-class ErmClient:
-    def __init__(self, client_id, d_global, d_local, radius, variant, init_local=None,
-                 exact_rebuild=False):
-        self.client_id = client_id
-        self.radius = radius
-        self.variant = variant
-        self.exact_rebuild = exact_rebuild
-        self.wl = np.zeros(d_local) if init_local is None else np.asarray(init_local, float).copy()
-        self.gram = np.zeros((d_local, d_local))  # sum xl xl^T
-        self.ly = np.zeros(d_local)  # sum y xl
-        self.cross = np.zeros((d_local, d_global))  # sum xl xg^T
-        self.frozen_rhs = np.zeros(d_local)  # sum (y - g_s . xg) xl, frozen g_s
-        self.archive: list[tuple[Sample, np.ndarray]] = []  # (sample, fetched global at arrival)
-
-    def _rhs(self, fetched: np.ndarray) -> np.ndarray:
-        if self.exact_rebuild:
-            rhs = np.zeros_like(self.frozen_rhs)
-            for sample, frozen_g in self.archive:
-                g_ref = fetched if self.variant == "erm" else frozen_g
-                rhs += (sample.y - float(g_ref @ sample.x_global)) * sample.x_local
-            return rhs
-        if self.variant == "erm":
-            return self.ly - self.cross @ fetched
-        return self.frozen_rhs
-
-    def round(self, t: int, fetched: np.ndarray, sample: Sample) -> tuple[float, ErmUplink | ResidualMessage]:
-        """Solve, predict, archive; returns (prediction, uplink message)."""
-        if self.archive:
-            self.wl = solve_gram(self.gram, self._rhs(fetched), self.radius)
-        lp = float(self.wl @ sample.x_local)
-        pred = float(fetched @ sample.x_global) + lp
-        self.archive.append((sample, fetched))
-        self.gram += sample.x_local[:, None] * sample.x_local
-        self.ly += sample.y * sample.x_local
-        self.cross += sample.x_local[:, None] * sample.x_global
-        self.frozen_rhs += (sample.y - float(fetched @ sample.x_global)) * sample.x_local
-        if self.variant == "erm":
-            msg = ErmUplink(sample, self.wl, self.client_id, t)
-        else:
-            msg = ResidualMessage(sample.x_global, lp, sample.y, self.client_id, t)
-        return pred, msg
-
-
-class ErmServer:
-    def __init__(self, clients, d_global, d_locals, radius, variant, init_global=None,
-                 exact_rebuild=False):
-        self.radius = radius
-        self.variant = variant
-        self.exact_rebuild = exact_rebuild
-        self.wg = np.zeros(d_global) if init_global is None else np.asarray(init_global, float).copy()
-        self.gram = np.zeros((d_global, d_global))  # sum over everything of xg xg^T
-        self.gy = [np.zeros(d_global) for _ in range(clients)]  # per client: sum y xg
-        self.cross = [np.zeros((d_global, d_locals[i])) for i in range(clients)]  # sum xg xl^T
-        self.latest_wl = [np.zeros(d_locals[i]) for i in range(clients)]
-        self.frozen_rhs = np.zeros(d_global)  # sum (y - frozen local pred) xg
-        self.count = 0
-        self.archive: list[list] = [[] for _ in range(clients)]  # (sample, frozen localpred)
-
-    def _absorb(self, msg) -> None:
-        i = msg.client_id
-        if isinstance(msg, ErmUplink):
-            s, lp = msg.sample, float(msg.local_model @ msg.sample.x_local)
-            self.latest_wl[i] = msg.local_model
-            self.gy[i] += s.y * s.x_global
-            self.cross[i] += s.x_global[:, None] * s.x_local
-        else:
-            # frozen variant: only the residual triplet travels uplink
-            s = Sample(msg.x_global, np.zeros(0), msg.y)
-            lp = msg.local_prediction
-        self.archive[i].append((s, lp))
-        self.gram += s.x_global[:, None] * s.x_global
-        self.frozen_rhs += (s.y - lp) * s.x_global
-        self.count += 1
-
-    def _rhs(self) -> np.ndarray:
-        if self.exact_rebuild:
-            rhs = np.zeros_like(self.frozen_rhs)
-            for i, entries in enumerate(self.archive):
-                for sample, frozen_lp in entries:
-                    lp = (
-                        float(self.latest_wl[i] @ sample.x_local)
-                        if self.variant == "erm"
-                        else frozen_lp
-                    )
-                    rhs += (sample.y - lp) * sample.x_global
-            return rhs
-        if self.variant == "erm":
-            rhs = np.zeros_like(self.frozen_rhs)
-            for i in range(len(self.gy)):
-                rhs += self.gy[i] - self.cross[i] @ self.latest_wl[i]
-            return rhs
-        return self.frozen_rhs
-
-    def round(self, t: int, messages: list) -> np.ndarray:
-        expected = len(self.gy)
-        if messages and len(messages) != expected:
-            raise InvariantError(
-                f"round {t}: {len(messages)} uplink records, expected all {expected} clients"
-            )
-        for msg in messages:
-            self._absorb(msg)
-        if self.count:
-            self.wg = solve_gram(self.gram, self._rhs(), self.radius)
-        return self.wg
-
-
 class ErmSystem:
-    """Clients, server and channel on one round clock (uniform delays)."""
+    """Clients, server and channel on one round clock over whole streams
+    (the (N, P, 1, ...) blocks of build_streams); one system per run."""
 
-    def __init__(
-        self,
-        d_global: int,
-        d_locals: Sequence[int],
-        delays: DelayConfig,
-        hyper: HyperParams,
-        *,
-        variant: str = "erm",
-        init_global: np.ndarray | None = None,
-        init_locals: Sequence[np.ndarray] | None = None,
-        exact_rebuild: bool = False,
-    ):
+    def __init__(self, d_global: int, d_locals: Sequence[int], delays: DelayConfig,
+                 hyper: HyperParams, streams, *, variant: str = "erm",
+                 init_global: np.ndarray | None = None,
+                 init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not delays.is_uniform:
             raise ConfigError("exact-solve learners require uniform per-client delays")
-        clients = len(d_locals)
-        self.server = ErmServer(
-            clients, d_global, list(d_locals), hyper.radius, variant, init_global, exact_rebuild
-        )
-        self.clients = [
-            ErmClient(
-                i,
-                d_global,
-                d_locals[i],
-                hyper.radius,
-                variant,
-                None if init_locals is None else init_locals[i],
-                exact_rebuild,
-            )
-            for i in range(clients)
-        ]
-        self.channel = DelayedChannel(delays, self.server.wg)
+        clients, dl = len(d_locals), d_locals[0]
+        self.x_global, self.x_local, self.label = (a[:, :, 0] for a in streams)
+        self.prediction = np.empty(self.label.shape)
+        self.local_prediction = np.empty(self.label.shape)
+        self.erm, self.radius = variant == "erm", hyper.radius
+        self.sent_wl = np.empty(self.x_local.shape) if self.erm else None
+        self.wg = np.zeros(d_global) if init_global is None else np.array(init_global, dtype=float)
+        self.wl = (np.zeros((clients, dl)) if init_locals is None
+                   else np.array([np.asarray(w, dtype=float) for w in init_locals]))
+        self.gram = np.zeros((clients, dl, dl))
+        self.ly = np.zeros((clients, dl))
+        self.cross = np.zeros((clients, dl, d_global))
+        self.frozen_rhs = np.zeros((clients, dl))
+        self.gram_g = np.zeros((d_global, d_global))
+        self.gy = np.zeros((clients, d_global))
+        self.cross_g = np.zeros((clients, d_global, dl))
+        self.frozen_rhs_g = np.zeros(d_global)
+        self.channel = DelayedChannel(delays, self.wg, ring=len(self.label))
         self.t = 0
 
-    def run_round(self, samples: Sequence[Sample]) -> list[float]:
-        """One round; returns every client's prediction."""
+    def step(self) -> None:
+        """Advance one round on the next row of the streams."""
         t = self.t = self.t + 1
-        self.channel.publish_global(t, self.server.wg)
-        preds = []
-        for client, sample in zip(self.clients, samples):
-            fetched = self.channel.fetch_global(client.client_id, t)
-            pred, msg = client.round(t, fetched, sample)
-            self.channel.uplink_send(client.client_id, t, msg)
-            preds.append(pred)
-        self.server.round(t, self.channel.uplink_receive(t))
-        return preds
+        row = t - 1
+        xg, xl, y = self.x_global[row], self.x_local[row], self.label[row]
+        self.channel.publish_global(t, self.wg)
+        fetched = self.channel.fetch_round(t)
+        if t > 1:  # every archive holds a sample
+            for i in range(len(self.wl)):
+                rhs = self.ly[i] - self.cross[i] @ fetched if self.erm else self.frozen_rhs[i]
+                self.wl[i] = solve_gram(self.gram[i], rhs, self.radius)
+        gp = np.vecdot(xg, fetched)
+        lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
+        self.prediction[row] = gp + lp
+        self.gram += xl[:, :, None] * xl[:, None, :]
+        if self.erm:
+            self.ly += y[:, None] * xl
+            self.cross += xl[:, :, None] * xg[:, None, :]
+            self.sent_wl[row] = self.wl
+        else:
+            self.frozen_rhs += (y - gp)[:, None] * xl
+        self._server_step(t)
+
+    def _server_step(self, t: int) -> None:
+        index, _ = self.channel.exchange(t)
+        if index is None:
+            return
+        xg, y = self.x_global[index], self.label[index]
+        outer = xg[:, :, None] * xg[:, None, :]
+        if self.erm:
+            sent = self.sent_wl[index]
+            self.gy += y[:, None] * xg
+            self.cross_g += xg[:, :, None] * self.x_local[index][:, None, :]
+            rhs = np.zeros(len(self.wg))
+            for i in range(len(xg)):
+                self.gram_g += outer[i]
+                rhs += self.gy[i] - self.cross_g[i] @ sent[i]
+        else:
+            terms = (y - self.local_prediction[index])[:, None] * xg
+            for i in range(len(xg)):
+                self.gram_g += outer[i]
+                self.frozen_rhs_g += terms[i]
+            rhs = self.frozen_rhs_g
+        self.wg = solve_gram(self.gram_g, rhs, self.radius)
 
 
-def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals, exact_rebuild):
+def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals):
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
     delays = as_delay_config(delays, dataset.n_clients)
-    x_global, x_local, label = build_streams(dataset, rounds, seed)
-    system = ErmSystem(
-        dataset.d_global,
-        dataset.d_locals,
-        delays,
-        hyper,
-        variant=variant,
-        init_global=init_global,
-        init_locals=init_locals,
-        exact_rebuild=exact_rebuild,
-    )
-    prediction = np.empty(label.shape)
-    for t in range(rounds):
-        samples = [
-            Sample(x_global[t, i, 0], x_local[t, i, 0], float(label[t, i, 0]))
-            for i in range(dataset.n_clients)
-        ]
-        prediction[t, :, 0] = system.run_round(samples)
-    return RunResult(
-        prediction=prediction,
-        label=label,
-        x_global=x_global,
-        x_local=x_local,
-        final_global=system.server.wg,
-        final_locals=[c.wl for c in system.clients],
-        fetch_counts=system.channel.fetch_counts,
-    )
+    x_global, x_local, label = streams = build_streams(dataset, rounds, seed)
+    system = ErmSystem(dataset.d_global, dataset.d_locals, delays, hyper, streams,
+                       variant=variant, init_global=init_global, init_locals=init_locals)
+    for _ in range(rounds):
+        system.step()
+    return RunResult(system.prediction[:, :, None], label, x_global, x_local, system.wg,
+                     list(system.wl), system.channel.fetch_counts)
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,
-                   init_global=None, init_locals=None, exact_rebuild=False) -> RunResult:
+                   init_global=None, init_locals=None) -> RunResult:
     """Re-applying exact learner: newest counterparts hit the whole archive."""
-    return _run(dataset, delays, hyper, rounds, seed, "erm", init_global, init_locals,
-                exact_rebuild)
+    return _run(dataset, delays, hyper, rounds, seed, "erm", init_global, init_locals)
 
 
 def run_fictitious_play(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,
-                        init_global=None, init_locals=None, exact_rebuild=False) -> RunResult:
+                        init_global=None, init_locals=None) -> RunResult:
     """Frozen-counterpart variant: each archived sample keeps the model pair
     of its own round; cheap to communicate, prone to locking up."""
-    return _run(dataset, delays, hyper, rounds, seed, "fictitious", init_global, init_locals,
-                exact_rebuild)
+    return _run(dataset, delays, hyper, rounds, seed, "fictitious", init_global, init_locals)

@@ -91,6 +91,12 @@ class ExperimentConfig:
             raise ConfigError("exact-solve learners do not support batching")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if not self.noise >= 0:
+            raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+        if self.exploration_period < 1:
+            raise ConfigError(f"exploration period must be >= 1, got {self.exploration_period}")
+        if self.k_actions < 2:
+            raise ConfigError(f"need at least 2 actions, got {self.k_actions}")
         if uses_data and self.data == "appendixc" and self.clients != 1:
             raise ConfigError("the appendixc stream is single-client")
         if uses_data and self.data == "example2" and self.clients % 2:

@@ -1,14 +1,17 @@
-"""Record the delayed-SGD characterization fixture used by test_characterization.py.
+"""Record the characterization fixture used by test_characterization.py.
 
     PYTHONPATH=src python tests/record_sgd_characterization.py
 
-Runs every update variant at batch sizes 1 and 3 on a small scripted
-problem with heterogeneous per-client delays (one client has a zero round
-trip next to delayed ones, one starts outside the ball) and writes the
-per-(round, client) losses and predictions, the final models, the fetch
-counts and the gradient provenance to tests/data/sgd_characterization.json.
-The stream data is stored alongside, so the check needs no RNG. Floats are
-written with repr, so the file round-trips bit for bit.
+Runs every delayed-SGD update variant at batch sizes 1 and 3 on a small
+scripted problem with heterogeneous per-client delays (one client has a
+zero round trip next to delayed ones, one starts outside the ball), and
+both exact learners (ERM and fictitious play) on the same data with
+uniform delays (2, 1) and a radius at which some client and some server
+solves bind the ball. It writes the per-(round, client) losses and
+predictions, the final models, the fetch counts and (SGD only) the
+gradient provenance to tests/data/sgd_characterization.json. The stream
+data is stored alongside, so the check needs no RNG. Floats are written
+with repr, so the file round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 from fedres.core import HyperParams, Sample
 from fedres.datagen import ClientData, FederatedDataset
 from fedres.engine import run_fedres_sgd
+from fedres.erm import run_fedres_erm, run_fictitious_play
 
 PATH = Path(__file__).parent / "data" / "sgd_characterization.json"
 ROUNDS, D_GLOBAL, D_LOCAL = 24, 3, 2
@@ -30,6 +34,9 @@ INIT_GLOBAL = (0.3, -0.2, 0.1)
 INIT_LOCALS = ((0.1, 0.2), (-0.4, 0.0), (1.6, 0.9), (0.0, -0.3))  # client 2 starts outside
 VARIANTS = ("aligned", "misaligned", "asymmetric")
 BATCHES = (1, 3)
+EXACT = {"erm": run_fedres_erm, "fictitious": run_fictitious_play}
+EXACT_DELAYS, EXACT_RADIUS = (2, 1), 0.8
+CASES = [(b, v) for v in VARIANTS for b in BATCHES] + [(1, v) for v in EXACT]
 
 
 def make_data(seed: int = 2024) -> dict:
@@ -53,10 +60,13 @@ def dataset(data: dict) -> FederatedDataset:
 
 
 def run(data: dict, variant: str, batch: int):
+    inits = dict(init_global=np.array(INIT_GLOBAL), init_locals=[np.array(w) for w in INIT_LOCALS])
+    if variant in EXACT:
+        return EXACT[variant](dataset(data), EXACT_DELAYS, HyperParams(radius=EXACT_RADIUS),
+                              ROUNDS, 0, **inits)
     return run_fedres_sgd(
         dataset(data), (ALPHA, BETA), HyperParams(**HYPER), ROUNDS, 0, variant=variant,
-        batch_size=batch, init_global=np.array(INIT_GLOBAL),
-        init_locals=[np.array(w) for w in INIT_LOCALS], record_provenance=True,
+        batch_size=batch, record_provenance=True, **inits,
     )
 
 
@@ -64,19 +74,21 @@ def record(res) -> dict:
     traces = list(res.traces)
     clients = res.clients
     rows = [traces[n * clients:(n + 1) * clients] for n in range(res.rounds)]
-    return {
+    out = {
         "loss": [[tr.loss for tr in row] for row in rows],
         "prediction": [[list(np.atleast_1d(tr.prediction).tolist()) for tr in row] for row in rows],
         "final_global": res.final_global.tolist(),
         "final_locals": [w.tolist() for w in res.final_locals],
         "fetch_counts": list(res.fetch_counts),
-        "alignment_offsets": [list(o) for o in res.system.alignment_offsets()],
     }
+    if hasattr(res, "system"):
+        out["alignment_offsets"] = [list(o) for o in res.system.alignment_offsets()]
+    return out
 
 
 def main() -> None:
     data = make_data()
-    runs = {f"{v}-b{b}": record(run(data, v, b)) for v in VARIANTS for b in BATCHES}
+    runs = {f"{v}-b{b}": record(run(data, v, b)) for b, v in CASES}
     PATH.write_text(json.dumps({"data": data, "runs": runs}) + "\n", encoding="utf-8")
     print(f"wrote {len(runs)} runs to {PATH}")
 

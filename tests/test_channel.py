@@ -9,7 +9,18 @@ from fedres.errors import ConfigError, InvariantError
 
 def make_channel(alpha, beta, init=None):
     cfg = DelayConfig(alpha=tuple(alpha), beta=tuple(beta))
-    return DelayedChannel(cfg, np.zeros(2) if init is None else init)
+    return DelayedChannel(cfg, np.zeros(2) if init is None else init, ring=64)
+
+
+def due(ch, t):
+    """(client, sent round) of every message exchange(t) delivers, in the
+    order of its index; rows are rounds - 1 (the ring is longer than the run)."""
+    index, _ = ch.exchange(t)
+    if index is None:
+        return []
+    # uniform delays index one row of every client, others (rows, clients)
+    rows, clients = index if isinstance(index, tuple) else (index, range(ch.delays.clients))
+    return [(int(i), int(r) + 1) for i, r in zip(clients, np.broadcast_to(rows, len(clients)))]
 
 
 class TestDelayConfig:
@@ -45,6 +56,8 @@ class TestDelayConfig:
         for bad in ((1, 2, 3), (1,), 2.0, "12", ((1, 2, 3), (0, 0, 0)), {"alpha": 1}):
             with pytest.raises(ConfigError):
                 as_delay_config(bad, 2)
+        with pytest.raises(ConfigError):
+            DelayConfig(alpha=3, beta=3)
 
 
 INTS = st.integers(0, 50)
@@ -97,45 +110,43 @@ class TestUplink:
     def test_zero_delay_same_round(self):
         ch = make_channel([0], [0])
         ch.publish_global(1, np.zeros(2))
-        ch.uplink_send(0, 1, "a")
-        assert ch.uplink_receive(1) == ["a"]
+        assert due(ch, 1) == [(0, 1)]
 
     def test_three_round_delay(self):
         ch = make_channel([3], [0])
-        ch.uplink_send(0, 5, "p")
-        for t in range(1, 8):
-            assert ch.uplink_receive(t) == []
-        assert ch.uplink_receive(8) == ["p"]
+        got = {t: due(ch, t) for t in range(1, 9)}
+        assert got[1] == got[2] == got[3] == []
+        assert got[8] == [(0, 5)]
 
     def test_fifo_order_preserved(self):
         ch = make_channel([2], [0])
-        ch.uplink_send(0, 5, "first")
-        ch.uplink_send(0, 6, "second")
-        assert ch.uplink_receive(7) == ["first"]
-        assert ch.uplink_receive(8) == ["second"]
+        for t in range(1, 7):
+            ch.exchange(t)
+        assert due(ch, 7) == [(0, 5)]
+        assert due(ch, 8) == [(0, 6)]
 
     def test_grouped_ascending_client(self):
         ch = make_channel([1, 1], [0, 0])
-        ch.uplink_send(1, 4, "from-1")
-        ch.uplink_send(0, 4, "from-0")
-        assert ch.uplink_receive(5) == ["from-0", "from-1"]
+        for t in range(1, 5):
+            ch.exchange(t)
+        assert due(ch, 5) == [(0, 4), (1, 4)]
+        ch = make_channel([2, 1, 1], [0, 0, 0])
+        ch.exchange(1)
+        assert due(ch, 2) == [(1, 1), (2, 1)]
+        assert due(ch, 3) == [(0, 1), (1, 2), (2, 2)]
 
     def test_not_due_until_deliver_round(self):
         ch = make_channel([3], [0])
-        ch.uplink_send(0, 5, "p")
-        assert ch.uplink_receive(7) == []
-        assert ch.uplink_receive(8) == ["p"]
+        for t in range(1, 7):
+            ch.exchange(t)
+        assert due(ch, 7) == [(0, 4)]  # round 5's message is not due yet
+        assert due(ch, 8) == [(0, 5)]
 
     def test_double_receive_is_hard_error(self):
         ch = make_channel([0], [0])
-        ch.uplink_receive(1)
+        ch.exchange(1)
         with pytest.raises(InvariantError):
-            ch.uplink_receive(1)
-
-    def test_unknown_client(self):
-        ch = make_channel([0], [0])
-        with pytest.raises(ConfigError):
-            ch.uplink_send(3, 1, "x")
+            ch.exchange(1)
 
 
 class TestDownlink:
@@ -143,7 +154,7 @@ class TestDownlink:
         ch = make_channel([0], [0])
         wg = np.array([1.0, 2.0])
         ch.publish_global(1, wg)
-        assert np.array_equal(ch.fetch_global(0, 1), wg)
+        assert np.array_equal(ch.fetch_round(1), wg)
 
     def test_beta_four_fetches_round_six_at_ten(self):
         ch = make_channel([0], [4])
@@ -151,19 +162,19 @@ class TestDownlink:
         for t in range(1, 11):
             snaps[t] = np.array([float(t), 0.0])
             ch.publish_global(t, snaps[t])
-        assert np.array_equal(ch.fetch_global(0, 10), snaps[6])
+        assert np.array_equal(ch.fetch_round(10), snaps[6])
 
     def test_warmup_returns_initial(self):
         init = np.array([7.0, 7.0])
         ch = make_channel([0], [5], init=init)
         ch.publish_global(1, np.zeros(2))
         ch.publish_global(2, np.zeros(2))
-        assert ch.fetch_global(0, 2) is init
+        assert np.array_equal(ch.fetch_round(2), init)
 
     def test_fetch_before_publish_fails(self):
         ch = make_channel([0], [0])
         with pytest.raises(InvariantError):
-            ch.fetch_global(0, 1)
+            ch.fetch_round(1)
 
     def test_publish_must_be_sequential(self):
         ch = make_channel([0], [0])
@@ -171,22 +182,13 @@ class TestDownlink:
         with pytest.raises(InvariantError):
             ch.publish_global(3, np.zeros(2))
 
-    def test_evicted_snapshot_is_hard_error(self):
-        ch = make_channel([1], [1])
-        for t in range(1, 30):
-            ch.publish_global(t, np.zeros(2))
-        with pytest.raises(InvariantError):
-            ch.snapshot(2)
-
     def test_identity_at_zero_delay(self):
         ch = make_channel([0, 0], [0, 0])
         for t in range(1, 6):
             wg = np.array([float(t), 1.0])
             ch.publish_global(t, wg)
-            assert np.array_equal(ch.fetch_global(0, t), wg)
-            ch.uplink_send(0, t, ("payload", t))
-            ch.uplink_send(1, t, ("payload2", t))
-            assert ch.uplink_receive(t) == [("payload", t), ("payload2", t)]
+            assert np.array_equal(ch.fetch_round(t), wg)
+            assert due(ch, t) == [(0, t), (1, t)]
 
 
 class TestDeliveryExactness:
@@ -199,30 +201,19 @@ class TestDeliveryExactness:
         beta = tuple(int(b) for b in rng.integers(0, 6, clients))
         horizon = 30
         ch = make_channel(alpha, beta)
-        # independent model: a flat list of (deliver_round, client, payload)
+        # independent model: a flat list of (deliver_round, client, sent round)
         outstanding = []
-        sends = {
-            (i, t): bool(rng.integers(0, 2)) for i in range(clients) for t in range(1, horizon + 1)
-        }
         received = []
         for t in range(1, horizon + 1):
             ch.publish_global(t, np.zeros(2))
-            for i in range(clients):
-                if sends[(i, t)]:
-                    payload = (i, t)
-                    ch.uplink_send(i, t, payload)
-                    outstanding.append((t + alpha[i], i, payload))
-            got = ch.uplink_receive(t)
+            outstanding += [(t + alpha[i], i, t) for i in range(clients)]
+            got = due(ch, t)
             received.extend(got)
-            expected = sorted(
-                [rec for rec in outstanding if rec[0] == t], key=lambda rec: (rec[1], rec[2][1])
-            )
-            assert got == [rec[2] for rec in expected]
-        # every payload delivered exactly once, exactly alpha_i rounds late
-        delivered_in_horizon = [rec for rec in outstanding if rec[0] <= horizon]
-        assert sorted(received) == sorted(rec[2] for rec in delivered_in_horizon)
-        for client_id, sent_at in received:
-            assert sends[(client_id, sent_at)]
+            assert got == [(i, s) for deliver, i, s in sorted(outstanding) if deliver == t]
+            assert ch.pending_payloads == sum(deliver > t for deliver, _, _ in outstanding)
+        # every message delivered exactly once, exactly alpha_i rounds late
+        delivered_in_horizon = [(i, s) for deliver, i, s in outstanding if deliver <= horizon]
+        assert sorted(received) == sorted(delivered_in_horizon)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -237,15 +228,7 @@ class TestDeliveryExactness:
             wg = np.array([float(t), -1.0])
             ch.publish_global(t, wg)
             all_snaps[t] = wg
+            fetched = np.broadcast_to(ch.fetch_round(t), (clients, 2))
             for i in range(clients):
                 # what a client fetch needs
-                assert np.array_equal(ch.fetch_global(i, t), all_snaps[max(t - beta[i], 0)])
-                ch.uplink_send(i, t, (i, t))
-            for _, sent_at in ch.uplink_receive(t):
-                pass
-            # what the server pairing needs for every message arriving now
-            for i in range(clients):
-                s = t - alpha[i]
-                if s >= 1:
-                    snap = ch.snapshot(max(s - beta[i], 0))
-                    assert np.array_equal(snap, all_snaps[max(s - beta[i], 0)])
+                assert np.array_equal(fetched[i], all_snaps[max(t - beta[i], 0)])

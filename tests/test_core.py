@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from fedres.core import (
     HyperParams,
-    ResidualMessage,
     Sample,
     grad_global,
-    grad_global_from_message,
     grad_local,
     loss,
     predict_joint,
@@ -77,12 +75,6 @@ class TestGradients:
             ag, al = grad_global(wg, wl, s), grad_local(wg, wl, s)
             assert np.linalg.norm(ag - fg) <= 1e-6 * max(1.0, np.linalg.norm(ag))
             assert np.linalg.norm(al - fl) <= 1e-6 * max(1.0, np.linalg.norm(al))
-
-    def test_message_reconstruction_is_exact(self, rng):
-        for _ in range(50):
-            wg, wl, s = random_instance(rng)
-            m = ResidualMessage(s.x_global, float(wl @ s.x_local), s.y, 0, 1)
-            assert np.all(grad_global_from_message(wg, m) == grad_global(wg, wl, s))
 
 
 class TestProjectBall:

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from fedres.channel import DelayConfig
 from fedres.core import HyperParams, Sample
 from fedres.datagen import gen_appendixc
-from fedres.erm import ErmClient, ErmServer, ErmUplink, run_fedres_erm, run_fictitious_play
+from fedres.engine import build_streams
+from fedres.erm import ErmSystem, run_fedres_erm, run_fictitious_play
 from fedres.errors import ConfigError
 from fedres.solver import BASE_RIDGE
 
 from conftest import ls_objective, pgd_ls_oracle
+from erm_oracle import ArchiveClient, ArchiveServer, run_oracle
 from test_sgd import dataset_from_streams, scripted_stream
 
 
@@ -15,80 +18,74 @@ def ridge_solve(gram, rhs):
     return np.linalg.solve(gram + BASE_RIDGE * np.eye(len(rhs)), rhs)
 
 
+def erm_run(streams, d_global, delays, radius, **inits):
+    """run_fedres_erm on scripted per-client streams."""
+    ds = dataset_from_streams(streams, d_global, [len(st[0].x_local) for st in streams])
+    return run_fedres_erm(ds, delays, HyperParams(radius=radius), len(streams[0]), 0, **inits)
+
+
 class TestErmClientRound:
     def test_empty_archive_keeps_initial_local(self):
-        client = ErmClient(0, 2, 2, 100.0, "erm")
         s = Sample(np.ones(2), np.ones(2), 1.0)
-        client.round(1, np.zeros(2), s)
-        assert np.all(client.wl == np.zeros(2))
+        res = erm_run([[s]], 2, 0, 100.0)
+        assert np.all(res.final_locals[0] == np.zeros(2))
 
     def test_one_archived_sample_is_1d_least_squares(self, rng):
-        client = ErmClient(0, 2, 1, 100.0, "erm")
         s1 = Sample(rng.normal(0, 1, 2), np.array([2.0]), 3.0)
-        client.round(1, np.zeros(2), s1)
         s2 = Sample(np.zeros(2), np.zeros(1), 0.0)
-        client.round(2, np.zeros(2), s2)
-        assert client.wl == pytest.approx([3.0 / 2.0], rel=1e-6)
+        # beta = 2: both rounds fetch the zero initial global model
+        res = erm_run([[s1, s2]], 2, (0, 2), 100.0)
+        assert res.final_locals[0] == pytest.approx([3.0 / 2.0], rel=1e-6)
 
     def test_archive_objective_matches_pgd_oracle(self, rng):
-        client = ErmClient(0, 3, 2, 1.0, "erm")
         fetched = rng.normal(0, 1, 3)
         samples = [
             Sample(rng.normal(0, 1, 3), rng.normal(0, 1, 2), float(rng.normal(0, 2)))
             for _ in range(5)
         ]
-        for t, s in enumerate(samples, 1):
-            client.round(t, fetched, s)
-        client.round(6, fetched, samples[0])  # solve over the 5 archived samples
+        # beta = 6: every fetch through round 6 returns the initial global
+        # model, and round 6 solves over the 5 archived samples
+        res = erm_run([samples + samples[:1]], 3, (0, 6), 1.0, init_global=fetched)
         rows = np.stack([s.x_local for s in samples[:5]])
         targets = np.array([s.y - fetched @ s.x_global for s in samples[:5]])
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=100_000)
-        assert ls_objective(rows, targets, client.wl) <= pgd_obj + 1e-8
+        assert ls_objective(rows, targets, res.final_locals[0]) <= pgd_obj + 1e-8
 
 
 class TestErmServerRound:
-    def test_no_data_keeps_initial_global(self):
-        server = ErmServer(2, 3, [2, 2], 100.0, "erm")
-        assert np.all(server.round(1, []) == np.zeros(3))
+    def test_no_data_keeps_initial_global(self, rng):
+        # alpha = 5: nothing reaches the server in round 1
+        streams = [scripted_stream(rng, 1, 3, 2) for _ in range(2)]
+        res = erm_run(streams, 3, (5, 0), 100.0)
+        assert np.all(res.final_global == np.zeros(3))
 
     def test_zero_locals_reduce_to_global_ls(self, rng):
-        server = ErmServer(1, 2, [2], 1.0, "erm")
+        # zero local features: every local model predicts zero
         samples = [
-            Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), float(rng.normal(0, 2)))
+            Sample(rng.normal(0, 1, 2), np.zeros(2), float(rng.normal(0, 2)))
             for _ in range(4)
         ]
-        for t, s in enumerate(samples, 1):
-            server.round(t, [ErmUplink(s, np.zeros(2), 0, t)])
+        res = erm_run([samples], 2, 0, 1.0)
         rows = np.stack([s.x_global for s in samples])
         targets = np.array([s.y for s in samples])
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=100_000)
-        assert ls_objective(rows, targets, server.wg) <= pgd_obj + 1e-8
+        assert ls_objective(rows, targets, res.final_global) <= pgd_obj + 1e-8
 
     def test_two_clients_objective_matches_pgd_oracle(self, rng):
-        server = ErmServer(2, 2, [1, 1], 1.0, "erm")
-        wl = [rng.normal(0, 1, 1), rng.normal(0, 1, 1)]
-        archive = {0: [], 1: []}
-        for t in range(1, 4):
-            msgs = []
-            for i in range(2):
-                s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 1), float(rng.normal(0, 2)))
-                archive[i].append(s)
-                msgs.append(ErmUplink(s, wl[i], i, t))
-            server.round(t, msgs)
+        archive = [
+            [Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 1), float(rng.normal(0, 2)))
+             for _ in range(3)]
+            for _ in range(2)
+        ]
+        # alpha = 0: the last solve applies the local models sent that round
+        res = erm_run(archive, 2, 0, 1.0)
+        wl = res.final_locals
         rows = np.concatenate([np.stack([s.x_global for s in archive[i]]) for i in range(2)])
         targets = np.concatenate(
             [np.array([s.y - wl[i] @ s.x_local for s in archive[i]]) for i in range(2)]
         )
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=100_000)
-        assert ls_objective(rows, targets, server.wg) <= pgd_obj + 1e-8
-
-    def test_partial_round_is_invariant_breach(self, rng):
-        from fedres.errors import InvariantError
-
-        server = ErmServer(2, 2, [1, 1], 1.0, "erm")
-        s = Sample(np.ones(2), np.ones(1), 1.0)
-        with pytest.raises(InvariantError):
-            server.round(1, [ErmUplink(s, np.zeros(1), 0, 1)])
+        assert ls_objective(rows, targets, res.final_global) <= pgd_obj + 1e-8
 
 
 class TestFrozenCounterpartVariant:
@@ -100,9 +97,9 @@ class TestFrozenCounterpartVariant:
         s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), 1.5)
         out = {}
         for variant in ("erm", "fictitious"):
-            client = ErmClient(0, 2, 2, 100.0, variant, exact_rebuild=True)
-            client.round(1, fetched, s)  # frozen global for s == fetched
-            client.round(2, fetched, Sample(np.zeros(2), np.zeros(2), 0.0))
+            client = ArchiveClient(2, 100.0, variant)
+            client.round(fetched, s)  # frozen global for s == fetched
+            client.round(fetched, Sample(np.zeros(2), np.zeros(2), 0.0))
             out[variant] = client.wl
         assert np.all(out["erm"] == out["fictitious"])
 
@@ -114,26 +111,19 @@ class TestFrozenCounterpartVariant:
             Sample(rng.normal(0, 1, 3), rng.normal(0, 1, 2), float(rng.normal(0, 1)))
             for _ in range(6)
         ]
-        clients = {
-            v: ErmClient(0, 3, 2, 2.0, v, exact_rebuild=True) for v in ("erm", "fictitious")
-        }
+        clients = {v: ArchiveClient(2, 2.0, v) for v in ("erm", "fictitious")}
         for v, client in clients.items():
-            for t, s in enumerate(samples, 1):
-                client.round(t, fetched, s)  # constant fetch = archives already current
-            client.round(7, fetched, samples[0])
+            for s in samples:
+                client.round(fetched, s)  # constant fetch = archives already current
+            client.round(fetched, samples[0])
         assert np.all(clients["erm"].wl == clients["fictitious"].wl)
 
         # server side: frozen local predictions recomputed from the latest model
         wl_latest = rng.normal(0, 1, 2)
-        servers = {
-            v: ErmServer(1, 3, [2], 2.0, v, exact_rebuild=True) for v in ("erm", "fictitious")
-        }
-        for t, s in enumerate(samples, 1):
-            servers["erm"].round(t, [ErmUplink(s, wl_latest, 0, t)])
-            from fedres.core import ResidualMessage
-
-            lp = float(wl_latest @ s.x_local)
-            servers["fictitious"].round(t, [ResidualMessage(s.x_global, lp, s.y, 0, t)])
+        servers = {v: ArchiveServer(1, 3, 2.0, v) for v in ("erm", "fictitious")}
+        for s in samples:
+            for server in servers.values():
+                server.round([(0, s, wl_latest)])
         assert np.all(servers["erm"].wg == servers["fictitious"].wg)
 
     def test_three_round_scripted_run_matches_hand_transcription(self, rng):
@@ -218,7 +208,8 @@ class TestComposedRuns:
         ds = dataset_from_streams(streams, 2, [2, 2])
         for runner in (run_fedres_erm, run_fictitious_play):
             fast = runner(ds, (1, 1), HyperParams(), rounds, 0)
-            slow = runner(ds, (1, 1), HyperParams(), rounds, 0, exact_rebuild=True)
+            variant = "erm" if runner is run_fedres_erm else "fictitious"
+            slow = run_oracle(ds, (1, 1), HyperParams(), rounds, 0, variant)
             assert fast.final_global == pytest.approx(slow.final_global, rel=1e-9, abs=1e-12)
             assert [tr.loss for tr in fast.traces] == pytest.approx(
                 [tr.loss for tr in slow.traces], rel=1e-8, abs=1e-12
@@ -227,23 +218,22 @@ class TestComposedRuns:
     def test_within_round_alternating_descent(self, rng):
         rounds = 25
         stream = scripted_stream(rng, rounds, 2, 2)
-        client = ErmClient(0, 2, 2, 10.0, "erm")
-        server = ErmServer(1, 2, [2], 10.0, "erm")
-        wg = np.zeros(2)
+        ds = dataset_from_streams([stream], 2, [2])
+        system = ErmSystem(2, [2], DelayConfig.uniform(1), HyperParams(radius=10.0),
+                           build_streams(ds, rounds, 0))
         archive = []
 
         def total(g, w, upto):
             return sum((x.y - g @ x.x_global - w @ x.x_local) ** 2 for x in archive[:upto])
 
         for t, s in enumerate(stream, 1):
-            w_prev = client.wl.copy()
-            _, msg = client.round(t, wg, s)
+            wg, w_prev = system.wg, system.wl[0].copy()  # zero delay: round t fetches wg
+            system.step()
+            wl = system.wl[0].copy()
             if t > 1:
-                assert total(wg, client.wl, t - 1) <= total(wg, w_prev, t - 1) + 1e-6
+                assert total(wg, wl, t - 1) <= total(wg, w_prev, t - 1) + 1e-6
             archive.append(s)
-            wg_prev = wg.copy()
-            wg = server.round(t, [msg]).copy()
-            assert total(wg, client.wl, t) <= total(wg_prev, client.wl, t) + 1e-6
+            assert total(system.wg, wl, t) <= total(wg, wl, t) + 1e-6
 
     def test_monotone_improvement_on_realizable_data(self, rng):
         wg_true, wl_true = np.array([0.4, -0.2]), np.array([0.1, 0.6])

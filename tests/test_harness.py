@@ -229,6 +229,16 @@ class TestCli:
         code = cli_main(["run", "--rounds", "10", "--batch-size", "3", "--output", "-"])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["bandit", "--period", "0"],
+        ["bandit", "--actions", "1"],
+        ["bandit", "--noise", "-1"],
+        ["run", "--noise", "-1"],
+    ])
+    def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
+        assert cli_main(argv + ["--rounds", "10", "--output", "-"]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_usage_error_is_config_error(self, capsys):
         assert cli_main(["run", "--bogus-flag"]) == 1
         assert cli_main(["sweep-clients", "--rounds", "4"]) == 1  # missing --values
