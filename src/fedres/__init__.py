@@ -41,7 +41,6 @@ from .engine import SgdSystem, run_fedres_sgd
 from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError, InvariantError
 from .harness import ExperimentConfig, compute_regret, evaluate_accuracy, run_experiment, sweep
-from .minibatch import aggregate_grads, aggregate_loss, run_batched
 from .results import RoundTrace, RunResult
 from .solver import ConstrainedLsProblem, alternating_joint_ls, solve_constrained_ls, solve_gram
 
@@ -56,6 +55,6 @@ __all__ = [
     "SgdSystem", "run_fedres_sgd", "run_fedres_erm", "run_fictitious_play",
     "ConfigError", "InvariantError", "ExperimentConfig", "compute_regret",
     "evaluate_accuracy", "run_experiment", "sweep",
-    "aggregate_grads", "aggregate_loss", "run_batched", "RoundTrace", "RunResult",
+    "RoundTrace", "RunResult",
     "ConstrainedLsProblem", "alternating_joint_ls", "solve_constrained_ls", "solve_gram",
 ]

@@ -8,9 +8,20 @@ exploration rounds here. All other rounds are pure exploitation: argmax of
 the predicted value under the client's current model pair, lowest index on
 ties, with no model update.
 
-Context sets and full reward vectors are drawn every round from their own
-substreams regardless of the policy, so different policies on the same
-seed see identical environments (paired comparisons).
+Context sets and full reward vectors come from their own substreams
+regardless of the policy, so different policies on the same seed see
+identical environments (paired comparisons). A run therefore draws them
+for the whole horizon up front: contexts (T, P, k, d) and rewards
+(T, P, k). The model pair changes only at an exploration round, so the
+policy walks the horizon one exploration block (rounds s+1 .. s+B) at a
+time: one array pass prices every action of the block under the current
+pair and takes the greedy choices, the block's last round redraws its
+actions uniformly, and the learner steps once on the chosen samples. The
+uniform policy is one block whose actions are all drawn.
+
+A run returns a BanditResult: the RunResult columns, with the realized
+reward of the chosen action as label and its contexts as x_global /
+x_local, plus the actions and the full context sets that cb_regret prices.
 """
 
 from __future__ import annotations
@@ -20,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import as_delay_config
-from .core import HyperParams, Sample
+from .core import HyperParams
 from .engine import SgdSystem
-from .errors import ConfigError, InvariantError
-from .results import RoundTrace
+from .errors import ConfigError
+from .results import RunResult
 from .rng import substream
 
 
@@ -59,24 +70,23 @@ class BanditEnv:
     def d_locals(self) -> list[int]:
         return [len(w) for w in self.wl_stars]
 
-    def draw_contexts(self, rng: np.random.Generator, client_id: int):
-        dg, dl = self.d_global, len(self.wl_stars[client_id])
-        return tuple(
-            (
-                rng.uniform(0.0, self.context_scale, dg),
-                rng.uniform(0.0, self.context_scale, dl),
-            )
-            for _ in range(self.k)
-        )
+    def context_blocks(self, rng: np.random.Generator, rounds: int):
+        """Every round's context sets, x_global (T, P, k, dg) and x_local
+        (T, P, k, dl), drawn by round, client, action, then global block."""
+        dg = self.d_global
+        shape = (rounds, self.n_clients, self.k, dg + self.d_locals[0])
+        block = rng.uniform(0.0, self.context_scale, shape)
+        return block[..., :dg], block[..., dg:]
 
-    def true_mean(self, client_id: int, xg: np.ndarray, xl: np.ndarray) -> float:
-        value = float(self.wg_star @ xg + self.wl_stars[client_id] @ xl)
-        return float(np.clip(value, 0.0, 1.0))
+    def mean_rewards(self, xg: np.ndarray, xl: np.ndarray) -> np.ndarray:
+        """True mean rewards (T, P, k) of the context sets (T, P, k, d)."""
+        wl = np.array(self.wl_stars)[:, None, :]
+        return np.clip(np.vecdot(xg, self.wg_star) + np.vecdot(xl, wl), 0.0, 1.0)
 
-    def realized_rewards(self, rng: np.random.Generator, client_id: int, contexts) -> np.ndarray:
-        means = np.array([self.true_mean(client_id, xg, xl) for xg, xl in contexts])
+    def noisy_rewards(self, rng: np.random.Generator, means: np.ndarray) -> np.ndarray:
+        """Realized rewards of every action: the means plus noise, re-clipped."""
         if self.noise_sigma > 0:
-            means = means + self.noise_sigma * rng.standard_normal(self.k)
+            means = means + self.noise_sigma * rng.standard_normal(means.shape)
         return np.clip(means, 0.0, 1.0)
 
 
@@ -90,44 +100,36 @@ def make_realizable_env(k: int, clients: int, d_global: int, d_local: int, seed:
     return BanditEnv(k=k, wg_star=wg, wl_stars=wls, noise_sigma=noise_sigma)
 
 
-def choose_action(wg: np.ndarray, wl: np.ndarray, contexts, t: int, period: int,
-                  rng: np.random.Generator) -> int:
-    """Uniform draw on exploration rounds (t multiple of the period),
-    greedy argmax with lowest-index tie-break otherwise."""
-    if period < 1:
-        raise ConfigError(f"exploration period must be >= 1, got {period}")
-    if len(contexts) == 0:
+def choose_action(wg: np.ndarray, wl: np.ndarray, xg: np.ndarray, xl: np.ndarray):
+    """The greedy rule on stacked context sets xg (..., k, dg), xl (..., k, dl):
+    returns the argmax action (...), lowest index on ties, and every action's
+    predicted value (..., k) under the pair (wg, wl), whose rows broadcast
+    against the leading axes."""
+    if xg.shape[-2] == 0:
         raise ConfigError("empty context set")
-    if t % period == 0:
-        return int(rng.integers(len(contexts)))
-    values = [float(wg @ xg + wl @ xl) for xg, xl in contexts]
-    return int(np.argmax(values))
-
-
-def feed_exploration_sample(system: SgdSystem, t: int, period: int, samples) -> None:
-    """Run one learner round on exploration data; greedy rounds never update."""
-    if t % period != 0:
-        raise InvariantError(f"round {t} is a greedy round; model updates are forbidden")
-    system.run_round(samples)
+    values = np.vecdot(xg, wg[..., None, :]) + np.vecdot(xl, wl[..., None, :])
+    return np.argmax(values, axis=-1), values
 
 
 @dataclass
-class BanditRunResult:
-    traces: list[RoundTrace]
+class BanditResult(RunResult):
+    """A bandit run's columns (see the module doc), its actions (T, P), its
+    context sets context_global (T, P, k, dg) and context_local (T, P, k, dl),
+    and how many rounds explored."""
+
+    action: np.ndarray
+    context_global: np.ndarray
+    context_local: np.ndarray
     exploration_rounds: int
-    final_global: np.ndarray
-    final_locals: list[np.ndarray]
-    rounds: int
-    clients: int
 
 
 def run_epsilon_greedy(env: BanditEnv, delays, hyper: HyperParams, rounds: int,
-                       period: int, seed: int) -> BanditRunResult:
+                       period: int, seed: int) -> BanditResult:
     """Periodic-exploration policy backed by the delayed-gradient learner."""
     return _run_policy(env, delays, hyper, rounds, period, seed, uniform=False)
 
 
-def run_uniform_policy(env: BanditEnv, rounds: int, seed: int) -> BanditRunResult:
+def run_uniform_policy(env: BanditEnv, rounds: int, seed: int) -> BanditResult:
     """Always-uniform baseline on the identical environment draws."""
     return _run_policy(env, 0, HyperParams(), rounds, rounds + 1, seed, uniform=True)
 
@@ -135,65 +137,56 @@ def run_uniform_policy(env: BanditEnv, rounds: int, seed: int) -> BanditRunResul
 def _run_policy(env, delays, hyper, rounds, period, seed, uniform):
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    if period < 1:
+        raise ConfigError(f"exploration period must be >= 1, got {period}")
     delays = as_delay_config(delays, env.n_clients)
     system = SgdSystem(env.d_global, env.d_locals, delays, hyper)
-    rng_ctx = substream(seed, "bandit-contexts")
-    rng_reward = substream(seed, "bandit-rewards")
-    rng_policy = substream(seed, "bandit-uniform" if uniform else "bandit-explore")
-    traces: list[RoundTrace] = []
-    exploration_rounds = 0
-    for t in range(1, rounds + 1):
-        contexts = [env.draw_contexts(rng_ctx, i) for i in range(env.n_clients)]
-        rewards = [env.realized_rewards(rng_reward, i, contexts[i]) for i in range(env.n_clients)]
-        explore = uniform or t % period == 0
-        exploration_samples = []
-        for i in range(env.n_clients):
-            wg, wl = system.prediction_pair(i)
-            if explore:
-                action = int(rng_policy.integers(env.k))
-            else:
-                action = choose_action(wg, wl, contexts[i], t, period, rng_policy)
-            xg, xl = contexts[i][action]
-            reward = float(rewards[i][action])
-            pred = float(wg @ xg + wl @ xl)
-            traces.append(
-                RoundTrace(
-                    round=t,
-                    client_id=i,
-                    loss=(reward - pred) ** 2,
-                    prediction=pred,
-                    label=reward,
-                    sample=Sample(xg, xl, reward),
-                    action=action,
-                    reward=reward,
-                    contexts=contexts[i],
-                )
-            )
-            exploration_samples.append(Sample(xg, xl, reward))
-        if not uniform and t % period == 0:
-            feed_exploration_sample(system, t, period, exploration_samples)
-            exploration_rounds += 1
-    return BanditRunResult(
-        traces=traces,
-        exploration_rounds=exploration_rounds,
+    xg, xl = env.context_blocks(substream(seed, "bandit-contexts"), rounds)
+    reward = env.noisy_rewards(substream(seed, "bandit-rewards"), env.mean_rewards(xg, xl))
+    rng = substream(seed, "bandit-uniform" if uniform else "bandit-explore")
+    clients = np.arange(env.n_clients)
+    action = np.empty((rounds, env.n_clients), dtype=np.int64)
+    value = np.empty(reward.shape)
+    for start in range(0, rounds, period):
+        block = slice(start, min(start + period, rounds))
+        action[block], value[block] = choose_action(system.fetched, system.wl, xg[block],
+                                                    xl[block])
+        if block.stop % period == 0:  # the block's last round explores
+            t, pick = block.stop - 1, rng.integers(env.k, size=env.n_clients)
+            action[t] = pick
+            system.run_round(xg[t, clients, pick], xl[t, clients, pick], reward[t, clients, pick])
+    if uniform:
+        action = rng.integers(env.k, size=action.shape)
+    chosen = action[..., None]
+    return BanditResult(
+        prediction=np.take_along_axis(value, chosen, axis=-1),
+        label=np.take_along_axis(reward, chosen, axis=-1),
+        x_global=np.take_along_axis(xg, chosen[..., None], axis=-2),
+        x_local=np.take_along_axis(xl, chosen[..., None], axis=-2),
         final_global=system.wg,
         final_locals=list(system.wl),
-        rounds=rounds,
-        clients=env.n_clients,
+        fetch_counts=system.channel.fetch_counts,
+        action=action,
+        context_global=xg,
+        context_local=xl,
+        exploration_rounds=system.t,
     )
 
 
-def cb_regret(traces: list[RoundTrace], env: BanditEnv) -> float:
-    """Average forgone true mean reward of the logged action choices."""
-    if not traces:
+def cb_regret(traces, env: BanditEnv) -> float:
+    """Average forgone true mean reward of a bandit run's logged actions;
+    traces is the run's trace view, priced as one block."""
+    if not len(traces):
         raise ConfigError("empty trace")
-    total = 0.0
-    for tr in traces:
-        if tr.contexts is None or tr.action is None:
-            raise ConfigError("trace record lacks bandit fields; trace/env mismatch")
-        means = [env.true_mean(tr.client_id, xg, xl) for xg, xl in tr.contexts]
-        total += max(means) - means[tr.action]
-    return total / len(traces)
+    result = getattr(traces, "result", None)
+    if not isinstance(result, BanditResult):
+        raise ConfigError("traces lack the bandit fields; trace/env mismatch")
+    if result.clients != env.n_clients:
+        raise ConfigError(f"traces of {result.clients} clients, env of {env.n_clients}")
+    means = env.mean_rewards(result.context_global, result.context_local)
+    gaps = means.max(axis=-1) - np.take_along_axis(means, result.action[..., None], -1)[..., 0]
+    # the running sum of a loop over the records in order, bit for bit
+    return float(np.add.accumulate(gaps.ravel())[-1]) / len(traces)
 
 
 def suggested_exploration_period(

@@ -49,7 +49,6 @@ import numpy as np
 
 from .channel import ALL, DelayConfig, DelayedChannel, Lag, as_delay_config
 from .core import HyperParams, project_ball
-from .datagen import rows_block
 from .errors import ConfigError, InvariantError
 from .results import RunResult, check_finite, squared_loss
 from .rng import substream
@@ -114,13 +113,14 @@ class SgdSystem:
             self._client_step(t)
         self._server_step(t)
 
-    def run_round(self, data_by_client: Sequence) -> None:
-        """One round on one Sample per client (batch size 1)."""
-        if len(data_by_client) != len(self.wl):
+    def run_round(self, x_global: np.ndarray, x_local: np.ndarray, label: np.ndarray) -> None:
+        """One round on one sample per client (batch size 1): x_global (P, dg),
+        x_local (P, dl) and label (P,)."""
+        if np.shape(label) != (len(self.wl),):
             raise ConfigError("one datum per client per round is required")
         row = self._history.row(self.t + 1)
-        self.x_global[row, :, 0], self.x_local[row, :, 0], self.label[row, :, 0] = rows_block(
-            data_by_client)
+        self.x_global[row, :, 0], self.x_local[row, :, 0], self.label[row, :, 0] = (
+            x_global, x_local, label)
         self.step()
 
     def _predict(self, row, gp, xl, y) -> None:
@@ -168,11 +168,6 @@ class SgdSystem:
                 bad = np.argmin(np.isfinite(np.vecdot(v, v)))
                 where = f"the local model of client {np.arange(len(self.wl))[who][bad]}"
             raise InvariantError(f"{where} has a non-finite norm after round {self.t}") from None
-
-    def prediction_pair(self, client_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pair the client would predict with right now."""
-        f = self.fetched
-        return (f if f.ndim == 1 else f[client_id]), self.wl[client_id]
 
     def alignment_offsets(self) -> list[tuple[int, int, int]]:
         """(global_round, local_round, owning client's beta) of every gradient

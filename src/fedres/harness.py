@@ -81,6 +81,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
         if self.rounds < 1 or self.clients < 1 or self.rollouts < 1:
             raise ConfigError("rounds, clients and rollouts must be positive")
+        if self.dim < 1 or self.test_rounds < 0:
+            raise ConfigError(f"dim must be >= 1 and test rounds >= 0, got {self.dim}, "
+                              f"{self.test_rounds}")
+        if not np.isfinite(self.v_norm):
+            raise ConfigError(f"v_norm must be finite, got {self.v_norm}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("delays must be nonnegative")
         if self.batch_size < 1 or self.rounds % self.batch_size:
@@ -168,36 +173,26 @@ def _merge_leading(a: np.ndarray) -> np.ndarray:
 
 
 def _record_groups(traces) -> tuple:
-    """(loss (K,), groups) of K records in trace order; one group per client
-    id, ascending: (record positions, x_global (n, b, dg), x_local (n, b, dl),
-    y (n, b)) with the client's records in order. A run's trace view is read
-    as columns; any other RoundTrace sequence is stacked."""
-    if isinstance(traces, TraceView):
-        r = traces.result
-        return r.loss.ravel(), [
-            (slice(i, None, r.clients), r.x_global[:, i], r.x_local[:, i], r.label[:, i])
-            for i in range(r.clients)
-        ]
-    if not traces:
-        raise ConfigError("empty trace")
-    batches = [tr.sample if isinstance(tr.sample, tuple) else (tr.sample,) for tr in traces]
-    k, b = len(batches), len(batches[0])
-    xg, xl, y = (a.reshape(k, b, *a.shape[1:])
-                 for a in rows_block([s for batch in batches for s in batch]))
-    owner = np.array([tr.client_id for tr in traces])
-    at = [np.flatnonzero(owner == i) for i in np.unique(owner)]
-    return np.array([tr.loss for tr in traces]), [(j, xg[j], xl[j], y[j]) for j in at]
+    """(loss (K,), groups) of a run's K records in trace order; one group per
+    client, ascending: (record positions, x_global (n, b, dg), x_local
+    (n, b, dl), y (n, b)) with the client's records in order."""
+    if not isinstance(traces, TraceView):
+        raise ConfigError("regret reads a run's columns: pass result.traces")
+    r = traces.result
+    return r.loss.ravel(), [
+        (slice(i, None, r.clients), r.x_global[:, i], r.x_local[:, i], r.label[:, i])
+        for i in range(r.clients)
+    ]
 
 
 def compute_regret(traces, comparator=None, *,
                    radius: float = DEFAULT_RADIUS, tol: float = 1e-8) -> float:
     """Average played loss minus the best fixed joint model's loss.
 
-    traces is a run's trace view, read as columns, or any sequence of
-    RoundTrace records. The default comparator is the ball-constrained
-    joint fit of the full offline data (alternating exact solves to the
-    given objective tolerance). Batched records compare batch mean against
-    batch mean. The sum runs in record order.
+    traces is a run's trace view, read as columns. The default comparator
+    is the ball-constrained joint fit of the full offline data (alternating
+    exact solves to the given objective tolerance). Batched records compare
+    batch mean against batch mean. The sum runs in record order.
     """
     loss, groups = _record_groups(traces)
     if comparator is None:
@@ -366,8 +361,7 @@ def bandit_rows(cfg: ExperimentConfig) -> list[str]:
         )
         uniform = bandit_mod.run_uniform_policy(env, cfg.rounds, seed)
         for algo, res in (("bandit-epsgreedy", greedy), ("bandit-uniform", uniform)):
-            mean_loss = np.mean([tr.loss for tr in res.traces])
-            rows.append(_row(r, replace(cfg, algo=algo), cfg.exploration_period, mean_loss,
+            rows.append(_row(r, replace(cfg, algo=algo), cfg.exploration_period, res.mean_loss(),
                              float("nan"), bandit_mod.cb_regret(res.traces, env)))
     return rows
 

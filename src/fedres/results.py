@@ -27,8 +27,6 @@ class RoundTrace:
 
     For batched rounds, loss is the batch-aggregated (mean) loss and
     prediction/label/sample hold the b per-sample values as tuples.
-    Bandit runs additionally carry the chosen action, the realized reward,
-    and the full context set of the round.
     """
 
     round: int
@@ -37,9 +35,6 @@ class RoundTrace:
     prediction: float | tuple
     label: float | tuple
     sample: Any
-    action: int | None = None
-    reward: float | None = None
-    contexts: tuple | None = None
 
 
 def squared_loss(prediction: np.ndarray, label: np.ndarray) -> np.ndarray:

@@ -12,6 +12,13 @@ predictions, the final models, the fetch counts and (SGD only) the
 gradient provenance to tests/data/sgd_characterization.json. The stream
 data is stored alongside, so the check needs no RNG. Floats are written
 with repr, so the file round-trips bit for bit.
+
+The bandit entries run the periodic-exploration policy (with noisy
+rewards, the same per-client delays and per-client steps; at period 1,
+and at periods that do not divide the horizon) and the uniform policy on
+a seeded environment. They draw their contexts and rewards from the
+seed's substreams, and add the per-round actions, the contextual regret
+and the exploration count to the record.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fedres.bandit import cb_regret, make_realizable_env, run_epsilon_greedy, run_uniform_policy
 from fedres.core import HyperParams, Sample
 from fedres.datagen import ClientData, FederatedDataset
 from fedres.engine import run_fedres_sgd
@@ -36,7 +44,17 @@ VARIANTS = ("aligned", "misaligned", "asymmetric")
 BATCHES = (1, 3)
 EXACT = {"erm": run_fedres_erm, "fictitious": run_fictitious_play}
 EXACT_DELAYS, EXACT_RADIUS = (2, 1), 0.8
-CASES = [(b, v) for v in VARIANTS for b in BATCHES] + [(1, v) for v in EXACT]
+# name: (exploration period or None for the uniform policy, rounds, reward noise)
+BANDIT = {
+    "bandit-p5": (5, 47, 0.05),
+    "bandit-p1": (1, 24, 0.1),
+    "bandit-p7-quiet": (7, 40, 0.0),
+    "bandit-uniform": (None, 47, 0.05),
+}
+BANDIT_ACTIONS, BANDIT_SEED = 3, 11
+BANDIT_HYPER = dict(radius=1.5, eta_global=0.3, eta_local=(0.2, 0.4, 0.3, 0.5))
+CASES = ([(b, v) for v in VARIANTS for b in BATCHES] + [(1, v) for v in EXACT]
+         + [(1, v) for v in BANDIT])
 
 
 def make_data(seed: int = 2024) -> dict:
@@ -59,7 +77,19 @@ def dataset(data: dict) -> FederatedDataset:
                             pregenerated=streams)
 
 
+def bandit_env(variant: str):
+    _period, _rounds, noise = BANDIT[variant]
+    return make_realizable_env(BANDIT_ACTIONS, len(ALPHA), D_GLOBAL, D_LOCAL, BANDIT_SEED,
+                               noise_sigma=noise)
+
+
 def run(data: dict, variant: str, batch: int):
+    if variant in BANDIT:
+        period, rounds, _noise = BANDIT[variant]
+        if period is None:
+            return run_uniform_policy(bandit_env(variant), rounds, BANDIT_SEED)
+        return run_epsilon_greedy(bandit_env(variant), (ALPHA, BETA), HyperParams(**BANDIT_HYPER),
+                                  rounds, period, BANDIT_SEED)
     inits = dict(init_global=np.array(INIT_GLOBAL), init_locals=[np.array(w) for w in INIT_LOCALS])
     if variant in EXACT:
         return EXACT[variant](dataset(data), EXACT_DELAYS, HyperParams(radius=EXACT_RADIUS),
@@ -86,9 +116,18 @@ def record(res) -> dict:
     return out
 
 
+def record_case(data: dict, variant: str, batch: int) -> dict:
+    res = run(data, variant, batch)
+    out = record(res)
+    if variant in BANDIT:
+        out.update(action=res.action.tolist(), cb_regret=cb_regret(res.traces, bandit_env(variant)),
+                   exploration_rounds=res.exploration_rounds)
+    return out
+
+
 def main() -> None:
     data = make_data()
-    runs = {f"{v}-b{b}": record(run(data, v, b)) for b, v in CASES}
+    runs = {f"{v}-b{b}": record_case(data, v, b) for b, v in CASES}
     PATH.write_text(json.dumps({"data": data, "runs": runs}) + "\n", encoding="utf-8")
     print(f"wrote {len(runs)} runs to {PATH}")
 

@@ -29,7 +29,6 @@ from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_
 from fedres.engine import run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
 from fedres.harness import compute_regret
-from fedres.minibatch import run_batched
 from fedres.solver import ConstrainedLsProblem, solve_constrained_ls
 
 from conftest import ball_project_oracle, finite_diff_grads, ls_objective, pgd_ls_oracle, random_instance
@@ -205,7 +204,7 @@ def test_criterion_05_minibatch_contracts():
     hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
 
     # (a) batch size one is bit-identical to the unbatched engine
-    a = run_batched(ds, (2, 1), hp, rounds, 1, 0)
+    a = run_fedres_sgd(ds, (2, 1), hp, rounds, 0, batch_size=1)
     b = run_fedres_sgd(ds, (2, 1), hp, rounds, 0)
     bit_equal = len(a.traces) == len(b.traces) and all(
         x.loss == y.loss and x.prediction == y.prediction for x, y in zip(a.traces, b.traces)
@@ -214,13 +213,14 @@ def test_criterion_05_minibatch_contracts():
 
     # (b) exactly rounds / b downlink fetches per client
     fetch_ok = all(
-        run_batched(ds, (2, 1), hp, rounds, bsz, 0).fetch_counts == [rounds // bsz] * clients
+        run_fedres_sgd(ds, (2, 1), hp, rounds, 0, batch_size=bsz).fetch_counts
+        == [rounds // bsz] * clients
         for bsz in (1, 2, 4, 8)
     )
 
     # (c) batch of four bit-matches a manual run on the aggregated sequence
     bsz = 4
-    res = run_batched(ds, (2, 1), hp, rounds, bsz, 0)
+    res = run_fedres_sgd(ds, (2, 1), hp, rounds, 0, batch_size=bsz)
     n_batches = rounds // bsz
     batches = [
         [tuple(st[n * bsz : (n + 1) * bsz]) for n in range(n_batches)] for st in streams

@@ -5,16 +5,15 @@ from fedres.bandit import (
     BanditEnv,
     cb_regret,
     choose_action,
-    feed_exploration_sample,
     make_realizable_env,
     run_epsilon_greedy,
     run_uniform_policy,
     suggested_exploration_period,
 )
-from fedres.channel import DelayConfig
 from fedres.core import HyperParams
-from fedres.engine import SgdSystem
-from fedres.errors import ConfigError, InvariantError
+from fedres.datagen import gen_example2
+from fedres.engine import run_fedres_sgd
+from fedres.errors import ConfigError
 from fedres.rng import substream
 
 
@@ -24,48 +23,38 @@ def fixed_env(k=2, gap=0.4, base=0.3):
     wl = (np.array([1.0]),)
 
     class FixedEnv(BanditEnv):
-        def draw_contexts(self, rng, client_id):
-            out = []
-            for a in range(self.k):
-                value = base + (gap if a == 0 else 0.0)
-                out.append((np.array([value / 2]), np.array([value / 2])))
-            return tuple(out)
+        def context_blocks(self, rng, rounds):
+            value = np.full((rounds, self.n_clients, self.k, 1), base)
+            value[:, :, 0] += gap
+            return value / 2, value / 2
 
     return FixedEnv(k=k, wg_star=wg, wl_stars=wl, noise_sigma=0.0)
 
 
 class TestChooseAction:
     def test_exploration_round_follows_seed(self):
-        rng = substream(7, "x")
-        expected = int(substream(7, "x").integers(3))
-        got = choose_action(np.zeros(1), np.zeros(1), [(np.zeros(1), np.zeros(1))] * 3, 10, 10, rng)
-        assert got == expected
+        env = make_realizable_env(3, 2, 1, 1, seed=7)
+        res = run_epsilon_greedy(env, 0, HyperParams(), 10, 10, seed=7)
+        expected = substream(7, "bandit-explore").integers(3, size=2)
+        assert res.action[9].tolist() == expected.tolist()
 
     def test_greedy_tie_break_lowest_index(self):
-        contexts = [
-            (np.array([0.2]), np.array([0.0])),
-            (np.array([0.9]), np.array([0.0])),
-            (np.array([0.9]), np.array([0.0])),
-        ]
-        rng = substream(0, "unused")
-        assert choose_action(np.array([1.0]), np.array([1.0]), contexts, 11, 10, rng) == 1
+        xg = np.array([[0.2], [0.9], [0.9]])
+        xl = np.zeros((3, 1))
+        action, _ = choose_action(np.array([1.0]), np.array([1.0]), xg, xl)
+        assert action == 1
 
     def test_zero_models_pick_first_action(self, rng):
-        contexts = [(rng.normal(0, 1, 2), rng.normal(0, 1, 2)) for _ in range(4)]
-        got = choose_action(np.zeros(2), np.zeros(2), contexts, 3, 10, np.random.default_rng(0))
-        assert got == 0
+        xg, xl = rng.normal(0, 1, (4, 2)), rng.normal(0, 1, (4, 2))
+        action, _ = choose_action(np.zeros(2), np.zeros(2), xg, xl)
+        assert action == 0
 
     def test_empty_contexts_rejected(self):
         with pytest.raises(ConfigError):
-            choose_action(np.zeros(1), np.zeros(1), [], 1, 10, np.random.default_rng(0))
+            choose_action(np.zeros(1), np.zeros(1), np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 class TestUpdateSchedule:
-    def test_update_on_greedy_round_is_hard_error(self):
-        system = SgdSystem(1, [1], DelayConfig.uniform(1), HyperParams())
-        with pytest.raises(InvariantError):
-            feed_exploration_sample(system, 11, 10, [])
-
     def test_exploration_round_count_is_floor(self):
         env = make_realizable_env(3, 2, 2, 2, seed=0)
         for rounds, period in [(25, 10), (30, 10), (9, 10), (7, 1)]:
@@ -88,8 +77,8 @@ class TestRegret:
     def test_always_best_policy_has_zero_regret(self):
         env = fixed_env()
         res = run_uniform_policy(env, 50, seed=0)
-        forced = [tr.__class__(**{**tr.__dict__, "action": 0}) for tr in res.traces]
-        assert cb_regret(forced, env) == 0.0
+        res.action[:] = 0
+        assert cb_regret(res.traces, env) == 0.0
 
     def test_uniform_on_two_actions_pays_half_the_gap(self):
         env = fixed_env(k=2, gap=0.4)
@@ -100,21 +89,21 @@ class TestRegret:
     def test_per_round_regret_bounded_by_value_range(self):
         env = make_realizable_env(4, 2, 2, 2, seed=4)
         res = run_epsilon_greedy(env, 0, HyperParams(), 60, 5, seed=4)
-        for tr in res.traces:
-            means = [env.true_mean(tr.client_id, xg, xl) for xg, xl in tr.contexts]
-            assert max(means) - means[tr.action] <= max(means) - min(means) + 1e-12
+        means = env.mean_rewards(res.context_global, res.context_local)
+        chosen = np.take_along_axis(means, res.action[..., None], -1)[..., 0]
+        top, bottom = means.max(axis=-1), means.min(axis=-1)
+        assert np.all(top - chosen <= top - bottom + 1e-12)
 
     def test_never_exploring_zero_model_is_constant_first_action(self):
         env = make_realizable_env(3, 1, 2, 2, seed=5)
         rounds = 40
         res = run_epsilon_greedy(env, 0, HyperParams(), rounds, rounds + 1, seed=5)
-        assert all(tr.action == 0 for tr in res.traces)
-        # oracle: replay the same context stream and price action 0
+        assert np.all(res.action == 0)
+        # oracle: replay the same context stream one round at a time and price action 0
         rng_ctx = substream(5, "bandit-contexts")
         total = 0.0
         for _ in range(rounds):
-            ctx = env.draw_contexts(rng_ctx, 0)
-            means = [env.true_mean(0, xg, xl) for xg, xl in ctx]
+            means = env.mean_rewards(*env.context_blocks(rng_ctx, 1))[0, 0].tolist()
             total += max(means) - means[0]
         assert cb_regret(res.traces, env) == pytest.approx(total / rounds, rel=1e-12)
 
@@ -127,10 +116,13 @@ class TestRegret:
 
     def test_missing_bandit_fields_rejected(self):
         env = fixed_env()
-        from fedres.results import RoundTrace
-
+        ds = gen_example2(2, 1, np.ones(1), 0.0, 4, seed=0)
+        plain = run_fedres_sgd(ds, 0, HyperParams(), 4, 0)
         with pytest.raises(ConfigError):
-            cb_regret([RoundTrace(1, 0, 0.0, 0.0, 0.0, None)], env)
+            cb_regret(plain.traces, env)
+        three = run_uniform_policy(make_realizable_env(2, 3, 1, 1, seed=0), 5, seed=0)
+        with pytest.raises(ConfigError):  # a one-client env would broadcast over three clients
+            cb_regret(three.traces, env)
         with pytest.raises(ConfigError):
             cb_regret([], env)
 
@@ -163,20 +155,19 @@ class TestExplorationPeriodHeuristic:
 class TestEnv:
     def test_realizability_of_true_means(self, rng):
         env = make_realizable_env(4, 2, 3, 3, seed=7, noise_sigma=0.0)
-        r = substream(7, "bandit-contexts")
-        for i in range(2):
-            ctx = env.draw_contexts(r, i)
-            rewards = env.realized_rewards(np.random.default_rng(0), i, ctx)
-            for a, (xg, xl) in enumerate(ctx):
-                lin = float(env.wg_star @ xg + env.wl_stars[i] @ xl)
-                assert 0.0 <= lin <= 1.0
-                assert rewards[a] == pytest.approx(lin)
+        xg, xl = env.context_blocks(substream(7, "bandit-contexts"), 3)
+        rewards = env.noisy_rewards(np.random.default_rng(0), env.mean_rewards(xg, xl))
+        for t in range(3):
+            for i in range(2):
+                for a in range(4):
+                    lin = float(env.wg_star @ xg[t, i, a] + env.wl_stars[i] @ xl[t, i, a])
+                    assert 0.0 <= lin <= 1.0
+                    assert rewards[t, i, a] == pytest.approx(lin)
 
     def test_rewards_clipped_to_unit_interval(self):
         env = make_realizable_env(4, 1, 3, 3, seed=8, noise_sigma=5.0)
-        r = substream(8, "bandit-contexts")
-        ctx = env.draw_contexts(r, 0)
-        rewards = env.realized_rewards(np.random.default_rng(1), 0, ctx)
+        xg, xl = env.context_blocks(substream(8, "bandit-contexts"), 1)
+        rewards = env.noisy_rewards(np.random.default_rng(1), env.mean_rewards(xg, xl))
         assert np.all(rewards >= 0.0) and np.all(rewards <= 1.0)
 
     def test_too_few_actions_rejected(self):

@@ -1,11 +1,14 @@
-"""The delayed-SGD engine and the exact learners reproduce a fixture recorded
-from the per-sample object learners they replaced, bit for bit.
+"""The delayed-SGD engine, the exact learners and the bandit policies
+reproduce a fixture recorded from the per-sample object code they
+replaced, bit for bit.
 
 The SGD grid is every update variant at batch sizes 1 and 3 with
 heterogeneous per-client delays, a zero-round-trip client next to delayed
 ones, per-client step sizes and an active ball; ERM and fictitious play run
 on the same data with uniform delays and a ball that binds some solves on
-both sides; see record_sgd_characterization.py.
+both sides; the bandit runs cover both policies, noisy rewards, period 1
+and periods that do not divide the horizon; see
+record_sgd_characterization.py.
 """
 
 import json
@@ -13,7 +16,9 @@ import json
 import numpy as np
 import pytest
 
-from record_sgd_characterization import CASES, PATH, run
+from fedres.bandit import cb_regret
+
+from record_sgd_characterization import CASES, PATH, bandit_env, run
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 
@@ -29,6 +34,10 @@ def test_engine_reproduces_recorded_run(variant, batch):
     assert list(res.fetch_counts) == want["fetch_counts"]
     if "alignment_offsets" in want:  # SGD only
         assert [list(o) for o in res.system.alignment_offsets()] == want["alignment_offsets"]
+    if "action" in want:  # bandit only
+        assert res.action.tolist() == want["action"]
+        assert cb_regret(res.traces, bandit_env(variant)) == want["cb_regret"]
+        assert res.exploration_rounds == want["exploration_rounds"]
 
 
 def test_trace_view_matches_recorded_columns():

@@ -18,57 +18,59 @@ from fedres.harness import (
     run_experiment,
     sweep,
 )
-from fedres.results import RoundTrace
+from fedres.results import RunResult
 
 from test_datagen import toy_corpus
 
 
-def scripted_traces():
+def columns_run(prediction, label, x_global, x_local) -> RunResult:
+    """A run of N rounds and P clients from (N, P) predictions and labels and
+    (N, P, d) features (batch size 1, zero final models)."""
+    prediction, label = np.asarray(prediction, float), np.asarray(label, float)
+    x_global, x_local = np.asarray(x_global, float), np.asarray(x_local, float)
+    clients = prediction.shape[1]
+    return RunResult(prediction[..., None], label[..., None], x_global[:, :, None],
+                     x_local[:, :, None], np.zeros(x_global.shape[-1]),
+                     [np.zeros(x_local.shape[-1])] * clients, [len(prediction)] * clients)
+
+
+def scripted_run() -> RunResult:
     """2 clients x 3 rounds with hand-computable losses."""
-    traces = []
-    samples = {}
-    for i in range(2):
-        for t in range(1, 4):
-            s = Sample(np.array([1.0, 0.0]), np.array([0.5 * (i + 1)]), float(t))
-            pred = 0.25 * t * (i + 1)
-            traces.append(RoundTrace(t, i, (s.y - pred) ** 2, pred, s.y, s))
-            samples[(t, i)] = s
-    return traces, samples
+    t = np.arange(1.0, 4.0)[:, None]
+    i = np.arange(2.0)[None, :]
+    ones = np.ones((3, 2, 1))
+    return columns_run(0.25 * t * (i + 1), t + 0 * i,
+                       np.concatenate([ones, 0 * ones], axis=-1), 0.5 * (i + 1)[..., None] * ones)
 
 
 class TestComputeRegret:
     def test_zero_when_comparator_matches_played_models(self, rng):
         # played pair == comparator pair -> identical losses, regret 0
         wg, wl = np.array([0.5, -0.2]), np.array([0.3])
-        traces = []
-        for t in range(1, 5):
-            s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 1), float(rng.normal()))
-            pred = float(wg @ s.x_global + wl @ s.x_local)
-            traces.append(RoundTrace(t, 0, (s.y - pred) ** 2, pred, s.y, s))
-        assert compute_regret(traces, comparator=(wg, [wl])) == pytest.approx(0.0, abs=1e-15)
+        xg, xl, y = rng.normal(0, 1, (4, 1, 2)), rng.normal(0, 1, (4, 1, 1)), rng.normal(size=(4, 1))
+        run = columns_run(np.vecdot(xg, wg) + np.vecdot(xl, wl), y, xg, xl)
+        assert compute_regret(run.traces, comparator=(wg, [wl])) == pytest.approx(0.0, abs=1e-15)
 
     def test_realizable_comparator_leaves_played_loss(self, rng):
         wg_true, wl_true = np.array([0.4]), np.array([-0.3])
-        traces = []
-        for t in range(1, 6):
-            s = Sample(rng.normal(0, 1, 1), rng.normal(0, 1, 1), 0.0)
-            s = Sample(s.x_global, s.x_local, float(wg_true @ s.x_global + wl_true @ s.x_local))
-            traces.append(RoundTrace(t, 0, 1.7, 0.0, s.y, s))  # played loss fixed at 1.7
-        reg = compute_regret(traces, comparator=(wg_true, [wl_true]))
+        xg, xl = rng.normal(0, 1, (5, 1, 1)), rng.normal(0, 1, (5, 1, 1))
+        y = np.vecdot(xg, wg_true) + np.vecdot(xl, wl_true)
+        run = columns_run(y - np.sqrt(1.7), y, xg, xl)  # played loss fixed at 1.7
+        reg = compute_regret(run.traces, comparator=(wg_true, [wl_true]))
         assert reg == pytest.approx(1.7, rel=1e-12)
 
     def test_hand_summed_two_client_three_round_instance(self):
-        traces, _ = scripted_traces()
+        run = scripted_run()
         wg = np.array([0.1, 0.0])
         wls = [np.array([1.0]), np.array([2.0])]
         expected = 0.0
-        for tr in traces:
+        for tr in run.traces:
             s = tr.sample
             wl = wls[tr.client_id]
             comp = (s.y - (wg @ s.x_global + wl @ s.x_local)) ** 2
             expected += tr.loss - comp
         expected /= 6.0
-        assert compute_regret(traces, comparator=(wg, wls)) == pytest.approx(expected, rel=1e-12)
+        assert compute_regret(run.traces, comparator=(wg, wls)) == pytest.approx(expected, rel=1e-12)
 
     def test_default_comparator_never_increases_regret(self, rng):
         v = np.array([0.5, 0.5])
@@ -77,15 +79,6 @@ class TestComputeRegret:
         fitted = compute_regret(res.traces, radius=100.0)
         true = compute_regret(res.traces, comparator=(np.zeros(2), [v, -v]))
         assert fitted <= true + 1e-9
-
-    def test_trace_list_matches_run_columns(self):
-        # the RoundTrace-list adapter and the column path give the same bits, batched or not
-        ds = gen_example2(4, 2, np.array([0.6, 0.8]), 0.1, 40, seed=1)
-        hp = HyperParams(eta_global=0.05, eta_local=0.05)
-        for b in (1, 4):
-            res = run_fedres_sgd(ds, (1, 2), hp, 40, 1, batch_size=b)
-            assert len(res.traces) == res.rounds * res.clients
-            assert compute_regret(list(res.traces)) == compute_regret(res.traces)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
@@ -234,6 +227,10 @@ class TestCli:
         ["bandit", "--actions", "1"],
         ["bandit", "--noise", "-1"],
         ["run", "--noise", "-1"],
+        ["run", "--dim", "0"],
+        ["run", "--dim", "-1"],
+        ["run", "--v-norm", "nan"],
+        ["run", "--test-rounds", "-1"],
     ])
     def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
         assert cli_main(argv + ["--rounds", "10", "--output", "-"]) == 1

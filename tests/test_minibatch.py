@@ -4,24 +4,37 @@ import pytest
 from fedres.core import HyperParams, Sample, grad_global, grad_local, loss
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError
-from fedres.minibatch import aggregate_grads, aggregate_loss, run_batched
 
 from test_sgd import dataset_from_streams, scripted_stream
+
+
+def one_batch_run(batch, wg, wl):
+    """One client, zero delay, one batch round on `batch` from the pair
+    (wg, wl) with unit steps and an inactive ball: the client steps on the
+    batch-mean local gradient at (wg, wl), the loss record is the batch-mean
+    loss at (wg, new wl), and the server steps on the batch-mean global
+    gradient there."""
+    ds = dataset_from_streams([list(batch)], len(wg), [len(wl)])
+    hp = HyperParams(radius=1e6, eta_global=1.0, eta_local=1.0)
+    return run_fedres_sgd(ds, 0, hp, len(batch), 0, batch_size=len(batch), init_global=wg,
+                          init_locals=[wl])
 
 
 class TestAggregation:
     def test_singleton_batch_equals_pointwise(self, rng):
         wg, wl = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
         s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), 1.0)
-        assert aggregate_loss([s], wg, wl) == loss(wg, wl, s)
-        gg, gl = aggregate_grads([s], wg, wl)
-        assert np.all(gg == grad_global(wg, wl, s))
-        assert np.all(gl == grad_local(wg, wl, s))
+        res = one_batch_run([s], wg, wl)
+        stepped = res.final_locals[0]
+        assert res.loss[0, 0] == loss(wg, stepped, s)
+        assert np.all(res.final_global == wg - grad_global(wg, stepped, s))
+        assert np.all(stepped == wl - grad_local(wg, wl, s))
 
     def test_duplicated_sample_equals_single(self, rng):
         wg, wl = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
         s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), 0.5)
-        assert aggregate_loss([s, s], wg, wl) == pytest.approx(loss(wg, wl, s), rel=1e-15)
+        res = one_batch_run([s, s], wg, wl)
+        assert res.loss[0, 0] == pytest.approx(loss(wg, res.final_locals[0], s), rel=1e-15)
 
     def test_batch_of_four_matches_direct_mean(self, rng):
         wg, wl = rng.normal(0, 1, 3), rng.normal(0, 1, 2)
@@ -29,19 +42,21 @@ class TestAggregation:
             Sample(rng.normal(0, 1, 3), rng.normal(0, 1, 2), float(rng.normal()))
             for _ in range(4)
         ]
-        assert aggregate_loss(batch, wg, wl, batch_size=4) == pytest.approx(
-            sum(loss(wg, wl, s) for s in batch) / 4.0, rel=1e-12
+        res = one_batch_run(batch, wg, wl)
+        stepped = res.final_locals[0]
+        assert res.loss[0, 0] == pytest.approx(
+            sum(loss(wg, stepped, s) for s in batch) / 4.0, rel=1e-12
         )
-        gg, gl = aggregate_grads(batch, wg, wl)
-        assert gg == pytest.approx(sum(grad_global(wg, wl, s) for s in batch) / 4.0, rel=1e-12)
+        gg, gl = wg - res.final_global, wl - stepped
+        assert gg == pytest.approx(sum(grad_global(wg, stepped, s) for s in batch) / 4.0, rel=1e-12)
         assert gl == pytest.approx(sum(grad_local(wg, wl, s) for s in batch) / 4.0, rel=1e-12)
 
     def test_wrong_length_rejected(self, rng):
-        s = Sample(np.ones(1), np.ones(1), 1.0)
+        ds = dataset_from_streams([[Sample(np.ones(1), np.ones(1), 1.0)] * 2], 1, [1])
         with pytest.raises(ConfigError):
-            aggregate_loss([s, s], np.ones(1), np.ones(1), batch_size=3)
+            run_fedres_sgd(ds, 0, HyperParams(), 2, 0, batch_size=3)
         with pytest.raises(ConfigError):
-            aggregate_loss([], np.ones(1), np.ones(1))
+            run_fedres_sgd(ds, 0, HyperParams(), 2, 0, batch_size=0)
 
 
 class TestBatchedRuns:
@@ -49,7 +64,7 @@ class TestBatchedRuns:
         streams = [scripted_stream(rng, 12, 2, 2) for _ in range(2)]
         ds = dataset_from_streams(streams, 2, [2, 2])
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
-        a = run_batched(ds, (1, 2), hp, 12, 1, 0)
+        a = run_fedres_sgd(ds, (1, 2), hp, 12, 0, batch_size=1)
         b = run_fedres_sgd(ds, (1, 2), hp, 12, 0)
         assert len(a.traces) == len(b.traces)
         assert all(
@@ -63,7 +78,7 @@ class TestBatchedRuns:
         ds = dataset_from_streams(streams, 2, [2])
         eta = 0.2
         hp = HyperParams(radius=50.0, eta_global=eta, eta_local=eta)
-        res = run_batched(ds, 0, hp, rounds, rounds, 0)
+        res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=rounds)
         assert res.rounds == 1 and len(res.traces) == 1
 
         batch = streams[0]
@@ -85,20 +100,20 @@ class TestBatchedRuns:
         ds = dataset_from_streams(streams, 2, [1, 1])
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         for b in (1, 2, 4, 8):
-            res = run_batched(ds, (3, 2), hp, rounds, b, 0)
+            res = run_fedres_sgd(ds, (3, 2), hp, rounds, 0, batch_size=b)
             assert res.fetch_counts == [rounds // b, rounds // b]
 
     def test_indivisible_batch_rejected(self, rng):
         ds = dataset_from_streams([scripted_stream(rng, 10, 1, 1)], 1, [1])
         with pytest.raises(ConfigError):
-            run_batched(ds, 0, HyperParams(), 10, 3, 0)
+            run_fedres_sgd(ds, 0, HyperParams(), 10, 0, batch_size=3)
 
     def test_batched_trace_carries_aggregated_loss(self, rng):
         rounds, b = 8, 4
         streams = [scripted_stream(rng, rounds, 2, 2)]
         ds = dataset_from_streams(streams, 2, [2])
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
-        res = run_batched(ds, 0, hp, rounds, b, 0)
+        res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=b)
         for tr in res.traces:
             assert isinstance(tr.prediction, tuple) and len(tr.prediction) == b
             per_sample = [(y - p) ** 2 for y, p in zip(tr.label, tr.prediction)]

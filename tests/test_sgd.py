@@ -3,7 +3,7 @@ import pytest
 
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams, Sample
-from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2
+from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2, rows_block
 from fedres.engine import SgdSystem, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 
@@ -62,11 +62,11 @@ class TestClientRound:
 
         system = SgdSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0))
         system._history = Lag((2,), ring=2)
-        s = Sample(np.ones(2), np.ones(2), 1.0)
-        system.run_round([s])
-        system.run_round([s])
+        x, y = np.ones((1, 2)), np.ones(1)
+        system.run_round(x, x, y)
+        system.run_round(x, x, y)
         with pytest.raises(InvariantError):
-            system.run_round([s])
+            system.run_round(x, x, y)
 
 
 class TestServerRound:
@@ -150,7 +150,7 @@ class TestInvariants:
         hp = HyperParams(radius=0.25, eta_global=0.9, eta_local=0.9)
         system = SgdSystem(2, [2, 2, 2], DelayConfig.uniform(3, 1, 1), hp)
         for t in range(30):
-            system.run_round([st[t] for st in streams])
+            system.run_round(*rows_block([st[t] for st in streams]))
             assert np.linalg.norm(system.wg) <= 0.25 * (1 + 1e-12)
             for wl in system.wl:
                 assert np.linalg.norm(wl) <= 0.25 * (1 + 1e-12)
