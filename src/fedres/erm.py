@@ -11,34 +11,45 @@ observed - so the client only ever needs to upload (x_global, local
 prediction, label) - at the cost of the two sides locking each other into
 stale targets.
 
-Solves run in O(d^3) per round from incrementally maintained Gram blocks:
-the frozen variant accumulates its residual right-hand sides once per
-sample, while the re-applying variant keeps per-client cross blocks and
-recombines them with the newest counterpart each round.
+Solves run in O(d^3) per round from sums over the archive: the frozen
+variant accumulates its residual right-hand sides once per sample, while
+the re-applying variant keeps per-client cross blocks and recombines them
+with the newest counterpart each round.
 
 Array layout (ErmSystem, P clients):
-  client side  wl (P, dl), gram (P, dl, dl) = sum xl xl^T, ly (P, dl) =
-               sum y xl, cross (P, dl, dg) = sum xl xg^T, frozen_rhs (P, dl)
-               = sum (y - fetched . xg) xl with the fetch of each sample's round;
-  server side  wg (dg,), gram_g (dg, dg) over every arrived sample, gy (P, dg),
-               cross_g (P, dg, dl) = sum xg xl^T, frozen_rhs_g (dg,) =
-               sum (y - local prediction) xg;
+  client side  wl (P, dl); sums over the rows sent so far of gram = xl xl^T
+               (P, dl, dl), ly = y xl (P, dl) and cross = xl xg^T (P, dl, dg);
+               frozen_rhs (P, dl) = sum (y - fetched . xg) xl with the fetch
+               of each sample's round;
+  server side  wg (dg,); sums over the arrived rows of gram_g = xg xg^T
+               (dg, dg) over every client, gy = y xg (P, dg) and cross_g =
+               xg xl^T (P, dg, dl); frozen_rhs_g (dg,) = sum (y - local
+               prediction) xg;
   round-indexed rows (N, P, ...) of the stream blocks, the predictions and
   the local predictions, plus (erm only) the local model each client sent.
+gram, ly, cross, gram_g, gy and cross_g depend only on the streams (the
+frozen variant keeps only gram and gram_g). Each side's _PrefixSums builds
+them BLOCK rows at a time: a table holds the sum carried from the previous
+block followed by the block's terms, and one np.add.accumulate turns it
+into every prefix of the block; gram_g is accumulated over the flattened
+(row, client) axis and read every P-th entry. The client reads rows
+< t - 1 in round t and the server the rows that have arrived, alpha rounds
+behind, so each side has its own cursor and carry. The frozen right-hand
+sides depend on predictions and stay running sums.
+
 A round publishes wg, takes every client's fetch with channel.fetch_round(t),
-solves each client's local model in a loop over clients, predicts, and then
-asks channel.exchange(t) which round's rows reach the server: an uplink is
-a row index, never an object. The server reads the arrived rows' features,
+solves all P local models with one stacked solve_gram call, predicts, and
+then asks channel.exchange(t) which round's rows reach the server: an
+uplink is a row index, never an object. The server reads the arrived rows'
 labels and either the sent local models (erm) or local predictions
 (fictitious), then re-solves wg.
 
-Bits: each right-hand side is formed on row views with the expression of
-the per-client learner this replaced (ly[i] - cross[i] @ fetched), dot
-products are np.vecdot (on a row, the kernel of 1-D `@`), client-side outer
-products broadcast x[:, :, None] * x[:, None, :], and the server's
-cross-client sums (gram_g, frozen_rhs_g, the erm right-hand side) add
-clients one at a time in ascending order; the results equal the per-client
-formulas exactly (tests/data/sgd_characterization.json).
+Bits: every sum adds one row at a time (on the server one client at a
+time, in ascending order), as the per-client learner this replaced did,
+through np.add.accumulate; stacked products (cross @ fetched, np.vecdot,
+outer products x[..., :, None] * x[..., None, :]) and the stacked
+solve_gram equal their per-client forms. The results equal the
+per-client formulas exactly (tests/data/sgd_characterization.json).
 
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
@@ -49,6 +60,7 @@ tests.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -61,6 +73,57 @@ from .results import RunResult
 from .solver import solve_gram
 
 VARIANTS = ("erm", "fictitious")
+BLOCK = 128  # stream rows per prefix-sum table: memory is O(BLOCK), not O(rounds)
+
+
+class _PrefixSums:
+    """Sums over stream rows [0, n) of terms that depend only on the data,
+    for n >= 1 that never decreases; built BLOCK rows at a time.
+
+    terms(x_global, x_local, label) gets a block of rows of the streams and
+    returns one array per sum, with the rows on the leading axis (flattened
+    with `stride` entries per row if need be).
+    """
+
+    def __init__(self, terms, streams):
+        self.terms, self.streams, self.rows = terms, streams, len(streams[0])
+        self.start = self.stop = 0  # the tables cover prefixes n in [start, stop]
+        self.tables, self.strides = [], []
+
+    def upto(self, n: int) -> list[np.ndarray]:
+        while n > self.stop:
+            self._next_block()
+        k = n - self.start
+        return [table[k * stride] for table, stride in zip(self.tables, self.strides)]
+
+    def _next_block(self) -> None:
+        lo, hi = self.stop, min(self.stop + BLOCK, self.rows)
+        terms = self.terms(*(a[lo:hi] for a in self.streams))
+        carry = [table[-1] for table in self.tables] or [np.zeros(t.shape[1:]) for t in terms]
+        self.strides = [len(t) // (hi - lo) for t in terms]
+        self.tables = [_accumulate(c, t) for c, t in zip(carry, terms)]
+        self.start, self.stop = lo, hi
+
+
+def _client_terms(erm: bool, xg, xl, y) -> tuple:
+    gram = _outer(xl, xl)
+    return (gram, y[..., None] * xl, _outer(xl, xg)) if erm else (gram,)
+
+
+def _server_terms(erm: bool, xg, xl, y) -> tuple:
+    dg = xg.shape[-1]
+    gram_g = _outer(xg, xg).reshape(-1, dg, dg)  # (row, client) flattened: clients in order
+    return (gram_g, y[..., None] * xg, _outer(xg, xl)) if erm else (gram_g,)
+
+
+def _accumulate(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """carry, carry + rows[0], carry + rows[0] + rows[1], ...: one row at a time."""
+    table = np.concatenate((carry[None], rows))
+    return np.add.accumulate(table, axis=0, out=table)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[..., :, None] * b[..., None, :]
 
 
 class ErmSystem:
@@ -84,13 +147,12 @@ class ErmSystem:
         self.wg = np.zeros(d_global) if init_global is None else np.array(init_global, dtype=float)
         self.wl = (np.zeros((clients, dl)) if init_locals is None
                    else np.array([np.asarray(w, dtype=float) for w in init_locals]))
-        self.gram = np.zeros((clients, dl, dl))
-        self.ly = np.zeros((clients, dl))
-        self.cross = np.zeros((clients, dl, d_global))
+        # module functions, not bound methods: no reference cycle keeps a
+        # finished system's arrays alive until the garbage collector runs
+        streams = (self.x_global, self.x_local, self.label)
+        self.client_sums = _PrefixSums(partial(_client_terms, self.erm), streams)
+        self.server_sums = _PrefixSums(partial(_server_terms, self.erm), streams)
         self.frozen_rhs = np.zeros((clients, dl))
-        self.gram_g = np.zeros((d_global, d_global))
-        self.gy = np.zeros((clients, d_global))
-        self.cross_g = np.zeros((clients, d_global, dl))
         self.frozen_rhs_g = np.zeros(d_global)
         self.channel = DelayedChannel(delays, self.wg, ring=len(self.label))
         self.t = 0
@@ -103,16 +165,17 @@ class ErmSystem:
         self.channel.publish_global(t, self.wg)
         fetched = self.channel.fetch_round(t)
         if t > 1:  # every archive holds a sample
-            for i in range(len(self.wl)):
-                rhs = self.ly[i] - self.cross[i] @ fetched if self.erm else self.frozen_rhs[i]
-                self.wl[i] = solve_gram(self.gram[i], rhs, self.radius)
+            gram, *rest = self.client_sums.upto(row)
+            if self.erm:
+                ly, cross = rest
+                rhs = ly - cross @ fetched
+            else:
+                rhs = self.frozen_rhs
+            self.wl = solve_gram(gram, rhs, self.radius)
         gp = np.vecdot(xg, fetched)
         lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
         self.prediction[row] = gp + lp
-        self.gram += xl[:, :, None] * xl[:, None, :]
         if self.erm:
-            self.ly += y[:, None] * xl
-            self.cross += xl[:, :, None] * xg[:, None, :]
             self.sent_wl[row] = self.wl
         else:
             self.frozen_rhs += (y - gp)[:, None] * xl
@@ -122,23 +185,16 @@ class ErmSystem:
         index, _ = self.channel.exchange(t)
         if index is None:
             return
-        xg, y = self.x_global[index], self.label[index]
-        outer = xg[:, :, None] * xg[:, None, :]
+        gram_g, *rest = self.server_sums.upto(index + 1)
         if self.erm:
-            sent = self.sent_wl[index]
-            self.gy += y[:, None] * xg
-            self.cross_g += xg[:, :, None] * self.x_local[index][:, None, :]
-            rhs = np.zeros(len(self.wg))
-            for i in range(len(xg)):
-                self.gram_g += outer[i]
-                rhs += self.gy[i] - self.cross_g[i] @ sent[i]
+            gy, cross_g = rest
+            terms = gy - (cross_g @ self.sent_wl[index][:, :, None])[:, :, 0]
+            rhs = 0.0 + np.add.accumulate(terms, axis=0)[-1]  # a `+=` loop from zeros, bit for bit
         else:
+            xg, y = self.x_global[index], self.label[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
-            for i in range(len(xg)):
-                self.gram_g += outer[i]
-                self.frozen_rhs_g += terms[i]
-            rhs = self.frozen_rhs_g
-        self.wg = solve_gram(self.gram_g, rhs, self.radius)
+            rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
+        self.wg = solve_gram(gram_g, rhs, self.radius)
 
 
 def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals):

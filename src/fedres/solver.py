@@ -8,14 +8,26 @@ well posed and makes the minimizer unique (minimum norm), which the
 deterministic replay tests rely on.
 
 Learners never materialize design matrices: they maintain Gram blocks
-incrementally and call solve_gram directly.
+incrementally and call solve_gram directly. solve_gram takes a leading
+stack axis, (..., d, d) and (..., d), and solves one independent problem
+per row: every row is first solved with the base ridge in one stacked
+call, and only the rows whose solution leaves the ball (or is not finite)
+are re-solved one at a time by the scalar path, bisection included. Each
+row's bits are those of a separate call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+# The gufunc behind np.linalg.solve for a vector right-hand side, without
+# the wrapper's per-call checks and error state: a singular system yields
+# a non-finite row (NumPy warns of an invalid value), which the scalar path
+# re-solves through np.linalg.solve and so raises LinAlgError
+# (tests/test_solver.py pins the bits and the error).
+from numpy.linalg._umath_linalg import solve1 as _stacked_solve
 
 from .errors import ConfigError
 
@@ -45,13 +57,35 @@ def solve_gram(
 ) -> np.ndarray:
     """Ball-constrained least squares from normal-equation blocks.
 
-    ata is A^T A, atb is A^T b. Objective gap to the true constrained
-    minimum is bounded by the ridge perturbation, far below test
-    tolerances.
+    ata is A^T A (..., d, d), atb is A^T b (..., d); a leading stack axis
+    holds independent problems and returns one solution per row. Objective
+    gap to the true constrained minimum is bounded by the ridge
+    perturbation, far below test tolerances.
     """
-    d = atb.shape[0]
+    d = atb.shape[-1]
     if d == 0:
         return atb
+    w = _stacked_solve(ata + _ridge_diagonal(d, ridge), atb)
+    inside = np.sqrt(np.vecdot(w, w)) <= radius  # np.linalg.norm's norm; NaN is outside
+    if np.count_nonzero(inside) < inside.size:
+        rows, a, b = w.reshape(-1, d), ata.reshape(-1, d, d), atb.reshape(-1, d)
+        for i in np.flatnonzero(~inside):
+            rows[i] = _solve_one(a[i], b[i], radius, ridge)
+    return w
+
+
+@lru_cache(maxsize=16)
+def _ridge_diagonal(d: int, ridge: float) -> np.ndarray:
+    """ridge on the diagonal and -0.0 elsewhere: adding it leaves every
+    off-diagonal entry's bits alone, -0.0 included, like adding ridge to
+    the diagonal of a copy."""
+    out = np.where(np.eye(d, dtype=bool), ridge, -0.0)
+    out.flags.writeable = False
+    return out
+
+
+def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float, ridge: float) -> np.ndarray:
+    """The scalar path for one (d, d) problem, bisection included."""
     w = _ridge_solve(ata, atb, ridge)
     norm = float(np.linalg.norm(w))
     if norm <= radius:

@@ -7,7 +7,11 @@ scripted problem with heterogeneous per-client delays (one client has a
 zero round trip next to delayed ones, one starts outside the ball), and
 both exact learners (ERM and fictitious play) on the same data with
 uniform delays (2, 1) and a radius at which some client and some server
-solves bind the ball. It writes the per-(round, client) losses and
+solves bind the ball. Both exact learners also run on a longer stream
+(3 clients, 400 rounds, uniform delays (3, 2)) whose running sums span
+several of ErmSystem's row blocks on both sides, again with a radius
+that binds some solves on each side; that stream is stored as
+"long_data". It writes the per-(round, client) losses and
 predictions, the final models, the fetch counts and (SGD only) the
 gradient provenance to tests/data/sgd_characterization.json. The stream
 data is stored alongside, so the check needs no RNG. Floats are written
@@ -44,6 +48,11 @@ VARIANTS = ("aligned", "misaligned", "asymmetric")
 BATCHES = (1, 3)
 EXACT = {"erm": run_fedres_erm, "fictitious": run_fictitious_play}
 EXACT_DELAYS, EXACT_RADIUS = (2, 1), 0.8
+# the long stream: true models with local norms on both sides of the radius
+LONG = {"erm-long": run_fedres_erm, "fictitious-long": run_fictitious_play}
+LONG_ROUNDS, LONG_DELAYS, LONG_RADIUS = 400, (3, 2), 1.0
+LONG_GLOBAL = (0.6, -0.5, 0.55)
+LONG_LOCALS = ((0.3, -0.2), (1.0, 0.8), (-0.7, 0.6))
 # name: (exploration period or None for the uniform policy, rounds, reward noise)
 BANDIT = {
     "bandit-p5": (5, 47, 0.05),
@@ -54,7 +63,7 @@ BANDIT = {
 BANDIT_ACTIONS, BANDIT_SEED = 3, 11
 BANDIT_HYPER = dict(radius=1.5, eta_global=0.3, eta_local=(0.2, 0.4, 0.3, 0.5))
 CASES = ([(b, v) for v in VARIANTS for b in BATCHES] + [(1, v) for v in EXACT]
-         + [(1, v) for v in BANDIT])
+         + [(1, v) for v in BANDIT] + [(1, v) for v in LONG])
 
 
 def make_data(seed: int = 2024) -> dict:
@@ -65,6 +74,22 @@ def make_data(seed: int = 2024) -> dict:
         "x_local": rng.normal(0, 1, (clients, ROUNDS, D_LOCAL)).tolist(),
         "y": rng.normal(0, 2, (clients, ROUNDS)).tolist(),
     }
+
+
+def make_long_data(seed: int = 2025) -> dict:
+    """Stream rows rounded to 6 decimals; labels are the true joint
+    prediction plus noise."""
+    rng = np.random.default_rng(seed)
+    clients = len(LONG_LOCALS)
+    xg = rng.normal(0, 1, (clients, LONG_ROUNDS, D_GLOBAL)).round(6)
+    xl = rng.normal(0, 1, (clients, LONG_ROUNDS, D_LOCAL)).round(6)
+    y = xg @ np.array(LONG_GLOBAL) + np.vecdot(xl, np.array(LONG_LOCALS)[:, None, :])
+    y = (y + rng.normal(0, 0.3, y.shape)).round(6)
+    return {"x_global": xg.tolist(), "x_local": xl.tolist(), "y": y.tolist()}
+
+
+def case_data(fixture: dict, variant: str) -> dict:
+    return fixture["long_data"] if variant in LONG else fixture["data"]
 
 
 def dataset(data: dict) -> FederatedDataset:
@@ -90,6 +115,9 @@ def run(data: dict, variant: str, batch: int):
             return run_uniform_policy(bandit_env(variant), rounds, BANDIT_SEED)
         return run_epsilon_greedy(bandit_env(variant), (ALPHA, BETA), HyperParams(**BANDIT_HYPER),
                                   rounds, period, BANDIT_SEED)
+    if variant in LONG:
+        return LONG[variant](dataset(data), LONG_DELAYS, HyperParams(radius=LONG_RADIUS),
+                             LONG_ROUNDS, 0)
     inits = dict(init_global=np.array(INIT_GLOBAL), init_locals=[np.array(w) for w in INIT_LOCALS])
     if variant in EXACT:
         return EXACT[variant](dataset(data), EXACT_DELAYS, HyperParams(radius=EXACT_RADIUS),
@@ -126,10 +154,10 @@ def record_case(data: dict, variant: str, batch: int) -> dict:
 
 
 def main() -> None:
-    data = make_data()
-    runs = {f"{v}-b{b}": record_case(data, v, b) for b, v in CASES}
-    PATH.write_text(json.dumps({"data": data, "runs": runs}) + "\n", encoding="utf-8")
-    print(f"wrote {len(runs)} runs to {PATH}")
+    fixture = {"data": make_data(), "runs": {}, "long_data": make_long_data()}
+    fixture["runs"] = {f"{v}-b{b}": record_case(case_data(fixture, v), v, b) for b, v in CASES}
+    PATH.write_text(json.dumps(fixture) + "\n", encoding="utf-8")
+    print(f"wrote {len(fixture['runs'])} runs to {PATH}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ heterogeneous per-client delays, a zero-round-trip client next to delayed
 ones, per-client step sizes and an active ball; ERM and fictitious play run
 on the same data with uniform delays and a ball that binds some solves on
 both sides; the bandit runs cover both policies, noisy rewards, period 1
-and periods that do not divide the horizon; see
+and periods that do not divide the horizon; the long exact-learner runs
+span several prefix-sum blocks on both sides; see
 record_sgd_characterization.py.
 """
 
@@ -18,7 +19,7 @@ import pytest
 
 from fedres.bandit import cb_regret
 
-from record_sgd_characterization import CASES, PATH, bandit_env, run
+from record_sgd_characterization import CASES, PATH, bandit_env, case_data, run
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 
@@ -26,7 +27,7 @@ FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("batch, variant", CASES)
 def test_engine_reproduces_recorded_run(variant, batch):
     want = FIXTURE["runs"][f"{variant}-b{batch}"]
-    res = run(FIXTURE["data"], variant, batch)
+    res = run(case_data(FIXTURE, variant), variant, batch)
     assert res.loss.tolist() == want["loss"]
     assert res.prediction.tolist() == want["prediction"]
     assert res.final_global.tolist() == want["final_global"]

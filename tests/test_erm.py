@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from fedres.channel import DelayConfig
 from fedres.core import HyperParams, Sample
 from fedres.datagen import gen_appendixc
 from fedres.engine import build_streams
-from fedres.erm import ErmSystem, run_fedres_erm, run_fictitious_play
+from fedres import erm
+from fedres.erm import BLOCK, ErmSystem, run_fedres_erm, run_fictitious_play
 from fedres.errors import ConfigError
 from fedres.solver import BASE_RIDGE
 
@@ -251,6 +255,59 @@ class TestComposedRuns:
         ds = dataset_from_streams(streams, 2, [2, 2])
         with pytest.raises(ConfigError):
             run_fedres_erm(ds, ((0, 1), (0, 0)), HyperParams(), 2, 0)
+
+
+class TestPrefixSums:
+    def test_tables_hold_one_block(self, rng):
+        """Memory is O(BLOCK): at a horizon of several blocks, every
+        prefix-sum table covers at most BLOCK + 1 stream rows."""
+        rounds, clients = 3 * BLOCK + 17, 2
+        streams = [scripted_stream(rng, rounds, 2, 2) for _ in range(clients)]
+        ds = dataset_from_streams(streams, 2, [2] * clients)
+        for variant in ("erm", "fictitious"):
+            system = ErmSystem(2, [2] * clients, DelayConfig.uniform(clients, 3, 2), HyperParams(),
+                               build_streams(ds, rounds, 0), variant=variant)
+            for _ in range(rounds):
+                system.step()
+                for sums in (system.client_sums, system.server_sums):
+                    for table, stride in zip(sums.tables, sums.strides):
+                        assert len(table) <= BLOCK * stride + 1
+            assert system.client_sums.start >= 2 * BLOCK  # several blocks were built
+
+    def test_finished_system_is_freed_by_reference_counting(self, rng):
+        """No reference cycle holds a finished system's arrays until the
+        cycle collector happens to run (a pool worker's memory would grow
+        with every rollout)."""
+        streams = [scripted_stream(rng, 5, 2, 2)]
+        ds = dataset_from_streams(streams, 2, [2])
+        gc.disable()
+        try:
+            for variant in ("erm", "fictitious"):
+                system = ErmSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(),
+                                   build_streams(ds, 5, 0), variant=variant)
+                for _ in range(5):
+                    system.step()
+                ref = weakref.ref(system)
+                del system
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_block_size_does_not_change_bits(self, rng, monkeypatch):
+        """Block boundaries at every row, and straddled differently by the
+        client and the server (alpha > 0), give the bits of one block."""
+        rounds = 30
+        streams = [scripted_stream(rng, rounds, 3, 2) for _ in range(3)]
+        ds = dataset_from_streams(streams, 3, [2] * 3)
+        for runner in (run_fedres_erm, run_fictitious_play):
+            want = runner(ds, (3, 2), HyperParams(radius=0.6), rounds, 0)
+            for block in (1, 2, 7):
+                monkeypatch.setattr(erm, "BLOCK", block)
+                got = runner(ds, (3, 2), HyperParams(radius=0.6), rounds, 0)
+                monkeypatch.undo()
+                assert got.prediction.tobytes() == want.prediction.tobytes()
+                assert got.final_global.tobytes() == want.final_global.tobytes()
+                assert np.array(got.final_locals).tobytes() == np.array(want.final_locals).tobytes()
 
 
 class TestStuckDynamics:

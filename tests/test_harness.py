@@ -84,6 +84,24 @@ class TestComputeRegret:
         with pytest.raises(ConfigError):
             compute_regret([])
 
+    def test_sum_is_the_record_order_loop(self, rng):
+        """Bit for bit the `total += gap` loop from 0.0, which also turns an
+        all -0.0 sum into 0.0."""
+        def regret_of_gaps(gaps):
+            # zero labels and a zero comparator price every record at +0.0
+            n, p = gaps.shape
+            run = columns_run(np.zeros((n, p)), np.zeros((n, p)), np.ones((n, p, 1)),
+                              np.ones((n, p, 1)))
+            run.loss = gaps
+            return compute_regret(run.traces, comparator=(np.zeros(1), [np.zeros(1)] * p))
+
+        spread = 10.0 ** rng.integers(-8, 9, (50, 7))
+        for gaps in (rng.normal(0, 1, (50, 7)) * spread, np.full((4, 3), -0.0)):
+            total = 0.0
+            for gap in gaps.ravel().tolist():
+                total += gap
+            assert regret_of_gaps(gaps).hex() == (total / gaps.size).hex()
+
 
 class TestAccuracy:
     def test_sign_agreement(self):

@@ -3,6 +3,7 @@ import pytest
 
 from fedres.errors import ConfigError
 from fedres.solver import (
+    BASE_RIDGE,
     ConstrainedLsProblem,
     alternating_joint_ls,
     solve_constrained_ls,
@@ -69,7 +70,49 @@ class TestSolveGram:
             assert via_gram == pytest.approx(via_rows, rel=1e-9, abs=1e-12)
 
     def test_zero_dimensional(self):
-        assert solve_gram(np.zeros((0, 0)), np.zeros(0), 1.0).shape == (0,)
+        for shape in ((), (3,)):
+            atb = np.zeros(shape + (0,))
+            assert solve_gram(np.zeros(shape + (0, 0)), atb, 1.0) is atb
+
+    def test_stack_matches_per_matrix_calls(self, rng):
+        """Each row of a stacked call has the bits of its own call, inside
+        the ball and on it; inside, those of np.linalg.solve on the ridged
+        matrix."""
+        kinds = set()
+        for _ in range(40):
+            p, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            rows = rng.normal(0, 1, (p, 12, d))
+            ata = np.einsum("pni,pnj->pij", rows, rows)
+            atb = np.einsum("pni,pn->pi", rows, rng.normal(0, 2, (p, 12)))
+            radius = float(rng.uniform(0.2, 1.5))
+            stacked = solve_gram(ata, atb, radius)
+            for i in range(p):
+                alone = solve_gram(ata[i], atb[i], radius)
+                assert alone.tobytes() == stacked[i].tobytes()
+                ridged = ata[i].copy()
+                ridged.flat[:: d + 1] += BASE_RIDGE
+                public = np.linalg.solve(ridged, atb[i])
+                inside = bool(np.linalg.norm(public) <= radius)
+                kinds.add(inside)
+                if inside:
+                    assert public.tobytes() == stacked[i].tobytes()
+                else:
+                    assert np.linalg.norm(stacked[i]) <= radius * (1 + 1e-12)
+        assert kinds == {True, False}
+        # -0.0 entries off the diagonal keep their sign: here it reaches the answer
+        ata, atb = np.array([[1.0, -0.0], [-0.0, 1.0]]), np.array([-0.0, 1.0])
+        ridged = ata.copy()
+        ridged.flat[::3] += BASE_RIDGE
+        assert solve_gram(ata[None], atb[None], 10.0)[0].tobytes() == np.linalg.solve(ridged, atb).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_singular_system_raises(self):
+        singular = np.zeros((2, 2))  # with no ridge, exactly singular
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_gram(singular, np.ones(2), 1.0, ridge=0.0)
+        stack = np.stack([np.eye(2), singular, np.eye(2)])
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_gram(stack, np.ones((3, 2)), 1.0, ridge=0.0)
 
 
 class TestAlternatingJointLs:
