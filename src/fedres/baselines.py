@@ -44,8 +44,8 @@ class _RoutedView:
             return empty, np.concatenate([xg, xl], axis=1), y
         return xg, empty, y
 
-    def stream_block(self, client_id, rounds, rng):
-        return self._route(*self.base.stream_block(client_id, rounds, rng))
+    def stream_block(self, client_id, rounds, seed):
+        return self._route(*self.base.stream_block(client_id, rounds, seed))
 
     def test_sets(self):
         return [SampleRows(*self._route(*rows_block(tests))) for tests in self.base.test_sets()]

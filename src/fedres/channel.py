@@ -80,6 +80,8 @@ class DelayConfig:
 
     def batched(self, batch_size: int) -> "DelayConfig":
         """Delays converted to batch rounds: ceil(alpha/b), ceil(beta/b)."""
+        if batch_size == 1:
+            return self
         b = batch_size
         return DelayConfig(
             alpha=tuple(-(-a // b) for a in self.alpha),

@@ -60,7 +60,7 @@ class MulticlassCorpus:
 
     @property
     def classes(self) -> list[int]:
-        return sorted(set(int(v) for v in self.labels))
+        return np.unique(self.labels).tolist()
 
     @property
     def n_classes(self) -> int:
@@ -216,8 +216,10 @@ class FederatedDataset:
     def n_clients(self) -> int:
         return len(self.clients)
 
-    def _draws(self, client_id: int, rounds: int, rng: np.random.Generator):
-        """(rows, picks): the Sample sequence a stream draws from and which rows, in order."""
+    def _draws(self, client_id: int, rounds: int, seed: int):
+        """(rows, picks): the Sample sequence a stream draws from and which rows,
+        in order. Only a pool-backed stream draws, from substream
+        "stream-<client_id>" of the seed."""
         if self.pregenerated is not None:
             stream = self.pregenerated[client_id]
             if rounds > len(stream):
@@ -228,17 +230,17 @@ class FederatedDataset:
         pool = self.clients[client_id].train
         if not pool:
             raise ConfigError(f"client {client_id} has an empty train pool")
+        rng = substream(seed, f"stream-{client_id}")
         epochs = [rng.permutation(len(pool)) for _ in range(-(-rounds // len(pool)))]
         return pool, np.concatenate(epochs)[:rounds]
 
-    def round_stream(self, client_id: int, rounds: int,
-                     rng: np.random.Generator) -> Sequence[Sample]:
-        rows, picks = self._draws(client_id, rounds, rng)
+    def round_stream(self, client_id: int, rounds: int, seed: int) -> Sequence[Sample]:
+        rows, picks = self._draws(client_id, rounds, seed)
         return rows[picks] if isinstance(picks, slice) else [rows[j] for j in picks]
 
-    def stream_block(self, client_id: int, rounds: int, rng: np.random.Generator):
+    def stream_block(self, client_id: int, rounds: int, seed: int):
         """round_stream as (x_global, x_local, y) row blocks, from the same draws."""
-        rows, picks = self._draws(client_id, rounds, rng)
+        rows, picks = self._draws(client_id, rounds, seed)
         return tuple(a[picks] for a in rows_block(rows))
 
     def test_sets(self) -> list[Sequence[Sample]]:
@@ -391,14 +393,16 @@ def gen_example2(
     xs = rng.standard_normal((clients, total, dim))
     eps = rng.standard_normal((clients, total)) * noise if noise > 0 else np.zeros((clients, total))
 
+    first_half = np.arange(clients) < clients // 2
+    w = ug + np.where(first_half[:, None], v, -v)  # (P, dim): ug + u_i
+    ys = (xs @ w[:, :, None])[..., 0]
+    ys += eps
+
     streams: list[SampleRows] = []
     client_data: list[ClientData] = []
     for i in range(clients):
-        u_i = v if i < clients // 2 else -v
-        w = ug + u_i
-        ys = xs[i] @ w + eps[i]
-        train = SampleRows(xs[i, :rounds], xs[i, :rounds], ys[:rounds])
-        test = SampleRows(xs[i, rounds:], xs[i, rounds:], ys[rounds:])
+        train = SampleRows(xs[i, :rounds], xs[i, :rounds], ys[i, :rounds])
+        test = SampleRows(xs[i, rounds:], xs[i, rounds:], ys[i, rounds:])
         streams.append(train)
         client_data.append(
             ClientData(train=train, test=test, task=("sign-split", i < clients // 2))

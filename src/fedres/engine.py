@@ -51,7 +51,6 @@ from .channel import ALL, DelayConfig, DelayedChannel, Lag, as_delay_config
 from .core import HyperParams, project_ball
 from .errors import ConfigError, InvariantError
 from .results import RunResult, check_finite, squared_loss
-from .rng import substream
 
 VARIANTS = ("aligned", "misaligned", "asymmetric")
 
@@ -189,7 +188,7 @@ def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):
         raise ConfigError(f"clients need one local dimension, got {list(dataset.d_locals)}")
     clients = dataset.n_clients
     for i in range(clients):
-        block = dataset.stream_block(i, rounds, substream(seed, f"stream-{i}"))
+        block = dataset.stream_block(i, rounds, seed)
         if i == 0:
             out = [np.empty((clients, *a.shape)) for a in block]
         for column, a in zip(out, block):

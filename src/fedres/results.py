@@ -72,7 +72,7 @@ class RunResult:
         with np.errstate(over="ignore", invalid="ignore"):
             self.loss = squared_loss(self.prediction, self.label)
         check_finite(self.loss)
-        if not all(np.isfinite(w).all() for w in [self.final_global, *self.final_locals]):
+        if not (np.isfinite(self.final_global).all() and np.isfinite(self.final_locals).all()):
             raise InvariantError("non-finite final model")
 
     @property

@@ -14,6 +14,11 @@ per row: every row is first solved with the base ridge in one stacked
 call, and only the rows whose solution leaves the ball (or is not finite)
 are re-solved one at a time by the scalar path, bisection included. Each
 row's bits are those of a separate call.
+
+The regret comparator alternating_joint_ls works on the same stacks: its
+data is client-major, xg (P, n, dg), xl (P, n, dl), y (P, n), and each of
+its iterations is one stacked solve_gram call for the P locals and one for
+the global.
 """
 
 from __future__ import annotations
@@ -126,51 +131,59 @@ def solve_constrained_ls(p: ConstrainedLsProblem, ridge: float = BASE_RIDGE) -> 
 
 
 def alternating_joint_ls(
-    xg_by_client: list[np.ndarray],
-    xl_by_client: list[np.ndarray],
-    y_by_client: list[np.ndarray],
+    xg: np.ndarray,
+    xl: np.ndarray,
+    y: np.ndarray,
     radius: float,
     tol: float = 1e-8,
     max_iters: int = 1000,
-) -> tuple[np.ndarray, list[np.ndarray], float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Best joint (global, per-client local) fit of pooled offline data.
 
-    Alternates exact ball-constrained solves (all locals given the global,
-    then the global given all locals) until the total squared error
-    improves by less than tol. Used as the default regret comparator.
-    Returns (global, locals, final objective).
-    """
-    clients = len(xg_by_client)
-    d = xg_by_client[0].shape[1] if clients else 0
-    gram_g = [xg.T @ xg for xg in xg_by_client]
-    gram_l = [xl.T @ xl for xl in xl_by_client]
-    cross = [xg.T @ xl for xg, xl in zip(xg_by_client, xl_by_client)]
-    gy = [xg.T @ y for xg, y in zip(xg_by_client, y_by_client)]
-    ly = [xl.T @ y for xl, y in zip(xl_by_client, y_by_client)]
-    gram_g_total = sum(gram_g) if clients else np.zeros((d, d))
+    The data is stacked client-major: xg (P, n, dg), xl (P, n, dl) and
+    y (P, n), each client's n records in order; an equal-shape list of
+    per-client blocks converts. Alternates exact ball-constrained solves
+    (all locals given the global, then the global given all locals) until
+    the total squared error improves by less than tol. Used as the default
+    regret comparator. Returns (global (dg,), locals (P, dl), final
+    objective).
 
-    wg = np.zeros(d)
-    wls = [np.zeros(xl.shape[1]) for xl in xl_by_client]
+    Each side is one stacked solve_gram call per iteration, and sums over
+    clients run in client order from zero, so the bits are those of a
+    client-by-client loop (tests/joint_ls_oracle.py).
+    """
+    try:
+        xg, xl, y = (np.ascontiguousarray(a, dtype=float) for a in (xg, xl, y))
+    except ValueError:
+        raise ConfigError("every client needs the same number of records") from None
+    if xg.ndim != 3 or xl.ndim != 3 or not xg.shape[:2] == xl.shape[:2] == y.shape:
+        raise ConfigError(f"blocks {xg.shape}, {xl.shape} and labels {y.shape} are not "
+                          "(P, n, dg), (P, n, dl) and (P, n)")
+    xgt, xlt = xg.swapaxes(1, 2), xl.swapaxes(1, 2)
+    gram_g_total = _client_sum(xgt @ xg)
+    gram_l, cross = xlt @ xl, xgt @ xl
+    cross_t = cross.swapaxes(1, 2)
+    gy, ly = (xgt @ y[..., None])[..., 0], (xlt @ y[..., None])[..., 0]
+
+    wg = np.zeros(xg.shape[2])
+    wls = np.zeros((len(xl), xl.shape[2]))
 
     def objective() -> float:
-        return float(
-            sum(
-                np.sum((y - xg @ wg - xl @ wl) ** 2)
-                for xg, xl, y, wl in zip(xg_by_client, xl_by_client, y_by_client, wls)
-            )
-        )
+        r = y - xg @ wg
+        r -= (xl @ wls[..., None])[..., 0]
+        return float(_client_sum(np.sum(np.square(r, out=r), axis=1)))
 
     prev = objective()
     for _ in range(max_iters):
-        wls = [
-            solve_gram(gram_l[i], ly[i] - cross[i].T @ wg, radius) for i in range(clients)
-        ]
-        rhs = np.zeros(d)
-        for i in range(clients):
-            rhs += gy[i] - cross[i] @ wls[i]
-        wg = solve_gram(gram_g_total, rhs, radius)
+        wls = solve_gram(gram_l, ly - cross_t @ wg, radius)
+        wg = solve_gram(gram_g_total, _client_sum(gy - (cross @ wls[..., None])[..., 0]), radius)
         cur = objective()
         if prev - cur < tol:
             return wg, wls, cur
         prev = cur
     return wg, wls, prev
+
+
+def _client_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the client axis 0: the bits of a `total += a[i]` loop from zero."""
+    return 0.0 + np.add.accumulate(a, axis=0)[-1]

@@ -23,6 +23,12 @@ and at periods that do not divide the horizon) and the uniform policy on
 a seeded environment. They draw their contexts and rewards from the
 seed's substreams, and add the per-round actions, the contextual regret
 and the exploration count to the record.
+
+Every SGD and exact-learner run also records its average regret
+(compute_regret) and the regret comparator's models and objective
+(alternating_joint_ls on each client's records in order), at the run's
+own radius and at COMPARATOR_RADIUS, where every comparator solve binds
+the ball. They are stored under "regret", after the stream data.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from fedres.core import HyperParams, Sample
 from fedres.datagen import ClientData, FederatedDataset
 from fedres.engine import run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
+from fedres.harness import compute_regret
+from fedres.solver import alternating_joint_ls
+
+from joint_ls_oracle import client_blocks
 
 PATH = Path(__file__).parent / "data" / "sgd_characterization.json"
 ROUNDS, D_GLOBAL, D_LOCAL = 24, 3, 2
@@ -62,8 +72,11 @@ BANDIT = {
 }
 BANDIT_ACTIONS, BANDIT_SEED = 3, 11
 BANDIT_HYPER = dict(radius=1.5, eta_global=0.3, eta_local=(0.2, 0.4, 0.3, 0.5))
+COMPARATOR_RADIUS = 0.3
 CASES = ([(b, v) for v in VARIANTS for b in BATCHES] + [(1, v) for v in EXACT]
          + [(1, v) for v in BANDIT] + [(1, v) for v in LONG])
+
+REGRET_CASES = [(b, v) for b, v in CASES if v not in BANDIT]
 
 
 def make_data(seed: int = 2024) -> dict:
@@ -144,6 +157,22 @@ def record(res) -> dict:
     return out
 
 
+def run_radius(variant: str) -> float:
+    if variant in LONG:
+        return LONG_RADIUS
+    return EXACT_RADIUS if variant in EXACT else HYPER["radius"]
+
+
+def record_regret(res, variant: str) -> list:
+    out = []
+    for radius in (run_radius(variant), COMPARATOR_RADIUS):
+        wg, wls, objective = alternating_joint_ls(*client_blocks(res), radius)
+        out.append({"radius": radius, "regret": compute_regret(res.traces, radius=radius),
+                    "wg": wg.tolist(), "wls": [w.tolist() for w in wls],
+                    "objective": objective})
+    return out
+
+
 def record_case(data: dict, variant: str, batch: int) -> dict:
     res = run(data, variant, batch)
     out = record(res)
@@ -156,6 +185,8 @@ def record_case(data: dict, variant: str, batch: int) -> dict:
 def main() -> None:
     fixture = {"data": make_data(), "runs": {}, "long_data": make_long_data()}
     fixture["runs"] = {f"{v}-b{b}": record_case(case_data(fixture, v), v, b) for b, v in CASES}
+    fixture["regret"] = {f"{v}-b{b}": record_regret(run(case_data(fixture, v), v, b), v)
+                         for b, v in REGRET_CASES}
     PATH.write_text(json.dumps(fixture) + "\n", encoding="utf-8")
     print(f"wrote {len(fixture['runs'])} runs to {PATH}")
 

@@ -35,6 +35,7 @@ class TestDelayConfig:
     def test_batched_uses_ceiling(self):
         cfg = DelayConfig(alpha=(0, 3, 4), beta=(1, 8, 0))
         assert cfg.batched(4) == DelayConfig(alpha=(0, 1, 1), beta=(1, 2, 0))
+        assert cfg.batched(1) is cfg
 
     def test_coercions(self):
         assert as_delay_config(None, 2) == DelayConfig.uniform(2)

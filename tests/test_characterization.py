@@ -8,7 +8,9 @@ ones, per-client step sizes and an active ball; ERM and fictitious play run
 on the same data with uniform delays and a ball that binds some solves on
 both sides; the bandit runs cover both policies, noisy rewards, period 1
 and periods that do not divide the horizon; the long exact-learner runs
-span several prefix-sum blocks on both sides; see
+span several prefix-sum blocks on both sides. Every SGD and exact run also
+reproduces its recorded regret and the regret comparator's models, at its
+own radius and at one where every comparator solve binds the ball; see
 record_sgd_characterization.py.
 """
 
@@ -18,8 +20,11 @@ import numpy as np
 import pytest
 
 from fedres.bandit import cb_regret
+from fedres.harness import compute_regret
+from fedres.solver import alternating_joint_ls
 
-from record_sgd_characterization import CASES, PATH, bandit_env, case_data, run
+from joint_ls_oracle import client_blocks
+from record_sgd_characterization import CASES, PATH, REGRET_CASES, bandit_env, case_data, run
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 
@@ -51,3 +56,15 @@ def test_trace_view_matches_recorded_columns():
         assert tr.loss == want["loss"][n][i]
         assert list(tr.prediction) == want["prediction"][n][i]
     assert np.isfinite(res.loss).all()
+
+
+@pytest.mark.parametrize("batch, variant", REGRET_CASES)
+def test_regret_and_comparator_reproduce_recorded_values(variant, batch):
+    res = run(case_data(FIXTURE, variant), variant, batch)
+    for want in FIXTURE["regret"][f"{variant}-b{batch}"]:
+        radius = want["radius"]
+        assert compute_regret(res.traces, radius=radius) == want["regret"]
+        wg, wls, objective = alternating_joint_ls(*client_blocks(res), radius)
+        assert wg.tolist() == want["wg"]
+        assert [w.tolist() for w in wls] == want["wls"]
+        assert objective == want["objective"]

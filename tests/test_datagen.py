@@ -9,8 +9,8 @@ from fedres.datagen import (
     serialize_libsvm,
     write_partition_manifest,
 )
+from fedres.engine import build_streams
 from fedres.errors import ConfigError
-from fedres.rng import substream
 
 
 def toy_corpus(rng, n=200, k=8, d=6):
@@ -31,6 +31,11 @@ class TestParser:
         assert corpus.features.tolist() == [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]]
         assert corpus.line_numbers.tolist() == [1, 2]
         assert corpus.d == 3 and corpus.n_classes == 2
+
+    def test_classes_are_sorted_distinct_ints(self):
+        corpus = parse_libsvm("7 1:1\n-2 1:1\n7 1:2\n3 1:0\n-2 1:5\n")
+        assert corpus.classes == [-2, 3, 7]
+        assert all(type(c) is int for c in corpus.classes)
 
     def test_blank_lines_skipped_with_numbering(self):
         corpus = parse_libsvm("1 1:1\n\n2 1:2\n")
@@ -132,12 +137,23 @@ class TestPartition:
         ds = partition_federated(corpus, clients=2, n0=10, seed=4)
         pool = ds.clients[0].train
         horizon = 3 * len(pool)
-        stream = ds.round_stream(0, horizon, substream(4, "stream-0"))
+        stream = ds.round_stream(0, horizon, 4)
         for e in range(3):
             epoch = stream[e * len(pool) : (e + 1) * len(pool)]
             assert sorted(id(s) for s in epoch) == sorted(id(s) for s in pool)
-        again = ds.round_stream(0, horizon, substream(4, "stream-0"))
+        again = ds.round_stream(0, horizon, 4)
         assert [id(s) for s in again] == [id(s) for s in stream]
+
+    def test_pregenerated_streams_build_no_generator(self, monkeypatch):
+        ds = gen_example2(4, 2, np.ones(2), 0.0, 10, 0)
+        want = build_streams(ds, 10, 0)
+
+        def no_generator(*args):
+            raise AssertionError("a pre-generated stream built a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for a, b in zip(build_streams(ds, 10, 0), want):
+            assert a.tobytes() == b.tobytes()
 
     def test_manifest_lines(self, rng, tmp_path):
         corpus = parse_libsvm(toy_corpus(rng, n=200, k=8))
@@ -215,4 +231,4 @@ class TestComplementaryViewsGenerator:
     def test_horizon_overflow_rejected(self):
         ds = gen_appendixc(10, 0)
         with pytest.raises(ConfigError):
-            ds.round_stream(0, 11, substream(0, "s"))
+            ds.round_stream(0, 11, 0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from fedres import harness
 from fedres.cli import main as cli_main
 from fedres.core import HyperParams, Sample
-from fedres.datagen import gen_example2
+from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated, rows_block
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError
 from fedres.harness import (
@@ -120,6 +121,46 @@ class TestAccuracy:
             final_locals = [np.array([0.0])]
 
         assert evaluate_accuracy(TinyDataset(), R()) == pytest.approx(2 / 3)
+
+    @staticmethod
+    def per_client_loop(dataset, result) -> float:
+        """The client-by-client accuracy that the grouped passes replaced."""
+        correct = n = 0
+        for tests, wl in zip(dataset.test_sets(), result.final_locals):
+            xg, xl, y = rows_block(tests)
+            if not len(y):
+                continue
+            pred = np.vecdot(xg, result.final_global) + np.vecdot(xl, wl)
+            correct += int(np.count_nonzero((pred >= 0) == (y > 0)))
+            n += len(y)
+        return correct / n if n else float("nan")
+
+    @pytest.mark.parametrize("group_rows", [4, 10, harness.ACCURACY_ROWS])
+    def test_grouped_passes_are_the_per_client_loop(self, rng, monkeypatch, group_rows):
+        monkeypatch.setattr(harness, "ACCURACY_ROWS", group_rows)
+        corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
+        ds = partition_federated(corpus, clients=4, n0=10, seed=3)
+        for client, keep in zip(ds.clients, (None, 3, 0, 7)):  # unequal and empty test sets
+            client.test = client.test[:keep] if keep != 0 else []  # a plain list: (0, 0) blocks
+        assert [len(c.test) for c in ds.clients] == [12, 3, 0, 7]
+        seen = set()
+        for algo in ("fedres-sgd", "independent", "central"):
+            res, view = dispatch(ExperimentConfig(algo=algo, clients=4, rounds=40), ds, 0)
+            acc = evaluate_accuracy(view, res)
+            assert acc == self.per_client_loop(view, res)
+            seen.add(acc)
+        assert len(seen) > 1  # the views route features differently
+
+    def test_no_test_rows_is_nan(self, rng):
+        ds = gen_appendixc(20, 0)  # test sets are empty lists
+        res = run_fedres_sgd(ds, 0, HyperParams(), 20, 0)
+        assert np.isnan(evaluate_accuracy(ds, res))
+        corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
+        ds = partition_federated(corpus, clients=2, n0=10, seed=3)
+        for client in ds.clients:
+            client.test = client.test[:0]
+        res = run_fedres_sgd(ds, 0, HyperParams(), 20, 0)
+        assert np.isnan(evaluate_accuracy(ds, res))
 
 
 class TestConfigValidation:

@@ -6,6 +6,7 @@ from fedres.core import HyperParams, Sample
 from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2, rows_block
 from fedres.engine import SgdSystem, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
+from fedres.results import RunResult
 
 from conftest import ball_project_oracle
 
@@ -223,6 +224,18 @@ class TestNumericHealth:
         hp = HyperParams(radius=1.0, eta_global=1e-150, eta_local=1e-150)
         with pytest.raises(InvariantError, match="non-finite loss at round 1, client 0"):
             run_fedres_sgd(ds, 0, hp, 3, 0)
+
+    def test_non_finite_final_model_is_caught(self):
+        y = np.zeros((2, 3, 1))
+        x = np.zeros((2, 3, 1, 2))
+        RunResult(y, y, x, x, np.zeros(2), [np.zeros(2)] * 3, [2] * 3)
+        for bad in (0, 2):
+            locals_ = [np.zeros(2) for _ in range(3)]
+            locals_[bad][1] = np.inf
+            with pytest.raises(InvariantError, match="non-finite final model"):
+                RunResult(y, y, x, x, np.zeros(2), locals_, [2] * 3)
+        with pytest.raises(InvariantError, match="non-finite final model"):
+            RunResult(y, y, x, x, np.array([0.0, np.nan]), [np.zeros(2)] * 3, [2] * 3)
 
     def test_nan_data_is_caught(self, rng):
         streams = [scripted_stream(rng, 6, 2, 2) for _ in range(2)]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from fedres.baselines import central_view, independent_view
+from fedres.core import DEFAULT_RADIUS
+from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
+from fedres.engine import build_streams
 from fedres.errors import ConfigError
+from fedres.harness import compute_regret
+from fedres.results import RunResult
 from fedres.solver import (
     BASE_RIDGE,
     ConstrainedLsProblem,
@@ -11,6 +17,8 @@ from fedres.solver import (
 )
 
 from conftest import ls_objective, pgd_ls_oracle
+from joint_ls_oracle import alternating_joint_ls_oracle, client_blocks
+from test_datagen import toy_corpus
 
 
 def problem(rows, targets, radius):
@@ -119,23 +127,80 @@ class TestAlternatingJointLs:
     def test_recovers_realizable_joint_model(self, rng):
         d, clients, n = 3, 4, 60
         wg_true = rng.normal(0, 0.5, d)
-        wl_true = [rng.normal(0, 0.5, 2) for _ in range(clients)]
-        xg, xl, ys = [], [], []
+        wl_true = np.array([rng.normal(0, 0.5, 2) for _ in range(clients)])
+        xg, xl = np.empty((clients, n, d)), np.empty((clients, n, 2))
         for i in range(clients):
-            a = rng.normal(0, 1, (n, d))
-            b = rng.normal(0, 1, (n, 2))
-            xg.append(a)
-            xl.append(b)
-            ys.append(a @ wg_true + b @ wl_true[i])
+            xg[i], xl[i] = rng.normal(0, 1, (n, d)), rng.normal(0, 1, (n, 2))
+        ys = xg @ wg_true + np.vecdot(xl, wl_true[:, None, :])
         wg, wls, obj = alternating_joint_ls(xg, xl, ys, radius=10.0, tol=1e-12)
+        assert wls.shape == (clients, 2)
         assert obj <= 1e-8
         for i in range(clients):
             pred = xg[i] @ wg + xl[i] @ wls[i]
             assert pred == pytest.approx(ys[i], abs=1e-4)
 
     def test_objective_never_worse_than_zero_model(self, rng):
-        xg = [rng.normal(0, 1, (20, 2))]
-        xl = [rng.normal(0, 1, (20, 2))]
-        ys = [rng.normal(0, 2, 20)]
+        xg = rng.normal(0, 1, (1, 20, 2))
+        xl = rng.normal(0, 1, (1, 20, 2))
+        ys = rng.normal(0, 2, (1, 20))
         _, _, obj = alternating_joint_ls(xg, xl, ys, radius=1.0)
         assert obj <= float(np.sum(ys[0] ** 2)) + 1e-12
+
+    def test_rejects_unequal_or_inconsistent_blocks(self, rng):
+        xg = [rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (6, 2))]
+        xl = [rng.normal(0, 1, (5, 1)), rng.normal(0, 1, (6, 1))]
+        ys = [rng.normal(0, 1, 5), rng.normal(0, 1, 6)]
+        with pytest.raises(ConfigError):
+            alternating_joint_ls(xg, xl, ys, radius=1.0)
+        with pytest.raises(ConfigError):
+            alternating_joint_ls(np.zeros((2, 5, 2)), np.zeros((2, 4, 1)), np.zeros((2, 5)), 1.0)
+        with pytest.raises(ConfigError):
+            alternating_joint_ls(np.zeros((5, 2)), np.zeros((5, 1)), np.zeros(5), 1.0)
+
+
+def streams_run(dataset, rounds: int, batch_size: int = 1):
+    """The stream blocks of a dataset as a run's columns (the comparator
+    reads nothing else)."""
+    xg, xl, y = build_streams(dataset, rounds, 0, batch_size)
+    return RunResult(y, y, xg, xl, np.zeros(xg.shape[-1]), [np.zeros(xl.shape[-1])] * y.shape[1],
+                     [len(y)] * y.shape[1])
+
+
+class TestComparatorMatchesOracle:
+    """The stacked comparator has the bits of the per-client oracle it replaced."""
+
+    @staticmethod
+    def assert_oracle_bits(run, radius):
+        blocks = client_blocks(run)
+        want_g, want_l, want_obj = alternating_joint_ls_oracle(*blocks, radius)
+        for data in (blocks, [np.stack(b) for b in blocks]):
+            wg, wls, obj = alternating_joint_ls(*data, radius)
+            assert wg.tobytes() == want_g.tobytes()
+            assert wls.tobytes() == np.array(want_l).reshape(wls.shape).tobytes()
+            assert obj.hex() == want_obj.hex()
+        # compute_regret hands its columns to the same comparator
+        assert (compute_regret(run.traces, radius=radius)
+                == compute_regret(run.traces, comparator=(want_g, want_l)))
+        return want_g, np.array(want_l).reshape(len(want_l), -1)
+
+    def test_fleet_shape(self):
+        ds = gen_example2(100, 4, np.full(4, 0.5), 0.0, 500, seed=3, test_rounds=0)
+        self.assert_oracle_bits(streams_run(ds, 500), DEFAULT_RADIUS)
+
+    def test_single_client_long_stream(self):
+        self.assert_oracle_bits(streams_run(gen_appendixc(20_000, 1), 20_000), DEFAULT_RADIUS)
+
+    def test_batched_records_and_routed_views(self, rng):
+        corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
+        ds = partition_federated(corpus, clients=4, n0=10, seed=2)
+        for view in (ds, independent_view(ds), central_view(ds)):
+            wg, wls = self.assert_oracle_bits(streams_run(view, 100, batch_size=10), 1.0)
+            assert (wg.shape, wls.shape) == ((view.d_global,), (4, view.d_locals[0]))
+
+    def test_binding_radius_bisects_on_both_sides(self):
+        ds = gen_example2(6, 3, np.full(3, 1.0), 0.1, 80, seed=5, u_global=np.ones(3), test_rounds=0)
+        radius = 0.2
+        wg, wls = self.assert_oracle_bits(streams_run(ds, 80), radius)
+        assert np.linalg.norm(wg) == pytest.approx(radius, rel=1e-6)
+        norms = np.linalg.norm(wls, axis=1)
+        assert np.isclose(norms, radius, rtol=1e-6).sum() >= 3 and norms.max() <= radius * (1 + 1e-9)
