@@ -6,8 +6,10 @@ epsilon-greedy contextual-bandit layer."""
 
 from .bandit import (
     BanditEnv,
+    BanditEpisode,
     cb_regret,
     choose_action,
+    draw_episode,
     make_realizable_env,
     run_epsilon_greedy,
     run_uniform_policy,
@@ -45,8 +47,9 @@ from .results import RoundTrace, RunResult
 from .solver import ConstrainedLsProblem, alternating_joint_ls, solve_constrained_ls, solve_gram
 
 __all__ = [
-    "BanditEnv", "cb_regret", "choose_action", "make_realizable_env", "run_epsilon_greedy",
-    "run_uniform_policy", "suggested_exploration_period",
+    "BanditEnv", "BanditEpisode", "cb_regret", "choose_action", "draw_episode",
+    "make_realizable_env", "run_epsilon_greedy", "run_uniform_policy",
+    "suggested_exploration_period",
     "run_central", "run_independent", "DelayConfig", "DelayedChannel",
     "HyperParams", "Sample", "default_eta", "grad_global", "grad_local", "loss",
     "predict_joint", "project_ball", "suggested_step_size",

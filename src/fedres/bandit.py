@@ -6,22 +6,30 @@ reward) as one squared-loss sample into the wrapped learner - one learner
 round per exploration round, so communication delays are counted in
 exploration rounds here. All other rounds are pure exploitation: argmax of
 the predicted value under the client's current model pair, lowest index on
-ties, with no model update.
+ties, with no model update (epoch-greedy, Langford & Zhang 2007).
 
 Context sets and full reward vectors come from their own substreams
 regardless of the policy, so different policies on the same seed see
-identical environments (paired comparisons). A run therefore draws them
-for the whole horizon up front: contexts (T, P, k, d) and rewards
-(T, P, k). The model pair changes only at an exploration round, so the
-policy walks the horizon one exploration block (rounds s+1 .. s+B) at a
-time: one array pass prices every action of the block under the current
-pair and takes the greedy choices, the block's last round redraws its
-actions uniformly, and the learner steps once on the chosen samples. The
-uniform policy is one block whose actions are all drawn.
+identical environments (paired comparisons). draw_episode draws them once
+for the whole horizon - contexts (T, P, k, d), true means and realized
+rewards (T, P, k) - and every policy on that seed runs on the one draw.
+
+Greedy choices never reach the learner, so a policy runs in three array
+passes. It draws every exploration pick first, gathers the explored
+samples into an (E, P, 1, d) stream and steps the learner over it,
+recording the model pair in force in each exploration block (rounds
+s+1 .. s+B act on the pair after s / B steps). One pass then prices every
+action of every round under its block's pair and takes the greedy
+choices, and the exploration rounds are overwritten with their picks.
+The uniform policy never explores and draws all its actions instead, so
+it skips that pass. The prediction column prices the chosen contexts
+under the same pairs; np.vecdot gives every element the bits it has in a
+block-by-block loop.
 
 A run returns a BanditResult: the RunResult columns, with the realized
 reward of the chosen action as label and its contexts as x_global /
-x_local, plus the actions and the full context sets that cb_regret prices.
+x_local, plus the actions, and the episode's context sets and true means
+(shared, not copied), which cb_regret prices.
 """
 
 from __future__ import annotations
@@ -111,71 +119,106 @@ def choose_action(wg: np.ndarray, wl: np.ndarray, xg: np.ndarray, xl: np.ndarray
     return np.argmax(values, axis=-1), values
 
 
+@dataclass(frozen=True)
+class BanditEpisode:
+    """One seed's environment draw, shared by every policy run on it: the
+    context sets context_global (T, P, k, dg) and context_local (T, P, k, dl),
+    their true mean rewards means (T, P, k), the realized rewards reward
+    (T, P, k), and the seed whose substreams draw the policies' actions."""
+
+    seed: int
+    context_global: np.ndarray
+    context_local: np.ndarray
+    means: np.ndarray
+    reward: np.ndarray
+
+
+def draw_episode(env: BanditEnv, rounds: int, seed: int) -> BanditEpisode:
+    """The contexts, true means and realized rewards of the horizon, drawn
+    once from the seed's substreams."""
+    if rounds < 1:
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
+    xg, xl = env.context_blocks(substream(seed, "bandit-contexts"), rounds)
+    means = env.mean_rewards(xg, xl)
+    reward = env.noisy_rewards(substream(seed, "bandit-rewards"), means)
+    return BanditEpisode(seed, xg, xl, means, reward)
+
+
 @dataclass
 class BanditResult(RunResult):
-    """A bandit run's columns (see the module doc), its actions (T, P), its
-    context sets context_global (T, P, k, dg) and context_local (T, P, k, dl),
-    and how many rounds explored."""
+    """A bandit run's columns (see the module doc), its actions (T, P), the
+    episode's context sets context_global (T, P, k, dg) and context_local
+    (T, P, k, dl) and true means (T, P, k), and how many rounds explored."""
 
     action: np.ndarray
     context_global: np.ndarray
     context_local: np.ndarray
+    means: np.ndarray
     exploration_rounds: int
 
 
-def run_epsilon_greedy(env: BanditEnv, delays, hyper: HyperParams, rounds: int,
-                       period: int, seed: int) -> BanditResult:
+def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
+                       period: int) -> BanditResult:
     """Periodic-exploration policy backed by the delayed-gradient learner."""
-    return _run_policy(env, delays, hyper, rounds, period, seed, uniform=False)
+    return _run_policy(episode, delays, hyper, period, uniform=False)
 
 
-def run_uniform_policy(env: BanditEnv, rounds: int, seed: int) -> BanditResult:
-    """Always-uniform baseline on the identical environment draws."""
-    return _run_policy(env, 0, HyperParams(), rounds, rounds + 1, seed, uniform=True)
+def run_uniform_policy(episode: BanditEpisode) -> BanditResult:
+    """Always-uniform baseline on the episode's draws."""
+    return _run_policy(episode, 0, HyperParams(), len(episode.reward) + 1, uniform=True)
 
 
-def _run_policy(env, delays, hyper, rounds, period, seed, uniform):
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
+def _run_policy(episode, delays, hyper, period, uniform):
     if period < 1:
         raise ConfigError(f"exploration period must be >= 1, got {period}")
-    delays = as_delay_config(delays, env.n_clients)
-    system = SgdSystem(env.d_global, env.d_locals, delays, hyper)
-    xg, xl = env.context_blocks(substream(seed, "bandit-contexts"), rounds)
-    reward = env.noisy_rewards(substream(seed, "bandit-rewards"), env.mean_rewards(xg, xl))
-    rng = substream(seed, "bandit-uniform" if uniform else "bandit-explore")
-    clients = np.arange(env.n_clients)
-    action = np.empty((rounds, env.n_clients), dtype=np.int64)
-    value = np.empty(reward.shape)
-    for start in range(0, rounds, period):
-        block = slice(start, min(start + period, rounds))
-        action[block], value[block] = choose_action(system.fetched, system.wl, xg[block],
-                                                    xl[block])
-        if block.stop % period == 0:  # the block's last round explores
-            t, pick = block.stop - 1, rng.integers(env.k, size=env.n_clients)
-            action[t] = pick
-            system.run_round(xg[t, clients, pick], xl[t, clients, pick], reward[t, clients, pick])
+    xg, xl, reward = episode.context_global, episode.context_local, episode.reward
+    rounds, clients, k, dg = xg.shape
+    dl = xl.shape[-1]
+    rng = substream(episode.seed, "bandit-uniform" if uniform else "bandit-explore")
+    explored = np.arange(period - 1, rounds, period)  # each full block's last round
+    # the picks one call per block would draw: integers() takes 32-bit draws, and
+    # PCG64 keeps the spare half of a 64-bit output between calls
+    picks = rng.integers(k, size=(len(explored), clients))
+    at = explored[:, None], np.arange(clients), picks
+    system = SgdSystem(dg, [dl] * clients, as_delay_config(delays, clients), hyper,
+                       streams=(xg[at][:, :, None], xl[at][:, :, None], reward[at][:, :, None]))
+    blocks = -(-rounds // period)
+    pair_g, pair_l = np.empty((blocks, clients, dg)), np.empty((blocks, clients, dl))
+    for j in range(blocks):  # block j acts on the pair after j steps
+        pair_g[j], pair_l[j] = system.fetched, system.wl  # fetched is (dg,) under uniform beta
+        if j < len(explored):
+            system.step()
+    in_force = np.arange(rounds) // period
+    wg, wl = pair_g[in_force], pair_l[in_force]
     if uniform:
-        action = rng.integers(env.k, size=action.shape)
+        action = rng.integers(k, size=(rounds, clients))
+    else:
+        action, _ = choose_action(wg, wl, xg, xl)
+        action[explored] = picks
     chosen = action[..., None]
+    x_global = np.take_along_axis(xg, chosen[..., None], axis=-2)
+    x_local = np.take_along_axis(xl, chosen[..., None], axis=-2)
+    _, prediction = choose_action(wg, wl, x_global, x_local)  # vecdot: per-element bits
     return BanditResult(
-        prediction=np.take_along_axis(value, chosen, axis=-1),
+        prediction=prediction,
         label=np.take_along_axis(reward, chosen, axis=-1),
-        x_global=np.take_along_axis(xg, chosen[..., None], axis=-2),
-        x_local=np.take_along_axis(xl, chosen[..., None], axis=-2),
+        x_global=x_global,
+        x_local=x_local,
         final_global=system.wg,
         final_locals=list(system.wl),
         fetch_counts=system.channel.fetch_counts,
         action=action,
         context_global=xg,
         context_local=xl,
+        means=episode.means,
         exploration_rounds=system.t,
     )
 
 
 def cb_regret(traces, env: BanditEnv) -> float:
-    """Average forgone true mean reward of a bandit run's logged actions;
-    traces is the run's trace view, priced as one block."""
+    """Average forgone true mean reward of a bandit run's logged actions,
+    priced from its episode's means; traces is the run's trace view and env
+    the environment the episode was drawn from."""
     if not len(traces):
         raise ConfigError("empty trace")
     result = getattr(traces, "result", None)
@@ -183,7 +226,7 @@ def cb_regret(traces, env: BanditEnv) -> float:
         raise ConfigError("traces lack the bandit fields; trace/env mismatch")
     if result.clients != env.n_clients:
         raise ConfigError(f"traces of {result.clients} clients, env of {env.n_clients}")
-    means = env.mean_rewards(result.context_global, result.context_local)
+    means = result.means
     gaps = means.max(axis=-1) - np.take_along_axis(means, result.action[..., None], -1)[..., 0]
     # the running sum of a loop over the records in order, bit for bit
     return float(np.add.accumulate(gaps.ravel())[-1]) / len(traces)

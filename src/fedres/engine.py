@@ -16,11 +16,11 @@ Warmup rounds (s <= 0) skip the step.
 Array layout: wg (dg,), wl (P, dl), the channel's ring of global
 snapshots, and round-indexed rows (L, P, b, ...) of x_global, x_local and
 label plus each client's prediction and residual (prediction - label).
-Round r lives in row (r - 1) % L (see channel.Lag). run_fedres_sgd passes
-the whole (N, P, b, ...) stream, so L = N and the rows are the result
-columns; run_round feeds one round at a time into a ring of max round
-trip + 1 rows. A round is a fixed handful of NumPy operations over all P
-clients, and b = 1 is an ordinary batch of one.
+Round r lives in row (r - 1) % L (see channel.Lag). The caller passes the
+whole (N, P, b, ...) stream - run_fedres_sgd the dataset's, the bandit
+policies their gathered exploration samples - so L = N and the rows are
+the result columns. A round is a fixed handful of NumPy operations over
+all P clients, and b = 1 is an ordinary batch of one.
 
 Shared residual: both gradients of round s are 2 (pred_s - y_s) x, because
 the client's delayed pair and the server's (uplinked local prediction,
@@ -60,12 +60,14 @@ class SgdSystem:
 
     A step publishes the global snapshot, lets every client fetch, step and
     predict, then delivers the due uplink rows and takes the server step.
+    streams holds the rows x_global (N, P, b, dg), x_local (N, P, b, dl) and
+    label (N, P, b); step n reads row n - 1.
     """
 
     def __init__(self, d_global: int, d_locals: Sequence[int], delays: DelayConfig,
-                 hyper: HyperParams, *, variant: str = "aligned",
+                 hyper: HyperParams, *, streams, variant: str = "aligned",
                  init_global: np.ndarray | None = None,
-                 init_locals: Sequence[np.ndarray] | None = None, streams=None):
+                 init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         clients = len(d_locals)
@@ -73,10 +75,6 @@ class SgdSystem:
             raise ConfigError(f"{delays.clients} delay entries for {clients} clients")
         if len(set(d_locals)) != 1:
             raise ConfigError(f"clients need one local dimension, got {list(d_locals)}")
-        if streams is None:  # rounds arrive one at a time through run_round
-            shape = (max(delays.round_trips) + 1, clients, 1)
-            streams = (np.zeros(shape + (d_global,)), np.zeros(shape + (d_locals[0],)),
-                       np.zeros(shape))
         self.x_global, self.x_local, self.label = streams
         self.prediction = np.empty(self.label.shape)
         self.residual = np.empty(self.label.shape)
@@ -111,16 +109,6 @@ class SgdSystem:
             self._predict(row, gp, xl, y)
             self._client_step(t)
         self._server_step(t)
-
-    def run_round(self, x_global: np.ndarray, x_local: np.ndarray, label: np.ndarray) -> None:
-        """One round on one sample per client (batch size 1): x_global (P, dg),
-        x_local (P, dl) and label (P,)."""
-        if np.shape(label) != (len(self.wl),):
-            raise ConfigError("one datum per client per round is required")
-        row = self._history.row(self.t + 1)
-        self.x_global[row, :, 0], self.x_local[row, :, 0], self.label[row, :, 0] = (
-            x_global, x_local, label)
-        self.step()
 
     def _predict(self, row, gp, xl, y) -> None:
         self.predicted = self.t

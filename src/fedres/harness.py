@@ -273,7 +273,8 @@ def _rollout_row(args) -> tuple[tuple, str]:
     return (order_key, rollout), _row(rollout, cfg, axis_value, train_loss, accuracy, regret)
 
 
-def _run_tasks(tasks: list, jobs: int, task=_rollout_row) -> list[str]:
+def _run_tasks(tasks: list, jobs: int, task=_rollout_row) -> list:
+    """task(t) -> (order key, result) for every t; the results in key order."""
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             keyed = list(pool.map(task, tasks))
@@ -356,23 +357,26 @@ def _appendixc_task(args) -> tuple[tuple, str]:
     )
 
 
+def _bandit_task(args) -> tuple[int, list[str]]:
+    cfg, rollout = args
+    seed = cfg.base_seed + rollout
+    env = bandit_mod.make_realizable_env(cfg.k_actions, cfg.clients, 3, 3, seed,
+                                         noise_sigma=cfg.noise)
+    episode = bandit_mod.draw_episode(env, cfg.rounds, seed)  # both policies share it
+    greedy = bandit_mod.run_epsilon_greedy(episode, (cfg.alpha, cfg.beta), cfg.hyper(),
+                                           cfg.exploration_period)
+    uniform = bandit_mod.run_uniform_policy(episode)
+    return rollout, [_row(rollout, replace(cfg, algo=algo), cfg.exploration_period,
+                          res.mean_loss(), float("nan"), bandit_mod.cb_regret(res.traces, env))
+                     for algo, res in (("bandit-epsgreedy", greedy), ("bandit-uniform", uniform))]
+
+
 def bandit_rows(cfg: ExperimentConfig) -> list[str]:
-    """Paired periodic-exploration vs uniform-random rows on one env."""
+    """Paired periodic-exploration vs uniform-random rows on one env per
+    rollout, ordered by rollout and then policy."""
     cfg.validate(uses_data=False)
-    rows = []
-    for r in range(cfg.rollouts):
-        seed = cfg.base_seed + r
-        env = bandit_mod.make_realizable_env(
-            cfg.k_actions, cfg.clients, 3, 3, seed, noise_sigma=cfg.noise
-        )
-        greedy = bandit_mod.run_epsilon_greedy(
-            env, (cfg.alpha, cfg.beta), cfg.hyper(), cfg.rounds, cfg.exploration_period, seed
-        )
-        uniform = bandit_mod.run_uniform_policy(env, cfg.rounds, seed)
-        for algo, res in (("bandit-epsgreedy", greedy), ("bandit-uniform", uniform)):
-            rows.append(_row(r, replace(cfg, algo=algo), cfg.exploration_period, res.mean_loss(),
-                             float("nan"), bandit_mod.cb_regret(res.traces, env)))
-    return rows
+    tasks = [(cfg, r) for r in range(cfg.rollouts)]
+    return [row for rows in _run_tasks(tasks, cfg.jobs, _bandit_task) for row in rows]
 
 
 def write_csv(rows: list[str], path: str | Path) -> None:

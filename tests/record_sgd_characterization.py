@@ -38,7 +38,13 @@ from pathlib import Path
 
 import numpy as np
 
-from fedres.bandit import cb_regret, make_realizable_env, run_epsilon_greedy, run_uniform_policy
+from fedres.bandit import (
+    cb_regret,
+    draw_episode,
+    make_realizable_env,
+    run_epsilon_greedy,
+    run_uniform_policy,
+)
 from fedres.core import HyperParams, Sample
 from fedres.datagen import ClientData, FederatedDataset
 from fedres.engine import run_fedres_sgd
@@ -124,10 +130,10 @@ def bandit_env(variant: str):
 def run(data: dict, variant: str, batch: int):
     if variant in BANDIT:
         period, rounds, _noise = BANDIT[variant]
+        episode = draw_episode(bandit_env(variant), rounds, BANDIT_SEED)
         if period is None:
-            return run_uniform_policy(bandit_env(variant), rounds, BANDIT_SEED)
-        return run_epsilon_greedy(bandit_env(variant), (ALPHA, BETA), HyperParams(**BANDIT_HYPER),
-                                  rounds, period, BANDIT_SEED)
+            return run_uniform_policy(episode)
+        return run_epsilon_greedy(episode, (ALPHA, BETA), HyperParams(**BANDIT_HYPER), period)
     if variant in LONG:
         return LONG[variant](dataset(data), LONG_DELAYS, HyperParams(radius=LONG_RADIUS),
                              LONG_ROUNDS, 0)

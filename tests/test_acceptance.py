@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 
 from fedres.baselines import run_central
-from fedres.bandit import cb_regret, make_realizable_env, run_epsilon_greedy, run_uniform_policy
+from fedres.bandit import (
+    cb_regret,
+    draw_episode,
+    make_realizable_env,
+    run_epsilon_greedy,
+    run_uniform_policy,
+)
 from fedres.core import (
     HyperParams,
     default_eta,
@@ -373,8 +379,9 @@ def test_criterion_10_bandit_paired_regret():
     rounds, period = 5000, 10
     env = make_realizable_env(4, 5, 3, 3, seed=0, noise_sigma=0.02)
     hp = HyperParams(eta_global=0.3, eta_local=0.3)
-    greedy = run_epsilon_greedy(env, 0, hp, rounds, period, seed=0)
-    uniform = run_uniform_policy(env, rounds, seed=0)
+    episode = draw_episode(env, rounds, 0)
+    greedy = run_epsilon_greedy(episode, 0, hp, period)
+    uniform = run_uniform_policy(episode)
     rg = cb_regret(greedy.traces, env)
     ru = cb_regret(uniform.traces, env)
     count_ok = greedy.exploration_rounds == rounds // period

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fedres import bandit
 from fedres.bandit import (
     BanditEnv,
     cb_regret,
     choose_action,
+    draw_episode,
     make_realizable_env,
     run_epsilon_greedy,
     run_uniform_policy,
@@ -14,7 +16,10 @@ from fedres.core import HyperParams
 from fedres.datagen import gen_example2
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError
+from fedres.harness import ExperimentConfig, bandit_rows
 from fedres.rng import substream
+
+import bandit_oracle
 
 
 def fixed_env(k=2, gap=0.4, base=0.3):
@@ -34,7 +39,7 @@ def fixed_env(k=2, gap=0.4, base=0.3):
 class TestChooseAction:
     def test_exploration_round_follows_seed(self):
         env = make_realizable_env(3, 2, 1, 1, seed=7)
-        res = run_epsilon_greedy(env, 0, HyperParams(), 10, 10, seed=7)
+        res = run_epsilon_greedy(draw_episode(env, 10, 7), 0, HyperParams(), 10)
         expected = substream(7, "bandit-explore").integers(3, size=2)
         assert res.action[9].tolist() == expected.tolist()
 
@@ -58,17 +63,17 @@ class TestUpdateSchedule:
     def test_exploration_round_count_is_floor(self):
         env = make_realizable_env(3, 2, 2, 2, seed=0)
         for rounds, period in [(25, 10), (30, 10), (9, 10), (7, 1)]:
-            res = run_epsilon_greedy(env, 0, HyperParams(), rounds, period, seed=0)
+            res = run_epsilon_greedy(draw_episode(env, rounds, 0), 0, HyperParams(), period)
             assert res.exploration_rounds == rounds // period
 
     def test_period_one_updates_every_round(self):
         env = make_realizable_env(3, 2, 2, 2, seed=1)
-        res = run_epsilon_greedy(env, 0, HyperParams(), 12, 1, seed=1)
+        res = run_epsilon_greedy(draw_episode(env, 12, 1), 0, HyperParams(), 1)
         assert res.exploration_rounds == 12
 
     def test_greedy_rounds_leave_models_untouched(self):
         env = make_realizable_env(3, 1, 2, 2, seed=2)
-        res_a = run_epsilon_greedy(env, 0, HyperParams(), 9, 10, seed=2)  # never explores
+        res_a = run_epsilon_greedy(draw_episode(env, 9, 2), 0, HyperParams(), 10)  # never explores
         assert res_a.exploration_rounds == 0
         assert np.all(res_a.final_global == 0) and np.all(res_a.final_locals[0] == 0)
 
@@ -76,19 +81,19 @@ class TestUpdateSchedule:
 class TestRegret:
     def test_always_best_policy_has_zero_regret(self):
         env = fixed_env()
-        res = run_uniform_policy(env, 50, seed=0)
+        res = run_uniform_policy(draw_episode(env, 50, 0))
         res.action[:] = 0
         assert cb_regret(res.traces, env) == 0.0
 
     def test_uniform_on_two_actions_pays_half_the_gap(self):
         env = fixed_env(k=2, gap=0.4)
-        res = run_uniform_policy(env, 4000, seed=3)
+        res = run_uniform_policy(draw_episode(env, 4000, 3))
         reg = cb_regret(res.traces, env)
         assert reg == pytest.approx(0.2, abs=0.02)
 
     def test_per_round_regret_bounded_by_value_range(self):
         env = make_realizable_env(4, 2, 2, 2, seed=4)
-        res = run_epsilon_greedy(env, 0, HyperParams(), 60, 5, seed=4)
+        res = run_epsilon_greedy(draw_episode(env, 60, 4), 0, HyperParams(), 5)
         means = env.mean_rewards(res.context_global, res.context_local)
         chosen = np.take_along_axis(means, res.action[..., None], -1)[..., 0]
         top, bottom = means.max(axis=-1), means.min(axis=-1)
@@ -97,7 +102,7 @@ class TestRegret:
     def test_never_exploring_zero_model_is_constant_first_action(self):
         env = make_realizable_env(3, 1, 2, 2, seed=5)
         rounds = 40
-        res = run_epsilon_greedy(env, 0, HyperParams(), rounds, rounds + 1, seed=5)
+        res = run_epsilon_greedy(draw_episode(env, rounds, 5), 0, HyperParams(), rounds + 1)
         assert np.all(res.action == 0)
         # oracle: replay the same context stream one round at a time and price action 0
         rng_ctx = substream(5, "bandit-contexts")
@@ -110,8 +115,9 @@ class TestRegret:
     def test_trained_policy_beats_uniform_on_paired_seed(self):
         env = make_realizable_env(4, 3, 2, 2, seed=6, noise_sigma=0.02)
         hp = HyperParams(eta_global=0.3, eta_local=0.3)
-        greedy = run_epsilon_greedy(env, 0, hp, 1500, 10, seed=6)
-        uniform = run_uniform_policy(env, 1500, seed=6)
+        episode = draw_episode(env, 1500, 6)
+        greedy = run_epsilon_greedy(episode, 0, hp, 10)
+        uniform = run_uniform_policy(episode)
         assert cb_regret(greedy.traces, env) < cb_regret(uniform.traces, env)
 
     def test_missing_bandit_fields_rejected(self):
@@ -120,11 +126,93 @@ class TestRegret:
         plain = run_fedres_sgd(ds, 0, HyperParams(), 4, 0)
         with pytest.raises(ConfigError):
             cb_regret(plain.traces, env)
-        three = run_uniform_policy(make_realizable_env(2, 3, 1, 1, seed=0), 5, seed=0)
+        three = run_uniform_policy(draw_episode(make_realizable_env(2, 3, 1, 1, seed=0), 5, 0))
         with pytest.raises(ConfigError):  # a one-client env would broadcast over three clients
             cb_regret(three.traces, env)
         with pytest.raises(ConfigError):
             cb_regret([], env)
+
+
+# Heterogeneous delays: beta differs across clients, so the fetched global
+# model is one row per client. Five clients: an odd count of exploration picks
+# per block.
+ALPHA, BETA = (0, 2, 4, 3, 1), (0, 1, 5, 0, 2)
+# name: (exploration period or None for the uniform policy, rounds, delays,
+# reward noise, radius)
+ORACLE_CASES = {
+    "period-1": (1, 24, (ALPHA, BETA), 0.1, 1.5),
+    "partial-last-block": (5, 47, (ALPHA, BETA), 0.05, 1.5),
+    "partial-last-block-quiet-uniform-delays": (7, 40, (2, 1), 0.0, 1.5),
+    "period-beyond-horizon": (10, 9, (ALPHA, BETA), 0.05, 1.5),
+    "whole-blocks-uniform-beta": (4, 60, (ALPHA, 2), 0.0, 1.5),
+    "binding-ball": (2, 50, (ALPHA, BETA), 0.05, 0.05),
+    "uniform": (None, 47, 0, 0.05, 1.5),
+    "uniform-quiet": (None, 30, 0, 0.0, 1.5),
+}
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMatchesPerBlockOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_policy_reproduces_the_per_block_loop(self, case):
+        period, rounds, delays, noise, radius = ORACLE_CASES[case]
+        env = make_realizable_env(3, len(ALPHA), 3, 2, seed=11, noise_sigma=noise)
+        episode = draw_episode(env, rounds, 11)
+        if period is None:
+            res = run_uniform_policy(episode)
+            want = bandit_oracle.run_uniform_policy(env, rounds, 11)
+        else:
+            hp = HyperParams(radius=radius, eta_global=0.3, eta_local=(0.2, 0.4, 0.3, 0.5, 0.25))
+            res = run_epsilon_greedy(episode, delays, hp, period)
+            want = bandit_oracle.run_epsilon_greedy(env, delays, hp, rounds, period, 11)
+        for name in ("action", "prediction", "label", "x_global", "x_local", "final_global"):
+            assert_same_bits(getattr(res, name), want[name])
+        assert_same_bits(np.array(res.final_locals), want["final_locals"])
+        assert res.exploration_rounds == want["exploration_rounds"]
+        assert cb_regret(res.traces, env) == bandit_oracle.regret(want, env)
+
+
+class TestEpisode:
+    def test_policies_share_one_draw(self):
+        env = make_realizable_env(3, 2, 2, 2, seed=3, noise_sigma=0.1)
+        episode = draw_episode(env, 20, 3)
+        greedy = run_epsilon_greedy(episode, 0, HyperParams(), 4)
+        uniform = run_uniform_policy(episode)
+        for res in (greedy, uniform):
+            assert res.means is episode.means
+            assert res.context_global is episode.context_global
+            assert res.context_local is episode.context_local
+
+    def test_one_rollout_prices_its_contexts_once(self, monkeypatch):
+        calls = {"context_blocks": 0, "mean_rewards": 0}
+
+        class CountingEnv(BanditEnv):
+            def context_blocks(self, rng, rounds):
+                calls["context_blocks"] += 1
+                return super().context_blocks(rng, rounds)
+
+            def mean_rewards(self, xg, xl):
+                calls["mean_rewards"] += 1
+                return super().mean_rewards(xg, xl)
+
+        make = bandit.make_realizable_env
+        monkeypatch.setattr(bandit, "make_realizable_env",
+                            lambda *args, **kwargs: CountingEnv(**vars(make(*args, **kwargs))))
+        rows = bandit_rows(ExperimentConfig(rounds=30, clients=2, rollouts=1, exploration_period=5))
+        assert len(rows) == 2
+        assert calls == {"context_blocks": 1, "mean_rewards": 1}
+
+    def test_rejects_empty_horizon_and_period(self):
+        env = make_realizable_env(3, 2, 2, 2, seed=0)
+        with pytest.raises(ConfigError):
+            draw_episode(env, 0, 0)
+        with pytest.raises(ConfigError):
+            run_epsilon_greedy(draw_episode(env, 5, 0), 0, HyperParams(), 0)
 
 
 class TestExplorationPeriodHeuristic:

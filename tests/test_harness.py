@@ -339,6 +339,27 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
+    def test_bandit_jobs_write_identical_csvs(self, tmp_path, monkeypatch, capsys):
+        pools = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        written = []
+        for jobs in (1, 2):
+            out = tmp_path / f"b{jobs}.csv"
+            assert cli_main(["bandit", "--rounds", "40", "--clients", "2", "--period", "5",
+                             "--rollouts", "3", "--jobs", str(jobs), "--output", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert pools == [2]  # only the jobs=2 run used a pool
+        rows = written[0].decode().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [
+            [str(r), algo] for r in range(3) for algo in ("bandit-epsgreedy", "bandit-uniform")]
+
     def test_bandit_ignores_the_example2_client_rule(self, tmp_path, capsys):
         # the README's bandit example uses an odd client count; bandit runs draw no example2 data
         out = tmp_path / "b.csv"

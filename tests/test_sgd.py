@@ -3,8 +3,8 @@ import pytest
 
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams, Sample
-from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2, rows_block
-from fedres.engine import SgdSystem, run_fedres_sgd
+from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2
+from fedres.engine import SgdSystem, build_streams, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 from fedres.results import RunResult
 
@@ -61,13 +61,14 @@ class TestClientRound:
         from fedres.channel import Lag
         from fedres.errors import InvariantError
 
-        system = SgdSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0))
+        x, y = np.ones((3, 1, 1, 2)), np.ones((3, 1, 1))
+        system = SgdSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0),
+                           streams=(x, x, y))
         system._history = Lag((2,), ring=2)
-        x, y = np.ones((1, 2)), np.ones(1)
-        system.run_round(x, x, y)
-        system.run_round(x, x, y)
+        system.step()
+        system.step()
         with pytest.raises(InvariantError):
-            system.run_round(x, x, y)
+            system.step()
 
 
 class TestServerRound:
@@ -149,9 +150,10 @@ class TestInvariants:
         streams = [scripted_stream(rng, 30, 2, 2) for _ in range(3)]
         ds = dataset_from_streams(streams, 2, [2, 2, 2])
         hp = HyperParams(radius=0.25, eta_global=0.9, eta_local=0.9)
-        system = SgdSystem(2, [2, 2, 2], DelayConfig.uniform(3, 1, 1), hp)
-        for t in range(30):
-            system.run_round(*rows_block([st[t] for st in streams]))
+        system = SgdSystem(2, [2, 2, 2], DelayConfig.uniform(3, 1, 1), hp,
+                           streams=build_streams(ds, 30, 0))
+        for _ in range(30):
+            system.step()
             assert np.linalg.norm(system.wg) <= 0.25 * (1 + 1e-12)
             for wl in system.wl:
                 assert np.linalg.norm(wl) <= 0.25 * (1 + 1e-12)
