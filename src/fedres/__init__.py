@@ -17,17 +17,7 @@ from .bandit import (
 )
 from .baselines import run_central, run_independent
 from .channel import DelayConfig, DelayedChannel
-from .core import (
-    HyperParams,
-    Sample,
-    default_eta,
-    grad_global,
-    grad_local,
-    loss,
-    predict_joint,
-    project_ball,
-    suggested_step_size,
-)
+from .core import HyperParams, default_eta, project_ball, suggested_step_size
 from .datagen import (
     FederatedDataset,
     MulticlassCorpus,
@@ -44,20 +34,19 @@ from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError, InvariantError
 from .harness import ExperimentConfig, compute_regret, evaluate_accuracy, run_experiment, sweep
 from .results import RoundTrace, RunResult
-from .solver import ConstrainedLsProblem, alternating_joint_ls, solve_constrained_ls, solve_gram
+from .solver import alternating_joint_ls, solve_gram
 
 __all__ = [
     "BanditEnv", "BanditEpisode", "cb_regret", "choose_action", "draw_episode",
     "make_realizable_env", "run_epsilon_greedy", "run_uniform_policy",
     "suggested_exploration_period",
     "run_central", "run_independent", "DelayConfig", "DelayedChannel",
-    "HyperParams", "Sample", "default_eta", "grad_global", "grad_local", "loss",
-    "predict_joint", "project_ball", "suggested_step_size",
+    "HyperParams", "default_eta", "project_ball", "suggested_step_size",
     "FederatedDataset", "MulticlassCorpus", "gen_appendixc", "gen_example2", "load_libsvm",
     "parse_libsvm", "partition_federated", "serialize_libsvm", "write_partition_manifest",
     "SgdSystem", "run_fedres_sgd", "run_fedres_erm", "run_fictitious_play",
     "ConfigError", "InvariantError", "ExperimentConfig", "compute_regret",
     "evaluate_accuracy", "run_experiment", "sweep",
     "RoundTrace", "RunResult",
-    "ConstrainedLsProblem", "alternating_joint_ls", "solve_constrained_ls", "solve_gram",
+    "alternating_joint_ls", "solve_gram",
 ]

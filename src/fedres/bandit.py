@@ -215,21 +215,18 @@ def _run_policy(episode, delays, hyper, period, uniform):
     )
 
 
-def cb_regret(traces, env: BanditEnv) -> float:
+def cb_regret(result: BanditResult, env: BanditEnv) -> float:
     """Average forgone true mean reward of a bandit run's logged actions,
-    priced from its episode's means; traces is the run's trace view and env
-    the environment the episode was drawn from."""
-    if not len(traces):
-        raise ConfigError("empty trace")
-    result = getattr(traces, "result", None)
+    priced from its episode's means; env is the environment the episode
+    was drawn from."""
     if not isinstance(result, BanditResult):
-        raise ConfigError("traces lack the bandit fields; trace/env mismatch")
+        raise ConfigError("the run lacks the bandit fields; run/env mismatch")
     if result.clients != env.n_clients:
-        raise ConfigError(f"traces of {result.clients} clients, env of {env.n_clients}")
+        raise ConfigError(f"a run of {result.clients} clients, env of {env.n_clients}")
     means = result.means
     gaps = means.max(axis=-1) - np.take_along_axis(means, result.action[..., None], -1)[..., 0]
     # the running sum of a loop over the records in order, bit for bit
-    return float(np.add.accumulate(gaps.ravel())[-1]) / len(traces)
+    return float(np.add.accumulate(gaps.ravel())[-1]) / gaps.size
 
 
 def suggested_exploration_period(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import HyperParams
-from .datagen import SampleRows, rows_block
 from .engine import run_fedres_sgd
 from .results import RunResult
 
@@ -48,7 +47,7 @@ class _RoutedView:
         return self._route(*self.base.stream_block(client_id, rounds, seed))
 
     def test_sets(self):
-        return [SampleRows(*self._route(*rows_block(tests))) for tests in self.base.test_sets()]
+        return [self._route(*tests) for tests in self.base.test_sets()]
 
 
 def independent_view(dataset) -> _RoutedView:

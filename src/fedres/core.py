@@ -1,10 +1,12 @@
-"""Numeric kernel: samples, the joint residual prediction, squared loss,
-its two block gradients, and the ball projection.
+"""Numeric kernel: hyperparameters, step-size heuristics and the ball
+projection.
 
 Predictions are additive: a global linear model scores the global feature
 block, a per-client local model scores the local block, and the sum is the
-joint prediction. The squared loss of that sum is the only loss; the
-delayed-gradient engine applies the same formulas to stacked arrays.
+joint prediction. The squared loss of that sum is the only loss. The
+learners price it, and step on its two block gradients 2(pred - y) x_global
+and 2(pred - y) x_local, on stacked row blocks; the per-sample formulas
+live in the tests as oracles.
 
 All vectors are dense float64 ndarrays. Parameter vectors are treated as
 immutable: every update produces a new array.
@@ -21,15 +23,6 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 
 DEFAULT_RADIUS = 100.0
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: global features, local features, label."""
-
-    x_global: np.ndarray
-    x_local: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True)
@@ -65,40 +58,6 @@ class HyperParams:
 def default_eta(rounds: int) -> float:
     """Default step size when none is configured: 0.5 / sqrt(T)."""
     return 0.5 / np.sqrt(rounds)
-
-
-def _check_dims(wg: np.ndarray, wl: np.ndarray, s: Sample) -> None:
-    if wg.shape != s.x_global.shape or wl.shape != s.x_local.shape:
-        raise ValueError(
-            f"dimension mismatch: global {wg.shape} vs {s.x_global.shape}, "
-            f"local {wl.shape} vs {s.x_local.shape}"
-        )
-
-
-def predict_joint(wg: np.ndarray, wl: np.ndarray, s: Sample) -> float:
-    """Joint prediction: wg . x_global + wl . x_local."""
-    _check_dims(wg, wl, s)
-    return float(wg @ s.x_global + wl @ s.x_local)
-
-
-def loss(wg: np.ndarray, wl: np.ndarray, s: Sample) -> float:
-    """Squared loss of the joint prediction: (y - wg.xg - wl.xl)^2."""
-    r = s.y - predict_joint(wg, wl, s)
-    return float(r * r)
-
-
-def grad_global(wg: np.ndarray, wl: np.ndarray, s: Sample) -> np.ndarray:
-    """Gradient of the squared loss w.r.t. the global block: 2(pred - y) xg."""
-    _check_dims(wg, wl, s)
-    pred = wg @ s.x_global + wl @ s.x_local
-    return 2.0 * (pred - s.y) * s.x_global
-
-
-def grad_local(wg: np.ndarray, wl: np.ndarray, s: Sample) -> np.ndarray:
-    """Gradient of the squared loss w.r.t. the local block: 2(pred - y) xl."""
-    _check_dims(wg, wl, s)
-    pred = wg @ s.x_global + wl @ s.x_local
-    return 2.0 * (pred - s.y) * s.x_local
 
 
 _NON_FINITE = "cannot project a vector with a non-finite norm onto the ball"

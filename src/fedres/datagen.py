@@ -15,27 +15,28 @@ Three sources feed the learners:
   latent variables with constant label, whose unique zero-loss model pair
   requires the global and local models to move in a coordinated way.
 
-All randomness comes from named substreams of the caller's seed. Sample
-data is kept as row blocks - x_global (n, dg), x_local (n, dl), y (n,) - in
-SampleRows, which builds a Sample object only when one is read; learners
-take the blocks themselves through stream_block and rows_block.
+All randomness comes from named substreams of the caller's seed. Data is
+kept as row blocks: every train pool, test set and pre-generated stream is
+an (x_global (n, dg), x_local (n, dl), y (n,)) triple, and learners draw
+their streams from them through stream_block.
 """
 
 from __future__ import annotations
 
 import gzip
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import Sample
 from .errors import ConfigError
 from .rng import substream
 
 MERGE_FRACTION = 0.3
 DEFAULT_HOLDOUT = 0.25
+
+# rows as x_global (n, dg), x_local (n, dl), y (n,)
+Block = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +73,9 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
 
     Vectors are densified to the maximum index seen anywhere in the
     corpus. Malformed input is reported with its line number: non-numeric
-    labels, indices below 1, duplicate indices within a line, and tokens
-    that are not index:value pairs.
+    labels, indices below 1, duplicate indices within a line, tokens
+    that are not index:value pairs, and values that are not finite (nan,
+    inf, or too large for a float).
     """
     labels: list[int] = []
     rows: list[dict[int, float]] = []
@@ -111,6 +113,9 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
     for i, entries in enumerate(rows):
         for index, value in entries.items():
             features[i, index - 1] = value
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"line {lines[int(np.argmin(finite))]}: non-finite feature value")
     return MulticlassCorpus(
         labels=np.array(labels, dtype=int),
         features=features,
@@ -148,49 +153,10 @@ def serialize_libsvm(corpus: MulticlassCorpus) -> str:
 # Federated datasets
 
 
-class SampleRows(Sequence):
-    """Read-only Sample sequence over row blocks x_global (n, dg), x_local (n, dl), y (n,).
-
-    A row's Sample is built on first read and kept; a slice is a new view.
-    """
-
-    def __init__(self, x_global: np.ndarray, x_local: np.ndarray, y: np.ndarray):
-        self.x_global, self.x_local, self.y = x_global, x_local, y
-        self._built: list | None = None
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return SampleRows(self.x_global[k], self.x_local[k], self.y[k])
-        k = range(len(self))[k]
-        if self._built is None:
-            self._built = [None] * len(self)
-        sample = self._built[k]
-        if sample is None:
-            sample = self._built[k] = Sample(self.x_global[k], self.x_local[k], float(self.y[k]))
-        return sample
-
-
-def rows_block(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x_global (n, dg), x_local (n, dl), y (n,)) of a Sample sequence: SampleRows
-    hand over their arrays, other sequences are stacked (empty: (0, 0) blocks)."""
-    if isinstance(samples, SampleRows):
-        return samples.x_global, samples.x_local, samples.y
-    if not len(samples):
-        return np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0)
-    return (
-        np.stack([s.x_global for s in samples]),
-        np.stack([s.x_local for s in samples]),
-        np.array([s.y for s in samples], dtype=float),
-    )
-
-
 @dataclass
 class ClientData:
-    train: Sequence[Sample]
-    test: Sequence[Sample]
+    train: Block
+    test: Block
     task: tuple
     train_lines: list[int] = field(default_factory=list)
     test_lines: list[int] = field(default_factory=list)
@@ -210,40 +176,32 @@ class FederatedDataset:
     d_locals: list[int]
     global_index: np.ndarray | None = None
     local_index: np.ndarray | None = None
-    pregenerated: list[Sequence[Sample]] | None = None
+    pregenerated: list[Block] | None = None
 
     @property
     def n_clients(self) -> int:
         return len(self.clients)
 
-    def _draws(self, client_id: int, rounds: int, seed: int):
-        """(rows, picks): the Sample sequence a stream draws from and which rows,
-        in order. Only a pool-backed stream draws, from substream
+    def stream_block(self, client_id: int, rounds: int, seed: int) -> Block:
+        """The first `rounds` rows of a client's stream. Only a pool-backed
+        stream draws: reshuffled epochs of its train pool, from substream
         "stream-<client_id>" of the seed."""
         if self.pregenerated is not None:
             stream = self.pregenerated[client_id]
-            if rounds > len(stream):
+            if rounds > len(stream[2]):
                 raise ConfigError(
-                    f"client {client_id} has {len(stream)} pre-generated rounds, need {rounds}"
+                    f"client {client_id} has {len(stream[2])} pre-generated rounds, need {rounds}"
                 )
-            return stream, slice(rounds)
+            return tuple(a[:rounds] for a in stream)
         pool = self.clients[client_id].train
-        if not pool:
+        n = len(pool[2])
+        if not n:
             raise ConfigError(f"client {client_id} has an empty train pool")
         rng = substream(seed, f"stream-{client_id}")
-        epochs = [rng.permutation(len(pool)) for _ in range(-(-rounds // len(pool)))]
-        return pool, np.concatenate(epochs)[:rounds]
+        picks = np.concatenate([rng.permutation(n) for _ in range(-(-rounds // n))])[:rounds]
+        return tuple(a[picks] for a in pool)
 
-    def round_stream(self, client_id: int, rounds: int, seed: int) -> Sequence[Sample]:
-        rows, picks = self._draws(client_id, rounds, seed)
-        return rows[picks] if isinstance(picks, slice) else [rows[j] for j in picks]
-
-    def stream_block(self, client_id: int, rounds: int, seed: int):
-        """round_stream as (x_global, x_local, y) row blocks, from the same draws."""
-        rows, picks = self._draws(client_id, rounds, seed)
-        return tuple(a[picks] for a in rows_block(rows))
-
-    def test_sets(self) -> list[Sequence[Sample]]:
+    def test_sets(self) -> list[Block]:
         return [c.test for c in self.clients]
 
 
@@ -314,10 +272,10 @@ def partition_federated(
     global_index = np.sort(perm[:d_g])
     local_index = np.sort(perm[d_g:])
 
-    def rows(pos: np.ndarray, neg: np.ndarray) -> SampleRows:
+    def rows(pos: np.ndarray, neg: np.ndarray) -> Block:
         x = corpus.features[np.concatenate([pos, neg])]
         y = np.concatenate([np.ones(len(pos)), -np.ones(len(neg))])
-        return SampleRows(x[:, global_index], x[:, local_index], y)
+        return x[:, global_index], x[:, local_index], y
 
     client_data = []
     for i in range(clients):
@@ -352,7 +310,7 @@ def write_partition_manifest(dataset: FederatedDataset, path: str | Path) -> Non
     """Line-oriented audit record: one 'client_id line_number' per sample."""
     rows = []
     for i, client in enumerate(dataset.clients):
-        if not client.train_lines and client.train:
+        if not client.train_lines and len(client.train[2]):
             raise ConfigError("dataset has no source line numbers; nothing to audit")
         for line in client.train_lines + client.test_lines:
             rows.append(f"{i} {line}")
@@ -398,11 +356,11 @@ def gen_example2(
     ys = (xs @ w[:, :, None])[..., 0]
     ys += eps
 
-    streams: list[SampleRows] = []
+    streams: list[Block] = []
     client_data: list[ClientData] = []
     for i in range(clients):
-        train = SampleRows(xs[i, :rounds], xs[i, :rounds], ys[i, :rounds])
-        test = SampleRows(xs[i, rounds:], xs[i, rounds:], ys[i, rounds:])
+        train = xs[i, :rounds], xs[i, :rounds], ys[i, :rounds]
+        test = xs[i, rounds:], xs[i, rounds:], ys[i, rounds:]
         streams.append(train)
         client_data.append(
             ClientData(train=train, test=test, task=("sign-split", i < clients // 2))
@@ -429,11 +387,10 @@ def gen_appendixc(rounds: int, seed: int) -> FederatedDataset:
     a = rng.standard_normal(rounds)
     b = rng.standard_normal(rounds)
     eps = rng.normal(0.0, 0.5, rounds)
-    samples = SampleRows(
-        np.stack([a + eps, b], axis=1), np.stack([1.0 - a, 1.0 - b], axis=1), np.ones(rounds)
-    )
+    samples = np.stack([a + eps, b], axis=1), np.stack([1.0 - a, 1.0 - b], axis=1), np.ones(rounds)
+    empty = np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
     return FederatedDataset(
-        clients=[ClientData(train=samples, test=[], task=("complementary-views",))],
+        clients=[ClientData(train=samples, test=empty, task=("complementary-views",))],
         d_global=2,
         d_locals=[2],
         pregenerated=[samples],

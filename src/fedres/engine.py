@@ -6,8 +6,8 @@ model of round s) for a single round s, by making the client apply its own
 gradient one full round trip late (the delayed-SGD setting of Agarwal &
 Duchi 2011, "Distributed delayed stochastic optimization"):
 
-    client, round t:  wl <- proj(wl - eta_i * grad_local at round s = t - alpha_i - beta_i)
-    server, round t:  wg <- proj(wg - eta * sum_i grad_global at round s = t - alpha_i)
+    client, round t:  wl <- proj(wl - eta_i * local gradient at round s = t - alpha_i - beta_i)
+    server, round t:  wg <- proj(wg - eta * sum_i global gradient at round s = t - alpha_i)
 
 The server reconstructs its gradients from uplink records (global
 features, local prediction, label); local models never leave the client.

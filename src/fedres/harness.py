@@ -33,12 +33,11 @@ from .datagen import (
     gen_example2,
     load_libsvm,
     partition_federated,
-    rows_block,
 )
 from .engine import run_fedres_sgd
 from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError
-from .results import RunResult, TraceView
+from .results import RunResult
 from .solver import alternating_joint_ls
 
 CSV_HEADER = "rollout,algo,clients,delay_up,delay_down,batch,rounds,axis_value,train_loss,test_accuracy,avg_regret"
@@ -176,36 +175,35 @@ def dispatch(cfg: ExperimentConfig, dataset: FederatedDataset, seed: int):
 # Metrics
 
 
-def compute_regret(traces, comparator=None, *,
+def compute_regret(result: RunResult, comparator=None, *,
                    radius: float = DEFAULT_RADIUS, tol: float = 1e-8) -> float:
     """Average played loss minus the best fixed joint model's loss.
 
-    traces is a run's trace view, read as columns. The default comparator
-    is the ball-constrained joint fit of the full offline data (alternating
-    exact solves to the given objective tolerance), handed each client's
-    records in order as client-major stacks (P, N*b, ...). A comparator
+    The run is read as columns. The default comparator is the
+    ball-constrained joint fit of the full offline data (alternating exact
+    solves to the given objective tolerance), handed each client's records
+    in order as client-major stacks (P, N*b, ...). A comparator
     (wg, wls) gives one local model per client. Every record is priced in
     one pass over the round-major (N, P, b, ...) columns; batched records
     compare batch mean against batch mean. The sum runs in record order.
     """
-    if not isinstance(traces, TraceView):
-        raise ConfigError("regret reads a run's columns: pass result.traces")
-    r = traces.result
+    if not result.loss.size:
+        raise ConfigError("regret of an empty run")
     if comparator is None:
-        records = r.rounds * r.batch_size
+        records = result.rounds * result.batch_size
         # explicit sizes: a view's block may have d = 0
-        stacks = (a.swapaxes(0, 1).reshape(r.clients, records, *a.shape[3:])
-                  for a in (r.x_global, r.x_local, r.label))
+        stacks = (a.swapaxes(0, 1).reshape(result.clients, records, *a.shape[3:])
+                  for a in (result.x_global, result.x_local, result.label))
         wg, wls, _ = alternating_joint_ls(*stacks, radius, tol)
     else:
         wg, wls = comparator
-        if len(wls) != r.clients:
-            raise ConfigError(f"comparator has {len(wls)} locals for {r.clients} clients")
+        if len(wls) != result.clients:
+            raise ConfigError(f"comparator has {len(wls)} locals for {result.clients} clients")
         wls = np.asarray(wls, dtype=float)
-    pred = np.vecdot(r.x_global, wg)
-    pred += np.vecdot(r.x_local, wls[:, None, :])
-    comp = np.float_power(np.subtract(r.label, pred, out=pred), 2.0, out=pred).mean(axis=-1)
-    loss = r.loss.ravel()
+    pred = np.vecdot(result.x_global, wg)
+    pred += np.vecdot(result.x_local, wls[:, None, :])
+    comp = np.float_power(np.subtract(result.label, pred, out=pred), 2.0, out=pred).mean(axis=-1)
+    loss = result.loss.ravel()
     # equals a `total += gap` loop from 0.0 in record order, bit for bit
     total = 0.0 + np.add.accumulate(loss - comp.ravel())[-1]
     return float(total) / len(loss)
@@ -219,7 +217,7 @@ def evaluate_accuracy(dataset, result: RunResult) -> float:
     client's local model is repeated over its rows. NaN when no client has
     a test row.
     """
-    blocks = [rows_block(tests) for tests in dataset.test_sets()]
+    blocks = dataset.test_sets()
     sizes = np.array([len(y) for _, _, y in blocks])
     n = int(sizes.sum())
     if not n:
@@ -269,7 +267,7 @@ def _rollout_row(args) -> tuple[tuple, str]:
     result, view = dispatch(cfg, dataset, seed)
     train_loss = result.mean_loss()
     accuracy = evaluate_accuracy(view, result)
-    regret = compute_regret(result.traces, radius=cfg.radius)
+    regret = compute_regret(result, radius=cfg.radius)
     return (order_key, rollout), _row(rollout, cfg, axis_value, train_loss, accuracy, regret)
 
 
@@ -351,7 +349,7 @@ def _appendixc_task(args) -> tuple[tuple, str]:
     cfg, _axis, order_key, rollout = args
     seed = cfg.base_seed + rollout
     result = run_appendixc(cfg, seed)
-    regret = compute_regret(result.traces, radius=cfg.radius)
+    regret = compute_regret(result, radius=cfg.radius)
     return (order_key, rollout), _row(
         rollout, cfg, None, result.mean_loss(), float("nan"), regret
     )
@@ -367,7 +365,7 @@ def _bandit_task(args) -> tuple[int, list[str]]:
                                            cfg.exploration_period)
     uniform = bandit_mod.run_uniform_policy(episode)
     return rollout, [_row(rollout, replace(cfg, algo=algo), cfg.exploration_period,
-                          res.mean_loss(), float("nan"), bandit_mod.cb_regret(res.traces, env))
+                          res.mean_loss(), float("nan"), bandit_mod.cb_regret(res, env))
                      for algo, res in (("bandit-epsgreedy", greedy), ("bandit-uniform", uniform))]
 
 
@@ -375,6 +373,8 @@ def bandit_rows(cfg: ExperimentConfig) -> list[str]:
     """Paired periodic-exploration vs uniform-random rows on one env per
     rollout, ordered by rollout and then policy."""
     cfg.validate(uses_data=False)
+    if cfg.batch_size != 1:
+        raise ConfigError("bandit policies do not support batching")
     tasks = [(cfg, r) for r in range(cfg.rollouts)]
     return [row for rows in _run_tasks(tasks, cfg.jobs, _bandit_task) for row in rows]
 

@@ -4,20 +4,19 @@ A RunResult is columnar and round-major. With N rounds (batch rounds at
 b > 1) and P clients: prediction and label (N, P, b); the consumed stream
 blocks x_global (N, P, b, dg) and x_local (N, P, b, dl); and loss (N, P),
 each (round, client)'s squared loss (batch mean), derived from the first
-two. `traces` is a lazy read-only RoundTrace view: its length costs
-nothing and a record is built only when read. Building a result raises
-InvariantError at the first non-finite loss or final model.
+two. The metrics read these columns. `traces` is kept only as a lazy
+read-only record view: its length costs nothing and a RoundTrace is built
+only when read. Building a result raises InvariantError at the first
+non-finite loss or final model.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
-from .core import Sample
 from .errors import InvariantError
 
 
@@ -26,7 +25,7 @@ class RoundTrace:
     """Per-(round, client) record of what the deployed pair did.
 
     For batched rounds, loss is the batch-aggregated (mean) loss and
-    prediction/label/sample hold the b per-sample values as tuples.
+    prediction/label hold the b per-sample values as tuples.
     """
 
     round: int
@@ -34,7 +33,6 @@ class RoundTrace:
     loss: float
     prediction: float | tuple
     label: float | tuple
-    sample: Any
 
 
 def squared_loss(prediction: np.ndarray, label: np.ndarray) -> np.ndarray:
@@ -102,10 +100,7 @@ class TraceView(Sequence):
             return [self[j] for j in range(len(self))[k]]
         r = self.result
         n, i = divmod(range(len(self))[k], r.clients)
-        xg, xl, y, pred = r.x_global[n, i], r.x_local[n, i], r.label[n, i], r.prediction[n, i]
-        samples = tuple(Sample(xg[j], xl[j], float(y[j])) for j in range(len(y)))
-        if len(samples) == 1:
-            return RoundTrace(n + 1, i, float(r.loss[n, i]), float(pred[0]), float(y[0]),
-                              samples[0])
-        return RoundTrace(n + 1, i, float(r.loss[n, i]), tuple(pred.tolist()),
-                          tuple(y.tolist()), samples)
+        pred, y = r.prediction[n, i], r.label[n, i]
+        if len(y) == 1:
+            return RoundTrace(n + 1, i, float(r.loss[n, i]), float(pred[0]), float(y[0]))
+        return RoundTrace(n + 1, i, float(r.loss[n, i]), tuple(pred.tolist()), tuple(y.tolist()))

@@ -7,7 +7,7 @@ bisection. The tiny base ridge keeps rank-deficient early-round systems
 well posed and makes the minimizer unique (minimum norm), which the
 deterministic replay tests rely on.
 
-Learners never materialize design matrices: they maintain Gram blocks
+Nothing materializes a design matrix: the learners maintain Gram blocks
 incrementally and call solve_gram directly. solve_gram takes a leading
 stack axis, (..., d, d) and (..., d), and solves one independent problem
 per row: every row is first solved with the base ridge in one stacked
@@ -23,7 +23,6 @@ the global.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,23 +37,6 @@ from .errors import ConfigError
 
 BASE_RIDGE = 1e-10
 _BISECT_REL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ConstrainedLsProblem:
-    """min over ||w|| <= radius of sum_s (targets[s] - w . rows[s])^2."""
-
-    rows: np.ndarray  # (n, d), n may be 0
-    targets: np.ndarray  # (n,)
-    radius: float
-
-    def __post_init__(self):
-        if self.rows.ndim != 2 or self.targets.shape != (self.rows.shape[0],):
-            raise ConfigError(
-                f"rows {self.rows.shape} and targets {self.targets.shape} are inconsistent"
-            )
-        if self.radius <= 0:
-            raise ConfigError(f"radius must be positive, got {self.radius}")
 
 
 def solve_gram(
@@ -118,16 +100,6 @@ def _ridge_solve(ata: np.ndarray, atb: np.ndarray, ridge: float) -> np.ndarray:
     m = ata.copy()
     m.flat[:: m.shape[0] + 1] += ridge
     return np.linalg.solve(m, atb)
-
-
-def solve_constrained_ls(p: ConstrainedLsProblem, ridge: float = BASE_RIDGE) -> np.ndarray:
-    """Solve an explicit-row problem; an empty problem yields the zero vector."""
-    if ridge <= 0:
-        raise ConfigError(f"ridge must be positive, got {ridge}")
-    n, d = p.rows.shape
-    if n == 0:
-        return np.zeros(d)
-    return solve_gram(p.rows.T @ p.rows, p.rows.T @ p.targets, p.radius, ridge)
 
 
 def alternating_joint_ls(

@@ -1,8 +1,8 @@
 """Explicit-archive oracle for the exact learners (ERM and fictitious play).
 
-Each side keeps every archived sample and rebuilds its right-hand side
-from the raw archive with one shared per-sample loop, so the two variants
-differ only in which counterpart value that loop reads:
+Each side keeps every archived (xg, xl, y) row and rebuilds its
+right-hand side from the raw archive with one shared per-row loop, so the
+two variants differ only in which counterpart value that loop reads:
 
     client  erm: the global model fetched now   fictitious: the one fetched with the sample
     server  erm: the sender's newest local model  fictitious: the local prediction it uploaded
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from fedres.channel import as_delay_config
-from fedres.core import Sample
 from fedres.engine import build_streams
 from fedres.results import RunResult
 from fedres.solver import solve_gram
@@ -27,19 +26,21 @@ class ArchiveClient:
         self.radius, self.variant = radius, variant
         self.wl = np.zeros(d_local) if init_local is None else np.array(init_local, dtype=float)
         self.gram = np.zeros((d_local, d_local))
-        self.archive = []  # (sample, global model fetched in its round)
+        self.archive = []  # (row, global model fetched in its round)
 
-    def round(self, fetched, sample) -> float:
-        """Solve over the archive, predict, archive; returns the prediction."""
+    def round(self, fetched, row) -> float:
+        """Solve over the archive, predict, archive the (xg, xl, y) row;
+        returns the prediction."""
         if self.archive:
             rhs = np.zeros_like(self.wl)
-            for s, frozen_g in self.archive:
+            for (xg, xl, y), frozen_g in self.archive:
                 g = fetched if self.variant == "erm" else frozen_g
-                rhs += (s.y - float(g @ s.x_global)) * s.x_local
+                rhs += (y - float(g @ xg)) * xl
             self.wl = solve_gram(self.gram, rhs, self.radius)
-        pred = float(fetched @ sample.x_global) + float(self.wl @ sample.x_local)
-        self.archive.append((sample, fetched))
-        self.gram += np.outer(sample.x_local, sample.x_local)
+        xg, xl, _ = row
+        pred = float(fetched @ xg) + float(self.wl @ xl)
+        self.archive.append((row, fetched))
+        self.gram += np.outer(xl, xl)
         return pred
 
 
@@ -49,21 +50,22 @@ class ArchiveServer:
         self.wg = np.zeros(d_global) if init_global is None else np.array(init_global, dtype=float)
         self.gram = np.zeros((d_global, d_global))
         self.latest_wl = [None] * clients
-        self.archive = [[] for _ in range(clients)]  # (sample, local prediction at upload)
+        self.archive = [[] for _ in range(clients)]  # (row, local prediction at upload)
 
     def round(self, uplinks) -> np.ndarray:
-        """Absorb (client, sample, sent local model) records in order, then
-        re-solve once any data has arrived."""
-        for i, s, wl in uplinks:
+        """Absorb (client, (xg, xl, y) row, sent local model) records in
+        order, then re-solve once any data has arrived."""
+        for i, row, wl in uplinks:
+            xg, xl, _ = row
             self.latest_wl[i] = wl
-            self.archive[i].append((s, float(wl @ s.x_local)))
-            self.gram += np.outer(s.x_global, s.x_global)
+            self.archive[i].append((row, float(wl @ xl)))
+            self.gram += np.outer(xg, xg)
         if any(self.archive):
             rhs = np.zeros_like(self.wg)
             for i, entries in enumerate(self.archive):
-                for s, frozen_lp in entries:
-                    lp = float(self.latest_wl[i] @ s.x_local) if self.variant == "erm" else frozen_lp
-                    rhs += (s.y - lp) * s.x_global
+                for (xg, xl, y), frozen_lp in entries:
+                    lp = float(self.latest_wl[i] @ xl) if self.variant == "erm" else frozen_lp
+                    rhs += (y - lp) * xg
             self.wg = solve_gram(self.gram, rhs, self.radius)
         return self.wg
 
@@ -87,9 +89,9 @@ def run_oracle(dataset, delays, hyper, rounds, seed, variant, *, init_global=Non
         snapshots[t] = server.wg
         fetched = snapshots[max(t - beta, 0)]
         for i, client in enumerate(clients):
-            s = Sample(x_global[t - 1, i, 0], x_local[t - 1, i, 0], float(label[t - 1, i, 0]))
-            prediction[t - 1, i, 0] = client.round(fetched, s)
-            outbox.setdefault(t + alpha, []).append((i, s, client.wl))
+            row = x_global[t - 1, i, 0], x_local[t - 1, i, 0], float(label[t - 1, i, 0])
+            prediction[t - 1, i, 0] = client.round(fetched, row)
+            outbox.setdefault(t + alpha, []).append((i, row, client.wl))
         server.round(outbox.pop(t, []))
     return RunResult(prediction, label, x_global, x_local, server.wg, [c.wl for c in clients],
                      [rounds] * len(clients))

@@ -45,7 +45,7 @@ from fedres.bandit import (
     run_epsilon_greedy,
     run_uniform_policy,
 )
-from fedres.core import HyperParams, Sample
+from fedres.core import HyperParams
 from fedres.datagen import ClientData, FederatedDataset
 from fedres.engine import run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
@@ -112,11 +112,10 @@ def case_data(fixture: dict, variant: str) -> dict:
 
 
 def dataset(data: dict) -> FederatedDataset:
-    streams = [
-        [Sample(np.array(xg), np.array(xl), float(y)) for xg, xl, y in zip(*rows)]
-        for rows in zip(data["x_global"], data["x_local"], data["y"])
-    ]
-    clients = [ClientData(train=st, test=[], task=("scripted",)) for st in streams]
+    streams = [tuple(np.array(a, dtype=float) for a in rows)
+               for rows in zip(data["x_global"], data["x_local"], data["y"])]
+    clients = [ClientData(train=st, test=tuple(a[:0] for a in st), task=("scripted",))
+               for st in streams]
     return FederatedDataset(clients=clients, d_global=D_GLOBAL, d_locals=[D_LOCAL] * len(streams),
                             pregenerated=streams)
 
@@ -148,12 +147,9 @@ def run(data: dict, variant: str, batch: int):
 
 
 def record(res) -> dict:
-    traces = list(res.traces)
-    clients = res.clients
-    rows = [traces[n * clients:(n + 1) * clients] for n in range(res.rounds)]
     out = {
-        "loss": [[tr.loss for tr in row] for row in rows],
-        "prediction": [[list(np.atleast_1d(tr.prediction).tolist()) for tr in row] for row in rows],
+        "loss": res.loss.tolist(),
+        "prediction": res.prediction.tolist(),
         "final_global": res.final_global.tolist(),
         "final_locals": [w.tolist() for w in res.final_locals],
         "fetch_counts": list(res.fetch_counts),
@@ -173,7 +169,7 @@ def record_regret(res, variant: str) -> list:
     out = []
     for radius in (run_radius(variant), COMPARATOR_RADIUS):
         wg, wls, objective = alternating_joint_ls(*client_blocks(res), radius)
-        out.append({"radius": radius, "regret": compute_regret(res.traces, radius=radius),
+        out.append({"radius": radius, "regret": compute_regret(res, radius=radius),
                     "wg": wg.tolist(), "wls": [w.tolist() for w in wls],
                     "objective": objective})
     return out
@@ -183,7 +179,7 @@ def record_case(data: dict, variant: str, batch: int) -> dict:
     res = run(data, variant, batch)
     out = record(res)
     if variant in BANDIT:
-        out.update(action=res.action.tolist(), cb_regret=cb_regret(res.traces, bandit_env(variant)),
+        out.update(action=res.action.tolist(), cb_regret=cb_regret(res, bandit_env(variant)),
                    exploration_rounds=res.exploration_rounds)
     return out
 

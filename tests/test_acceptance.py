@@ -24,21 +24,23 @@ from fedres.bandit import (
     run_epsilon_greedy,
     run_uniform_policy,
 )
-from fedres.core import (
-    HyperParams,
-    default_eta,
-    grad_global,
-    grad_local,
-    project_ball,
-)
+from fedres.core import HyperParams, default_eta, project_ball
 from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
 from fedres.engine import run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
 from fedres.harness import compute_regret
-from fedres.solver import ConstrainedLsProblem, solve_constrained_ls
 
-from conftest import ball_project_oracle, finite_diff_grads, ls_objective, pgd_ls_oracle, random_instance
+from conftest import (
+    ball_project_oracle,
+    finite_diff_grads,
+    ls_objective,
+    pgd_ls_oracle,
+    random_instance,
+    rows_of,
+    solve_rows,
+)
 from test_datagen import toy_corpus
+from test_minibatch import applied_grads
 from test_sgd import dataset_from_streams, scripted_stream
 
 TARGET = np.array([0.0, 1.0])
@@ -148,6 +150,7 @@ def test_criterion_03_zero_delay_bit_equivalence():
     rng = np.random.default_rng(303)
     clients, rounds, dg, dl = 3, 100, 3, 2
     streams = [scripted_stream(rng, rounds, dg, dl) for _ in range(clients)]
+    rows = [rows_of(st) for st in streams]
     ds = dataset_from_streams(streams, dg, [dl] * clients)
     eta, radius = 0.05, 100.0
     hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
@@ -161,15 +164,15 @@ def test_criterion_03_zero_delay_bit_equivalence():
     for t in range(1, rounds + 1):
         gsum = np.zeros(dg)
         for i in range(clients):
-            s = streams[i][t - 1]
-            grad_l = 2.0 * ((wg @ s.x_global + wl[i] @ s.x_local) - s.y) * s.x_local
+            xg, xl, y = rows[i][t - 1]
+            grad_l = 2.0 * ((wg @ xg + wl[i] @ xl) - y) * xl
             wl[i] = ball_project_oracle(wl[i] - eta * grad_l, radius)
-            lp = float(wl[i] @ s.x_local)
-            losses[(t, i)] = (s.y - (float(wg @ s.x_global) + lp)) ** 2
-            gsum += 2.0 * ((wg @ s.x_global + lp) - s.y) * s.x_global
+            lp = float(wl[i] @ xl)
+            losses[(t, i)] = (y - (float(wg @ xg) + lp)) ** 2
+            gsum += 2.0 * ((wg @ xg + lp) - y) * xg
         wg = ball_project_oracle(wg - eta * gsum, radius)
 
-    exact = all(tr.loss == losses[(tr.round, tr.client_id)] for tr in res.traces)
+    exact = all(res.loss[t - 1, i] == loss for (t, i), loss in losses.items())
     exact = exact and np.array_equal(res.final_global, wg)
     exact = exact and all(np.array_equal(a, b) for a, b in zip(res.final_locals, wl))
     report(3, exact, f"{clients} clients x {rounds} rounds, exact equality")
@@ -212,9 +215,7 @@ def test_criterion_05_minibatch_contracts():
     # (a) batch size one is bit-identical to the unbatched engine
     a = run_fedres_sgd(ds, (2, 1), hp, rounds, 0, batch_size=1)
     b = run_fedres_sgd(ds, (2, 1), hp, rounds, 0)
-    bit_equal = len(a.traces) == len(b.traces) and all(
-        x.loss == y.loss and x.prediction == y.prediction for x, y in zip(a.traces, b.traces)
-    )
+    bit_equal = np.array_equal(a.loss, b.loss) and np.array_equal(a.prediction, b.prediction)
     bit_equal = bit_equal and np.array_equal(a.final_global, b.final_global)
 
     # (b) exactly rounds / b downlink fetches per client
@@ -229,7 +230,7 @@ def test_criterion_05_minibatch_contracts():
     res = run_fedres_sgd(ds, (2, 1), hp, rounds, 0, batch_size=bsz)
     n_batches = rounds // bsz
     batches = [
-        [tuple(st[n * bsz : (n + 1) * bsz]) for n in range(n_batches)] for st in streams
+        [rows[n * bsz : (n + 1) * bsz] for n in range(n_batches)] for rows in map(rows_of, streams)
     ]
     alpha_b, beta_b = 1, 1  # ceil(2/4), ceil(1/4)
     snapshots = {0: np.zeros(dg)}
@@ -247,16 +248,15 @@ def test_criterion_05_minibatch_contracts():
             if back >= 1:
                 g_then, wl_then, batch_then = hist[(i, back)]
                 rows = [
-                    2.0 * ((g_then @ s.x_global + wl_then @ s.x_local) - s.y) * s.x_local
-                    for s in batch_then
+                    2.0 * ((g_then @ xg + wl_then @ xl) - y) * xl for xg, xl, y in batch_then
                 ]
                 wl[i] = ball_project_oracle(wl[i] - eta * np.mean(np.stack(rows), axis=0), radius)
             hist[(i, n)] = (fetched, wl[i], batch)
-            preds = [float(fetched @ s.x_global) + float(wl[i] @ s.x_local) for s in batch]
-            losses[(n, i)] = float(np.mean([(s.y - p) ** 2 for s, p in zip(batch, preds)]))
-            lp = np.array([float(wl[i] @ s.x_local) for s in batch])
-            xg = np.stack([s.x_global for s in batch])
-            ys = np.array([s.y for s in batch])
+            preds = [float(fetched @ xg) + float(wl[i] @ xl) for xg, xl, _ in batch]
+            losses[(n, i)] = float(np.mean([(y - p) ** 2 for (_, _, y), p in zip(batch, preds)]))
+            lp = np.array([float(wl[i] @ xl) for _, xl, _ in batch])
+            xg = np.stack([xg for xg, _, _ in batch])
+            ys = np.array([y for _, _, y in batch])
             inbox.setdefault(n + alpha_b, []).append((i, n, xg, lp, ys))
         gsum = np.zeros(dg)
         arrived = False
@@ -267,7 +267,7 @@ def test_criterion_05_minibatch_contracts():
             arrived = True
         if arrived:
             wg = ball_project_oracle(wg - eta * gsum, radius)
-    manual_equal = all(tr.loss == losses[(tr.round, tr.client_id)] for tr in res.traces)
+    manual_equal = all(res.loss[n - 1, i] == loss for (n, i), loss in losses.items())
     manual_equal = manual_equal and np.array_equal(res.final_global, wg)
     manual_equal = manual_equal and all(np.array_equal(x, y) for x, y in zip(res.final_locals, wl))
 
@@ -289,7 +289,7 @@ def test_criterion_06_solver_optimality():
         rows = rng.normal(0, 1, (n, d))
         targets = rng.normal(0, 2, n)
         radius = float(rng.uniform(0.1, 2.0))
-        w = solve_constrained_ls(ConstrainedLsProblem(rows, targets, radius))
+        w = solve_rows(rows, targets, radius)
         assert np.linalg.norm(w) <= radius + 1e-10
         _, pgd_obj = pgd_ls_oracle(rows, targets, radius, iters=5000)
         worst_gap = max(worst_gap, ls_objective(rows, targets, w) - pgd_obj)
@@ -299,16 +299,19 @@ def test_criterion_06_solver_optimality():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 7: analytic gradients vs central finite differences
+# Criterion 7: the gradients the engine applies vs central finite differences
 
 
 def test_criterion_07_gradient_correctness():
+    # one unit-step run per instance: the local gradient at (wg, wl), the
+    # global one at (wg, stepped local)
     rng = np.random.default_rng(707)
     worst = 0.0
     for _ in range(1000):
         wg, wl, s = random_instance(rng)
-        fg, fl = finite_diff_grads(wg, wl, s)
-        ag, al = grad_global(wg, wl, s), grad_local(wg, wl, s)
+        ag, al, stepped = applied_grads(wg, wl, s)
+        fg, _ = finite_diff_grads(wg, stepped, *s)
+        _, fl = finite_diff_grads(wg, wl, *s)
         worst = max(
             worst,
             np.linalg.norm(ag - fg) / max(1.0, np.linalg.norm(ag)),
@@ -360,9 +363,9 @@ def test_criterion_09_partition_properties():
         lines = []
         for c in ds.clients:
             lines.extend(c.train_lines + c.test_lines)
-            labels = [s.y for s in c.train]
+            labels = c.train[2].tolist()
             ok &= labels.count(1.0) == labels.count(-1.0) == len(labels) // 2
-            ok &= len(c.train) <= 2 * n0
+            ok &= len(labels) <= 2 * n0
             merged, neg = c.task
             ok &= len(merged) == 2  # floor(0.3 * 8)
             ok &= neg not in merged
@@ -382,8 +385,8 @@ def test_criterion_10_bandit_paired_regret():
     episode = draw_episode(env, rounds, 0)
     greedy = run_epsilon_greedy(episode, 0, hp, period)
     uniform = run_uniform_policy(episode)
-    rg = cb_regret(greedy.traces, env)
-    ru = cb_regret(uniform.traces, env)
+    rg = cb_regret(greedy, env)
+    ru = cb_regret(uniform, env)
     count_ok = greedy.exploration_rounds == rounds // period
     ok = rg < 0.5 * ru and count_ok
     report(10, ok, f"regret {rg:.4f} < 0.5 x uniform {ru:.4f}; explorations {greedy.exploration_rounds} == {rounds // period}")
@@ -405,7 +408,7 @@ def test_criterion_11_regret_sublinearity():
             eta = default_eta(rounds)
             hp = HyperParams(eta_global=eta, eta_local=eta)
             res = run_fedres_sgd(ds, 0, hp, rounds, seed)
-            regs[rounds] = compute_regret(res.traces, radius=100.0)
+            regs[rounds] = compute_regret(res, radius=100.0)
         ratios.append(regs[4096] / regs[512])
     mean_ratio = float(np.mean(ratios))
     ok = mean_ratio < 0.5

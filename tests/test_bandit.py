@@ -83,12 +83,12 @@ class TestRegret:
         env = fixed_env()
         res = run_uniform_policy(draw_episode(env, 50, 0))
         res.action[:] = 0
-        assert cb_regret(res.traces, env) == 0.0
+        assert cb_regret(res, env) == 0.0
 
     def test_uniform_on_two_actions_pays_half_the_gap(self):
         env = fixed_env(k=2, gap=0.4)
         res = run_uniform_policy(draw_episode(env, 4000, 3))
-        reg = cb_regret(res.traces, env)
+        reg = cb_regret(res, env)
         assert reg == pytest.approx(0.2, abs=0.02)
 
     def test_per_round_regret_bounded_by_value_range(self):
@@ -110,7 +110,7 @@ class TestRegret:
         for _ in range(rounds):
             means = env.mean_rewards(*env.context_blocks(rng_ctx, 1))[0, 0].tolist()
             total += max(means) - means[0]
-        assert cb_regret(res.traces, env) == pytest.approx(total / rounds, rel=1e-12)
+        assert cb_regret(res, env) == pytest.approx(total / rounds, rel=1e-12)
 
     def test_trained_policy_beats_uniform_on_paired_seed(self):
         env = make_realizable_env(4, 3, 2, 2, seed=6, noise_sigma=0.02)
@@ -118,17 +118,17 @@ class TestRegret:
         episode = draw_episode(env, 1500, 6)
         greedy = run_epsilon_greedy(episode, 0, hp, 10)
         uniform = run_uniform_policy(episode)
-        assert cb_regret(greedy.traces, env) < cb_regret(uniform.traces, env)
+        assert cb_regret(greedy, env) < cb_regret(uniform, env)
 
     def test_missing_bandit_fields_rejected(self):
         env = fixed_env()
         ds = gen_example2(2, 1, np.ones(1), 0.0, 4, seed=0)
         plain = run_fedres_sgd(ds, 0, HyperParams(), 4, 0)
         with pytest.raises(ConfigError):
-            cb_regret(plain.traces, env)
+            cb_regret(plain, env)
         three = run_uniform_policy(draw_episode(make_realizable_env(2, 3, 1, 1, seed=0), 5, 0))
         with pytest.raises(ConfigError):  # a one-client env would broadcast over three clients
-            cb_regret(three.traces, env)
+            cb_regret(three, env)
         with pytest.raises(ConfigError):
             cb_regret([], env)
 
@@ -174,7 +174,7 @@ class TestMatchesPerBlockOracle:
             assert_same_bits(getattr(res, name), want[name])
         assert_same_bits(np.array(res.final_locals), want["final_locals"])
         assert res.exploration_rounds == want["exploration_rounds"]
-        assert cb_regret(res.traces, env) == bandit_oracle.regret(want, env)
+        assert cb_regret(res, env) == bandit_oracle.regret(want, env)
 
 
 class TestEpisode:

@@ -1,19 +1,16 @@
 import numpy as np
 
 from fedres.baselines import central_view, independent_view, run_central, run_independent
-from fedres.core import HyperParams, Sample
+from fedres.core import HyperParams
 from fedres.datagen import gen_example2
 from fedres.engine import run_fedres_sgd
 
-from conftest import ball_project_oracle
+from conftest import ball_project_oracle, rows_of
 from test_sgd import dataset_from_streams, scripted_stream
 
 
-def traces_equal(a, b):
-    return all(
-        x.loss == y.loss and x.prediction == y.prediction and x.round == y.round
-        for x, y in zip(a.traces, b.traces)
-    ) and len(a.traces) == len(b.traces)
+def columns_equal(a, b):
+    return np.array_equal(a.loss, b.loss) and np.array_equal(a.prediction, b.prediction)
 
 
 class TestSharedEngineReductions:
@@ -23,7 +20,7 @@ class TestSharedEngineReductions:
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         a = run_central(ds, (2, 1), hp, 15, 0)
         b = run_fedres_sgd(central_view(ds), (2, 1), hp, 15, 0)
-        assert traces_equal(a, b)
+        assert columns_equal(a, b)
         assert np.all(a.final_global == b.final_global)
         assert all(len(wl) == 0 for wl in a.final_locals)
 
@@ -33,18 +30,15 @@ class TestSharedEngineReductions:
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         a = run_independent(ds, hp, 15, 0)
         b = run_fedres_sgd(independent_view(ds), 0, hp, 15, 0)
-        assert traces_equal(a, b)
+        assert columns_equal(a, b)
         assert len(a.final_global) == 0
         assert all(len(wl) == 5 for wl in a.final_locals)
 
     def test_identical_data_gives_identical_trajectories(self, rng):
         shared = scripted_stream(rng, 20, 2, 1)
-        ds = dataset_from_streams([shared, list(shared)], 2, [1, 1])
+        ds = dataset_from_streams([shared, tuple(a.copy() for a in shared)], 2, [1, 1])
         res = run_independent(ds, HyperParams(eta_global=0.1, eta_local=0.1), 20, 0)
-        by_client = {}
-        for tr in res.traces:
-            by_client.setdefault(tr.client_id, []).append(tr.loss)
-        assert by_client[0] == by_client[1]
+        assert res.loss[:, 0].tolist() == res.loss[:, 1].tolist()
         assert np.all(res.final_locals[0] == res.final_locals[1])
 
     def test_independent_matches_standalone_sgd_loop(self, rng):
@@ -55,12 +49,12 @@ class TestSharedEngineReductions:
 
         w = np.zeros(4)
         losses = []
-        for s in stream:
-            x = np.concatenate([s.x_global, s.x_local])
-            grad = 2.0 * (w @ x - s.y) * x
+        for xg, xl, y in rows_of(stream):
+            x = np.concatenate([xg, xl])
+            grad = 2.0 * (w @ x - y) * x
             w = ball_project_oracle(w - eta * grad, radius)
-            losses.append((s.y - float(w @ x)) ** 2)
-        assert [tr.loss for tr in res.traces] == losses
+            losses.append((y - float(w @ x)) ** 2)
+        assert res.loss.ravel().tolist() == losses
         assert np.all(res.final_locals[0] == w)
 
 
@@ -85,10 +79,11 @@ class TestCentralVsResidualSeparation:
 
 class TestRoutedViews:
     def test_views_transform_test_sets(self, rng):
-        s = Sample(np.array([1.0, 2.0]), np.array([3.0]), -1.0)
-        ds = dataset_from_streams([[s]], 2, [1])
-        ds.clients[0].test.append(s)
-        ind = independent_view(ds).test_sets()[0][0]
-        cen = central_view(ds).test_sets()[0][0]
-        assert np.all(ind.x_local == np.array([1.0, 2.0, 3.0])) and ind.x_global.size == 0
-        assert np.all(cen.x_global == np.array([1.0, 2.0])) and cen.x_local.size == 0
+        s = np.array([[1.0, 2.0]]), np.array([[3.0]]), np.array([-1.0])
+        ds = dataset_from_streams([s], 2, [1])
+        ds.clients[0].test = s
+        ind_g, ind_l, ind_y = independent_view(ds).test_sets()[0]
+        cen_g, cen_l, cen_y = central_view(ds).test_sets()[0]
+        assert np.all(ind_l == np.array([[1.0, 2.0, 3.0]])) and ind_g.shape == (1, 0)
+        assert np.all(cen_g == np.array([[1.0, 2.0]])) and cen_l.shape == (1, 0)
+        assert ind_y.tolist() == cen_y.tolist() == [-1.0]

@@ -42,7 +42,7 @@ def test_engine_reproduces_recorded_run(variant, batch):
         assert [list(o) for o in res.system.alignment_offsets()] == want["alignment_offsets"]
     if "action" in want:  # bandit only
         assert res.action.tolist() == want["action"]
-        assert cb_regret(res.traces, bandit_env(variant)) == want["cb_regret"]
+        assert cb_regret(res, bandit_env(variant)) == want["cb_regret"]
         assert res.exploration_rounds == want["exploration_rounds"]
 
 
@@ -63,7 +63,7 @@ def test_regret_and_comparator_reproduce_recorded_values(variant, batch):
     res = run(case_data(FIXTURE, variant), variant, batch)
     for want in FIXTURE["regret"][f"{variant}-b{batch}"]:
         radius = want["radius"]
-        assert compute_regret(res.traces, radius=radius) == want["regret"]
+        assert compute_regret(res, radius=radius) == want["regret"]
         wg, wls, objective = alternating_joint_ls(*client_blocks(res), radius)
         assert wg.tolist() == want["wg"]
         assert [w.tolist() for w in wls] == want["wls"]

@@ -3,76 +3,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedres.core import (
-    HyperParams,
-    Sample,
-    grad_global,
-    grad_local,
-    loss,
-    predict_joint,
-    project_ball,
-    suggested_step_size,
-)
+from fedres.core import HyperParams, project_ball, suggested_step_size
+from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 
-from conftest import finite_diff_grads, random_instance
+from conftest import finite_diff_grads, random_instance, stack_rows
+from test_minibatch import applied_grads
+from test_sgd import dataset_from_streams
 
 
 def vec(*xs):
     return np.array(xs, dtype=float)
 
 
+def priced(wg, wl, *rows):
+    """A one-client run that never steps (the round trip outlasts the
+    horizon): its prediction and loss columns price each (xg, xl, y) row
+    under the pair (wg, wl)."""
+    n = len(rows)
+    ds = dataset_from_streams([stack_rows(rows)], len(wg), [len(wl)])
+    return run_fedres_sgd(ds, (n, 0), HyperParams(), n, 0, init_global=wg, init_locals=[wl])
+
+
 class TestPredictJoint:
     def test_dot_products(self):
-        s = Sample(vec(2, 3), vec(4, 5), 0.0)
-        assert predict_joint(vec(1, 0), vec(0, 1), s) == 7.0
+        s = vec(2, 3), vec(4, 5), 0.0
+        assert priced(vec(1, 0), vec(0, 1), s).prediction[0, 0, 0] == 7.0
 
     def test_zero_model(self):
-        s = Sample(vec(2, 3), vec(4, 5), 0.0)
-        assert predict_joint(vec(0, 0), vec(0, 0), s) == 0.0
+        s = vec(2, 3), vec(4, 5), 0.0
+        assert priced(vec(0, 0), vec(0, 0), s).prediction[0, 0, 0] == 0.0
 
     def test_complementary_views_identity(self, rng):
         # [0,1]/[0,1] on ([a+eps, b], [1-a, 1-b]) predicts b + 1 - b = 1
+        rows = []
         for _ in range(20):
             a, b, eps = rng.normal(size=3)
-            s = Sample(vec(a + eps, b), vec(1 - a, 1 - b), 1.0)
-            assert predict_joint(vec(0, 1), vec(0, 1), s) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        s = Sample(vec(1, 2), vec(3), 0.0)
-        with pytest.raises(ValueError):
-            predict_joint(vec(1), vec(1), s)
+            rows.append((vec(a + eps, b), vec(1 - a, 1 - b), 1.0))
+        res = priced(vec(0, 1), vec(0, 1), *rows)
+        assert res.prediction.ravel() == pytest.approx(np.ones(20))
 
 
 class TestLoss:
     def test_realized(self):
-        assert loss(vec(1), vec(0), Sample(vec(1), vec(0), 1.0)) == 0.0
+        assert priced(vec(1), vec(0), (vec(1), vec(0), 1.0)).loss[0, 0] == 0.0
 
     def test_unit_residual(self):
-        assert loss(vec(2), vec(0), Sample(vec(1), vec(0), 1.0)) == 1.0
+        assert priced(vec(2), vec(0), (vec(1), vec(0), 1.0)).loss[0, 0] == 1.0
 
     def test_components(self):
-        s = Sample(vec(1), vec(1), 2.0)
-        assert loss(vec(0.5), vec(0.25), s) == pytest.approx(1.5625)
+        s = vec(1), vec(1), 2.0
+        assert priced(vec(0.5), vec(0.25), s).loss[0, 0] == pytest.approx(1.5625)
 
 
 class TestGradients:
+    """The gradients a unit-step run applies (see test_minibatch.applied_grads)."""
+
     def test_hand_value(self):
-        s = Sample(vec(1), vec(1), 1.0)
-        assert grad_global(vec(0), vec(0), s) == pytest.approx(vec(-2))
-        assert grad_local(vec(0), vec(0), s) == pytest.approx(vec(-2))
+        s = vec(1), vec(1), 1.0
+        ag, al, stepped = applied_grads(vec(0), vec(0), s)
+        assert al == pytest.approx(vec(-2))
+        assert stepped == pytest.approx(vec(2))
+        assert ag == pytest.approx(vec(2))  # at the stepped local: 2 (0 + 2 - 1) 1
 
     def test_zero_at_fit(self):
-        s = Sample(vec(1, 0), vec(0, 2), 3.0)
+        s = vec(1, 0), vec(0, 2), 3.0
         wg, wl = vec(1, 5), vec(9, 1)  # prediction 1 + 2 = 3 == y
-        assert np.all(grad_global(wg, wl, s) == 0)
-        assert np.all(grad_local(wg, wl, s) == 0)
+        ag, al, _ = applied_grads(wg, wl, s)
+        assert np.all(ag == 0)
+        assert np.all(al == 0)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(200):
             wg, wl, s = random_instance(rng)
-            fg, fl = finite_diff_grads(wg, wl, s)
-            ag, al = grad_global(wg, wl, s), grad_local(wg, wl, s)
+            ag, al, stepped = applied_grads(wg, wl, s)
+            fg, _ = finite_diff_grads(wg, stepped, *s)
+            _, fl = finite_diff_grads(wg, wl, *s)
             assert np.linalg.norm(ag - fg) <= 1e-6 * max(1.0, np.linalg.norm(ag))
             assert np.linalg.norm(al - fl) <= 1e-6 * max(1.0, np.linalg.norm(al))
 
@@ -135,13 +141,13 @@ class TestLossSignProperties:
     @settings(max_examples=150, deadline=None)
     def test_nonnegative_and_zero_iff_fit(self, seed):
         rng = np.random.default_rng(seed)
-        wg, wl, s = random_instance(rng)
-        val = loss(wg, wl, s)
+        wg, wl, (xg, xl, y) = random_instance(rng)
+        res = priced(wg, wl, (xg, xl, y))
+        val, pred = res.loss[0, 0], res.prediction[0, 0, 0]
         assert val >= 0.0
         if val == 0.0:
-            assert predict_joint(wg, wl, s) == s.y
-        fitted = Sample(s.x_global, s.x_local, predict_joint(wg, wl, s))
-        assert loss(wg, wl, fitted) == 0.0
+            assert pred == y
+        assert priced(wg, wl, (xg, xl, pred)).loss[0, 0] == 0.0
 
 
 class TestProjectedStepInequality:

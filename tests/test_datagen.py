@@ -50,6 +50,10 @@ class TestParser:
             ("1 1:1\n2 3\n", "line 2"),
             ("1 x:1\n", "malformed"),
             ("1 1:y\n", "malformed"),
+            ("1 1:0.5\n\n2 1:1 2:nan\n3 1:2\n", "line 3: non-finite"),
+            ("1 1:0.5\n\n2 1:1 2:inf\n3 1:2\n", "line 3: non-finite"),
+            ("1 1:0.5\n\n2 1:1 2:-inf\n3 1:2\n", "line 3: non-finite"),
+            ("1 1:0.5\n\n2 1:1 2:1e400\n3 1:2\n", "line 3: non-finite"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, fragment):
@@ -98,7 +102,7 @@ class TestPartition:
         corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
         ds = partition_federated(corpus, clients=2, n0=30, seed=1)
         for c in ds.clients:
-            assert len(c.train) <= 60
+            assert len(c.train[2]) <= 60
 
     def test_disjointness_and_balance(self, rng):
         corpus = parse_libsvm(toy_corpus(rng, n=200, k=8))
@@ -108,9 +112,9 @@ class TestPartition:
             for c in ds.clients:
                 lines = c.train_lines + c.test_lines
                 all_lines.extend(lines)
-                labels = [s.y for s in c.train]
-                assert labels.count(1.0) == labels.count(-1.0) == len(c.train) // 2
-                test_labels = [s.y for s in c.test]
+                labels = c.train[2].tolist()
+                assert labels.count(1.0) == labels.count(-1.0) == len(labels) // 2
+                test_labels = c.test[2].tolist()
                 assert test_labels.count(1.0) == test_labels.count(-1.0)
             assert len(all_lines) == len(set(all_lines))
 
@@ -135,14 +139,17 @@ class TestPartition:
     def test_stream_cycles_reshuffled_epochs(self, rng):
         corpus = parse_libsvm(toy_corpus(rng, n=200, k=8))
         ds = partition_federated(corpus, clients=2, n0=10, seed=4)
-        pool = ds.clients[0].train
+        def rows(block):
+            return [tuple(row) for row in np.column_stack(block).tolist()]
+
+        pool = rows(ds.clients[0].train)
+        assert len(set(pool)) == len(pool)  # distinct rows, so an epoch is a permutation
         horizon = 3 * len(pool)
-        stream = ds.round_stream(0, horizon, 4)
+        stream = rows(ds.stream_block(0, horizon, 4))
         for e in range(3):
             epoch = stream[e * len(pool) : (e + 1) * len(pool)]
-            assert sorted(id(s) for s in epoch) == sorted(id(s) for s in pool)
-        again = ds.round_stream(0, horizon, 4)
-        assert [id(s) for s in again] == [id(s) for s in stream]
+            assert sorted(epoch) == sorted(pool)
+        assert rows(ds.stream_block(0, horizon, 4)) == stream
 
     def test_pregenerated_streams_build_no_generator(self, monkeypatch):
         ds = gen_example2(4, 2, np.ones(2), 0.0, 10, 0)
@@ -165,19 +172,24 @@ class TestPartition:
         assert len(rows) == expected
         assert all(len(r.split()) == 2 for r in rows)
 
+    def test_manifest_needs_line_numbers(self, tmp_path):
+        with pytest.raises(ConfigError, match="no source line numbers"):
+            write_partition_manifest(gen_example2(2, 2, np.ones(2), 0.0, 5, 0),
+                                     tmp_path / "manifest.txt")
+
 
 class TestSignSplitGenerator:
     def test_one_dim_signs(self):
         ds = gen_example2(2, 1, np.array([1.0]), noise=0.0, rounds=50, seed=0)
-        for s in ds.pregenerated[0]:
-            assert s.y == pytest.approx(float(s.x_global[0]))
-        for s in ds.pregenerated[1]:
-            assert s.y == pytest.approx(-float(s.x_global[0]))
+        xg, _, y = ds.pregenerated[0]
+        assert y == pytest.approx(xg[:, 0])
+        xg, _, y = ds.pregenerated[1]
+        assert y == pytest.approx(-xg[:, 0])
 
     def test_duplicated_feature_blocks(self):
         ds = gen_example2(2, 3, np.zeros(3), noise=0.0, rounds=5, seed=1)
-        for s in ds.pregenerated[0]:
-            assert np.array_equal(s.x_global, s.x_local)
+        xg, xl, _ = ds.pregenerated[0]
+        assert np.array_equal(xg, xl)
 
     def test_realizable_by_true_pair(self, rng):
         v = np.array([0.6, -0.8])
@@ -185,15 +197,15 @@ class TestSignSplitGenerator:
         ds = gen_example2(4, 2, v, noise=0.0, rounds=30, seed=2, u_global=ug)
         for i, stream in enumerate(ds.pregenerated):
             u_i = v if i < 2 else -v
-            for s in stream:
-                assert s.y == pytest.approx(float((ug + u_i) @ s.x_global), rel=1e-12)
+            xg, _, y = stream
+            assert y == pytest.approx(xg @ (ug + u_i), rel=1e-12)
 
     def test_pooled_global_loss_floor_matches_moment(self):
         # best single global model on the pooled +-v mixture keeps E[(v.x)^2] = |v|^2
         v = np.array([0.6, 0.8])
         ds = gen_example2(10, 2, v, noise=0.0, rounds=2000, seed=3)
-        xs = np.concatenate([[s.x_global for s in st] for st in ds.pregenerated])
-        ys = np.concatenate([[s.y for s in st] for st in ds.pregenerated])
+        xs = np.concatenate([xg for xg, _, _ in ds.pregenerated])
+        ys = np.concatenate([y for _, _, y in ds.pregenerated])
         w, *_ = np.linalg.lstsq(xs, ys, rcond=None)
         mc = float(np.mean((ys - xs @ w) ** 2))
         assert mc == pytest.approx(1.0, abs=0.08)  # |v|^2 = 1
@@ -207,13 +219,13 @@ class TestComplementaryViewsGenerator:
     def test_optimal_pair_zero_loss_on_every_sample(self):
         ds = gen_appendixc(200, 0)
         w = np.array([0.0, 1.0])
-        for s in ds.pregenerated[0]:
-            assert float(w @ s.x_global + w @ s.x_local) == pytest.approx(1.0, rel=1e-12)
-            assert s.y == 1.0
+        xg, xl, y = ds.pregenerated[0]
+        assert xg @ w + xl @ w == pytest.approx(np.ones(200), rel=1e-12)
+        assert np.all(y == 1.0)
 
     def test_first_view_moments(self):
         ds = gen_appendixc(40_000, 1)
-        x0 = np.array([s.x_global[0] for s in ds.pregenerated[0]])
+        x0 = ds.pregenerated[0][0][:, 0]
         se_mean = np.sqrt(1.25 / len(x0))
         assert abs(x0.mean()) <= 3 * se_mean
         var = x0.var()
@@ -223,12 +235,13 @@ class TestComplementaryViewsGenerator:
     def test_seeded_reproducibility(self):
         a = gen_appendixc(50, 7).pregenerated[0]
         b = gen_appendixc(50, 7).pregenerated[0]
-        assert all(
-            np.array_equal(x.x_global, y.x_global) and np.array_equal(x.x_local, y.x_local)
-            for x, y in zip(a, b)
-        )
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_test_set_is_an_empty_block(self):
+        xg, xl, y = gen_appendixc(10, 0).test_sets()[0]
+        assert (xg.shape, xl.shape, y.shape) == ((0, 2), (0, 2), (0,))
 
     def test_horizon_overflow_rejected(self):
         ds = gen_appendixc(10, 0)
         with pytest.raises(ConfigError):
-            ds.round_stream(0, 11, 0)
+            ds.stream_block(0, 11, 0)

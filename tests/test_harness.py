@@ -3,8 +3,8 @@ import pytest
 
 from fedres import harness
 from fedres.cli import main as cli_main
-from fedres.core import HyperParams, Sample
-from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated, rows_block
+from fedres.core import HyperParams
+from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError
 from fedres.harness import (
@@ -50,14 +50,14 @@ class TestComputeRegret:
         wg, wl = np.array([0.5, -0.2]), np.array([0.3])
         xg, xl, y = rng.normal(0, 1, (4, 1, 2)), rng.normal(0, 1, (4, 1, 1)), rng.normal(size=(4, 1))
         run = columns_run(np.vecdot(xg, wg) + np.vecdot(xl, wl), y, xg, xl)
-        assert compute_regret(run.traces, comparator=(wg, [wl])) == pytest.approx(0.0, abs=1e-15)
+        assert compute_regret(run, comparator=(wg, [wl])) == pytest.approx(0.0, abs=1e-15)
 
     def test_realizable_comparator_leaves_played_loss(self, rng):
         wg_true, wl_true = np.array([0.4]), np.array([-0.3])
         xg, xl = rng.normal(0, 1, (5, 1, 1)), rng.normal(0, 1, (5, 1, 1))
         y = np.vecdot(xg, wg_true) + np.vecdot(xl, wl_true)
         run = columns_run(y - np.sqrt(1.7), y, xg, xl)  # played loss fixed at 1.7
-        reg = compute_regret(run.traces, comparator=(wg_true, [wl_true]))
+        reg = compute_regret(run, comparator=(wg_true, [wl_true]))
         assert reg == pytest.approx(1.7, rel=1e-12)
 
     def test_hand_summed_two_client_three_round_instance(self):
@@ -65,25 +65,27 @@ class TestComputeRegret:
         wg = np.array([0.1, 0.0])
         wls = [np.array([1.0]), np.array([2.0])]
         expected = 0.0
-        for tr in run.traces:
-            s = tr.sample
-            wl = wls[tr.client_id]
-            comp = (s.y - (wg @ s.x_global + wl @ s.x_local)) ** 2
-            expected += tr.loss - comp
+        for n in range(run.rounds):
+            for i, wl in enumerate(wls):
+                xg, xl, y = run.x_global[n, i, 0], run.x_local[n, i, 0], run.label[n, i, 0]
+                comp = (y - (wg @ xg + wl @ xl)) ** 2
+                expected += run.loss[n, i] - comp
         expected /= 6.0
-        assert compute_regret(run.traces, comparator=(wg, wls)) == pytest.approx(expected, rel=1e-12)
+        assert compute_regret(run, comparator=(wg, wls)) == pytest.approx(expected, rel=1e-12)
 
     def test_default_comparator_never_increases_regret(self, rng):
         v = np.array([0.5, 0.5])
         ds = gen_example2(2, 2, v, 0.0, 60, seed=0)
         res = run_fedres_sgd(ds, 0, HyperParams(eta_global=0.05, eta_local=0.05), 60, 0)
-        fitted = compute_regret(res.traces, radius=100.0)
-        true = compute_regret(res.traces, comparator=(np.zeros(2), [v, -v]))
+        fitted = compute_regret(res, radius=100.0)
+        true = compute_regret(res, comparator=(np.zeros(2), [v, -v]))
         assert fitted <= true + 1e-9
 
     def test_empty_trace_rejected(self):
+        empty = columns_run(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1, 1)),
+                            np.zeros((0, 1, 1)))
         with pytest.raises(ConfigError):
-            compute_regret([])
+            compute_regret(empty)
 
     def test_sum_is_the_record_order_loop(self, rng):
         """Bit for bit the `total += gap` loop from 0.0, which also turns an
@@ -94,7 +96,7 @@ class TestComputeRegret:
             run = columns_run(np.zeros((n, p)), np.zeros((n, p)), np.ones((n, p, 1)),
                               np.ones((n, p, 1)))
             run.loss = gaps
-            return compute_regret(run.traces, comparator=(np.zeros(1), [np.zeros(1)] * p))
+            return compute_regret(run, comparator=(np.zeros(1), [np.zeros(1)] * p))
 
         spread = 10.0 ** rng.integers(-8, 9, (50, 7))
         for gaps in (rng.normal(0, 1, (50, 7)) * spread, np.full((4, 3), -0.0)):
@@ -108,13 +110,8 @@ class TestAccuracy:
     def test_sign_agreement(self):
         class TinyDataset:
             def test_sets(self):
-                return [
-                    [
-                        Sample(np.array([1.0]), np.array([0.0]), 1.0),
-                        Sample(np.array([-1.0]), np.array([0.0]), -1.0),
-                        Sample(np.array([1.0]), np.array([0.0]), -1.0),
-                    ]
-                ]
+                return [(np.array([[1.0], [-1.0], [1.0]]), np.zeros((3, 1)),
+                         np.array([1.0, -1.0, -1.0]))]
 
         class R:
             final_global = np.array([2.0])
@@ -126,8 +123,7 @@ class TestAccuracy:
     def per_client_loop(dataset, result) -> float:
         """The client-by-client accuracy that the grouped passes replaced."""
         correct = n = 0
-        for tests, wl in zip(dataset.test_sets(), result.final_locals):
-            xg, xl, y = rows_block(tests)
+        for (xg, xl, y), wl in zip(dataset.test_sets(), result.final_locals):
             if not len(y):
                 continue
             pred = np.vecdot(xg, result.final_global) + np.vecdot(xl, wl)
@@ -141,8 +137,8 @@ class TestAccuracy:
         corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
         ds = partition_federated(corpus, clients=4, n0=10, seed=3)
         for client, keep in zip(ds.clients, (None, 3, 0, 7)):  # unequal and empty test sets
-            client.test = client.test[:keep] if keep != 0 else []  # a plain list: (0, 0) blocks
-        assert [len(c.test) for c in ds.clients] == [12, 3, 0, 7]
+            client.test = tuple(a[:keep] for a in client.test)
+        assert [len(c.test[2]) for c in ds.clients] == [12, 3, 0, 7]
         seen = set()
         for algo in ("fedres-sgd", "independent", "central"):
             res, view = dispatch(ExperimentConfig(algo=algo, clients=4, rounds=40), ds, 0)
@@ -152,13 +148,13 @@ class TestAccuracy:
         assert len(seen) > 1  # the views route features differently
 
     def test_no_test_rows_is_nan(self, rng):
-        ds = gen_appendixc(20, 0)  # test sets are empty lists
+        ds = gen_appendixc(20, 0)  # test sets are empty blocks
         res = run_fedres_sgd(ds, 0, HyperParams(), 20, 0)
         assert np.isnan(evaluate_accuracy(ds, res))
         corpus = parse_libsvm(toy_corpus(rng, n=400, k=8))
         ds = partition_federated(corpus, clients=2, n0=10, seed=3)
         for client in ds.clients:
-            client.test = client.test[:0]
+            client.test = tuple(a[:0] for a in client.test)
         res = run_fedres_sgd(ds, 0, HyperParams(), 20, 0)
         assert np.isnan(evaluate_accuracy(ds, res))
 
@@ -183,7 +179,7 @@ class TestConfigValidation:
             cfg = ExperimentConfig(**{**cfg0.__dict__, "algo": algo})
             ds = build_dataset(cfg, 0)
             result, view = dispatch(cfg, ds, 0)
-            assert len(result.traces) == 8 * 2
+            assert result.loss.shape == (8, 2)
 
 
 class TestCsvRows:
@@ -240,9 +236,10 @@ class TestClientScaling:
             xs = rng.standard_normal((rounds + test_rounds, 2))
             zs = rng.standard_normal((rounds + test_rounds, 2))
             ys = xs @ u + noise * rng.standard_normal(rounds + test_rounds)
-            samples = [Sample(xs[t], zs[t], float(ys[t])) for t in range(rounds + test_rounds)]
-            streams.append(samples[:rounds])
-            data.append(ClientData(train=samples[:rounds], test=samples[rounds:], task=("shared",)))
+            train = xs[:rounds], zs[:rounds], ys[:rounds]
+            streams.append(train)
+            data.append(ClientData(train=train, test=(xs[rounds:], zs[rounds:], ys[rounds:]),
+                                   task=("shared",)))
         return FederatedDataset(clients=data, d_global=2, d_locals=[2] * clients, pregenerated=streams)
 
     def test_accuracy_non_decreasing_in_clients_within_noise(self):
@@ -294,6 +291,24 @@ class TestCli:
     def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
         assert cli_main(argv + ["--rounds", "10", "--output", "-"]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_bandit_rejects_batching(self, capsys):
+        # the policies take one learner step per exploration round
+        assert cli_main(["bandit", "--batch-size", "5", "--rounds", "10", "--output", "-"]) == 1
+        assert "batching" in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            bandit_rows(ExperimentConfig(rounds=10, batch_size=5))
+
+    def test_non_finite_corpus_value_exit_code(self, tmp_path, rng, capsys):
+        lines = toy_corpus(rng, n=200, k=8).splitlines()
+        lines[7] = lines[7].split()[0] + " 1:nan"
+        src = tmp_path / "corpus.txt"
+        src.write_text("\n".join(lines) + "\n")
+        for algo in ("fedres-sgd", "independent", "fedres-erm"):
+            code = cli_main(["run", "--data", f"libsvm:{src}", "--algo", algo, "--clients", "2",
+                             "--rounds", "30", "--output", "-"])
+            assert code == 1
+            assert "line 8: non-finite" in capsys.readouterr().err
 
     def test_usage_error_is_config_error(self, capsys):
         assert cli_main(["run", "--bogus-flag"]) == 1

@@ -1,58 +1,70 @@
 import numpy as np
 import pytest
 
-from fedres.core import HyperParams, Sample, grad_global, grad_local, loss
+from fedres.core import HyperParams
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError
 
+from conftest import joint_grads, joint_loss, rows_of, stack_rows
 from test_sgd import dataset_from_streams, scripted_stream
 
 
-def one_batch_run(batch, wg, wl):
-    """One client, zero delay, one batch round on `batch` from the pair
-    (wg, wl) with unit steps and an inactive ball: the client steps on the
-    batch-mean local gradient at (wg, wl), the loss record is the batch-mean
-    loss at (wg, new wl), and the server steps on the batch-mean global
-    gradient there."""
-    ds = dataset_from_streams([list(batch)], len(wg), [len(wl)])
+def one_batch_run(rows, wg, wl):
+    """One client, zero delay, one batch round on the (xg, xl, y) `rows`
+    from the pair (wg, wl) with unit steps and an inactive ball: the client
+    steps on the batch-mean local gradient at (wg, wl), the loss record is
+    the batch-mean loss at (wg, new wl), and the server steps on the
+    batch-mean global gradient there."""
+    ds = dataset_from_streams([stack_rows(rows)], len(wg), [len(wl)])
     hp = HyperParams(radius=1e6, eta_global=1.0, eta_local=1.0)
-    return run_fedres_sgd(ds, 0, hp, len(batch), 0, batch_size=len(batch), init_global=wg,
+    return run_fedres_sgd(ds, 0, hp, len(rows), 0, batch_size=len(rows), init_global=wg,
                           init_locals=[wl])
+
+
+def applied_grads(wg, wl, row):
+    """(global gradient, local gradient, stepped local) that one_batch_run
+    applies on one (xg, xl, y) row: the local gradient at (wg, wl), the
+    global one at (wg, stepped local)."""
+    res = one_batch_run([row], wg, wl)
+    stepped = res.final_locals[0]
+    return wg - res.final_global, wl - stepped, stepped
 
 
 class TestAggregation:
     def test_singleton_batch_equals_pointwise(self, rng):
         wg, wl = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), 1.0)
+        s = rng.normal(0, 1, 2), rng.normal(0, 1, 2), 1.0
         res = one_batch_run([s], wg, wl)
         stepped = res.final_locals[0]
-        assert res.loss[0, 0] == loss(wg, stepped, s)
-        assert np.all(res.final_global == wg - grad_global(wg, stepped, s))
-        assert np.all(stepped == wl - grad_local(wg, wl, s))
+        assert res.loss[0, 0] == joint_loss(wg, stepped, *s)
+        assert np.all(res.final_global == wg - joint_grads(wg, stepped, *s)[0])
+        assert np.all(stepped == wl - joint_grads(wg, wl, *s)[1])
 
     def test_duplicated_sample_equals_single(self, rng):
         wg, wl = rng.normal(0, 1, 2), rng.normal(0, 1, 2)
-        s = Sample(rng.normal(0, 1, 2), rng.normal(0, 1, 2), 0.5)
+        s = rng.normal(0, 1, 2), rng.normal(0, 1, 2), 0.5
         res = one_batch_run([s, s], wg, wl)
-        assert res.loss[0, 0] == pytest.approx(loss(wg, res.final_locals[0], s), rel=1e-15)
+        assert res.loss[0, 0] == pytest.approx(joint_loss(wg, res.final_locals[0], *s), rel=1e-15)
 
     def test_batch_of_four_matches_direct_mean(self, rng):
         wg, wl = rng.normal(0, 1, 3), rng.normal(0, 1, 2)
         batch = [
-            Sample(rng.normal(0, 1, 3), rng.normal(0, 1, 2), float(rng.normal()))
+            (rng.normal(0, 1, 3), rng.normal(0, 1, 2), float(rng.normal()))
             for _ in range(4)
         ]
         res = one_batch_run(batch, wg, wl)
         stepped = res.final_locals[0]
         assert res.loss[0, 0] == pytest.approx(
-            sum(loss(wg, stepped, s) for s in batch) / 4.0, rel=1e-12
+            sum(joint_loss(wg, stepped, *s) for s in batch) / 4.0, rel=1e-12
         )
         gg, gl = wg - res.final_global, wl - stepped
-        assert gg == pytest.approx(sum(grad_global(wg, stepped, s) for s in batch) / 4.0, rel=1e-12)
-        assert gl == pytest.approx(sum(grad_local(wg, wl, s) for s in batch) / 4.0, rel=1e-12)
+        assert gg == pytest.approx(
+            sum(joint_grads(wg, stepped, *s)[0] for s in batch) / 4.0, rel=1e-12
+        )
+        assert gl == pytest.approx(sum(joint_grads(wg, wl, *s)[1] for s in batch) / 4.0, rel=1e-12)
 
     def test_wrong_length_rejected(self, rng):
-        ds = dataset_from_streams([[Sample(np.ones(1), np.ones(1), 1.0)] * 2], 1, [1])
+        ds = dataset_from_streams([(np.ones((2, 1)), np.ones((2, 1)), np.ones(2))], 1, [1])
         with pytest.raises(ConfigError):
             run_fedres_sgd(ds, 0, HyperParams(), 2, 0, batch_size=3)
         with pytest.raises(ConfigError):
@@ -66,10 +78,7 @@ class TestBatchedRuns:
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         a = run_fedres_sgd(ds, (1, 2), hp, 12, 0, batch_size=1)
         b = run_fedres_sgd(ds, (1, 2), hp, 12, 0)
-        assert len(a.traces) == len(b.traces)
-        assert all(
-            x.loss == y.loss and x.prediction == y.prediction for x, y in zip(a.traces, b.traces)
-        )
+        assert np.array_equal(a.loss, b.loss) and np.array_equal(a.prediction, b.prediction)
         assert np.all(a.final_global == b.final_global)
 
     def test_full_horizon_batch_is_one_full_gradient_step(self, rng):
@@ -79,15 +88,15 @@ class TestBatchedRuns:
         eta = 0.2
         hp = HyperParams(radius=50.0, eta_global=eta, eta_local=eta)
         res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=rounds)
-        assert res.rounds == 1 and len(res.traces) == 1
+        assert res.rounds == 1 and res.loss.size == 1
 
-        batch = streams[0]
+        batch = rows_of(streams[0])
         zeros = np.zeros(2)
-        gl = np.mean(np.stack([grad_local(zeros, zeros, s) for s in batch]), axis=0)
+        gl = np.mean(np.stack([joint_grads(zeros, zeros, *s)[1] for s in batch]), axis=0)
         wl = zeros - eta * gl
         gg = np.mean(
             np.stack(
-                [2.0 * (float(zeros @ s.x_global) + float(wl @ s.x_local) - s.y) * s.x_global for s in batch]
+                [2.0 * (float(zeros @ xg) + float(wl @ xl) - y) * xg for xg, xl, y in batch]
             ),
             axis=0,
         )

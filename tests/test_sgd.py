@@ -2,38 +2,41 @@ import numpy as np
 import pytest
 
 from fedres.channel import DelayConfig
-from fedres.core import HyperParams, Sample
+from fedres.core import HyperParams
 from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2
 from fedres.engine import SgdSystem, build_streams, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 from fedres.results import RunResult
 
-from conftest import ball_project_oracle
+from conftest import ball_project_oracle, rows_of, stack_rows
 
 
 def dataset_from_streams(streams, d_global, d_locals):
-    clients = [ClientData(train=st, test=[], task=("scripted",)) for st in streams]
+    """A pre-generated dataset of per-client (x_global, x_local, y) blocks."""
+    clients = [ClientData(train=st, test=tuple(a[:0] for a in st), task=("scripted",))
+               for st in streams]
     return FederatedDataset(
         clients=clients, d_global=d_global, d_locals=d_locals, pregenerated=streams
     )
 
 
 def scripted_stream(rng, rounds, d_global, d_local):
-    return [
-        Sample(rng.normal(0, 1, d_global), rng.normal(0, 1, d_local), float(rng.normal(0, 1)))
+    """An (x_global, x_local, y) block of random rows, drawn row by row."""
+    return stack_rows(
+        (rng.normal(0, 1, d_global), rng.normal(0, 1, d_local), rng.normal(0, 1))
         for _ in range(rounds)
-    ]
+    )
 
 
 class TestClientRound:
     def test_single_step_hand_oracle(self):
         ds = gen_appendixc(1, 3)
-        s = ds.pregenerated[0][0]
+        xg, xl, y = rows_of(ds.pregenerated[0])[0]
         init = np.array([1.0, 0.0])
         hp = HyperParams(radius=100.0, eta_global=1.0, eta_local=1.0)
         res = run_fedres_sgd(ds, 0, hp, 1, 3, init_global=init, init_locals=[init])
-        pred = init @ s.x_global + init @ s.x_local
-        expected = init - 1.0 * 2.0 * (pred - s.y) * s.x_local
+        pred = init @ xg + init @ xl
+        expected = init - 1.0 * 2.0 * (pred - y) * xl
         assert res.final_locals[0] == pytest.approx(expected, rel=1e-15)
 
     def test_warmup_leaves_local_unchanged(self, rng):
@@ -51,10 +54,10 @@ class TestClientRound:
         init_l = [np.array([-0.2, 0.3]), np.array([0.6, 0.0])]
         hp = HyperParams(eta_global=0.5, eta_local=0.5)
         res = run_fedres_sgd(ds, (1, 0), hp, 1, 0, init_global=init_g, init_locals=init_l)
-        for tr in res.traces:
-            s = streams[tr.client_id][0]
-            expected = (s.y - (init_g @ s.x_global + init_l[tr.client_id] @ s.x_local)) ** 2
-            assert tr.loss == pytest.approx(expected, rel=1e-12)
+        for i, stream in enumerate(streams):
+            xg, xl, y = rows_of(stream)[0]
+            expected = (y - (init_g @ xg + init_l[i] @ xl)) ** 2
+            assert res.loss[0, i] == pytest.approx(expected, rel=1e-12)
 
     def test_missing_history_is_guarded(self, rng):
         # direct state abuse: shrink the history ring below the round trip and step into the gap
@@ -86,10 +89,10 @@ class TestServerRound:
         ds = dataset_from_streams(streams, 3, [2])
         hp = HyperParams(radius=5.0, eta_global=0.2, eta_local=0.3)
         res = run_fedres_sgd(ds, 0, hp, 1, 0)
-        s = streams[0][0]
-        wl = ball_project_oracle(-0.3 * 2.0 * (0.0 - s.y) * s.x_local, 5.0)
-        pred = wl @ s.x_local  # global is zero before the server step
-        wg = ball_project_oracle(-0.2 * 2.0 * (pred - s.y) * s.x_global, 5.0)
+        xg, xl, y = rows_of(streams[0])[0]
+        wl = ball_project_oracle(-0.3 * 2.0 * (0.0 - y) * xl, 5.0)
+        pred = wl @ xl  # global is zero before the server step
+        wg = ball_project_oracle(-0.2 * 2.0 * (pred - y) * xg, 5.0)
         assert res.final_locals[0] == pytest.approx(wl, rel=1e-15)
         assert res.final_global == pytest.approx(wg, rel=1e-15)
 
@@ -99,6 +102,7 @@ class TestScriptedTwoClientDelayedRun:
         """P=2, alpha=beta=1, 4 rounds, against an explicit re-simulation."""
         clients, rounds, dg, dl = 2, 4, 2, 2
         streams = [scripted_stream(rng, rounds, dg, dl) for _ in range(clients)]
+        rows = [rows_of(st) for st in streams]
         ds = dataset_from_streams(streams, dg, [dl] * clients)
         eta, radius = 0.1, 100.0
         hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
@@ -115,31 +119,29 @@ class TestScriptedTwoClientDelayedRun:
             snapshots[t] = wg
             for i in range(clients):
                 fetched = snapshots[max(t - 1, 0)]  # beta=1
-                s = streams[i][t - 1]
+                xg, xl, y = rows[i][t - 1]
                 smid = t - 2  # alpha+beta = 2
                 if smid >= 1:
-                    g_then, wl_then, s_then = hist[(i, smid)]
-                    pred = g_then @ s_then.x_global + wl_then @ s_then.x_local
+                    g_then, wl_then, (xg_then, xl_then, y_then) = hist[(i, smid)]
+                    pred = g_then @ xg_then + wl_then @ xl_then
                     wl[i] = ball_project_oracle(
-                        wl[i] - eta * 2.0 * (pred - s_then.y) * s_then.x_local, radius
+                        wl[i] - eta * 2.0 * (pred - y_then) * xl_then, radius
                     )
-                hist[(i, t)] = (fetched, wl[i], s)
-                pred_now = fetched @ s.x_global + wl[i] @ s.x_local
-                losses[(t, i)] = (s.y - pred_now) ** 2
-                inbox.setdefault(t + 1, []).append(
-                    (i, t, s.x_global, float(wl[i] @ s.x_local), s.y)
-                )
+                hist[(i, t)] = (fetched, wl[i], (xg, xl, y))
+                pred_now = fetched @ xg + wl[i] @ xl
+                losses[(t, i)] = (y - pred_now) ** 2
+                inbox.setdefault(t + 1, []).append((i, t, xg, float(wl[i] @ xl), y))
             gsum = np.zeros(dg)
             arrived = False
-            for (i, sent, xg, lp, y) in inbox.get(t, []):
+            for i, sent, xg, lp, y in inbox.get(t, []):
                 snap = snapshots[max(sent - 1, 0)]  # sent - beta_i
                 gsum += 2.0 * (snap @ xg + lp - y) * xg
                 arrived = True
             if arrived:
                 wg = ball_project_oracle(wg - eta * gsum, radius)
 
-        for tr in res.traces:
-            assert tr.loss == pytest.approx(losses[(tr.round, tr.client_id)], rel=1e-14)
+        for (t, i), loss in losses.items():
+            assert res.loss[t - 1, i] == pytest.approx(loss, rel=1e-14)
         assert res.final_global == pytest.approx(wg, rel=1e-14)
         for i in range(clients):
             assert res.final_locals[i] == pytest.approx(wl[i], rel=1e-14)
@@ -192,7 +194,7 @@ class TestInvariants:
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
         a = run_fedres_sgd(ds, (1, 1), hp, 50, 9)
         b = run_fedres_sgd(ds, (1, 1), hp, 50, 9)
-        assert all(x.loss == y.loss and x.prediction == y.prediction for x, y in zip(a.traces, b.traces))
+        assert np.array_equal(a.loss, b.loss) and np.array_equal(a.prediction, b.prediction)
         assert np.all(a.final_global == b.final_global)
 
     def test_variants_diverge_under_delay(self, rng):
@@ -221,8 +223,8 @@ class TestNumericHealth:
 
     def test_overflowing_loss_is_caught_after_the_loop(self):
         # tiny features and steps keep the models finite while (y - pred)^2 overflows
-        stream = [Sample(np.array([1e-10]), np.array([1e-10]), 1e155) for _ in range(3)]
-        ds = dataset_from_streams([stream], 1, [1])
+        tiny = np.full((3, 1), 1e-10)
+        ds = dataset_from_streams([(tiny, tiny, np.full(3, 1e155))], 1, [1])
         hp = HyperParams(radius=1.0, eta_global=1e-150, eta_local=1e-150)
         with pytest.raises(InvariantError, match="non-finite loss at round 1, client 0"):
             run_fedres_sgd(ds, 0, hp, 3, 0)
@@ -241,7 +243,8 @@ class TestNumericHealth:
 
     def test_nan_data_is_caught(self, rng):
         streams = [scripted_stream(rng, 6, 2, 2) for _ in range(2)]
-        streams[1][3] = Sample(np.array([np.nan, 0.0]), np.zeros(2), 0.0)
+        xg, xl, y = streams[1]
+        xg[3], xl[3], y[3] = [np.nan, 0.0], 0.0, 0.0
         ds = dataset_from_streams(streams, 2, [2, 2])
         with pytest.raises(InvariantError, match=r"round 4, client 1|client 1 .*round 4"):
             run_fedres_sgd(ds, 0, HyperParams(eta_global=0.1, eta_local=0.1), 6, 0)

@@ -8,51 +8,31 @@ from fedres.engine import build_streams
 from fedres.errors import ConfigError
 from fedres.harness import compute_regret
 from fedres.results import RunResult
-from fedres.solver import (
-    BASE_RIDGE,
-    ConstrainedLsProblem,
-    alternating_joint_ls,
-    solve_constrained_ls,
-    solve_gram,
-)
+from fedres.solver import BASE_RIDGE, alternating_joint_ls, solve_gram
 
-from conftest import ls_objective, pgd_ls_oracle
+from conftest import ls_objective, pgd_ls_oracle, solve_rows
 from joint_ls_oracle import alternating_joint_ls_oracle, client_blocks
 from test_datagen import toy_corpus
 
 
-def problem(rows, targets, radius):
-    return ConstrainedLsProblem(np.array(rows, float), np.array(targets, float), radius)
-
-
 class TestSolveConstrainedLs:
+    """solve_gram on explicit rows, through the conftest solve_rows wrapper."""
+
     def test_interior_optimum(self):
-        w = solve_constrained_ls(problem([[1.0]], [1.0], 10.0))
+        w = solve_rows(np.array([[1.0]]), np.array([1.0]), 10.0)
         assert w == pytest.approx([1.0], abs=1e-8)
 
     def test_one_dim_clamp(self):
-        w = solve_constrained_ls(problem([[1.0]], [2.0], 1.0))
+        w = solve_rows(np.array([[1.0]]), np.array([2.0]), 1.0)
         assert w == pytest.approx([1.0], abs=1e-8)
 
     def test_active_constraint_matches_pgd(self):
         rows = np.array([[1.0, 0.0], [1.0, 1.0]])
         targets = np.array([2.0, 0.0])
-        w = solve_constrained_ls(problem(rows, targets, 1.0))
+        w = solve_rows(rows, targets, 1.0)
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=200_000)
         assert np.linalg.norm(w) <= 1.0 + 1e-10
         assert ls_objective(rows, targets, w) <= pgd_obj + 1e-8
-
-    def test_empty_problem_returns_zero(self):
-        w = solve_constrained_ls(problem(np.zeros((0, 3)), [], 1.0))
-        assert np.all(w == np.zeros(3))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            problem([[1.0]], [1.0, 2.0], 1.0)
-        with pytest.raises(ConfigError):
-            problem([[1.0]], [1.0], 0.0)
-        with pytest.raises(ConfigError):
-            solve_constrained_ls(problem([[1.0]], [1.0], 1.0), ridge=0.0)
 
     def test_random_problems_beat_pgd_oracle(self, rng):
         for _ in range(100):
@@ -61,7 +41,7 @@ class TestSolveConstrainedLs:
             rows = rng.normal(0, 1, (n, d))
             targets = rng.normal(0, 2, n)
             radius = float(rng.uniform(0.1, 2.0))
-            w = solve_constrained_ls(problem(rows, targets, radius))
+            w = solve_rows(rows, targets, radius)
             assert np.linalg.norm(w) <= radius + 1e-10
             _, pgd_obj = pgd_ls_oracle(rows, targets, radius, iters=5000)
             assert ls_objective(rows, targets, w) <= pgd_obj + 1e-8
@@ -73,9 +53,10 @@ class TestSolveGram:
             rows = rng.normal(0, 1, (8, 3))
             targets = rng.normal(0, 1, 8)
             radius = float(rng.uniform(0.2, 3.0))
-            via_rows = solve_constrained_ls(problem(rows, targets, radius))
             via_gram = solve_gram(rows.T @ rows, rows.T @ targets, radius)
-            assert via_gram == pytest.approx(via_rows, rel=1e-9, abs=1e-12)
+            _, pgd_obj = pgd_ls_oracle(rows, targets, radius, iters=5000)
+            assert np.linalg.norm(via_gram) <= radius + 1e-10
+            assert ls_objective(rows, targets, via_gram) <= pgd_obj + 1e-8
 
     def test_zero_dimensional(self):
         for shape in ((), (3,)):
@@ -179,8 +160,8 @@ class TestComparatorMatchesOracle:
             assert wls.tobytes() == np.array(want_l).reshape(wls.shape).tobytes()
             assert obj.hex() == want_obj.hex()
         # compute_regret hands its columns to the same comparator
-        assert (compute_regret(run.traces, radius=radius)
-                == compute_regret(run.traces, comparator=(want_g, want_l)))
+        assert (compute_regret(run, radius=radius)
+                == compute_regret(run, comparator=(want_g, want_l)))
         return want_g, np.array(want_l).reshape(len(want_l), -1)
 
     def test_fleet_shape(self):
