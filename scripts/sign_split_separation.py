@@ -14,7 +14,8 @@ import argparse
 
 import numpy as np
 
-from fedres import HyperParams, default_eta, gen_example2, run_central, run_fedres_sgd, run_independent
+from fedres import (HyperParams, central_view, default_eta, gen_example2, independent_view,
+                    run_fedres_sgd)
 
 
 def main():
@@ -33,8 +34,8 @@ def main():
     hp = HyperParams(eta_global=eta, eta_local=eta)
 
     runs = {
-        "central": run_central(ds, 0, hp, args.rounds, args.seed),
-        "independent": run_independent(ds, hp, args.rounds, args.seed),
+        "central": run_fedres_sgd(central_view(ds), 0, hp, args.rounds, args.seed),
+        "independent": run_fedres_sgd(independent_view(ds), 0, hp, args.rounds, args.seed),
         "fedres-sgd": run_fedres_sgd(ds, 0, hp, args.rounds, args.seed),
     }
     print(f"irreducible central floor |v|^2 = {args.v_norm ** 2:.3f}")

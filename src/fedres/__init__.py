@@ -1,8 +1,8 @@
 """Deterministic federated residual learning: a shared global linear model
 plus per-client local models trained jointly under explicit uplink and
 downlink communication delays, with exact-solve and delayed-gradient
-learners, local/central baselines, mini-batching, and an
-epsilon-greedy contextual-bandit layer."""
+learners, local/central baselines as views over the engine, mini-batching,
+and an epsilon-greedy contextual-bandit layer."""
 
 from .bandit import (
     BanditEnv,
@@ -15,7 +15,7 @@ from .bandit import (
     run_uniform_policy,
     suggested_exploration_period,
 )
-from .baselines import run_central, run_independent
+from .baselines import central_view, independent_view
 from .channel import DelayConfig, DelayedChannel
 from .core import HyperParams, default_eta, project_ball, suggested_step_size
 from .datagen import (
@@ -40,7 +40,7 @@ __all__ = [
     "BanditEnv", "BanditEpisode", "cb_regret", "choose_action", "draw_episode",
     "make_realizable_env", "run_epsilon_greedy", "run_uniform_policy",
     "suggested_exploration_period",
-    "run_central", "run_independent", "DelayConfig", "DelayedChannel",
+    "central_view", "independent_view", "DelayConfig", "DelayedChannel",
     "HyperParams", "default_eta", "project_ball", "suggested_step_size",
     "FederatedDataset", "MulticlassCorpus", "gen_appendixc", "gen_example2", "load_libsvm",
     "parse_libsvm", "partition_federated", "serialize_libsvm", "write_partition_manifest",

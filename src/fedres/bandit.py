@@ -21,10 +21,10 @@ recording the model pair in force in each exploration block (rounds
 s+1 .. s+B act on the pair after s / B steps). One pass then prices every
 action of every round under its block's pair and takes the greedy
 choices, and the exploration rounds are overwritten with their picks.
-The uniform policy never explores and draws all its actions instead, so
-it skips that pass. The prediction column prices the chosen contexts
-under the same pairs; np.vecdot gives every element the bits it has in a
-block-by-block loop.
+The uniform policy draws all its actions and keeps zero models, so it
+runs no learner and skips that pass. The prediction column prices the
+chosen contexts under the same pairs; np.vecdot gives every element the
+bits it has in a block-by-block loop.
 
 A run returns a BanditResult: the RunResult columns, with the realized
 reward of the chosen action as label and its contexts as x_global /
@@ -160,25 +160,15 @@ class BanditResult(RunResult):
 def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
                        period: int) -> BanditResult:
     """Periodic-exploration policy backed by the delayed-gradient learner."""
-    return _run_policy(episode, delays, hyper, period, uniform=False)
-
-
-def run_uniform_policy(episode: BanditEpisode) -> BanditResult:
-    """Always-uniform baseline on the episode's draws."""
-    return _run_policy(episode, 0, HyperParams(), len(episode.reward) + 1, uniform=True)
-
-
-def _run_policy(episode, delays, hyper, period, uniform):
     if period < 1:
         raise ConfigError(f"exploration period must be >= 1, got {period}")
     xg, xl, reward = episode.context_global, episode.context_local, episode.reward
     rounds, clients, k, dg = xg.shape
     dl = xl.shape[-1]
-    rng = substream(episode.seed, "bandit-uniform" if uniform else "bandit-explore")
     explored = np.arange(period - 1, rounds, period)  # each full block's last round
     # the picks one call per block would draw: integers() takes 32-bit draws, and
     # PCG64 keeps the spare half of a 64-bit output between calls
-    picks = rng.integers(k, size=(len(explored), clients))
+    picks = substream(episode.seed, "bandit-explore").integers(k, size=(len(explored), clients))
     at = explored[:, None], np.arange(clients), picks
     system = SgdSystem(dg, [dl] * clients, as_delay_config(delays, clients), hyper,
                        streams=(xg[at][:, :, None], xl[at][:, :, None], reward[at][:, :, None]))
@@ -190,28 +180,40 @@ def _run_policy(episode, delays, hyper, period, uniform):
             system.step()
     in_force = np.arange(rounds) // period
     wg, wl = pair_g[in_force], pair_l[in_force]
-    if uniform:
-        action = rng.integers(k, size=(rounds, clients))
-    else:
-        action, _ = choose_action(wg, wl, xg, xl)
-        action[explored] = picks
+    action, _ = choose_action(wg, wl, xg, xl)
+    action[explored] = picks
+    return _result(episode, action, (wg, wl), (system.wg, system.wl),
+                   system.channel.fetch_counts, system.t)
+
+
+def run_uniform_policy(episode: BanditEpisode) -> BanditResult:
+    """Always-uniform baseline on the episode's draws; its models stay zero."""
+    rounds, clients, k, dg = episode.context_global.shape
+    action = substream(episode.seed, "bandit-uniform").integers(k, size=(rounds, clients))
+    zero = np.zeros(dg), np.zeros((clients, episode.context_local.shape[-1]))
+    return _result(episode, action, zero, zero, [0] * clients, 0)
+
+
+def _result(episode, action, in_force, final, fetch_counts, exploration_rounds) -> BanditResult:
+    """The run of the actions (T, P): the chosen contexts and rewards, priced
+    under the model pairs in_force, whose leading axes broadcast against (T, P)."""
     chosen = action[..., None]
-    x_global = np.take_along_axis(xg, chosen[..., None], axis=-2)
-    x_local = np.take_along_axis(xl, chosen[..., None], axis=-2)
-    _, prediction = choose_action(wg, wl, x_global, x_local)  # vecdot: per-element bits
+    x_global = np.take_along_axis(episode.context_global, chosen[..., None], axis=-2)
+    x_local = np.take_along_axis(episode.context_local, chosen[..., None], axis=-2)
+    _, prediction = choose_action(*in_force, x_global, x_local)  # vecdot: per-element bits
     return BanditResult(
         prediction=prediction,
-        label=np.take_along_axis(reward, chosen, axis=-1),
+        label=np.take_along_axis(episode.reward, chosen, axis=-1),
         x_global=x_global,
         x_local=x_local,
-        final_global=system.wg,
-        final_locals=list(system.wl),
-        fetch_counts=system.channel.fetch_counts,
+        final_global=final[0],
+        final_locals=list(final[1]),
+        fetch_counts=fetch_counts,
         action=action,
-        context_global=xg,
-        context_local=xl,
+        context_global=episode.context_global,
+        context_local=episode.context_local,
         means=episode.means,
-        exploration_rounds=system.t,
+        exploration_rounds=exploration_rounds,
     )
 
 

@@ -5,17 +5,14 @@ block, no effective communication, zero delay by construction); Central
 re-routes everything into the global block (empty local block), so the
 server does all the learning over delay-subjected uploads and clients
 predict with the delayed global model alone. Both are literally the
-residual engine on a transformed dataset, so any engine fix reaches all
-three schemes identically.
+residual engine on a transformed dataset: run_fedres_sgd on
+independent_view(dataset) (with zero delays) or central_view(dataset), so
+any engine fix reaches all three schemes identically.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .core import HyperParams
-from .engine import run_fedres_sgd
-from .results import RunResult
 
 
 class _RoutedView:
@@ -56,19 +53,3 @@ def independent_view(dataset) -> _RoutedView:
 
 def central_view(dataset) -> _RoutedView:
     return _RoutedView(dataset, "central")
-
-
-def run_independent(dataset, hyper: HyperParams, rounds: int, seed: int,
-                    *, batch_size: int = 1) -> RunResult:
-    """Per-client SGD on the full feature set; no communication."""
-    return run_fedres_sgd(
-        independent_view(dataset), 0, hyper, rounds, seed, batch_size=batch_size
-    )
-
-
-def run_central(dataset, delays, hyper: HyperParams, rounds: int, seed: int,
-                *, batch_size: int = 1) -> RunResult:
-    """Server-side SGD on global features over the aggregated, delayed uploads."""
-    return run_fedres_sgd(
-        central_view(dataset), delays, hyper, rounds, seed, batch_size=batch_size
-    )

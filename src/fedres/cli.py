@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .datagen import load_libsvm, partition_federated, write_partition_manifest
 from .errors import ConfigError, InvariantError
 from .harness import (
     ALGOS,
+    CSV_HEADER,
     ExperimentConfig,
     appendixc_rows,
     bandit_rows,
@@ -27,64 +29,43 @@ from .harness import (
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rounds", type=int, default=500)
-    p.add_argument("--clients", type=int, default=2)
-    p.add_argument("--alpha", type=int, default=0, help="uplink delay (rounds)")
-    p.add_argument("--beta", type=int, default=0, help="downlink delay (rounds)")
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--eta-global", type=float, default=None)
-    p.add_argument("--eta-local", type=float, default=None)
-    p.add_argument("--radius", type=float, default=100.0)
-    p.add_argument("--rollouts", type=int, default=1)
-    p.add_argument("--base-seed", type=int, default=0)
-    p.add_argument("--data", default="example2", help="example2 | appendixc | libsvm:<path>")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--v-norm", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--n0", type=int, default=30)
-    p.add_argument("--holdout", type=float, default=0.25)
-    p.add_argument("--test-rounds", type=int, default=200)
-    p.add_argument("--jobs", type=int, default=1)
+    """The ExperimentConfig options, each defaulting to the dataclass's value."""
+    p.set_defaults(**asdict(ExperimentConfig()))
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--clients", type=int)
+    p.add_argument("--alpha", type=int, help="uplink delay (rounds)")
+    p.add_argument("--beta", type=int, help="downlink delay (rounds)")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--eta-global", type=float)
+    p.add_argument("--eta-local", type=float)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--rollouts", type=int)
+    p.add_argument("--base-seed", type=int)
+    p.add_argument("--data", help="example2 | appendixc | libsvm:<path>")
+    p.add_argument("--dim", type=int)
+    p.add_argument("--v-norm", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--n0", type=int)
+    p.add_argument("--holdout", type=float)
+    p.add_argument("--test-rounds", type=int)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--output", default=None, help="CSV path; '-' for stdout")
 
 
-def _config(args, **overrides) -> ExperimentConfig:
-    fields = dict(
-        algo=getattr(args, "algo", "fedres-sgd"),
-        rounds=args.rounds,
-        clients=args.clients,
-        alpha=args.alpha,
-        beta=args.beta,
-        batch_size=args.batch_size,
-        eta_global=args.eta_global,
-        eta_local=args.eta_local,
-        radius=args.radius,
-        rollouts=args.rollouts,
-        base_seed=args.base_seed,
-        data=args.data,
-        dim=args.dim,
-        v_norm=args.v_norm,
-        noise=args.noise,
-        n0=args.n0,
-        holdout=args.holdout,
-        test_rounds=args.test_rounds,
-        jobs=args.jobs,
-        exploration_period=getattr(args, "period", 10),
-        k_actions=getattr(args, "actions", 4),
-    )
-    fields.update(overrides)
-    return ExperimentConfig(**fields)
+def _config(args) -> ExperimentConfig:
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
+
+
+def _output_path(output: str | None, default_name: str) -> Path:
+    """Relative paths, the default name included, resolve under default_output_dir()."""
+    return default_output_dir() / (output or default_name)
 
 
 def _emit(rows: list[str], output: str | None, default_name: str) -> None:
-    from .harness import CSV_HEADER
-
     if output == "-":
         sys.stdout.write(CSV_HEADER + "\n" + "\n".join(rows) + "\n")
         return
-    path = Path(output) if output else default_output_dir() / default_name
-    if not path.is_absolute():
-        path = default_output_dir() / path
+    path = _output_path(output, default_name)
     write_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
 
@@ -101,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="one config, all rollouts")
-    p_run.add_argument("--algo", choices=ALGOS, default="fedres-sgd")
+    p_run.add_argument("--algo", choices=ALGOS)
     _add_common(p_run)
 
     p_sc = sub.add_parser("sweep-clients", help="sweep the number of clients")
-    p_sc.add_argument("--algo", choices=ALGOS, default="fedres-sgd")
+    p_sc.add_argument("--algo", choices=ALGOS)
     p_sc.add_argument("--values", type=int, nargs="+", required=True)
     _add_common(p_sc)
 
     p_sd = sub.add_parser("sweep-delay", help="sweep the round-trip delay")
-    p_sd.add_argument("--algo", choices=ALGOS, default="fedres-sgd")
+    p_sd.add_argument("--algo", choices=ALGOS)
     p_sd.add_argument("--values", type=int, nargs="+", required=True)
     _add_common(p_sd)
 
@@ -124,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ac.add_argument("--output", default=None)
 
     p_b = sub.add_parser("bandit", help="periodic-exploration bandit vs uniform baseline")
-    p_b.add_argument("--period", type=int, default=10, help="explore every B rounds")
-    p_b.add_argument("--actions", type=int, default=4)
+    p_b.add_argument("--period", dest="exploration_period", type=int, metavar="B",
+                     help="explore every B rounds")
+    p_b.add_argument("--actions", dest="k_actions", type=int, metavar="K")
     _add_common(p_b)
 
     p_p = sub.add_parser("partition", help="partition a LIBSVM corpus and write the manifest")
@@ -164,9 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "partition":
             corpus = load_libsvm(args.corpus)
             dataset = partition_federated(corpus, args.clients, args.n0, args.seed, args.holdout)
-            out = Path(args.output) if args.output else default_output_dir() / "partition.txt"
-            if not out.is_absolute():
-                out = default_output_dir() / out
+            out = _output_path(args.output, "partition.txt")
             out.parent.mkdir(parents=True, exist_ok=True)
             write_partition_manifest(dataset, out)
             print(f"wrote manifest for {dataset.n_clients} clients to {out}")

@@ -188,16 +188,13 @@ def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):
 def run_fedres_sgd(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,
                    variant: str = "aligned", batch_size: int = 1,
                    init_global: np.ndarray | None = None,
-                   init_locals: Sequence[np.ndarray] | None = None,
-                   record_provenance: bool = False) -> RunResult:
+                   init_locals: Sequence[np.ndarray] | None = None) -> RunResult:
     """Run the composed system for the given horizon and return its columns.
 
     With batch_size b > 1 the horizon is consumed in T/b batch rounds:
     models update once per batch on batch-mean gradients, the global model
     is fetched once per batch, and each loss record is the batch mean.
     Delays are converted to batch rounds as ceil(alpha/b), ceil(beta/b).
-    record_provenance keeps the system as `result.system`, whose
-    alignment_offsets() lists the pairing of every gradient.
     """
     if rounds < 1 or batch_size < 1:
         raise ConfigError(f"rounds and batch size must be >= 1, got {rounds}, {batch_size}")
@@ -213,8 +210,5 @@ def run_fedres_sgd(dataset, delays, hyper: HyperParams, rounds: int, seed: int, 
             done = system.predicted
             check_finite(squared_loss(system.prediction[:done], system.label[:done]))
             raise
-    result = RunResult(system.prediction, system.label, system.x_global, system.x_local,
-                       system.wg, list(system.wl), system.channel.fetch_counts)
-    if record_provenance:
-        result.system = system  # type: ignore[attr-defined]
-    return result
+    return RunResult(system.prediction, system.label, system.x_global, system.x_local,
+                     system.wg, list(system.wl), system.channel.fetch_counts)

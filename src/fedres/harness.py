@@ -3,8 +3,10 @@ aggregated into a stable CSV schema.
 
 Rollout r of a config runs with seed base_seed + r; every stochastic
 choice inside the rollout draws from a named substream of that seed, so
-algorithms compared on the same rollout index see identical data. Rollouts
-are embarrassingly parallel; rows are ordered deterministically before
+algorithms compared on the same rollout index see identical data. Every
+rollout - the three-way protocol's too - builds its algorithm's dataset
+(view) once and runs the learner through dispatch. Rollouts are
+embarrassingly parallel; rows are ordered deterministically before
 writing, so parallel and sequential executions produce identical bytes.
 
 The metrics read a run's columns as whole arrays. Regret hands the
@@ -25,15 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bandit as bandit_mod
-from .baselines import central_view, independent_view, run_central, run_independent
+from .baselines import central_view, independent_view
 from .core import DEFAULT_RADIUS, HyperParams, default_eta
-from .datagen import (
-    FederatedDataset,
-    gen_appendixc,
-    gen_example2,
-    load_libsvm,
-    partition_federated,
-)
+from .datagen import gen_appendixc, gen_example2, load_libsvm, partition_federated
 from .engine import run_fedres_sgd
 from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError
@@ -51,7 +47,7 @@ ALGOS = (
     "fedres-sgd-misaligned",
     "fedres-sgd-asymmetric",
 )
-SWEEP_AXES = ("clients", "delay", "rounds", "batch")
+SWEEP_AXES = ("clients", "delay")
 # Test rows scored per pass: one pass over all of a 100-client fleet's 20 000
 # rows page-faults its fresh arrays and costs more than a loop over clients.
 ACCURACY_ROWS = 4096
@@ -129,46 +125,43 @@ def _load_corpus(path: str):
     return load_libsvm(path)
 
 
-def build_dataset(cfg: ExperimentConfig, seed: int) -> FederatedDataset:
+def build_dataset(cfg: ExperimentConfig, seed: int):
+    """The data source's dataset, as cfg.algo sees it: Independent and Central
+    get their routed view (see baselines), every other algorithm the dataset."""
     if cfg.data == "example2":
         v = np.full(cfg.dim, cfg.v_norm / np.sqrt(cfg.dim))
-        return gen_example2(
+        dataset = gen_example2(
             cfg.clients, cfg.dim, v, cfg.noise, cfg.rounds, seed, test_rounds=cfg.test_rounds
         )
-    if cfg.data == "appendixc":
-        return gen_appendixc(cfg.rounds, seed)
-    if cfg.data.startswith("libsvm:"):
+    elif cfg.data == "appendixc":
+        dataset = gen_appendixc(cfg.rounds, seed)
+    elif cfg.data.startswith("libsvm:"):
         corpus = _load_corpus(cfg.data.split(":", 1)[1])
-        return partition_federated(corpus, cfg.clients, cfg.n0, seed, cfg.holdout)
-    raise ConfigError(f"unknown data source {cfg.data!r}")
-
-
-def dispatch(cfg: ExperimentConfig, dataset: FederatedDataset, seed: int):
-    """Run cfg.algo on the dataset; returns (result, dataset view used)."""
-    hyper = cfg.hyper()
-    delays = (cfg.alpha, cfg.beta)
-    rounds = cfg.rounds
+        dataset = partition_federated(corpus, cfg.clients, cfg.n0, seed, cfg.holdout)
+    else:
+        raise ConfigError(f"unknown data source {cfg.data!r}")
     if cfg.algo == "independent":
-        return run_independent(dataset, hyper, rounds, seed, batch_size=cfg.batch_size), (
-            independent_view(dataset)
-        )
-    if cfg.algo == "central":
-        return run_central(dataset, delays, hyper, rounds, seed, batch_size=cfg.batch_size), (
-            central_view(dataset)
-        )
+        return independent_view(dataset)
+    return central_view(dataset) if cfg.algo == "central" else dataset
+
+
+def dispatch(cfg: ExperimentConfig, dataset, seed: int, init=None) -> RunResult:
+    """Run cfg.algo on the dataset build_dataset gives it. init, if given,
+    starts the global model and every local model. Independent runs with
+    zero delays: it has nothing to communicate."""
+    delays = 0 if cfg.algo == "independent" else (cfg.alpha, cfg.beta)
+    inits = {} if init is None else dict(init_global=init,
+                                         init_locals=[init] * dataset.n_clients)
+    args = (dataset, delays, cfg.hyper(), cfg.rounds, seed)
+    # the learners are looked up as module globals at call time, so a
+    # caller that rebinds them (a tracer) reaches every algorithm
     if cfg.algo == "fedres-erm":
-        return run_fedres_erm(dataset, delays, hyper, rounds, seed), dataset
+        return run_fedres_erm(*args, **inits)
     if cfg.algo == "fictitious":
-        return run_fictitious_play(dataset, delays, hyper, rounds, seed), dataset
-    variant = {
-        "fedres-sgd": "aligned",
-        "fedres-sgd-misaligned": "misaligned",
-        "fedres-sgd-asymmetric": "asymmetric",
-    }[cfg.algo]
-    result = run_fedres_sgd(
-        dataset, delays, hyper, rounds, seed, variant=variant, batch_size=cfg.batch_size
-    )
-    return result, dataset
+        return run_fictitious_play(*args, **inits)
+    variant = {"fedres-sgd-misaligned": "misaligned",
+               "fedres-sgd-asymmetric": "asymmetric"}.get(cfg.algo, "aligned")
+    return run_fedres_sgd(*args, variant=variant, batch_size=cfg.batch_size, **inits)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +253,13 @@ def _row(rollout: int, cfg: ExperimentConfig, axis_value, train_loss, accuracy, 
     return ",".join(_fmt(c) for c in cells)
 
 
-def _rollout_row(args) -> tuple[tuple, str]:
+def _rollout_row(args, init=None) -> tuple[tuple, str]:
     cfg, axis_value, order_key, rollout = args
     seed = cfg.base_seed + rollout
     dataset = build_dataset(cfg, seed)
-    result, view = dispatch(cfg, dataset, seed)
+    result = dispatch(cfg, dataset, seed, init)
     train_loss = result.mean_loss()
-    accuracy = evaluate_accuracy(view, result)
+    accuracy = evaluate_accuracy(dataset, result)
     regret = compute_regret(result, radius=cfg.radius)
     return (order_key, rollout), _row(rollout, cfg, axis_value, train_loss, accuracy, regret)
 
@@ -290,20 +283,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[str]:
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list[str]:
-    """Rollouts across an axis: clients, delay (round trip), rounds, batch."""
+    """Rollouts across an axis: clients or delay (round trip)."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     tasks = []
     for k, value in enumerate(values):
         if axis == "clients":
             derived = replace(cfg, clients=int(value))
-        elif axis == "delay":
+        else:
             tau = int(value)
             derived = replace(cfg, alpha=tau // 2, beta=tau - tau // 2)
-        elif axis == "rounds":
-            derived = replace(cfg, rounds=int(value))
-        else:
-            derived = replace(cfg, batch_size=int(value))
         derived.validate()
         tasks.extend((derived, value, k, r) for r in range(cfg.rollouts))
     return _run_tasks(tasks, cfg.jobs)
@@ -331,28 +320,9 @@ def appendixc_rows(rounds: int = 20000, rollouts: int = 50, eta: float = 1.0,
     return _run_tasks(tasks, jobs, _appendixc_task)
 
 
-def run_appendixc(cfg: ExperimentConfig, seed: int) -> RunResult:
-    """One rollout of the three-way protocol: both models start at [1, 0]."""
-    init = np.array([1.0, 0.0])
-    kwargs = dict(init_global=init, init_locals=[init])
-    dataset = build_dataset(cfg, seed)
-    if cfg.algo == "fedres-sgd":
-        return run_fedres_sgd(dataset, 0, cfg.hyper(), cfg.rounds, seed, **kwargs)
-    if cfg.algo == "fedres-erm":
-        return run_fedres_erm(dataset, 0, cfg.hyper(), cfg.rounds, seed, **kwargs)
-    if cfg.algo == "fictitious":
-        return run_fictitious_play(dataset, 0, cfg.hyper(), cfg.rounds, seed, **kwargs)
-    raise ConfigError(f"algo {cfg.algo!r} is not part of the three-way protocol")
-
-
 def _appendixc_task(args) -> tuple[tuple, str]:
-    cfg, _axis, order_key, rollout = args
-    seed = cfg.base_seed + rollout
-    result = run_appendixc(cfg, seed)
-    regret = compute_regret(result, radius=cfg.radius)
-    return (order_key, rollout), _row(
-        rollout, cfg, None, result.mean_loss(), float("nan"), regret
-    )
+    """One rollout of the three-way protocol: both models start at [1, 0]."""
+    return _rollout_row(args, init=np.array([1.0, 0.0]))
 
 
 def _bandit_task(args) -> tuple[int, list[str]]:

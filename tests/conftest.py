@@ -2,7 +2,8 @@
 
 These deliberately re-derive results through different computational paths
 than the library (per-row formulas, explicit loops, projected gradient
-descent, finite differences) so agreement is evidence, not tautology.
+descent, finite differences) so agreement is evidence, not tautology;
+stepped_sgd_system exposes the engine's system for its gradient provenance.
 Sample data is an (x_global (n, dg), x_local (n, dl), y (n,)) block, as in
 the library, or one (xg, xl, y) row of one.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedres.channel import as_delay_config
+from fedres.engine import SgdSystem, build_streams
 from fedres.solver import solve_gram
 
 
@@ -107,6 +110,18 @@ def random_instance(rng: np.random.Generator, d_global: int = 3, d_local: int = 
     wl = rng.normal(0, 1, d_local)
     row = rng.normal(0, 1, d_global), rng.normal(0, 1, d_local), float(rng.normal(0, 2))
     return wg, wl, row
+
+
+def stepped_sgd_system(dataset, delays, hyper, rounds: int, seed: int, *, batch_size: int = 1,
+                       **kwargs) -> SgdSystem:
+    """The SgdSystem run_fedres_sgd builds on these arguments, stepped over the
+    whole horizon; its alignment_offsets() list the pairing of every gradient."""
+    delays = as_delay_config(delays, dataset.n_clients).batched(batch_size)
+    system = SgdSystem(dataset.d_global, dataset.d_locals, delays, hyper,
+                       streams=build_streams(dataset, rounds, seed, batch_size), **kwargs)
+    for _ in range(len(system.label)):
+        system.step()
+    return system
 
 
 @pytest.fixture

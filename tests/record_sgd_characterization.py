@@ -52,6 +52,7 @@ from fedres.erm import run_fedres_erm, run_fictitious_play
 from fedres.harness import compute_regret
 from fedres.solver import alternating_joint_ls
 
+from conftest import stepped_sgd_system
 from joint_ls_oracle import client_blocks
 
 PATH = Path(__file__).parent / "data" / "sgd_characterization.json"
@@ -136,27 +137,32 @@ def run(data: dict, variant: str, batch: int):
     if variant in LONG:
         return LONG[variant](dataset(data), LONG_DELAYS, HyperParams(radius=LONG_RADIUS),
                              LONG_ROUNDS, 0)
-    inits = dict(init_global=np.array(INIT_GLOBAL), init_locals=[np.array(w) for w in INIT_LOCALS])
     if variant in EXACT:
         return EXACT[variant](dataset(data), EXACT_DELAYS, HyperParams(radius=EXACT_RADIUS),
-                              ROUNDS, 0, **inits)
-    return run_fedres_sgd(
-        dataset(data), (ALPHA, BETA), HyperParams(**HYPER), ROUNDS, 0, variant=variant,
-        batch_size=batch, record_provenance=True, **inits,
-    )
+                              ROUNDS, 0, **inits())
+    return run_fedres_sgd(dataset(data), (ALPHA, BETA), HyperParams(**HYPER), ROUNDS, 0,
+                          variant=variant, batch_size=batch, **inits())
+
+
+def inits() -> dict:
+    return dict(init_global=np.array(INIT_GLOBAL), init_locals=[np.array(w) for w in INIT_LOCALS])
+
+
+def alignment_offsets(data: dict, variant: str, batch: int) -> list:
+    """The gradient provenance of an SGD case: the pairing of every gradient."""
+    system = stepped_sgd_system(dataset(data), (ALPHA, BETA), HyperParams(**HYPER), ROUNDS, 0,
+                                variant=variant, batch_size=batch, **inits())
+    return [list(o) for o in system.alignment_offsets()]
 
 
 def record(res) -> dict:
-    out = {
+    return {
         "loss": res.loss.tolist(),
         "prediction": res.prediction.tolist(),
         "final_global": res.final_global.tolist(),
         "final_locals": [w.tolist() for w in res.final_locals],
         "fetch_counts": list(res.fetch_counts),
     }
-    if hasattr(res, "system"):
-        out["alignment_offsets"] = [list(o) for o in res.system.alignment_offsets()]
-    return out
 
 
 def run_radius(variant: str) -> float:
@@ -178,6 +184,8 @@ def record_regret(res, variant: str) -> list:
 def record_case(data: dict, variant: str, batch: int) -> dict:
     res = run(data, variant, batch)
     out = record(res)
+    if variant in VARIANTS:
+        out["alignment_offsets"] = alignment_offsets(data, variant, batch)
     if variant in BANDIT:
         out.update(action=res.action.tolist(), cb_regret=cb_regret(res, bandit_env(variant)),
                    exploration_rounds=res.exploration_rounds)

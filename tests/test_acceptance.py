@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from fedres.baselines import run_central
+from fedres.baselines import central_view
 from fedres.bandit import (
     cb_regret,
     draw_episode,
@@ -132,7 +132,7 @@ def test_criterion_02_sign_split_separation():
     ds = gen_example2(10, 4, v, noise=0.0, rounds=rounds, seed=0)
     eta = default_eta(rounds)
     hp = HyperParams(eta_global=eta, eta_local=eta)
-    central = run_central(ds, 0, hp, rounds, 0).terminal_mean_loss()
+    central = run_fedres_sgd(central_view(ds), 0, hp, rounds, 0).terminal_mean_loss()
     fedres = run_fedres_sgd(ds, 0, hp, rounds, 0).terminal_mean_loss()
     elapsed = time.perf_counter() - start
     ok = 0.8 <= central <= 1.2 and fedres < 0.05 and elapsed < 30.0

@@ -1,9 +1,10 @@
 import numpy as np
 
-from fedres.baselines import central_view, independent_view, run_central, run_independent
+from fedres.baselines import central_view, independent_view
 from fedres.core import HyperParams
 from fedres.datagen import gen_example2
 from fedres.engine import run_fedres_sgd
+from fedres.harness import ExperimentConfig, dispatch
 
 from conftest import ball_project_oracle, rows_of
 from test_sgd import dataset_from_streams, scripted_stream
@@ -18,7 +19,9 @@ class TestSharedEngineReductions:
         streams = [scripted_stream(rng, 15, 3, 2) for _ in range(3)]
         ds = dataset_from_streams(streams, 3, [2, 2, 2])
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
-        a = run_central(ds, (2, 1), hp, 15, 0)
+        cfg = ExperimentConfig(algo="central", clients=3, alpha=2, beta=1, rounds=15,
+                               eta_global=0.1, eta_local=0.1)
+        a = dispatch(cfg, central_view(ds), 0)
         b = run_fedres_sgd(central_view(ds), (2, 1), hp, 15, 0)
         assert columns_equal(a, b)
         assert np.all(a.final_global == b.final_global)
@@ -28,7 +31,8 @@ class TestSharedEngineReductions:
         streams = [scripted_stream(rng, 15, 3, 2) for _ in range(2)]
         ds = dataset_from_streams(streams, 3, [2, 2])
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
-        a = run_independent(ds, hp, 15, 0)
+        cfg = ExperimentConfig(algo="independent", rounds=15, eta_global=0.1, eta_local=0.1)
+        a = dispatch(cfg, independent_view(ds), 0)
         b = run_fedres_sgd(independent_view(ds), 0, hp, 15, 0)
         assert columns_equal(a, b)
         assert len(a.final_global) == 0
@@ -37,7 +41,8 @@ class TestSharedEngineReductions:
     def test_identical_data_gives_identical_trajectories(self, rng):
         shared = scripted_stream(rng, 20, 2, 1)
         ds = dataset_from_streams([shared, tuple(a.copy() for a in shared)], 2, [1, 1])
-        res = run_independent(ds, HyperParams(eta_global=0.1, eta_local=0.1), 20, 0)
+        res = run_fedres_sgd(independent_view(ds), 0, HyperParams(eta_global=0.1, eta_local=0.1),
+                             20, 0)
         assert res.loss[:, 0].tolist() == res.loss[:, 1].tolist()
         assert np.all(res.final_locals[0] == res.final_locals[1])
 
@@ -45,7 +50,8 @@ class TestSharedEngineReductions:
         stream = scripted_stream(rng, 25, 2, 2)
         ds = dataset_from_streams([stream], 2, [2])
         eta, radius = 0.15, 3.0
-        res = run_independent(ds, HyperParams(radius=radius, eta_global=eta, eta_local=eta), 25, 0)
+        hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
+        res = run_fedres_sgd(independent_view(ds), 0, hp, 25, 0)
 
         w = np.zeros(4)
         losses = []
@@ -65,7 +71,7 @@ class TestCentralVsResidualSeparation:
         v = np.array([1.0, 0.0])
         ds = gen_example2(clients, dim, v, noise=0.0, rounds=rounds, seed=5)
         hp = HyperParams(eta_global=0.02, eta_local=0.02)
-        central = run_central(ds, 0, hp, rounds, 5)
+        central = run_fedres_sgd(central_view(ds), 0, hp, rounds, 5)
         fedres = run_fedres_sgd(ds, 0, hp, rounds, 5)
         assert central.terminal_mean_loss() > 0.5  # stuck near E[(v.x)^2] = 1
         assert fedres.terminal_mean_loss() < 0.05
@@ -73,7 +79,8 @@ class TestCentralVsResidualSeparation:
     def test_warmup_rounds_leave_central_model_unchanged(self, rng):
         streams = [scripted_stream(rng, 3, 2, 1)]
         ds = dataset_from_streams(streams, 2, [1])
-        res = run_central(ds, (5, 0), HyperParams(eta_global=0.5, eta_local=0.5), 3, 0)
+        res = run_fedres_sgd(central_view(ds), (5, 0), HyperParams(eta_global=0.5, eta_local=0.5),
+                             3, 0)
         assert np.all(res.final_global == np.zeros(2))
 
 

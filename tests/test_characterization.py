@@ -24,7 +24,8 @@ from fedres.harness import compute_regret
 from fedres.solver import alternating_joint_ls
 
 from joint_ls_oracle import client_blocks
-from record_sgd_characterization import CASES, PATH, REGRET_CASES, bandit_env, case_data, run
+from record_sgd_characterization import (CASES, PATH, REGRET_CASES, alignment_offsets, bandit_env,
+                                         case_data, run)
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 
@@ -32,14 +33,15 @@ FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
 @pytest.mark.parametrize("batch, variant", CASES)
 def test_engine_reproduces_recorded_run(variant, batch):
     want = FIXTURE["runs"][f"{variant}-b{batch}"]
-    res = run(case_data(FIXTURE, variant), variant, batch)
+    data = case_data(FIXTURE, variant)
+    res = run(data, variant, batch)
     assert res.loss.tolist() == want["loss"]
     assert res.prediction.tolist() == want["prediction"]
     assert res.final_global.tolist() == want["final_global"]
     assert [w.tolist() for w in res.final_locals] == want["final_locals"]
     assert list(res.fetch_counts) == want["fetch_counts"]
     if "alignment_offsets" in want:  # SGD only
-        assert [list(o) for o in res.system.alignment_offsets()] == want["alignment_offsets"]
+        assert alignment_offsets(data, variant, batch) == want["alignment_offsets"]
     if "action" in want:  # bandit only
         assert res.action.tolist() == want["action"]
         assert cb_regret(res, bandit_env(variant)) == want["cb_regret"]
@@ -60,7 +62,8 @@ def test_trace_view_matches_recorded_columns():
 
 @pytest.mark.parametrize("batch, variant", REGRET_CASES)
 def test_regret_and_comparator_reproduce_recorded_values(variant, batch):
-    res = run(case_data(FIXTURE, variant), variant, batch)
+    data = case_data(FIXTURE, variant)
+    res = run(data, variant, batch)
     for want in FIXTURE["regret"][f"{variant}-b{batch}"]:
         radius = want["radius"]
         assert compute_regret(res, radius=radius) == want["regret"]

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedres import harness
+from fedres.baselines import central_view, independent_view
+from fedres.cli import _config, build_parser
 from fedres.cli import main as cli_main
 from fedres.core import HyperParams
 from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
@@ -140,8 +144,9 @@ class TestAccuracy:
             client.test = tuple(a[:keep] for a in client.test)
         assert [len(c.test[2]) for c in ds.clients] == [12, 3, 0, 7]
         seen = set()
-        for algo in ("fedres-sgd", "independent", "central"):
-            res, view = dispatch(ExperimentConfig(algo=algo, clients=4, rounds=40), ds, 0)
+        for algo, view in (("fedres-sgd", ds), ("independent", independent_view(ds)),
+                           ("central", central_view(ds))):
+            res = dispatch(ExperimentConfig(algo=algo, clients=4, rounds=40), view, 0)
             acc = evaluate_accuracy(view, res)
             assert acc == self.per_client_loop(view, res)
             seen.add(acc)
@@ -177,9 +182,24 @@ class TestConfigValidation:
         for algo in ("independent", "central", "fedres-sgd", "fedres-erm", "fictitious",
                      "fedres-sgd-misaligned", "fedres-sgd-asymmetric"):
             cfg = ExperimentConfig(**{**cfg0.__dict__, "algo": algo})
-            ds = build_dataset(cfg, 0)
-            result, view = dispatch(cfg, ds, 0)
+            result = dispatch(cfg, build_dataset(cfg, 0), 0)
             assert result.loss.shape == (8, 2)
+
+    def test_build_dataset_gives_each_algo_its_view(self):
+        for algo, d_global, d_local in (("independent", 0, 4), ("central", 2, 0),
+                                        ("fedres-erm", 2, 2)):
+            view = build_dataset(ExperimentConfig(algo=algo, clients=2, dim=2), 0)
+            assert (view.d_global, view.d_locals) == (d_global, [d_local] * 2)
+
+    def test_independent_runs_without_delays(self):
+        # Independent has nothing to communicate: its delays only label the row
+        def metrics(cfg):
+            return [row.split(",")[-3:] for row in run_experiment(cfg)]
+
+        base = ExperimentConfig(algo="independent", rounds=60, clients=2, dim=2, rollouts=2)
+        assert metrics(replace(base, alpha=3, beta=2)) == metrics(base)
+        central = replace(base, algo="central")
+        assert metrics(replace(central, alpha=3, beta=2)) != metrics(central)
 
 
 class TestCsvRows:
@@ -337,6 +357,21 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) > 0
 
+    @pytest.mark.parametrize("argv", [["run"], ["bandit"], ["sweep-delay", "--values", "0"],
+                                      ["sweep-clients", "--values", "2"]])
+    def test_defaults_are_the_config_defaults(self, argv):
+        assert _config(build_parser().parse_args(argv)) == ExperimentConfig()
+
+    def test_sweep_clients_cli(self, tmp_path):
+        out = tmp_path / "c.csv"
+        code = cli_main(["sweep-clients", "--values", "2", "4", "--rounds", "8", "--rollouts", "2",
+                         "--dim", "2", "--output", str(out)])
+        assert code == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        assert len(rows) == 4
+        for column in ("clients", "axis_value"):
+            assert [r[header.index(column)] for r in rows] == ["2", "2", "4", "4"]
+
     def test_sweep_delay_cli(self, tmp_path):
         out = tmp_path / "s.csv"
         code = cli_main(
@@ -407,3 +442,11 @@ class TestCli:
                          "--output", "sub/r.csv"])
         assert code == 0
         assert (tmp_path / "sub" / "r.csv").exists()
+
+    def test_relative_output_dir_holds_default_names(self, tmp_path, monkeypatch, rng, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("FEDRES_OUTPUT_DIR", "out")
+        (tmp_path / "corpus.txt").write_text(toy_corpus(rng, n=200, k=8))
+        assert cli_main(["run", "--rounds", "6", "--clients", "2", "--dim", "2"]) == 0
+        assert cli_main(["partition", "corpus.txt", "--clients", "3"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["partition.txt", "run.csv"]

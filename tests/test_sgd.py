@@ -8,7 +8,7 @@ from fedres.engine import SgdSystem, build_streams, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 from fedres.results import RunResult
 
-from conftest import ball_project_oracle, rows_of, stack_rows
+from conftest import ball_project_oracle, rows_of, stack_rows, stepped_sgd_system
 
 
 def dataset_from_streams(streams, d_global, d_locals):
@@ -165,16 +165,8 @@ class TestInvariants:
             streams = [scripted_stream(rng, 20, 2, 2) for _ in range(3)]
             ds = dataset_from_streams(streams, 2, [2, 2, 2])
             hp = HyperParams(eta_global=0.05, eta_local=0.05)
-            res = run_fedres_sgd(
-                ds,
-                ((0, 2, 3), (1, 0, 2)),
-                hp,
-                20,
-                0,
-                variant=variant,
-                record_provenance=True,
-            )
-            offsets = res.system.alignment_offsets()
+            system = stepped_sgd_system(ds, ((0, 2, 3), (1, 0, 2)), hp, 20, 0, variant=variant)
+            offsets = system.alignment_offsets()
             assert offsets, "no gradients recorded"
             for global_round, local_round, beta in offsets:
                 assert local_round - global_round == beta
@@ -183,10 +175,8 @@ class TestInvariants:
         streams = [scripted_stream(rng, 20, 2, 2) for _ in range(2)]
         ds = dataset_from_streams(streams, 2, [2, 2])
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
-        res = run_fedres_sgd(
-            ds, (2, 3), hp, 20, 0, variant="misaligned", record_provenance=True
-        )
-        offsets = res.system.alignment_offsets()
+        system = stepped_sgd_system(ds, (2, 3), hp, 20, 0, variant="misaligned")
+        offsets = system.alignment_offsets()
         assert any(l - g != beta for g, l, beta in offsets)
 
     def test_determinism_bitwise(self):
