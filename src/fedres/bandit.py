@@ -170,8 +170,8 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
     # PCG64 keeps the spare half of a 64-bit output between calls
     picks = substream(episode.seed, "bandit-explore").integers(k, size=(len(explored), clients))
     at = explored[:, None], np.arange(clients), picks
-    system = SgdSystem(dg, [dl] * clients, as_delay_config(delays, clients), hyper,
-                       streams=(xg[at][:, :, None], xl[at][:, :, None], reward[at][:, :, None]))
+    system = SgdSystem((xg[at][:, :, None], xl[at][:, :, None], reward[at][:, :, None]),
+                       as_delay_config(delays, clients), hyper)
     blocks = -(-rounds // period)
     pair_g, pair_l = np.empty((blocks, clients, dg)), np.empty((blocks, clients, dl))
     for j in range(blocks):  # block j acts on the pair after j steps
@@ -183,7 +183,7 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
     action, _ = choose_action(wg, wl, xg, xl)
     action[explored] = picks
     return _result(episode, action, (wg, wl), (system.wg, system.wl),
-                   system.channel.fetch_counts, system.t)
+                   system.channel.fetch_counts, len(explored))
 
 
 def run_uniform_policy(episode: BanditEpisode) -> BanditResult:

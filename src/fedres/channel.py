@@ -1,5 +1,5 @@
-"""Round-indexed transport with fixed per-client delays, kept as
-ring-buffer index arithmetic.
+"""The round clock: fixed per-client delays kept as ring-buffer index
+arithmetic.
 
 Uplink: the message client i sends at round t reaches the server at round
 t + alpha[i]. Downlink: the server publishes one global-model snapshot per
@@ -7,13 +7,14 @@ round before any client fetches; client i's fetch at round t returns the
 snapshot of round t - beta[i], with every round index <= 0 resolving to
 the initial model (warmup convention).
 
-There is one path, and it serves whole rounds: every client fetches and
-sends once per round. A learner keeps its messages in its own
-round-indexed rows (a ring of `ring` rows, a required argument), and
-exchange(t) says which rows arrive at round t. Snapshots live in a
-(max(beta) + 1, d) ring whose rows all start as the initial model; no
-fetch reaches back further, so rounds <= 0 find it intact. A channel
-serves one single-threaded run.
+One path serves whole rounds. publish_global(wg) opens the next round and
+returns every client's fetch; exchange() says which of the learner's
+round-indexed rows (a ring of `ring` rows) reach the server in it. Neither
+takes a round: the count of published rounds is the run's only round
+counter, and fetch counts and in-flight messages derive from it.
+Snapshots live in a (max(beta) + 1, d) ring whose rows all start as the
+initial model; no fetch reaches back further, so rounds <= 0 find it
+intact. A channel serves one single-threaded run.
 """
 
 from __future__ import annotations
@@ -107,87 +108,56 @@ class Lag:
         # a lag >= ring reads a row that the current round has overwritten
         self._evicted = min((k for k in lag if k >= ring), default=None)
 
-    def row(self, r):
-        """Row of round r (an int or an array of rounds)."""
-        return (r - 1) % self.ring
-
     def at(self, t: int):
         if self._evicted is not None and t > self._evicted:
             raise InvariantError(f"round {t - self._evicted} left the {self.ring}-round ring")
         if self.uniform:
             s = t - self.max
-            return (self.row(s), ALL) if s >= 1 else (None, None)
+            return ((s - 1) % self.ring, ALL) if s >= 1 else (None, None)
         rounds = t - self.lag
         if t > self.max:
-            return (self.row(rounds), self.clients), ALL
+            return ((rounds - 1) % self.ring, self.clients), ALL
         live = np.flatnonzero(rounds >= 1)
         if not live.size:
             return None, None
-        return (self.row(rounds[live]), live), live
+        return ((rounds[live] - 1) % self.ring, live), live
 
 
 class DelayedChannel:
-    """Snapshot ring, fetch count and the whole-round uplink (see module doc).
-
-    `ring` is the length of the caller's round-indexed rows for exchange().
-    """
+    """Snapshot ring and whole-round uplink on one round counter (see the
+    module doc); `ring` is the length of the caller's round-indexed rows."""
 
     def __init__(self, delays: DelayConfig, initial_global: np.ndarray, ring: int):
         self.delays = delays
-        self.initial_global = np.asarray(initial_global, dtype=float)
         self._keep = max(delays.beta, default=0) + 1
-        self._snapshots = np.tile(self.initial_global, (self._keep, 1))
-        self._beta = np.array(delays.beta, dtype=int)
-        self._uniform_beta = len(set(delays.beta)) <= 1
+        self._snapshots = np.tile(np.asarray(initial_global, dtype=float), (self._keep, 1))
+        # an int when beta is uniform, so every client shares one ring row
+        self._beta = (delays.beta[0] if len(set(delays.beta)) == 1
+                      else np.array(delays.beta, dtype=int))
         self._arrivals = Lag(delays.alpha, ring)
         self._last_published = 0
-        self._exchanged = 0
-        self._round_fetches = 0
 
-    # -- uplink ---------------------------------------------------------
+    def publish_global(self, wg: np.ndarray) -> np.ndarray:
+        """Open the next round with snapshot wg; returns every client's fetch,
+        one row shared by all clients when beta is uniform, else one row per
+        client (views until the next publish)."""
+        t = self._last_published = self._last_published + 1
+        self._snapshots[t % self._keep] = wg
+        return self._snapshots[(t - self._beta) % self._keep]
 
-    def exchange(self, t: int):
-        """Every client sent its round-t message; returns the Lag index of the
-        caller's rows due now, the messages sent at t - alpha[i].
+    def exchange(self):
+        """Every client sent its message of the open round; returns the Lag
+        index of the caller's rows due now, those sent alpha[i] rounds ago."""
+        return self._arrivals.at(self._last_published)[0]
 
-        Must be called with strictly increasing rounds: a repeated round
-        would deliver twice, so it is a hard error.
-        """
-        if t <= self._exchanged:
-            raise InvariantError(f"exchange({t}) after round {self._exchanged} was delivered")
-        self._exchanged = t
-        return self._arrivals.at(t)
+    @property
+    def fetch_counts(self) -> list[int]:
+        return [self._last_published] * self.delays.clients
 
     @property
     def pending_payloads(self) -> int:
         """Messages sent but not yet delivered."""
-        return sum(min(a, self._exchanged) for a in self.delays.alpha)
-
-    # -- downlink -------------------------------------------------------
-
-    def publish_global(self, t: int, wg: np.ndarray) -> None:
-        """Record the round-t snapshot; exactly once per round, in order."""
-        if t != self._last_published + 1:
-            raise InvariantError(
-                f"publish_global({t}): expected round {self._last_published + 1}"
-            )
-        self._last_published = t
-        self._snapshots[t % self._keep] = wg
-
-    @property
-    def fetch_counts(self) -> list[int]:
-        return [self._round_fetches] * self.delays.clients
-
-    def fetch_round(self, t: int) -> np.ndarray:
-        """Every client's fetch at round t: one ring row shared by all clients
-        when beta is uniform, else one row per client (views until the
-        publish of round t + 1)."""
-        if self._last_published < t:
-            raise InvariantError(f"fetch_round at round {t} before publish_global({t})")
-        self._round_fetches += 1
-        if self._uniform_beta:
-            return self._snapshots[(t - self.delays.beta[0]) % self._keep]
-        return self._snapshots[(t - self._beta) % self._keep]
+        return sum(min(a, self._last_published) for a in self.delays.alpha)
 
 
 def as_delay_config(delays: DelayConfig | Sequence | int | None, clients: int) -> DelayConfig:

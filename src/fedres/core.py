@@ -47,7 +47,7 @@ class HyperParams:
             raise ConfigError(f"eta_local must be positive and finite, got {self.eta_local}")
 
     def eta_for(self, client_id: int, clients: int) -> float:
-        if np.isscalar(self.eta_local):
+        if np.ndim(self.eta_local) == 0:  # a scalar, 0-d arrays included
             return float(self.eta_local)
         etas = list(self.eta_local)
         if len(etas) != clients:

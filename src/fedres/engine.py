@@ -13,6 +13,11 @@ The server reconstructs its gradients from uplink records (global
 features, local prediction, label); local models never leave the client.
 Warmup rounds (s <= 0) skip the step.
 
+RoundSystem is the round skeleton this learner shares with the exact
+learners (fedres.erm): the models, the prediction column, the channel,
+whose count of published rounds is the run's only round counter, and the
+step and run loops.
+
 Array layout: wg (dg,), wl (P, dl), the channel's ring of global
 snapshots, and round-indexed rows (L, P, b, ...) of x_global, x_local and
 label plus each client's prediction and residual (prediction - label).
@@ -55,76 +60,114 @@ from .results import RunResult, check_finite, squared_loss
 VARIANTS = ("aligned", "misaligned", "asymmetric")
 
 
-class SgdSystem:
-    """Clients, server and channel on one round clock; one system per run.
+class RoundSystem:
+    """Clients, server and channel on the channel's round clock; one system
+    per run. A learner supplies _client_step(row) and _server_step(index).
 
-    A step publishes the global snapshot, lets every client fetch, step and
-    predict, then delivers the due uplink rows and takes the server step.
     streams holds the rows x_global (N, P, b, dg), x_local (N, P, b, dl) and
-    label (N, P, b); step n reads row n - 1.
+    label (N, P, b); round t reads row (t - 1) % N. A step publishes wg
+    (every client's fetch comes back), runs the clients on the round's row
+    and, when the channel says rows have arrived, the server on them.
+    The models start at zero unless init_global and init_locals are given.
     """
 
-    def __init__(self, d_global: int, d_locals: Sequence[int], delays: DelayConfig,
-                 hyper: HyperParams, *, streams, variant: str = "aligned",
+    def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
                  init_global: np.ndarray | None = None,
+                 init_locals: Sequence[np.ndarray] | None = None):
+        self.x_global, self.x_local, self.label = streams
+        rows, clients = self.label.shape[:2]
+        dg, dl = self.x_global.shape[-1], self.x_local.shape[-1]
+        if delays.clients != clients:
+            raise ConfigError(f"{delays.clients} delay entries for {clients} clients")
+        if init_locals is not None and [np.shape(w) for w in init_locals] != [(dl,)] * clients:
+            raise ConfigError(f"need {clients} local models of dimension {dl}")
+        self.wg = np.zeros(dg) if init_global is None else np.array(init_global, dtype=float)
+        self.wl = np.zeros((clients, dl)) if init_locals is None else np.array(init_locals, float)
+        self.radius = hyper.radius
+        # zeros: a run that fails mid-round prices its unpredicted row as finite
+        self.prediction = np.zeros(self.label.shape)
+        self.channel = DelayedChannel(delays, self.wg, ring=rows)
+        self.fetched = self.wg
+        self._rows = rows
+
+    @classmethod
+    def build(cls, dataset, delays, hyper: HyperParams, rounds: int, seed: int,
+              batch_size: int = 1, **kwargs):
+        """The system over the dataset's streams for `rounds` rounds from
+        `seed`, consumed in rounds / b batch rounds; delays are converted to
+        batch rounds as ceil(alpha/b), ceil(beta/b)."""
+        if rounds < 1 or batch_size < 1:
+            raise ConfigError(f"rounds and batch size must be >= 1, got {rounds}, {batch_size}")
+        delays = as_delay_config(delays, dataset.n_clients).batched(batch_size)
+        return cls(build_streams(dataset, rounds, seed, batch_size), delays, hyper, **kwargs)
+
+    def step(self) -> None:
+        """Advance one round on the data already in its row."""
+        channel = self.channel
+        self.fetched = channel.publish_global(self.wg)
+        self._client_step((channel._last_published - 1) % self._rows)
+        index = channel.exchange()
+        if index is not None:
+            self._server_step(index)
+
+    def run(self) -> RunResult:
+        """Step through every row and return the run's columns."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for _ in range(self._rows):
+                    self.step()
+            except InvariantError:  # a model's norm overflowed; a loss may have done so first
+                done = self.channel._last_published
+                check_finite(squared_loss(self.prediction[:done], self.label[:done]))
+                raise
+        return RunResult(self.prediction, self.label, self.x_global, self.x_local, self.wg,
+                         list(self.wl), self.channel.fetch_counts)
+
+
+class SgdSystem(RoundSystem):
+    """The delayed-gradient learner (see the module doc): a client step
+    fetches, steps and predicts every client; a server step takes one
+    projected step on the clients' arrived rows."""
+
+    def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
+                 variant: str = "aligned", init_global: np.ndarray | None = None,
                  init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        clients = len(d_locals)
-        if delays.clients != clients:
-            raise ConfigError(f"{delays.clients} delay entries for {clients} clients")
-        if len(set(d_locals)) != 1:
-            raise ConfigError(f"clients need one local dimension, got {list(d_locals)}")
-        self.x_global, self.x_local, self.label = streams
-        self.prediction = np.empty(self.label.shape)
+        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals)
+        clients = delays.clients
         self.residual = np.empty(self.label.shape)
         self.local_prediction = np.empty(self.label.shape) if variant == "misaligned" else None
-        self.delays, self.variant, self.radius = delays, variant, hyper.radius
+        self.variant = variant
         self.eta_global = hyper.eta_global
         self.eta_local = np.array([[hyper.eta_for(i, clients)] for i in range(clients)])
-        self.wg = np.zeros(d_global) if init_global is None else np.array(init_global, dtype=float)
-        self.wl = (np.zeros((clients, d_locals[0])) if init_locals is None
-                   else np.array([np.asarray(w, dtype=float) for w in init_locals]))
-        self.channel = DelayedChannel(delays, self.wg, ring=len(self.label))
-        self.fetched = self.channel.initial_global
         lags = delays.round_trips if variant == "aligned" else (0,) * clients
-        self._history = Lag(lags, len(self.label))
+        self._history = Lag(lags, self._rows)
         self._fresh = variant == "aligned" and min(lags) == 0
-        self.t = self.predicted = 0
 
-    def step(self) -> None:
-        """Advance one round on the data already in this round's rows."""
-        t = self.t = self.t + 1
-        row = self._history.row(t)
+    def _client_step(self, row) -> None:
         xg, xl, y = self.x_global[row], self.x_local[row], self.label[row]
-        self.channel.publish_global(t, self.wg)
-        self.fetched = self.channel.fetch_round(t)
         gp = np.vecdot(xg, self.fetched[..., None, :])
-        if self.variant == "aligned":
+        aligned = self.variant == "aligned"
+        if aligned:  # step, then predict with the stepped local model
             if self._fresh:  # a zero round trip steps on its pre-step residual
                 self.residual[row] = gp + np.vecdot(xl, self.wl[:, None, :]) - y
-            self._client_step(t)
-            self._predict(row, gp, xl, y)
-        else:
-            self._predict(row, gp, xl, y)
-            self._client_step(t)
-        self._server_step(t)
-
-    def _predict(self, row, gp, xl, y) -> None:
-        self.predicted = self.t
+            self._local_step()
         lp = np.vecdot(xl, self.wl[:, None, :])
         np.add(gp, lp, out=self.prediction[row])
         np.subtract(self.prediction[row], y, out=self.residual[row])
         if self.local_prediction is not None:
             self.local_prediction[row] = lp
+        if not aligned:  # the other variants step on the residual just stored
+            self._local_step()
 
     def _gradients(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Batch-mean gradients (k, d) from residuals (k, b) and features (k, b, d)."""
         g = (2.0 * r)[..., None] * x
         return g[:, 0] if g.shape[1] == 1 else np.add.reduce(g, axis=1) / g.shape[1]
 
-    def _client_step(self, t: int) -> None:
-        index, who = self._history.at(t)
+    def _local_step(self) -> None:
+        index, who = self._history.at(self.channel._last_published)
         if index is None:
             return
         grad = self._gradients(self.residual[index], self.x_local[index])
@@ -134,10 +177,7 @@ class SgdSystem:
         else:
             self.wl[who] = stepped
 
-    def _server_step(self, t: int) -> None:
-        index, _ = self.channel.exchange(t)
-        if index is None:
-            return
+    def _server_step(self, index) -> None:
         xg, r = self.x_global[index], self.residual[index]
         if self.local_prediction is not None:
             r = np.vecdot(xg, self.wg) + self.local_prediction[index] - self.label[index]
@@ -154,16 +194,8 @@ class SgdSystem:
             if who is not None:
                 bad = np.argmin(np.isfinite(np.vecdot(v, v)))
                 where = f"the local model of client {np.arange(len(self.wl))[who][bad]}"
-            raise InvariantError(f"{where} has a non-finite norm after round {self.t}") from None
-
-    def alignment_offsets(self) -> list[tuple[int, int, int]]:
-        """(global_round, local_round, owning client's beta) of every gradient
-        so far: each client's steps in order, then the server's by round."""
-        alpha, beta = self.delays.alpha, self.delays.beta
-        out = [(s - beta[i], s, beta[i]) for i, lag in enumerate(self._history.lag.tolist())
-               for s in range(1, self.t - lag + 1)]
-        return out + [(t if self.variant == "misaligned" else t - a - beta[i], t - a, beta[i])
-                      for t in range(1, self.t + 1) for i, a in enumerate(alpha) if t > a]
+            t = self.channel._last_published
+            raise InvariantError(f"{where} has a non-finite norm after round {t}") from None
 
 
 def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):
@@ -196,19 +228,5 @@ def run_fedres_sgd(dataset, delays, hyper: HyperParams, rounds: int, seed: int, 
     is fetched once per batch, and each loss record is the batch mean.
     Delays are converted to batch rounds as ceil(alpha/b), ceil(beta/b).
     """
-    if rounds < 1 or batch_size < 1:
-        raise ConfigError(f"rounds and batch size must be >= 1, got {rounds}, {batch_size}")
-    delays = as_delay_config(delays, dataset.n_clients).batched(batch_size)
-    streams = build_streams(dataset, rounds, seed, batch_size)
-    system = SgdSystem(dataset.d_global, dataset.d_locals, delays, hyper, variant=variant,
-                       init_global=init_global, init_locals=init_locals, streams=streams)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            for _ in range(len(system.label)):
-                system.step()
-        except InvariantError:  # a model's norm overflowed; a loss may have done so first
-            done = system.predicted
-            check_finite(squared_loss(system.prediction[:done], system.label[:done]))
-            raise
-    return RunResult(system.prediction, system.label, system.x_global, system.x_local,
-                     system.wg, list(system.wl), system.channel.fetch_counts)
+    return SgdSystem.build(dataset, delays, hyper, rounds, seed, batch_size, variant=variant,
+                           init_global=init_global, init_locals=init_locals).run()

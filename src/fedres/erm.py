@@ -37,12 +37,12 @@ into every prefix of the block; gram_g is accumulated over the flattened
 behind, so each side has its own cursor and carry. The frozen right-hand
 sides depend on predictions and stay running sums.
 
-A round publishes wg, takes every client's fetch with channel.fetch_round(t),
-solves all P local models with one stacked solve_gram call, predicts, and
-then asks channel.exchange(t) which round's rows reach the server: an
-uplink is a row index, never an object. The server reads the arrived rows'
-labels and either the sent local models (erm) or local predictions
-(fictitious), then re-solves wg.
+ErmSystem runs on engine.RoundSystem's round skeleton. A round publishes
+wg and gets every client's fetch back, solves all P local models with one
+stacked solve_gram call and predicts; then channel.exchange() says which
+round's rows reach the server: an uplink is a row index, never an object.
+The server reads the arrived rows' labels and either the sent local models
+(erm) or local predictions (fictitious), then re-solves wg.
 
 Bits: every sum adds one row at a time (on the server one client at a
 time, in ascending order), as the per-client learner this replaced did,
@@ -65,9 +65,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import DelayConfig, DelayedChannel, as_delay_config
+from .channel import DelayConfig
 from .core import HyperParams
-from .engine import build_streams
+from .engine import RoundSystem
 from .errors import ConfigError
 from .results import RunResult
 from .solver import solve_gram
@@ -126,45 +126,35 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :]
 
 
-class ErmSystem:
-    """Clients, server and channel on one round clock over whole streams
-    (the (N, P, 1, ...) blocks of build_streams); one system per run."""
+class ErmSystem(RoundSystem):
+    """The exact learners on the round clock, over whole streams (the
+    (N, P, 1, ...) blocks of build_streams); one system per run."""
 
-    def __init__(self, d_global: int, d_locals: Sequence[int], delays: DelayConfig,
-                 hyper: HyperParams, streams, *, variant: str = "erm",
-                 init_global: np.ndarray | None = None,
+    def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
+                 variant: str = "erm", init_global: np.ndarray | None = None,
                  init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         if not delays.is_uniform:
             raise ConfigError("exact-solve learners require uniform per-client delays")
-        clients, dl = len(d_locals), d_locals[0]
-        self.x_global, self.x_local, self.label = (a[:, :, 0] for a in streams)
-        self.prediction = np.empty(self.label.shape)
-        self.local_prediction = np.empty(self.label.shape)
-        self.erm, self.radius = variant == "erm", hyper.radius
-        self.sent_wl = np.empty(self.x_local.shape) if self.erm else None
-        self.wg = np.zeros(d_global) if init_global is None else np.array(init_global, dtype=float)
-        self.wl = (np.zeros((clients, dl)) if init_locals is None
-                   else np.array([np.asarray(w, dtype=float) for w in init_locals]))
+        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals)
+        # one sample per round: views of the blocks and predictions without the batch axis
+        self.xg, self.xl, self.y, self.pred = [a[:, :, 0] for a in (*streams, self.prediction)]
+        self.local_prediction = np.empty(self.y.shape)
+        self.erm = variant == "erm"
+        self.sent_wl = np.empty(self.xl.shape) if self.erm else None
         # module functions, not bound methods: no reference cycle keeps a
         # finished system's arrays alive until the garbage collector runs
-        streams = (self.x_global, self.x_local, self.label)
-        self.client_sums = _PrefixSums(partial(_client_terms, self.erm), streams)
-        self.server_sums = _PrefixSums(partial(_server_terms, self.erm), streams)
-        self.frozen_rhs = np.zeros((clients, dl))
-        self.frozen_rhs_g = np.zeros(d_global)
-        self.channel = DelayedChannel(delays, self.wg, ring=len(self.label))
-        self.t = 0
+        rows = self.xg, self.xl, self.y
+        self.client_sums = _PrefixSums(partial(_client_terms, self.erm), rows)
+        self.server_sums = _PrefixSums(partial(_server_terms, self.erm), rows)
+        self.frozen_rhs = np.zeros(self.wl.shape)
+        self.frozen_rhs_g = np.zeros(self.wg.shape)
 
-    def step(self) -> None:
-        """Advance one round on the next row of the streams."""
-        t = self.t = self.t + 1
-        row = t - 1
-        xg, xl, y = self.x_global[row], self.x_local[row], self.label[row]
-        self.channel.publish_global(t, self.wg)
-        fetched = self.channel.fetch_round(t)
-        if t > 1:  # every archive holds a sample
+    def _client_step(self, row) -> None:
+        xg, xl, y = self.xg[row], self.xl[row], self.y[row]
+        fetched = self.fetched
+        if row:  # every archive holds a sample
             gram, *rest = self.client_sums.upto(row)
             if self.erm:
                 ly, cross = rest
@@ -174,50 +164,35 @@ class ErmSystem:
             self.wl = solve_gram(gram, rhs, self.radius)
         gp = np.vecdot(xg, fetched)
         lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
-        self.prediction[row] = gp + lp
+        self.pred[row] = gp + lp
         if self.erm:
             self.sent_wl[row] = self.wl
         else:
             self.frozen_rhs += (y - gp)[:, None] * xl
-        self._server_step(t)
 
-    def _server_step(self, t: int) -> None:
-        index, _ = self.channel.exchange(t)
-        if index is None:
-            return
+    def _server_step(self, index) -> None:
         gram_g, *rest = self.server_sums.upto(index + 1)
         if self.erm:
             gy, cross_g = rest
             terms = gy - (cross_g @ self.sent_wl[index][:, :, None])[:, :, 0]
             rhs = 0.0 + np.add.accumulate(terms, axis=0)[-1]  # a `+=` loop from zeros, bit for bit
         else:
-            xg, y = self.x_global[index], self.label[index]
+            xg, y = self.xg[index], self.y[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
         self.wg = solve_gram(gram_g, rhs, self.radius)
 
 
-def _run(dataset, delays, hyper, rounds, seed, variant, init_global, init_locals):
-    if rounds < 1:
-        raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    delays = as_delay_config(delays, dataset.n_clients)
-    x_global, x_local, label = streams = build_streams(dataset, rounds, seed)
-    system = ErmSystem(dataset.d_global, dataset.d_locals, delays, hyper, streams,
-                       variant=variant, init_global=init_global, init_locals=init_locals)
-    for _ in range(rounds):
-        system.step()
-    return RunResult(system.prediction[:, :, None], label, x_global, x_local, system.wg,
-                     list(system.wl), system.channel.fetch_counts)
-
-
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,
                    init_global=None, init_locals=None) -> RunResult:
     """Re-applying exact learner: newest counterparts hit the whole archive."""
-    return _run(dataset, delays, hyper, rounds, seed, "erm", init_global, init_locals)
+    return ErmSystem.build(dataset, delays, hyper, rounds, seed, variant="erm",
+                           init_global=init_global, init_locals=init_locals).run()
 
 
 def run_fictitious_play(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,
                         init_global=None, init_locals=None) -> RunResult:
     """Frozen-counterpart variant: each archived sample keeps the model pair
     of its own round; cheap to communicate, prone to locking up."""
-    return _run(dataset, delays, hyper, rounds, seed, "fictitious", init_global, init_locals)
+    return ErmSystem.build(dataset, delays, hyper, rounds, seed, variant="fictitious",
+                           init_global=init_global, init_locals=init_locals).run()

@@ -33,13 +33,13 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
     delays = as_delay_config(delays, clients)
     ring = max(delays.round_trips) + 1
     shape = (ring, clients, 1)
-    system = SgdSystem(env.d_global, env.d_locals, delays, hyper,
-                       streams=(np.zeros(shape + (env.d_global,)),
-                                np.zeros(shape + (env.d_locals[0],)), np.zeros(shape)))
+    system = SgdSystem((np.zeros(shape + (env.d_global,)), np.zeros(shape + (env.d_locals[0],)),
+                        np.zeros(shape)), delays, hyper)
     xg, xl = env.context_blocks(substream(seed, "bandit-contexts"), rounds)
     reward = env.noisy_rewards(substream(seed, "bandit-rewards"), env.mean_rewards(xg, xl))
     rng = substream(seed, "bandit-uniform" if uniform else "bandit-explore")
     every = np.arange(clients)
+    steps = 0
     action = np.empty((rounds, clients), dtype=np.int64)
     value = np.empty(reward.shape)
     for start in range(0, rounds, period):
@@ -50,11 +50,12 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
         if block.stop % period == 0:  # the block's last round explores
             t, pick = block.stop - 1, rng.integers(env.k, size=clients)
             action[t] = pick
-            row = system.t % ring  # the row of the system's next round
+            row = steps % ring  # the row of the system's next round
             system.x_global[row, :, 0] = xg[t, every, pick]
             system.x_local[row, :, 0] = xl[t, every, pick]
             system.label[row, :, 0] = reward[t, every, pick]
             system.step()
+            steps += 1
     if uniform:
         action = rng.integers(env.k, size=action.shape)
     chosen = action[..., None]
@@ -66,7 +67,7 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
         "x_local": np.take_along_axis(xl, chosen[..., None], axis=-2),
         "final_global": system.wg,
         "final_locals": system.wl.copy(),
-        "exploration_rounds": system.t,
+        "exploration_rounds": steps,
         "context_global": xg,
         "context_local": xl,
     }

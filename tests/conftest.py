@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fedres.channel import as_delay_config
-from fedres.engine import SgdSystem, build_streams
+from fedres.engine import SgdSystem
 from fedres.solver import solve_gram
 
 
@@ -115,10 +114,8 @@ def random_instance(rng: np.random.Generator, d_global: int = 3, d_local: int = 
 def stepped_sgd_system(dataset, delays, hyper, rounds: int, seed: int, *, batch_size: int = 1,
                        **kwargs) -> SgdSystem:
     """The SgdSystem run_fedres_sgd builds on these arguments, stepped over the
-    whole horizon; its alignment_offsets() list the pairing of every gradient."""
-    delays = as_delay_config(delays, dataset.n_clients).batched(batch_size)
-    system = SgdSystem(dataset.d_global, dataset.d_locals, delays, hyper,
-                       streams=build_streams(dataset, rounds, seed, batch_size), **kwargs)
+    whole horizon; sgd_oracle.alignment_offsets lists the pairing of its gradients."""
+    system = SgdSystem.build(dataset, delays, hyper, rounds, seed, batch_size, **kwargs)
     for _ in range(len(system.label)):
         system.step()
     return system

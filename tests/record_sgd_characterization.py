@@ -52,6 +52,7 @@ from fedres.erm import run_fedres_erm, run_fictitious_play
 from fedres.harness import compute_regret
 from fedres.solver import alternating_joint_ls
 
+import sgd_oracle
 from conftest import stepped_sgd_system
 from joint_ls_oracle import client_blocks
 
@@ -152,7 +153,7 @@ def alignment_offsets(data: dict, variant: str, batch: int) -> list:
     """The gradient provenance of an SGD case: the pairing of every gradient."""
     system = stepped_sgd_system(dataset(data), (ALPHA, BETA), HyperParams(**HYPER), ROUNDS, 0,
                                 variant=variant, batch_size=batch, **inits())
-    return [list(o) for o in system.alignment_offsets()]
+    return [list(o) for o in sgd_oracle.alignment_offsets(system)]
 
 
 def record(res) -> dict:

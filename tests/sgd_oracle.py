@@ -113,5 +113,13 @@ def run_oracle(dataset, delays, hyper, rounds: int, seed: int, *, variant: str =
 
 
 def alignment_offsets(system) -> list[tuple[int, int, int]]:
-    """The engine's own account of every gradient's pairing, in the oracle's order."""
-    return system.alignment_offsets()
+    """(global_round, local_round, owning client's beta) of every gradient a
+    stepped SgdSystem has taken, read from the lags its clients step on and
+    its channel's delays and round count: each client's steps in order, then
+    the server's by round."""
+    alpha, beta = system.channel.delays.alpha, system.channel.delays.beta
+    rounds = system.channel._last_published
+    out = [(s - beta[i], s, beta[i]) for i, lag in enumerate(system._history.lag.tolist())
+           for s in range(1, rounds - lag + 1)]
+    return out + [(t if system.variant == "misaligned" else t - a - beta[i], t - a, beta[i])
+                  for t in range(1, rounds + 1) for i, a in enumerate(alpha) if t > a]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedres.channel import DelayConfig, DelayedChannel, as_delay_config
-from fedres.errors import ConfigError, InvariantError
+from fedres.errors import ConfigError
 
 
 def make_channel(alpha, beta, init=None):
@@ -12,15 +12,24 @@ def make_channel(alpha, beta, init=None):
     return DelayedChannel(cfg, np.zeros(2) if init is None else init, ring=64)
 
 
-def due(ch, t):
-    """(client, sent round) of every message exchange(t) delivers, in the
+def due(ch):
+    """(client, sent round) of every message the open round delivers, in the
     order of its index; rows are rounds - 1 (the ring is longer than the run)."""
-    index, _ = ch.exchange(t)
+    index = ch.exchange()
     if index is None:
         return []
     # uniform delays index one row of every client, others (rows, clients)
     rows, clients = index if isinstance(index, tuple) else (index, range(ch.delays.clients))
     return [(int(i), int(r) + 1) for i, r in zip(clients, np.broadcast_to(rows, len(clients)))]
+
+
+def run_rounds(ch, n):
+    """Publish and exchange n rounds; what each of them delivered."""
+    delivered = []
+    for _ in range(n):
+        ch.publish_global(np.zeros(2))
+        delivered.append(due(ch))
+    return delivered
 
 
 class TestDelayConfig:
@@ -110,86 +119,60 @@ class TestDelayCoercionProperties:
 class TestUplink:
     def test_zero_delay_same_round(self):
         ch = make_channel([0], [0])
-        ch.publish_global(1, np.zeros(2))
-        assert due(ch, 1) == [(0, 1)]
+        assert run_rounds(ch, 1) == [[(0, 1)]]
 
     def test_three_round_delay(self):
         ch = make_channel([3], [0])
-        got = {t: due(ch, t) for t in range(1, 9)}
-        assert got[1] == got[2] == got[3] == []
-        assert got[8] == [(0, 5)]
+        got = run_rounds(ch, 8)
+        assert got[0] == got[1] == got[2] == []
+        assert got[7] == [(0, 5)]
 
     def test_fifo_order_preserved(self):
         ch = make_channel([2], [0])
-        for t in range(1, 7):
-            ch.exchange(t)
-        assert due(ch, 7) == [(0, 5)]
-        assert due(ch, 8) == [(0, 6)]
+        run_rounds(ch, 6)
+        assert run_rounds(ch, 2) == [[(0, 5)], [(0, 6)]]
 
     def test_grouped_ascending_client(self):
         ch = make_channel([1, 1], [0, 0])
-        for t in range(1, 5):
-            ch.exchange(t)
-        assert due(ch, 5) == [(0, 4), (1, 4)]
+        run_rounds(ch, 4)
+        assert run_rounds(ch, 1) == [[(0, 4), (1, 4)]]
         ch = make_channel([2, 1, 1], [0, 0, 0])
-        ch.exchange(1)
-        assert due(ch, 2) == [(1, 1), (2, 1)]
-        assert due(ch, 3) == [(0, 1), (1, 2), (2, 2)]
+        run_rounds(ch, 1)
+        assert run_rounds(ch, 2) == [[(1, 1), (2, 1)], [(0, 1), (1, 2), (2, 2)]]
 
     def test_not_due_until_deliver_round(self):
         ch = make_channel([3], [0])
-        for t in range(1, 7):
-            ch.exchange(t)
-        assert due(ch, 7) == [(0, 4)]  # round 5's message is not due yet
-        assert due(ch, 8) == [(0, 5)]
-
-    def test_double_receive_is_hard_error(self):
-        ch = make_channel([0], [0])
-        ch.exchange(1)
-        with pytest.raises(InvariantError):
-            ch.exchange(1)
+        run_rounds(ch, 6)
+        assert run_rounds(ch, 1) == [[(0, 4)]]  # round 5's message is not due yet
+        assert run_rounds(ch, 1) == [[(0, 5)]]
 
 
 class TestDownlink:
     def test_zero_beta_fetches_current_round(self):
         ch = make_channel([0], [0])
         wg = np.array([1.0, 2.0])
-        ch.publish_global(1, wg)
-        assert np.array_equal(ch.fetch_round(1), wg)
+        assert np.array_equal(ch.publish_global(wg), wg)
 
     def test_beta_four_fetches_round_six_at_ten(self):
         ch = make_channel([0], [4])
         snaps = {}
         for t in range(1, 11):
             snaps[t] = np.array([float(t), 0.0])
-            ch.publish_global(t, snaps[t])
-        assert np.array_equal(ch.fetch_round(10), snaps[6])
+            fetched = ch.publish_global(snaps[t])
+        assert np.array_equal(fetched, snaps[6])
 
     def test_warmup_returns_initial(self):
         init = np.array([7.0, 7.0])
         ch = make_channel([0], [5], init=init)
-        ch.publish_global(1, np.zeros(2))
-        ch.publish_global(2, np.zeros(2))
-        assert np.array_equal(ch.fetch_round(2), init)
-
-    def test_fetch_before_publish_fails(self):
-        ch = make_channel([0], [0])
-        with pytest.raises(InvariantError):
-            ch.fetch_round(1)
-
-    def test_publish_must_be_sequential(self):
-        ch = make_channel([0], [0])
-        ch.publish_global(1, np.zeros(2))
-        with pytest.raises(InvariantError):
-            ch.publish_global(3, np.zeros(2))
+        ch.publish_global(np.zeros(2))
+        assert np.array_equal(ch.publish_global(np.zeros(2)), init)
 
     def test_identity_at_zero_delay(self):
         ch = make_channel([0, 0], [0, 0])
         for t in range(1, 6):
             wg = np.array([float(t), 1.0])
-            ch.publish_global(t, wg)
-            assert np.array_equal(ch.fetch_round(t), wg)
-            assert due(ch, t) == [(0, t), (1, t)]
+            assert np.array_equal(ch.publish_global(wg), wg)
+            assert due(ch) == [(0, t), (1, t)]
 
 
 class TestDeliveryExactness:
@@ -206,12 +189,13 @@ class TestDeliveryExactness:
         outstanding = []
         received = []
         for t in range(1, horizon + 1):
-            ch.publish_global(t, np.zeros(2))
+            ch.publish_global(np.zeros(2))
             outstanding += [(t + alpha[i], i, t) for i in range(clients)]
-            got = due(ch, t)
+            got = due(ch)
             received.extend(got)
             assert got == [(i, s) for deliver, i, s in sorted(outstanding) if deliver == t]
             assert ch.pending_payloads == sum(deliver > t for deliver, _, _ in outstanding)
+            assert ch.fetch_counts == [t] * clients
         # every message delivered exactly once, exactly alpha_i rounds late
         delivered_in_horizon = [(i, s) for deliver, i, s in outstanding if deliver <= horizon]
         assert sorted(received) == sorted(delivered_in_horizon)
@@ -223,13 +207,13 @@ class TestDeliveryExactness:
         clients = int(rng.integers(1, 4))
         alpha = tuple(int(a) for a in rng.integers(0, 5, clients))
         beta = tuple(int(b) for b in rng.integers(0, 5, clients))
-        ch = make_channel(alpha, beta)
-        all_snaps = {0: ch.initial_global}
+        init = np.array([0.5, 0.25])
+        ch = make_channel(alpha, beta, init=init)
+        all_snaps = {0: init}
         for t in range(1, 40):
             wg = np.array([float(t), -1.0])
-            ch.publish_global(t, wg)
+            fetched = np.broadcast_to(ch.publish_global(wg), (clients, 2))
             all_snaps[t] = wg
-            fetched = np.broadcast_to(ch.fetch_round(t), (clients, 2))
             for i in range(clients):
                 # what a client fetch needs
                 assert np.array_equal(fetched[i], all_snaps[max(t - beta[i], 0)])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedres.core import HyperParams, project_ball, suggested_step_size
+from fedres.datagen import gen_appendixc
 from fedres.engine import run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 
@@ -206,6 +207,16 @@ class TestHyperParams:
         assert hp.eta_for(1, 2) == 0.2
         with pytest.raises(ConfigError):
             hp.eta_for(0, 3)
+
+    def test_zero_dimensional_eta_is_the_shared_step(self):
+        ds = gen_appendixc(20, 1)
+        want = run_fedres_sgd(ds, (1, 1), HyperParams(eta_local=0.1), 20, 1)
+        for eta in (np.array(0.1), np.float64(0.1)):
+            hp = HyperParams(eta_local=eta)
+            assert hp.eta_for(0, 3) == 0.1
+            got = run_fedres_sgd(ds, (1, 1), hp, 20, 1)
+            assert np.array_equal(got.prediction, want.prediction)
+            assert np.array_equal(got.final_locals, want.final_locals)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -7,8 +7,8 @@ import pytest
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams
 from fedres.datagen import gen_appendixc
-from fedres.engine import build_streams
 from fedres import erm
+from fedres.engine import SgdSystem, build_streams
 from fedres.erm import BLOCK, ErmSystem, run_fedres_erm, run_fictitious_play
 from fedres.errors import ConfigError
 from fedres.solver import BASE_RIDGE
@@ -222,8 +222,7 @@ class TestComposedRuns:
         rounds = 25
         stream = scripted_stream(rng, rounds, 2, 2)
         ds = dataset_from_streams([stream], 2, [2])
-        system = ErmSystem(2, [2], DelayConfig.uniform(1), HyperParams(radius=10.0),
-                           build_streams(ds, rounds, 0))
+        system = ErmSystem.build(ds, DelayConfig.uniform(1), HyperParams(radius=10.0), rounds, 0)
         archive = []
 
         def total(g, w, upto):
@@ -256,6 +255,22 @@ class TestComposedRuns:
             run_fedres_erm(ds, ((0, 1), (0, 0)), HyperParams(), 2, 0)
 
 
+    @pytest.mark.parametrize("system", (ErmSystem, SgdSystem))
+    def test_systems_check_client_count_and_local_dimension(self, rng, system):
+        """Both learners, on the shared skeleton, reject delays for another
+        client count and local models of another or mixed dimension."""
+        streams = [scripted_stream(rng, 4, 2, 2) for _ in range(2)]
+        blocks = build_streams(dataset_from_streams(streams, 2, [2, 2]), 4, 0)
+        with pytest.raises(ConfigError):
+            system(blocks, DelayConfig.uniform(3, 1, 1), HyperParams())
+        with pytest.raises(ConfigError):
+            system(blocks, DelayConfig.uniform(2, 1, 1), HyperParams(),
+                   init_locals=[np.zeros(2), np.zeros(3)])
+        mixed = dataset_from_streams([streams[0], scripted_stream(rng, 4, 2, 3)], 2, [2, 3])
+        with pytest.raises(ConfigError):
+            system.build(mixed, (1, 1), HyperParams(), 4, 0)
+
+
 class TestPrefixSums:
     def test_tables_hold_one_block(self, rng):
         """Memory is O(BLOCK): at a horizon of several blocks, every
@@ -264,8 +279,8 @@ class TestPrefixSums:
         streams = [scripted_stream(rng, rounds, 2, 2) for _ in range(clients)]
         ds = dataset_from_streams(streams, 2, [2] * clients)
         for variant in ("erm", "fictitious"):
-            system = ErmSystem(2, [2] * clients, DelayConfig.uniform(clients, 3, 2), HyperParams(),
-                               build_streams(ds, rounds, 0), variant=variant)
+            system = ErmSystem.build(ds, DelayConfig.uniform(clients, 3, 2), HyperParams(), rounds,
+                                     0, variant=variant)
             for _ in range(rounds):
                 system.step()
                 for sums in (system.client_sums, system.server_sums):
@@ -282,8 +297,8 @@ class TestPrefixSums:
         gc.disable()
         try:
             for variant in ("erm", "fictitious"):
-                system = ErmSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(),
-                                   build_streams(ds, 5, 0), variant=variant)
+                system = ErmSystem.build(ds, DelayConfig.uniform(1, 1, 1), HyperParams(), 5, 0,
+                                         variant=variant)
                 for _ in range(5):
                     system.step()
                 ref = weakref.ref(system)

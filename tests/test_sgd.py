@@ -4,11 +4,12 @@ import pytest
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams
 from fedres.datagen import FederatedDataset, ClientData, gen_appendixc, gen_example2
-from fedres.engine import SgdSystem, build_streams, run_fedres_sgd
+from fedres.engine import SgdSystem, run_fedres_sgd
 from fedres.errors import ConfigError, InvariantError
 from fedres.results import RunResult
 
 from conftest import ball_project_oracle, rows_of, stack_rows, stepped_sgd_system
+from sgd_oracle import alignment_offsets
 
 
 def dataset_from_streams(streams, d_global, d_locals):
@@ -65,8 +66,7 @@ class TestClientRound:
         from fedres.errors import InvariantError
 
         x, y = np.ones((3, 1, 1, 2)), np.ones((3, 1, 1))
-        system = SgdSystem(2, [2], DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0),
-                           streams=(x, x, y))
+        system = SgdSystem((x, x, y), DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0))
         system._history = Lag((2,), ring=2)
         system.step()
         system.step()
@@ -152,8 +152,7 @@ class TestInvariants:
         streams = [scripted_stream(rng, 30, 2, 2) for _ in range(3)]
         ds = dataset_from_streams(streams, 2, [2, 2, 2])
         hp = HyperParams(radius=0.25, eta_global=0.9, eta_local=0.9)
-        system = SgdSystem(2, [2, 2, 2], DelayConfig.uniform(3, 1, 1), hp,
-                           streams=build_streams(ds, 30, 0))
+        system = SgdSystem.build(ds, DelayConfig.uniform(3, 1, 1), hp, 30, 0)
         for _ in range(30):
             system.step()
             assert np.linalg.norm(system.wg) <= 0.25 * (1 + 1e-12)
@@ -166,7 +165,7 @@ class TestInvariants:
             ds = dataset_from_streams(streams, 2, [2, 2, 2])
             hp = HyperParams(eta_global=0.05, eta_local=0.05)
             system = stepped_sgd_system(ds, ((0, 2, 3), (1, 0, 2)), hp, 20, 0, variant=variant)
-            offsets = system.alignment_offsets()
+            offsets = alignment_offsets(system)
             assert offsets, "no gradients recorded"
             for global_round, local_round, beta in offsets:
                 assert local_round - global_round == beta
@@ -176,7 +175,7 @@ class TestInvariants:
         ds = dataset_from_streams(streams, 2, [2, 2])
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
         system = stepped_sgd_system(ds, (2, 3), hp, 20, 0, variant="misaligned")
-        offsets = system.alignment_offsets()
+        offsets = alignment_offsets(system)
         assert any(l - g != beta for g, l, beta in offsets)
 
     def test_determinism_bitwise(self):
