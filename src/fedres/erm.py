@@ -138,6 +138,8 @@ class ErmSystem(RoundSystem):
         if not delays.is_uniform:
             raise ConfigError("exact-solve learners require uniform per-client delays")
         super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals)
+        if self.label.shape[2] != 1:
+            raise ConfigError("exact-solve learners do not support batching")
         # one sample per round: views of the blocks and predictions without the batch axis
         self.xg, self.xl, self.y, self.pred = [a[:, :, 0] for a in (*streams, self.prediction)]
         self.local_prediction = np.empty(self.y.shape)

@@ -270,6 +270,11 @@ class TestComposedRuns:
         with pytest.raises(ConfigError):
             system.build(mixed, (1, 1), HyperParams(), 4, 0)
 
+    def test_exact_learners_reject_batches(self, rng):
+        ds = dataset_from_streams([scripted_stream(rng, 4, 2, 2)], 2, [2])
+        with pytest.raises(ConfigError):
+            ErmSystem.build(ds, 0, HyperParams(), 4, 0, batch_size=2)
+
 
 class TestPrefixSums:
     def test_tables_hold_one_block(self, rng):
