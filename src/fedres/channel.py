@@ -125,7 +125,8 @@ class Lag:
 
 class DelayedChannel:
     """Snapshot ring and whole-round uplink on one round counter (see the
-    module doc); `ring` is the length of the caller's round-indexed rows."""
+    module doc); `ring` is the length of the caller's round-indexed rows.
+    _last_published, the open round, is the counter the learners read."""
 
     def __init__(self, delays: DelayConfig, initial_global: np.ndarray, ring: int):
         self.delays = delays

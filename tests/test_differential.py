@@ -30,7 +30,6 @@ from test_bandit import assert_same_bits
 from test_sgd import dataset_from_streams
 
 
-
 def examples(n: int):
     """A fixed number of derandomized examples: the same cases on every run."""
     return settings(max_examples=n, deadline=None, derandomize=True, database=None)

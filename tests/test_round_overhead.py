@@ -23,9 +23,9 @@ APPENDIXC = dict(data="appendixc", clients=1, rounds=2000, eta_global=0.05, eta_
 INIT = np.array([1.0, 0.0])
 # name: (config, init, calls per round)
 CASES = {
-    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 14.031),
-    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 12.2545),
-    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 13.206),
+    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 14.0305),
+    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 12.2525),
+    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 13.204),
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
                   None, 16.196),
 }
