@@ -61,7 +61,12 @@ class MulticlassCorpus:
 
     @property
     def classes(self) -> list[int]:
-        return np.unique(self.labels).tolist()
+        """The distinct labels in ascending order (np.unique's first call
+        imports numpy.ma; a sort and an adjacent-difference mask do not)."""
+        labels = np.sort(self.labels)
+        first = np.ones(len(labels), dtype=bool)
+        first[1:] = labels[1:] != labels[:-1]
+        return labels[first].tolist()
 
     @property
     def n_classes(self) -> int:

@@ -18,14 +18,32 @@ learners (fedres.erm): the models, the prediction column, the channel,
 whose count of published rounds is the run's only round counter, and the
 step and run loops.
 
-Array layout: wg (dg,), wl (P, dl), the channel's ring of global
-snapshots, and round-indexed rows (L, P, b, ...) of x_global, x_local and
+Array layout: wg (dg,), wl (P, dl), the channel's window of global
+snapshots, and round-indexed rows (N, P, b, ...) of x_global, x_local and
 label plus each client's prediction and residual (prediction - label).
-Round r lives in row (r - 1) % L (see channel.Lag). The caller passes the
+Round r lives in row (r - 1) % N (see channel.Lag). The caller passes the
 whole (N, P, b, ...) stream - run_fedres_sgd the dataset's, the bandit
-policies their gathered exploration samples - so L = N and the rows are
-the result columns. A round is a fixed handful of NumPy operations over
-all P clients, and b = 1 is an ordinary batch of one.
+policies their gathered exploration samples - and the rows are the result
+columns. b = 1 is an ordinary batch of one.
+
+Blocks: under the aligned rule everything the next
+
+    L = max(1, min_i min(beta_i + 1, alpha_i + beta_i))   (batch rounds)
+
+rounds read is known before they start. Their fetches reach back to
+snapshots of round <= t (L <= beta_i + 1), and their client steps read
+residuals of rounds < t (L <= alpha_i + beta_i), so both local chains
+start from models already in hand. run() therefore advances a block of L
+rounds at a time, with one NumPy call each over (L, P, b, d) slices for
+the block's fetches, client gradients, predictions and residuals, and
+server client sums. Only the two projected chains, wl <- proj(wl - step_k)
+and wg <- proj(wg - step_k), stay a loop over the block's rounds, and the
+channel takes the block's global models at the next publish. L is 1 at a
+zero round trip, for the other variants (their clients step on the round
+just priced) and for the exact learners; step() is always a block of one
+round, and a block of one carries no round axis. Buffers are O(L P d).
+A block that raises InvariantError is replayed from its start a round at
+a time, so errors name the round and client they always named.
 
 Shared residual: both gradients of round s are 2 (pred_s - y_s) x, because
 the client's delayed pair and the server's (uplinked local prediction,
@@ -41,9 +59,15 @@ The variants differ only in which residual each side reads:
 "asymmetric" and "misaligned" are documented-but-discouraged rules for A/B
 runs; both predict with the pre-step local model.
 
-Bits: dot products are np.vecdot (on a row, the kernel of 1-D `@`), batch
-means reduce axis 1 of (P, b, d) blocks, and the server sums clients in
-order, so results equal the per-sample formulas exactly.
+Bits: a block computes every element exactly as its rounds one at a time
+would, so the bits do not depend on L. Dot products are np.vecdot, whose
+per-element kernel is 1-D `@` whatever the leading axes; batch means
+reduce the batch axis of (..., P, b, d) blocks, the same reduction per
+(round, client) at any leading shape; the server sums each round's
+clients in ascending order with np.add.accumulate along the client axis
+(clients not live yet add zeros, which change no bit after the final
+`0.0 +`); and the chains step round by round in order. So results equal
+the per-sample formulas exactly.
 """
 
 from __future__ import annotations
@@ -52,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ALL, DelayConfig, DelayedChannel, Lag, as_delay_config
+from .channel import DelayConfig, DelayedChannel, Lag, as_delay_config
 from .core import HyperParams, project_ball
 from .errors import ConfigError, InvariantError
 from .results import RunResult, check_finite, squared_loss
@@ -62,18 +86,24 @@ VARIANTS = ("aligned", "misaligned", "asymmetric")
 
 class RoundSystem:
     """Clients, server and channel on the channel's round clock; one system
-    per run. A learner supplies _client_step(row) and _server_step(index).
+    per run. A learner supplies _client_step(rows, fetched, n) for a block
+    of n rounds (rows an int when n is 1, else a slice) and
+    _server_step(n, arrivals) for the rows that arrive in it (arrivals as
+    channel.Lag.block returns them), which returns the global models
+    published after its rounds (a single model stands for all of them).
 
     streams holds the rows x_global (N, P, b, dg), x_local (N, P, b, dl) and
-    label (N, P, b); round t reads row (t - 1) % N. A step publishes wg
-    (every client's fetch comes back), runs the clients on the round's row
-    and, when the channel says rows have arrived, the server on them.
+    label (N, P, b); round t reads row (t - 1) % N. A block of rounds
+    publishes the global models since the last publish (every client's
+    fetches come back), runs the clients on the block's rows and, when the
+    channel says rows have arrived in it, the server on them. step() runs
+    a block of one round and run() blocks of `block` rounds.
     The models start at zero unless init_global and init_locals are given.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
                  init_global: np.ndarray | None = None,
-                 init_locals: Sequence[np.ndarray] | None = None):
+                 init_locals: Sequence[np.ndarray] | None = None, block: int = 1):
         self.x_global, self.x_local, self.label = streams
         rows, clients = self.label.shape[:2]
         dg, dl = self.x_global.shape[-1], self.x_local.shape[-1]
@@ -86,7 +116,9 @@ class RoundSystem:
         self.radius = hyper.radius
         # zeros: a run that fails mid-round prices its unpredicted row as finite
         self.prediction = np.zeros(self.label.shape)
-        self.channel = DelayedChannel(delays, self.wg, ring=rows)
+        self.block = block
+        self.channel = DelayedChannel(delays, self.wg, ring=rows, block=block)
+        # every client's fetch in the last open round: (dg,) when beta is uniform, else (P, dg)
         self.fetched = self.wg
         self._rows = rows
 
@@ -103,99 +135,187 @@ class RoundSystem:
 
     def step(self) -> None:
         """Advance one round on the data already in its row."""
+        self._advance(self.wg, 1)
+
+    def _advance(self, published, n: int):
+        """Publish `published` (see DelayedChannel.publish_global), run the
+        next n rounds, and return the global models published after them."""
         channel = self.channel
-        self.fetched = channel.publish_global(self.wg)
-        self._client_step((channel._last_published - 1) % self._rows)
-        index = channel.exchange()
-        if index is not None:
-            self._server_step(index)
+        fetched = channel.publish_global(published, n)
+        start = (channel._last_published - n) % self._rows
+        if n == 1:  # a block of one round has no round axis, like one row of the streams
+            self.fetched = fetched
+            self._client_step(start, fetched, 1)
+        else:
+            self.fetched = fetched[-1]
+            self._client_step(slice(start, start + n), fetched, n)
+        arrivals = channel.exchange()
+        return self.wg if arrivals is None else self._server_step(n, arrivals)
 
     def run(self) -> RunResult:
-        """Step through every row and return the run's columns."""
+        """Run every row in blocks and return the run's columns. A block that
+        raises InvariantError is replayed from its start a round at a time,
+        so the error names the round and client that blocks of one would."""
+        channel = self.channel
+        full, rest = divmod(self._rows, self.block)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                for _ in range(self._rows):
-                    self.step()
+                published = self.wg
+                for n in [self.block] * full + [rest] * (rest > 0):
+                    wg, wl = self.wg, self.wl
+                    try:
+                        published = self._advance(published, n)
+                    except InvariantError:
+                        if n == 1:
+                            raise
+                        self.wg, self.wl = wg, wl
+                        channel.rewind()
+                        for _ in range(n):
+                            self.step()
+                        published = self.wg
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
-                done = self.channel._last_published
+                done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
                 raise
         return RunResult(self.prediction, self.label, self.x_global, self.x_local, self.wg,
                          list(self.wl), self.channel.fetch_counts)
 
 
+def block_length(delays: DelayConfig, variant: str = "aligned") -> int:
+    """Rounds run() advances at once: under the aligned rule a block of L =
+    min_i min(beta_i + 1, alpha_i + beta_i) rounds fetches only snapshots
+    published before it and steps the clients only on residuals priced
+    before it (see the module doc); 1 for a zero round trip and for the
+    other variants."""
+    if variant != "aligned":
+        return 1
+    return max(1, min(min(b + 1, a + b) for a, b in zip(delays.alpha, delays.beta)))
+
+
 class SgdSystem(RoundSystem):
     """The delayed-gradient learner (see the module doc): a client step
     fetches, steps and predicts every client; a server step takes one
-    projected step on the clients' arrived rows."""
+    projected step per round on the clients' arrived rows."""
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
                  variant: str = "aligned", init_global: np.ndarray | None = None,
                  init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals)
-        clients = delays.clients
-        self.residual = np.empty(self.label.shape)
+        block = block_length(delays, variant)
+        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals,
+                         block=block)
+        clients, b = delays.clients, self.label.shape[2]
+        # the features the gradients read: without the batch axis at b = 1
+        self._xg, self._xl = (x[:, :, 0] if b == 1 else x for x in (self.x_global, self.x_local))
+        self._batch = b
+        # zeros: a client not live yet gets a gradient, unused, from a row no
+        # round may have written yet
+        self.residual = np.zeros(self.label.shape)
         self.local_prediction = np.empty(self.label.shape) if variant == "misaligned" else None
         self.variant = variant
         self.eta_global = hyper.eta_global
         self.eta_local = np.array([[hyper.eta_for(i, clients)] for i in range(clients)])
-        lags = delays.round_trips if variant == "aligned" else (0,) * clients
+        self._aligned = variant == "aligned"
+        lags = delays.round_trips if self._aligned else (0,) * clients
         self._history = Lag(lags, self._rows)
-        self._fresh = variant == "aligned" and min(lags) == 0
+        self._fresh = self._aligned and min(lags) == 0
+        # the models after each round of a block of several: the local ones
+        # price its rows (aligned), the global ones are its snapshots
+        self._wl_after = np.empty((block, *self.wl.shape))
+        self._wg_after = np.empty((block, len(self.wg)))
 
-    def _client_step(self, row) -> None:
-        xg, xl, y = self.x_global[row], self.x_local[row], self.label[row]
-        gp = np.vecdot(xg, self.fetched[..., None, :])
-        aligned = self.variant == "aligned"
-        if aligned:  # step, then predict with the stepped local model
-            if self._fresh:  # a zero round trip steps on its pre-step residual
-                self.residual[row] = gp + np.vecdot(xl, self.wl[:, None, :]) - y
-            self._local_step()
-        lp = np.vecdot(xl, self.wl[:, None, :])
-        np.add(gp, lp, out=self.prediction[row])
-        np.subtract(self.prediction[row], y, out=self.residual[row])
+    def _client_step(self, rows, fetched: np.ndarray, n: int) -> None:
+        xg, xl, y = self.x_global[rows], self.x_local[rows], self.label[rows]
+        gp = np.vecdot(xg, fetched[..., None, :])
+        if self._aligned:  # step, then predict with the stepped local models
+            if self._fresh:  # a zero round trip (a block of one) steps on its pre-step residual
+                self.residual[rows] = gp + np.vecdot(xl, self.wl[:, None, :]) - y
+            lp = np.vecdot(xl, self._local_steps(n)[..., None, :])
+        else:
+            lp = np.vecdot(xl, self.wl[:, None, :])
+        np.add(gp, lp, out=self.prediction[rows])
+        np.subtract(self.prediction[rows], y, out=self.residual[rows])
         if self.local_prediction is not None:
-            self.local_prediction[row] = lp
-        if not aligned:  # the other variants step on the residual just stored
-            self._local_step()
+            self.local_prediction[rows] = lp
+        if not self._aligned:  # the other variants step on the residual just stored
+            self._local_steps(1)
 
     def _gradients(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Batch-mean gradients (k, d) from residuals (k, b) and features (k, b, d)."""
-        g = (2.0 * r)[..., None] * x
-        return g[:, 0] if g.shape[1] == 1 else np.add.reduce(g, axis=1) / g.shape[1]
+        """Batch-mean gradients (..., P, d) from residuals (..., P, b) and
+        features (..., P, b, d), or (..., P, d) at b = 1."""
+        if self._batch == 1:
+            return (2.0 * r) * x
+        return np.add.reduce((2.0 * r)[..., None] * x, axis=-2) / self._batch
 
-    def _local_step(self) -> None:
-        index, who = self._history.at(self.channel._last_published)
-        if index is None:
-            return
-        grad = self._gradients(self.residual[index], self.x_local[index])
-        stepped = self._project(self.wl[who] - self.eta_local[who] * grad, who)
-        if who is ALL:
-            self.wl = stepped
-        else:
-            self.wl[who] = stepped
-
-    def _server_step(self, index) -> None:
-        xg, r = self.x_global[index], self.residual[index]
-        if self.local_prediction is not None:
-            r = np.vecdot(xg, self.wg) + self.local_prediction[index] - self.label[index]
-        grads = self._gradients(r, xg)
-        # equals a `gsum += g` loop over clients from zeros, bit for bit
-        gsum = 0.0 + (np.add.accumulate(grads, axis=0)[-1] if len(grads) > 1 else grads[0])
-        self.wg = self._project(self.wg - self.eta_global * gsum)
-
-    def _project(self, v: np.ndarray, who=None) -> np.ndarray:
+    def _local_steps(self, n: int) -> np.ndarray:
+        """Step every live client through the open block's n rounds; returns
+        the local models after each of them (after the one round if n is 1)."""
+        wl = self.wl
+        t = self.channel._last_published - n + 1
+        due = self._history.block(t, n)
+        out = None if n == 1 else self._wl_after[:n]
+        if due is None:
+            if n == 1:
+                return wl
+            out[:] = wl
+            return out
+        first, index, live = due
+        if first:
+            out[:first] = wl
+        steps = self.eta_local * self._gradients(self.residual[index], self._xl[index])
+        if n == 1:
+            steps, live = (steps,), (None if live is None else (live,))
+        radius, k, step = self.radius, first, None
         try:
-            return project_ball(v, self.radius)
+            for k, step in enumerate(steps, first):
+                if live is None:
+                    wl = project_ball(wl - step, radius)
+                else:  # per-client warm-up: only the live clients step
+                    who = np.flatnonzero(live[k - first])
+                    wl = wl.copy()
+                    wl[who] = project_ball(wl[who] - step[who], radius)
+                if n > 1:
+                    out[k] = wl
         except InvariantError:
-            where = "the global model"
-            if who is not None:
-                bad = np.argmin(np.isfinite(np.vecdot(v, v)))
-                where = f"the local model of client {np.arange(len(self.wl))[who][bad]}"
-            t = self.channel._last_published
-            raise InvariantError(f"{where} has a non-finite norm after round {t}") from None
+            v = wl - step
+            bad = np.flatnonzero(~np.isfinite(np.vecdot(v, v)))
+            if live is not None:
+                bad = bad[live[k - first][bad]]
+            raise InvariantError(f"the local model of client {bad[0]} has a non-finite norm "
+                                 f"after round {t + k}") from None
+        self.wl = wl
+        return wl if n == 1 else out
+
+    def _server_step(self, n: int, arrivals) -> np.ndarray:
+        first, index, live = arrivals
+        r = self.residual[index]
+        if self.local_prediction is not None:  # misaligned: a block of one, re-priced at wg
+            r = np.vecdot(self.x_global[index], self.wg) + self.local_prediction[index] \
+                - self.label[index]
+        if live is not None:  # clients not live yet add zeros
+            r = np.where(live[..., None], r, 0.0)
+        grads = self._gradients(r, self._xg[index])
+        # equals a `gsum += g` loop over clients from zeros, bit for bit, per round
+        gsum = 0.0 + (np.add.accumulate(grads, axis=-2)[..., -1, :] if grads.shape[-2] > 1
+                      else grads[..., 0, :])
+        steps = self.eta_global * gsum
+        out = None if n == 1 else self._wg_after[:n]
+        wg = self.wg
+        if first:
+            out[:first] = wg
+        radius, k = self.radius, first
+        try:
+            for k, step in enumerate((steps,) if n == 1 else steps, first):
+                wg = project_ball(wg - step, radius)
+                if n > 1:
+                    out[k] = wg
+        except InvariantError:
+            t = self.channel._last_published - n + 1 + k
+            raise InvariantError(f"the global model has a non-finite norm after round {t}") \
+                from None
+        self.wg = wg
+        return wg if n == 1 else out
 
 
 def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):

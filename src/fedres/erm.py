@@ -153,9 +153,8 @@ class ErmSystem(RoundSystem):
         self.frozen_rhs = np.zeros(self.wl.shape)
         self.frozen_rhs_g = np.zeros(self.wg.shape)
 
-    def _client_step(self, row) -> None:
+    def _client_step(self, row: int, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.xg[row], self.xl[row], self.y[row]
-        fetched = self.fetched
         if row:  # every archive holds a sample
             gram, *rest = self.client_sums.upto(row)
             if self.erm:
@@ -172,7 +171,8 @@ class ErmSystem(RoundSystem):
         else:
             self.frozen_rhs += (y - gp)[:, None] * xl
 
-    def _server_step(self, index) -> None:
+    def _server_step(self, n: int, arrivals) -> np.ndarray:
+        index = arrivals[1]  # one row of every client: blocks of one round, uniform delays
         gram_g, *rest = self.server_sums.upto(index + 1)
         if self.erm:
             gy, cross_g = rest
@@ -183,6 +183,7 @@ class ErmSystem(RoundSystem):
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
         self.wg = solve_gram(gram_g, rhs, self.radius)
+        return self.wg
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,

@@ -19,7 +19,6 @@ clients at a time, concatenated.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -267,6 +266,9 @@ def _rollout_row(args, init=None) -> tuple[tuple, str]:
 def _run_tasks(tasks: list, jobs: int, task=_rollout_row) -> list:
     """task(t) -> (order key, result) for every t; the results in key order."""
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the import costs every start-up, and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             keyed = list(pool.map(task, tasks))
     else:

@@ -13,14 +13,28 @@ def make_channel(alpha, beta, init=None):
 
 
 def due(ch):
-    """(client, sent round) of every message the open round delivers, in the
-    order of its index; rows are rounds - 1 (the ring is longer than the run)."""
-    index = ch.exchange()
-    if index is None:
-        return []
-    # uniform delays index one row of every client, others (rows, clients)
-    rows, clients = index if isinstance(index, tuple) else (index, range(ch.delays.clients))
-    return [(int(i), int(r) + 1) for i, r in zip(clients, np.broadcast_to(rows, len(clients)))]
+    """(client, sent round) of every message the open round delivers, in
+    ascending client order; rows are rounds - 1 (the ring is longer than the run)."""
+    return delivered(ch, 1)[0]
+
+
+def delivered(ch, n):
+    """due() for each of the n rounds the last publish opened."""
+    out = [[] for _ in range(n)]
+    arrivals = ch.exchange()
+    if arrivals is None:
+        return out
+    first, index, live = arrivals
+    clients = range(ch.delays.clients)
+    if isinstance(index, tuple):  # per-client delays: (rows, clients) arrays
+        rows = index[0].reshape(n - first, -1)
+    else:  # uniform delays: one row of every client, an int for one round
+        start = index if n == 1 else index.start
+        rows = np.arange(start, start + n - first)[:, None].repeat(len(clients), 1)
+    live = np.ones(rows.shape, dtype=bool) if live is None else live.reshape(rows.shape)
+    for k in range(first, n):
+        out[k] = [(i, int(rows[k - first, i]) + 1) for i in clients if live[k - first, i]]
+    return out
 
 
 def run_rounds(ch, n):
@@ -217,3 +231,47 @@ class TestDeliveryExactness:
             for i in range(clients):
                 # what a client fetch needs
                 assert np.array_equal(fetched[i], all_snaps[max(t - beta[i], 0)])
+
+
+class TestBlocks:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_fetch_and_deliver_as_rounds_of_one(self, seed):
+        """Publishing blocks of rounds (each block's snapshots at the next
+        publish), some rewound and replayed a round at a time, fetches the
+        snapshot of round t - beta_i and delivers round t - alpha_i's row."""
+        rng = np.random.default_rng(seed)
+        clients = int(rng.integers(1, 4))
+        alpha = tuple(int(a) for a in rng.integers(0, 6, clients))
+        beta = tuple(int(b) for b in rng.integers(0, 6, clients))
+        block = int(rng.integers(1, min(beta) + 2))  # no fetch reads a snapshot of its block
+        horizon = 40
+        init = np.array([0.5, 0.25])
+        ch = DelayedChannel(DelayConfig(alpha=alpha, beta=beta), init, ring=64, block=block)
+        snaps = {r: rng.normal(0, 1, 2) for r in range(2, horizon + 1)}  # round -> its snapshot
+        snaps[1] = init
+        t, newest = 1, 0  # the next round to open and the newest published snapshot's round
+        while t <= horizon:
+            n = min(block, horizon - t + 1)
+            published = np.array([snaps[r] for r in range(newest + 1, t + 1)])
+            if rng.random() < 0.3:  # rewind the block and replay it a round at a time
+                ch.publish_global(published, n)
+                ch.rewind()
+                opened = [(np.broadcast_to(ch.publish_global(snaps[t + k]), (clients, 2)),
+                           due(ch)) for k in range(n)]
+                fetched = np.array([f for f, _ in opened])
+                arrived = [d for _, d in opened]
+                newest = t + n - 1
+            else:
+                fetched = np.broadcast_to(ch.publish_global(published, n), (n, clients, 2))
+                arrived = delivered(ch, n)
+                newest = t
+            for k in range(n):
+                for i in range(clients):
+                    want = snaps[t + k - beta[i]] if t + k - beta[i] >= 1 else init
+                    assert np.array_equal(fetched[k, i], want)
+                assert arrived[k] == [(i, t + k - alpha[i]) for i in range(clients)
+                                        if t + k - alpha[i] >= 1]
+            t += n
+        assert ch.fetch_counts == [horizon] * clients
+        assert ch.pending_payloads == sum(min(a, horizon) for a in alpha)

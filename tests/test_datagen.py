@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedres.datagen import (
+    MulticlassCorpus,
     gen_appendixc,
     gen_example2,
     parse_libsvm,
@@ -36,6 +37,8 @@ class TestParser:
         corpus = parse_libsvm("7 1:1\n-2 1:1\n7 1:2\n3 1:0\n-2 1:5\n")
         assert corpus.classes == [-2, 3, 7]
         assert all(type(c) is int for c in corpus.classes)
+        empty = MulticlassCorpus(corpus.labels[:0], corpus.features[:0], corpus.line_numbers[:0])
+        assert empty.classes == []
 
     def test_blank_lines_skipped_with_numbering(self):
         corpus = parse_libsvm("1 1:1\n\n2 1:2\n")

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from fedres.bandit import draw_episode, make_realizable_env, run_epsilon_greedy
 from fedres.baselines import central_view, independent_view
+from fedres.channel import as_delay_config
 from fedres.core import HyperParams
-from fedres.engine import VARIANTS, run_fedres_sgd
+from fedres.engine import VARIANTS, SgdSystem, block_length, run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
 from fedres.harness import ExperimentConfig, dispatch
 
@@ -133,3 +134,70 @@ def test_bandit_matches_the_per_block_oracle(clients, seed, k, period, rounds, n
         assert_same_bits(getattr(res, name), want[name])
     assert_same_bits(np.array(res.final_locals), want["final_locals"])
     assert res.exploration_rounds == want["exploration_rounds"]
+
+
+def long_delay_case(clients: int, rounds: int, seed: int, radius: float = 0.3) -> dict:
+    """A random dataset, every client's steps and a radius that binds."""
+    rng = np.random.default_rng(seed)
+    streams = [(rng.normal(0, 1, (rounds, 2)), rng.normal(0, 1, (rounds, 3)),
+                rng.normal(0, 1, rounds)) for _ in range(clients)]
+    hyper = HyperParams(radius=radius, eta_global=0.2,
+                        eta_local=tuple(0.1 + 0.05 * i for i in range(clients)))
+    return dict(dataset=dataset_from_streams(streams, 2, [3] * clients), hyper=hyper,
+                rounds=rounds, init_global=np.full(2, 0.4),
+                init_locals=[np.full(3, -0.3)] * clients)
+
+
+def assert_case_matches_oracle(case, delays, **kwargs):
+    args = case["dataset"], delays, case["hyper"], case["rounds"], 0
+    kwargs.update(init_global=case["init_global"], init_locals=case["init_locals"])
+    assert_matches_oracle(run_fedres_sgd(*args, **kwargs), run_oracle(*args, **kwargs))
+
+
+@pytest.mark.parametrize("batch_size", (1, 10))
+def test_long_delays_match_the_oracle(batch_size):
+    """alpha = beta = 100: blocks of 101 rounds at b = 1 and of 11 batch
+    rounds at b = 10, and a ball that binds."""
+    assert_case_matches_oracle(long_delay_case(3, 600, 1), (100, 100), batch_size=batch_size)
+
+
+def test_per_client_delays_ending_on_a_partial_block_match_the_oracle():
+    """Blocks of min(4 + 1, 3 + 4) = 5 rounds over a 23-round horizon: four
+    whole blocks, a partial one, and warm-up blocks where only some clients
+    are live on either side."""
+    case = long_delay_case(3, 23, 2)
+    delays = ((3, 7, 0), (4, 9, 6))
+    assert block_length(as_delay_config(delays, 3)) == 5
+    assert_case_matches_oracle(case, delays)
+
+
+def test_central_view_with_long_delays_matches_the_oracle():
+    case = long_delay_case(2, 120, 3)
+    view = central_view(case["dataset"])
+    cfg = ExperimentConfig(algo="central", rounds=120, clients=2, alpha=7, beta=12,
+                           radius=case["hyper"].radius, eta_global=0.2, eta_local=0.1)
+    want = run_oracle(view, (7, 12), cfg.hyper(), 120, 0)
+    assert_matches_oracle(dispatch(cfg, view, 0), want)
+
+
+@pytest.mark.parametrize("delays,variant,batch_size,length", [
+    ((5, 5), "aligned", 1, 6),  # min(beta + 1, alpha + beta)
+    ((100, 100), "aligned", 1, 101),
+    ((0, 3), "aligned", 1, 3),  # alpha + beta binds
+    ((3, 0), "aligned", 1, 1),
+    ((0, 0), "aligned", 1, 1),  # a fresh round trip steps on its own round
+    (((1, 4), (3, 2)), "aligned", 1, 3),  # the smallest over clients
+    (((0, 4), (0, 2)), "aligned", 1, 1),  # one fresh client
+    ((5, 5), "misaligned", 1, 1),
+    ((5, 5), "asymmetric", 1, 1),
+    ((100, 100), "aligned", 10, 11),  # in batch rounds: ceil(100 / 10) = 10
+    ((5, 5), "aligned", 10, 2),
+    ((20, 0), "aligned", 10, 1),
+])
+def test_block_length_table(delays, variant, batch_size, length):
+    config = as_delay_config(delays, 2).batched(batch_size)
+    assert block_length(config, variant) == length
+    case = long_delay_case(2, 20, 4)
+    system = SgdSystem.build(case["dataset"], delays, case["hyper"], 20, 0, batch_size,
+                             variant=variant)
+    assert system.block == length

@@ -1,4 +1,8 @@
+import concurrent.futures
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,12 +396,13 @@ class TestCli:
     def test_bandit_jobs_write_identical_csvs(self, tmp_path, monkeypatch, capsys):
         pools = []
 
-        class RecordingPool(harness.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs["max_workers"])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # the harness imports the pool when a run needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         written = []
         for jobs in (1, 2):
             out = tmp_path / f"b{jobs}.csv"
@@ -450,3 +455,13 @@ class TestCli:
         assert cli_main(["run", "--rounds", "6", "--clients", "2", "--dim", "2"]) == 0
         assert cli_main(["partition", "corpus.txt", "--clients", "3"]) == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["partition.txt", "run.csv"]
+
+
+def test_start_up_imports_neither_the_pool_nor_masked_arrays():
+    """Importing the CLI loads no process pool (a run imports one when it
+    needs it) and no numpy.ma; a fresh interpreter shows what an import pulls in."""
+    code = ("import sys, fedres.cli; "
+            "print(sorted({'concurrent.futures', 'numpy.ma'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(Path(harness.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"

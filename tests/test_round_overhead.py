@@ -6,7 +6,9 @@ round makes inside fedres does not. Each case runs one harness.dispatch
 under cProfile and counts the calls whose code lives in the fedres
 package (set-up included), divided by the rounds. The bounds are the
 counts of the round skeleton the learners share (engine.RoundSystem), so
-a change that adds Python calls to every round fails here.
+a change that adds Python calls to every round fails here. The appendixc
+cases run blocks of one round (zero delay); the delayed SGD cases run
+blocks of several rounds, whose only per-round calls are the projections.
 """
 
 import cProfile
@@ -26,8 +28,11 @@ CASES = {
     "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 14.0305),
     "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 12.2525),
     "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 13.204),
+    # delayed SGD in blocks of min(beta + 1, alpha + beta) rounds: 6, then 101
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
-                  None, 16.196),
+                  None, 6.158),
+    "sgd-long-delay": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000, alpha=100,
+                                        beta=100), None, 2.037),
 }
 
 

@@ -210,6 +210,35 @@ class TestNumericHealth:
         with pytest.raises(InvariantError, match=r"client \d+ .*round \d+"):
             run_fedres_sgd(ds, 0, hp, 200, 0)
 
+    @pytest.mark.parametrize("scale,eta_global,eta_local,seed,message", [
+        (1.0, 1e-3, 1e12, 0, "the local model of client 1 has a non-finite norm after round 128"),
+        # the block of rounds 85-90 prices round 90's loss, non-finite, which rounds of
+        # one never reach
+        (1e10, 1e-3, 1e-3, 1, "the global model has a non-finite norm after round 86"),
+        # round 48 fails, and round 45's loss, priced in the same block, comes first
+        (1e20, 1e-3, 1e-20, 1, "non-finite loss at round 45, client 0"),
+    ])
+    def test_diverging_blocks_name_what_rounds_of_one_name(self, scale, eta_global, eta_local,
+                                                           seed, message):
+        """Delays (5, 5) run blocks of six rounds. A block that fails is
+        replayed a round at a time, so the error names the round and client
+        (or the earlier non-finite loss) that the round-at-a-time engine
+        named; the messages were recorded from it."""
+        if scale == 1.0:
+            ds = gen_example2(4, 4, np.full(4, 0.5), 0.0, 200, 0)
+            inits = {}
+        else:
+            rng = np.random.default_rng(seed)
+            streams = [(rng.normal(0, 1, (120, 2)) * scale, rng.normal(0, 1, (120, 2)) * scale,
+                        rng.normal(0, 1, 120)) for _ in range(2)]
+            ds = dataset_from_streams(streams, 2, [2, 2])
+            inits = dict(init_global=np.ones(2), init_locals=[np.ones(2)] * 2)
+        hp = HyperParams(radius=1e300, eta_global=eta_global, eta_local=eta_local)
+        rounds = len(ds.pregenerated[0][2])
+        assert SgdSystem.build(ds, (5, 5), hp, rounds, 0).block == 6
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            run_fedres_sgd(ds, (5, 5), hp, rounds, 0, **inits)
+
     def test_overflowing_loss_is_caught_after_the_loop(self):
         # tiny features and steps keep the models finite while (y - pred)^2 overflows
         tiny = np.full((3, 1), 1e-10)
