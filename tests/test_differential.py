@@ -6,8 +6,12 @@ variant, a radius from binding to loose, inits outside the ball and
 per-client steps - and compares the engine with tests/sgd_oracle.py. The
 exact learners run against tests/erm_oracle.py (uniform delays, at
 test_erm's tolerances), the bandit against tests/bandit_oracle.py, and
-Independent and Central reach the oracle through harness.dispatch. The
-examples are derandomized, so the module is deterministic.
+Independent and Central reach the oracle through harness.dispatch. One
+client at zero delay with batch size 1 - the three-way protocol's shape,
+which the general draw reaches about once in 245 examples - has its own
+draw for every learner. compute_regret runs against
+tests/joint_ls_oracle.py and a per-record loop on drawn SGD and exact runs.
+The examples are derandomized, so the module is deterministic.
 """
 
 import numpy as np
@@ -21,11 +25,12 @@ from fedres.channel import as_delay_config
 from fedres.core import HyperParams
 from fedres.engine import VARIANTS, SgdSystem, block_length, run_fedres_sgd
 from fedres.erm import run_fedres_erm, run_fictitious_play
-from fedres.harness import ExperimentConfig, dispatch
+from fedres.harness import ExperimentConfig, compute_regret, dispatch
 
 import bandit_oracle
 import erm_oracle
 from conftest import stepped_sgd_system
+from joint_ls_oracle import alternating_joint_ls_oracle, client_blocks
 from sgd_oracle import alignment_offsets, run_oracle
 from test_bandit import assert_same_bits
 from test_sgd import dataset_from_streams
@@ -67,6 +72,12 @@ def runs(draw, max_clients=5, max_dim=3):
     )
 
 
+def single_client(case: dict) -> dict:
+    """The case with one client (drawn so), zero delays, batch size 1 and the
+    aligned rule."""
+    return {**case, "delays": (0, 0), "batch_size": 1, "variant": "aligned"}
+
+
 def assert_matches_oracle(res, want):
     assert_same_bits(res.prediction, want["prediction"])
     assert_same_bits(res.final_global, want["final_global"])
@@ -82,6 +93,20 @@ def test_sgd_matches_the_loop_oracle(case):
     want = run_oracle(*args, **kwargs)
     assert_matches_oracle(run_fedres_sgd(*args, **kwargs), want)
     assert alignment_offsets(stepped_sgd_system(*args, **kwargs)) == want["offsets"]
+
+
+@given(runs(max_clients=1).map(single_client))
+@examples(60)
+def test_single_client_sgd_matches_the_loop_oracle(case):
+    args = case["dataset"], case["delays"], case["hyper"], case["rounds"], 0
+    inits = {k: case[k] for k in ("init_global", "init_locals")}
+    assert_matches_oracle(run_fedres_sgd(*args, **inits), run_oracle(*args, **inits))
+
+
+@given(runs(max_clients=1, max_dim=1).map(single_client), st.sampled_from(("erm", "fictitious")))
+@examples(40)
+def test_single_client_exact_learners_match_the_archive_oracle(case, variant):
+    assert_exact_matches_oracle(case, variant, delays=(0, 0))
 
 
 @given(runs(), st.sampled_from(("independent", "central")))
@@ -105,8 +130,12 @@ def test_views_through_dispatch_match_the_oracle(case, algo):
 def test_exact_learners_match_the_archive_oracle(case, variant):
     """One feature per block: no archive is rank-deficient, where the base
     ridge would magnify the two paths' last-bit differences (test_erm)."""
-    ds, hyper = case["dataset"], case["hyper"]
     delays = (case["delays"][0][0], case["delays"][1][0])  # uniform across clients
+    assert_exact_matches_oracle(case, variant, delays)
+
+
+def assert_exact_matches_oracle(case, variant, delays):
+    ds, hyper = case["dataset"], case["hyper"]
     inits = {k: case[k] for k in ("init_global", "init_locals")}
     runner = run_fedres_erm if variant == "erm" else run_fictitious_play
     res = runner(ds, delays, hyper, case["rounds"], 0, **inits)
@@ -115,6 +144,39 @@ def test_exact_learners_match_the_archive_oracle(case, variant):
     assert res.loss.ravel().tolist() == pytest.approx(want.loss.ravel().tolist(), rel=1e-8,
                                                       abs=1e-12)
     assert res.fetch_counts == want.fetch_counts
+
+
+def oracle_regret(res, radius: float) -> float:
+    """Average regret against tests/joint_ls_oracle.py's comparator, priced
+    record by record: each batch's mean squared loss, summed in record order
+    from 0.0."""
+    wg, wls, _ = alternating_joint_ls_oracle(*client_blocks(res), radius)
+    total = 0.0
+    for n in range(res.rounds):
+        for i, wl in enumerate(wls):
+            sq = [(y - (float(xg @ wg) + float(xl @ wl))) ** 2 for xg, xl, y in
+                  zip(res.x_global[n, i], res.x_local[n, i], res.label[n, i].tolist())]
+            total += float(res.loss[n, i]) - float(np.mean(sq))
+    return total / res.loss.size
+
+
+@given(runs(), st.sampled_from(("sgd", "erm", "fictitious")))
+@examples(60)
+def test_regret_matches_the_joint_ls_oracle(case, learner):
+    """compute_regret at the run's radius and at one where every comparator
+    solve binds, on SGD runs of every variant and batch size and on exact
+    runs (uniform delays, batch size 1)."""
+    args = case["dataset"], case["delays"], case["hyper"], case["rounds"], 0
+    inits = {k: case[k] for k in ("init_global", "init_locals")}
+    if learner == "sgd":
+        res = run_fedres_sgd(*args, variant=case["variant"], batch_size=case["batch_size"],
+                             **inits)
+    else:
+        delays = (case["delays"][0][0], case["delays"][1][0])
+        runner = run_fedres_erm if learner == "erm" else run_fictitious_play
+        res = runner(case["dataset"], delays, *args[2:], **inits)
+    for radius in (case["hyper"].radius, 0.05):
+        assert compute_regret(res, radius=radius) == oracle_regret(res, radius)
 
 
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(1, 5),
