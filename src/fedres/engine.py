@@ -59,6 +59,20 @@ The variants differ only in which residual each side reads:
 "asymmetric" and "misaligned" are documented-but-discouraged rules for A/B
 runs; both predict with the pre-step local model.
 
+Single client: one client at zero delay with batch size 1 under the
+aligned rule (the three-way protocol's shape) is where a round costs the
+most Python per sample, and blocks cannot help it: a zero round trip makes
+every block one round long. The input alone selects a loop of its own in
+run(): each round reads the rows x[t, 0, 0] by index, fetches wg itself,
+takes 1-D `@` dot products, keeps the residuals and the prediction as
+Python floats and projects through project_ball's 1-D path; the window,
+exchange() and the (P, b, d) shapes are skipped, and the channel is told
+the round count at the end (or at a failure). Its bits are the block
+path's: a 1-D `@` is the per-element kernel of np.vecdot, Python float
+`+`, `-` and `*` are the IEEE operations NumPy does, the 1-D and 2-D
+projections compute each row alike, and the server keeps its `0.0 +`.
+step() and every other input take the block path.
+
 Bits: a block computes every element exactly as its rounds one at a time
 would, so the bits do not depend on L. Dot products are np.vecdot, whose
 per-element kernel is 1-D `@` whatever the leading axes; batch means
@@ -97,8 +111,10 @@ class RoundSystem:
     publishes the global models since the last publish (every client's
     fetches come back), runs the clients on the block's rows and, when the
     channel says rows have arrived in it, the server on them. step() runs
-    a block of one round and run() blocks of `block` rounds.
-    The models start at zero unless init_global and init_locals are given.
+    a block of one round and run() blocks of `block` rounds, or the
+    learner's _run_single loop for one client at zero delay with batch size
+    1 (see the module doc). The models start at zero unless init_global and
+    init_locals are given.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -121,6 +137,8 @@ class RoundSystem:
         # every client's fetch in the last open round: (dg,) when beta is uniform, else (P, dg)
         self.fetched = self.wg
         self._rows = rows
+        # one client at zero delay with batch size 1: run() takes _run_single
+        self._single = clients == 1 and self.label.shape[2] == 1 and delays.round_trips == (0,)
 
     @classmethod
     def build(cls, dataset, delays, hyper: HyperParams, rounds: int, seed: int,
@@ -153,32 +171,38 @@ class RoundSystem:
         return self.wg if arrivals is None else self._server_step(n, arrivals)
 
     def run(self) -> RunResult:
-        """Run every row in blocks and return the run's columns. A block that
-        raises InvariantError is replayed from its start a round at a time,
-        so the error names the round and client that blocks of one would."""
+        """Run every row and return the run's columns: one client at zero
+        delay with batch size 1 in _run_single's loop, anything else in
+        blocks. A block that raises InvariantError is replayed from its start
+        a round at a time, so the error names the round and client that
+        blocks of one would."""
         channel = self.channel
-        full, rest = divmod(self._rows, self.block)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                published = self.wg
-                for n in [self.block] * full + [rest] * (rest > 0):
-                    wg, wl = self.wg, self.wl
-                    try:
-                        published = self._advance(published, n)
-                    except InvariantError:
-                        if n == 1:
-                            raise
-                        self.wg, self.wl = wg, wl
-                        channel.rewind()
-                        for _ in range(n):
-                            self.step()
-                        published = self.wg
+                self._run_single() if self._single else self._run_blocks()
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
                 done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
                 raise
         return RunResult(self.prediction, self.label, self.x_global, self.x_local, self.wg,
                          list(self.wl), self.channel.fetch_counts)
+
+    def _run_blocks(self) -> None:
+        channel = self.channel
+        full, rest = divmod(self._rows, self.block)
+        published = self.wg
+        for n in [self.block] * full + [rest] * (rest > 0):
+            wg, wl = self.wg, self.wl
+            try:
+                published = self._advance(published, n)
+            except InvariantError:
+                if n == 1:
+                    raise
+                self.wg, self.wl = wg, wl
+                channel.rewind()
+                for _ in range(n):
+                    self.step()
+                published = self.wg
 
 
 def block_length(delays: DelayConfig, variant: str = "aligned") -> int:
@@ -224,6 +248,40 @@ class SgdSystem(RoundSystem):
         # price its rows (aligned), the global ones are its snapshots
         self._wl_after = np.empty((block, *self.wl.shape))
         self._wg_after = np.empty((block, len(self.wg)))
+        self._single = self._single and self._aligned
+
+    def _run_single(self) -> None:
+        """Every round of one client at zero delay and batch size 1, the
+        rows x[t, 0, 0] read by index: the fetch is wg, the client steps on
+        its pre-step residual and predicts, and the server steps on the new
+        residual. Residuals and predictions are Python floats."""
+        xg_rows, xl_rows = self._xg[:, 0], self._xl[:, 0]
+        labels, prediction = self.label[:, 0, 0], self.prediction[:, 0, 0]
+        wg, wl, fetched = self.wg, self.wl[0], self.fetched
+        eta_g, eta_l, radius = self.eta_global, float(self.eta_local[0, 0]), self.radius
+        for t in range(self._rows):
+            xg, xl, y = xg_rows[t], xl_rows[t], labels.item(t)
+            fetched = wg
+            gp = float(xg @ fetched)
+            r = gp + float(xl @ wl) - y
+            try:
+                wl = project_ball(wl - eta_l * ((2.0 * r) * xl), radius)
+            except InvariantError:
+                raise self._failed(t + 1, "the local model of client 0") from None
+            p = prediction[t] = gp + float(xl @ wl)
+            r = p - y
+            try:
+                wg = project_ball(wg - eta_g * (0.0 + (2.0 * r) * xg), radius)
+            except InvariantError:
+                raise self._failed(t + 1, "the global model") from None
+        self.channel._last_published = self._rows
+        self.wg, self.wl, self.fetched = wg, wl[None], fetched
+
+    def _failed(self, t: int, model: str) -> InvariantError:
+        """The error for a model whose norm overflowed in round t of the
+        single-client loop; the round clock stops at round t."""
+        self.channel._last_published = t
+        return InvariantError(f"{model} has a non-finite norm after round {t}")
 
     def _client_step(self, rows, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.x_global[rows], self.x_local[rows], self.label[rows]

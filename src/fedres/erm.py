@@ -51,6 +51,14 @@ outer products x[..., :, None] * x[..., None, :]) and the stacked
 solve_gram equal their per-client forms. The results equal the
 per-client formulas exactly (tests/data/sgd_characterization.json).
 
+One client at zero delay (the three-way protocol's shape) runs a loop of
+its own in run(): each round reads the rows by index, fetches wg itself,
+solves on unstacked (d, d) sums and keeps the predictions as Python
+floats, and the server solves on the row just sent. Its bits are the
+stacked path's: the unstacked sums add the same rows in the same order, a
+(d, d) solve_gram makes the same LAPACK call as a stack of one, and a 1-D
+`@` is np.vecdot's per-element kernel.
+
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
 handles heterogeneous delays. There is no explicit-rebuild mode: the
@@ -95,6 +103,14 @@ class _PrefixSums:
             self._next_block()
         k = n - self.start
         return [table[k * stride] for table, stride in zip(self.tables, self.strides)]
+
+    def each(self, n: int):
+        """The sums over rows [0, n), [0, n + 1), ... in turn, one tuple per
+        prefix; for unstrided tables (one client)."""
+        while n <= self.rows:
+            self.upto(n)
+            yield from zip(*(table[n - self.start:] for table in self.tables))
+            n = self.stop + 1
 
     def _next_block(self) -> None:
         lo, hi = self.stop, min(self.stop + BLOCK, self.rows)
@@ -184,6 +200,40 @@ class ErmSystem(RoundSystem):
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
         self.wg = solve_gram(gram_g, rhs, self.radius)
         return self.wg
+
+    def _run_single(self) -> None:
+        """Every round of one client at zero delay, on unstacked sums and
+        solves: the fetch is wg, the client solves and predicts, and the
+        server solves on the row just sent. Predictions are Python floats."""
+        rows = xg_rows, xl_rows, labels = tuple(a[:, 0] for a in (self.xg, self.xl, self.y))
+        pred = self.pred[:, 0]
+        wg, wl, fetched, radius = self.wg, self.wl[0], self.fetched, self.radius
+        frozen_rhs, frozen_rhs_g = self.frozen_rhs[0], self.frozen_rhs_g
+        # (dl, dl) sums and not (1, dl, dl): the same rows added in the same order
+        client_sums = _PrefixSums(partial(_client_terms, self.erm), rows).each(1)
+        server_sums = _PrefixSums(partial(_server_terms, self.erm), rows).each(1)
+        for t, (gram_g, *rest_g) in zip(range(self._rows), server_sums):
+            xg, xl, y = xg_rows[t], xl_rows[t], labels.item(t)
+            fetched = wg
+            if t:  # every archive holds a sample
+                gram, *rest = next(client_sums)
+                if self.erm:
+                    ly, cross = rest
+                    wl = solve_gram(gram, ly - cross @ fetched, radius)
+                else:
+                    wl = solve_gram(gram, frozen_rhs, radius)
+            gp = float(xg @ fetched)
+            lp = float(xl @ wl)
+            pred[t] = gp + lp
+            if self.erm:
+                gy, cross_g = rest_g
+                rhs = 0.0 + (gy - cross_g @ wl)
+            else:
+                frozen_rhs += (y - gp) * xl
+                rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg
+            wg = solve_gram(gram_g, rhs, radius)
+        self.channel._last_published = self._rows
+        self.wg, self.wl, self.fetched, self.frozen_rhs_g = wg, wl[None], fetched, frozen_rhs_g
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,

@@ -23,6 +23,7 @@ the global.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -53,6 +54,8 @@ def solve_gram(
     if d == 0:
         return atb
     w = _stacked_solve(ata + _ridge_diagonal(d, ridge), atb)
+    if w.ndim == 1:  # one problem: scalar arithmetic is cheapest
+        return w if math.sqrt(w @ w) <= radius else _solve_one(ata, atb, radius, ridge)
     inside = np.sqrt(np.vecdot(w, w)) <= radius  # np.linalg.norm's norm; NaN is outside
     if np.count_nonzero(inside) < inside.size:
         rows, a, b = w.reshape(-1, d), ata.reshape(-1, d, d), atb.reshape(-1, d)

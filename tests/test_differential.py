@@ -75,7 +75,7 @@ def runs(draw, max_clients=5, max_dim=3):
 def single_client(case: dict) -> dict:
     """The case with one client (drawn so), zero delays, batch size 1 and the
     aligned rule."""
-    return {**case, "delays": (0, 0), "batch_size": 1, "variant": "aligned"}
+    return {**case, "delays": ((0,), (0,)), "batch_size": 1, "variant": "aligned"}
 
 
 def assert_matches_oracle(res, want):
@@ -114,6 +114,17 @@ def test_single_client_exact_learners_match_the_archive_oracle(case, variant):
 def test_views_through_dispatch_match_the_oracle(case, algo):
     """dispatch runs Independent with zero delays and Central with the
     config's uniform delays, on the view build_dataset would hand it."""
+    assert_view_matches_oracle(case, algo)
+
+
+@given(runs(max_clients=1).map(single_client), st.sampled_from(("independent", "central")))
+@examples(20)
+def test_single_client_views_match_the_oracle(case, algo):
+    """One block of each view is empty (d = 0)."""
+    assert_view_matches_oracle(case, algo)
+
+
+def assert_view_matches_oracle(case, algo):
     ds, hyper = case["dataset"], case["hyper"]
     alpha, beta = case["delays"][0][0], case["delays"][1][0]
     cfg = ExperimentConfig(algo=algo, rounds=case["rounds"], clients=ds.n_clients, alpha=alpha,

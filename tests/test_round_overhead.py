@@ -5,9 +5,10 @@ host moves by 2x between sessions; the number of Python-level calls a
 round makes inside fedres does not. Each case runs one harness.dispatch
 under cProfile and counts the calls whose code lives in the fedres
 package (set-up included), divided by the rounds. The bounds are the
-counts of the round skeleton the learners share (engine.RoundSystem), so
-a change that adds Python calls to every round fails here. The appendixc
-cases run blocks of one round (zero delay); the delayed SGD cases run
+measured counts, so a change that adds Python calls to every round fails
+here. The appendixc cases (one client, zero delay) run the single-client
+loop, whose only per-round calls are SGD's two projections and the exact
+learners' two solves and two prefix-sum reads; the delayed SGD cases run
 blocks of several rounds, whose only per-round calls are the projections.
 """
 
@@ -25,9 +26,9 @@ APPENDIXC = dict(data="appendixc", clients=1, rounds=2000, eta_global=0.05, eta_
 INIT = np.array([1.0, 0.0])
 # name: (config, init, calls per round)
 CASES = {
-    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 14.0305),
-    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 12.2525),
-    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 13.204),
+    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 2.0355),
+    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 4.355),
+    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 4.2745),
     # delayed SGD in blocks of min(beta + 1, alpha + beta) rounds: 6, then 101
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
                   None, 6.158),

@@ -41,6 +41,29 @@ def test_round_clock_counts_every_round(system, variant):
     assert channel.pending_payloads == 0
 
 
+@pytest.mark.parametrize("system, clients, delays, batch_size, variant, single", [
+    (SgdSystem, 1, 0, 1, "aligned", True),
+    (SgdSystem, 1, 0, 1, "misaligned", False),
+    (SgdSystem, 1, 0, 1, "asymmetric", False),
+    (SgdSystem, 1, (0, 1), 1, "aligned", False),
+    (SgdSystem, 1, (1, 0), 1, "aligned", False),
+    (SgdSystem, 1, 0, 2, "aligned", False),
+    (SgdSystem, 2, 0, 1, "aligned", False),
+    (ErmSystem, 1, 0, 1, "erm", True),
+    (ErmSystem, 1, 0, 1, "fictitious", True),
+    (ErmSystem, 1, (1, 0), 1, "erm", False),
+    (ErmSystem, 2, 0, 1, "fictitious", False),
+])
+def test_the_input_alone_selects_the_single_client_loop(system, clients, delays, batch_size,
+                                                        variant, single):
+    rng = np.random.default_rng(1)
+    streams = [(rng.normal(0, 1, (8, 2)), rng.normal(0, 1, (8, 2)), rng.normal(0, 1, 8))
+               for _ in range(clients)]
+    built = system.build(dataset_from_streams(streams, 2, [2] * clients), delays, HyperParams(),
+                         8, 0, batch_size, variant=variant)
+    assert built._single == single
+
+
 # (global scale, local scale, global step, local step) of a random stream
 # from seed 0, and the message the round-at-a-time engine raised on it
 DIVERGING = [
