@@ -207,17 +207,17 @@ class ErmSystem(RoundSystem):
         server solves on the row just sent. Predictions are Python floats."""
         rows = xg_rows, xl_rows, labels = tuple(a[:, 0] for a in (self.xg, self.xl, self.y))
         pred = self.pred[:, 0]
-        wg, wl, fetched, radius = self.wg, self.wl[0], self.fetched, self.radius
+        wg, wl, fetched, radius, erm = self.wg, self.wl[0], self.fetched, self.radius, self.erm
         frozen_rhs, frozen_rhs_g = self.frozen_rhs[0], self.frozen_rhs_g
         # (dl, dl) sums and not (1, dl, dl): the same rows added in the same order
-        client_sums = _PrefixSums(partial(_client_terms, self.erm), rows).each(1)
-        server_sums = _PrefixSums(partial(_server_terms, self.erm), rows).each(1)
+        client_sums = _PrefixSums(partial(_client_terms, erm), rows).each(1)
+        server_sums = _PrefixSums(partial(_server_terms, erm), rows).each(1)
         for t, (gram_g, *rest_g) in zip(range(self._rows), server_sums):
             xg, xl, y = xg_rows[t], xl_rows[t], labels.item(t)
             fetched = wg
             if t:  # every archive holds a sample
                 gram, *rest = next(client_sums)
-                if self.erm:
+                if erm:
                     ly, cross = rest
                     wl = solve_gram(gram, ly - cross @ fetched, radius)
                 else:
@@ -225,7 +225,7 @@ class ErmSystem(RoundSystem):
             gp = float(xg @ fetched)
             lp = float(xl @ wl)
             pred[t] = gp + lp
-            if self.erm:
+            if erm:
                 gy, cross_g = rest_g
                 rhs = 0.0 + (gy - cross_g @ wl)
             else:
