@@ -1,29 +1,26 @@
 """The round clock: fixed per-client delays kept as index arithmetic over
-ring buffers.
+round-indexed rows.
 
 Uplink: the message client i sends at round t reaches the server at round
-t + alpha[i]. Downlink: the server publishes one global-model snapshot per
-round before any client fetches; client i's fetch at round t returns the
-snapshot of round t - beta[i], with every round index <= 0 resolving to
-the initial model (warmup convention).
+t + alpha[i]. Downlink: the server publishes one global model per round
+before any client fetches; client i's fetch at round t returns the model of
+round t - beta[i], with every round index <= 0 resolving to the initial
+model (warmup convention).
 
 One path serves whole rounds, one or a block of several at a time.
-publish_global(wg, rounds) opens the next rounds and returns every
-client's fetch in each; exchange() says which of the learner's
-round-indexed rows (a ring of `ring` rows) reach the server in them.
-Neither takes a round: the count of published rounds is the run's only
-round counter, and fetch counts and in-flight messages derive from it.
-A block's own snapshots are known only once it has run, so the learner
-hands them to the next publish, which writes them in one call. A block
-fetches nothing newer than its first round's snapshot as long as it is at
-most min(beta) + 1 rounds long; rewind() takes a block back so that its
-rounds can be opened again one at a time.
-Snapshots live in a window of 2 (max(beta) + L) rows, L the longest
-block, whose rows all start as the initial model: round r sits a fixed
-number of rows after round r - 1, so a block's fetches are one slice
-(one gather when beta differs across clients), and when the next
-snapshots do not fit, the max(beta) newest slide to the front. No fetch
-reaches back further, so rounds <= 0 find the initial model.
+publish_global(rounds) opens the next rounds and returns every client's
+fetch in each; exchange() says which of the learner's round-indexed rows
+reach the server in them. Neither takes a round: the count of published
+rounds is the run's only round counter, and fetch counts and in-flight
+messages derive from it. rewind() takes the rounds the last publish opened
+back, so that they can be opened again one at a time.
+The global models are one more round-indexed column: row max(beta) + r - 1
+of the history holds the model in force when round r opens, the max(beta)
+rows in front of round 1 the initial model. A round's fetches are one row
+per client (one slice when beta is uniform), and the learner writes the
+models after the open rounds into their rows, `after`. A block fetches
+nothing newer than its first round's model as long as it is at most
+min(beta) + 1 rounds long.
 A channel serves one single-threaded run.
 """
 
@@ -35,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 
 _INT = (Integral, np.bool_)  # bools pass this screen only to be rejected by _delay
 
@@ -100,89 +97,77 @@ class DelayConfig:
 
 
 class Lag:
-    """Index arithmetic for "client i's round r - lag[i]" over round-indexed rows.
+    """Index arithmetic for "client i's round r - lag[i]" over round-indexed
+    rows, round r in row r - 1 of `rows`.
 
-    The rows form a ring: round r lives in row (r - 1) % ring. block(t, n)
-    covers rounds t .. t + n - 1. It returns None when no client is live in
-    any of them (a client whose round r - lag[i] is < 1 is not live yet),
-    else (first, index, live): rounds before t + first have no live
-    client; index picks, from a (ring, clients, ...) array, the
+    block(t, n) covers rounds t .. t + n - 1. It returns None when no client
+    is live in any of them (a client whose round r - lag[i] is < 1 is not
+    live yet), else (first, index, live): rounds before t + first have no
+    live client; index picks, from a (rows, clients, ...) array, the
     (n - first, clients, ...) block of each client's round r - lag[i] for
     the rounds from t + first on - a basic slice when the lag is uniform -
     or, when n is 1, the (clients, ...) row without the round axis; live is
     None when every client is live in those rounds, else their mask of the
-    same leading shape (entries outside it read rows that are not theirs).
-    Reading a round the ring has already overwritten is an InvariantError.
+    same leading shape (entries outside it read rows, modulo `rows`, that
+    are not theirs).
     """
 
-    def __init__(self, lag: Sequence[int], ring: int):
-        self.ring, self.lag = ring, np.array(lag, dtype=int)
+    def __init__(self, lag: Sequence[int], rows: int):
+        self.rows, self.lag = rows, np.array(lag, dtype=int)
         self.max, self.min = max(lag), min(lag)
         self.uniform = self.max == self.min
         self.clients = np.arange(len(lag))
-        # a lag >= ring reads a row that the current round has overwritten
-        self._evicted = min((k for k in lag if k >= ring), default=None)
 
     def block(self, t: int, n: int):
-        last = t + n - 1
-        if self._evicted is not None and last > self._evicted:
-            raise InvariantError(f"round {last - self._evicted} left the {self.ring}-round ring")
         first = 0 if t > self.min else self.min + 1 - t
         if first >= n:
             return None
         if self.uniform:
-            row = (t + first - self.min - 1) % self.ring
+            row = t + first - self.min - 1
             return first, row if n == 1 else slice(row, row + n - first), None
-        rounds = (t if n == 1 else np.arange(t + first, last + 1)[:, None]) - self.lag
+        rounds = (t if n == 1 else np.arange(t + first, t + n)[:, None]) - self.lag
         live = None if t + first > self.max else rounds >= 1
-        return first, ((rounds - 1) % self.ring, self.clients), live
+        return first, ((rounds - 1) % self.rows, self.clients), live
 
 
 class DelayedChannel:
-    """Snapshot window and whole-round uplink on one round counter (see the
-    module doc); `ring` is the length of the caller's round-indexed rows and
-    `block` the most rounds one publish opens. _last_published, the last
-    open round, is the counter the learners read."""
+    """The global-model history and the whole-round uplink on one round
+    counter, for a run of `rounds` rounds (see the module doc).
+    _last_published, the last open round, is the counter the learners read;
+    `after`, set by each publish, is the history's (n, d) rows of the
+    models after the n open rounds, which the learner writes."""
 
-    def __init__(self, delays: DelayConfig, initial_global: np.ndarray, ring: int,
-                 block: int = 1):
+    def __init__(self, delays: DelayConfig, initial_global: np.ndarray, rounds: int):
         self.delays = delays
-        self._reach = max(delays.beta, default=0)  # the oldest snapshot a fetch reads
-        self._width = 2 * (self._reach + block)  # slides at most every other publish
-        self._snapshots = np.tile(np.asarray(initial_global, dtype=float), (self._width, 1))
-        self._end = self._reach  # the row after the newest snapshot; rows before are rounds <= 0
-        self._open = 1  # rounds the last publish opened: the next one brings their snapshots
+        initial = np.asarray(initial_global, dtype=float)
+        self._reach = max(delays.beta, default=0)  # the rows in front of round 1
+        self._history = np.empty((self._reach + rounds + 1, *initial.shape))
+        self._history[:self._reach + 1] = initial  # rounds <= 1 open on the initial model
+        self._clients = self._history[:, None]  # uniform beta: every client reads one slice
         self._beta = delays.beta[0]
-        self._offsets = None  # uniform beta: every client reads one slice of a (width, 1, d) view
-        self._clients = self._snapshots[:, None]
-        if len(set(delays.beta)) > 1:  # round t + k's fetch of client i: row end - 1 + [k, i]
-            self._offsets = np.arange(block)[:, None] - np.array(delays.beta, dtype=int)
-        self._arrivals = Lag(delays.alpha, ring)
+        # per-client beta: client i's fetch in the first new round is row now + offsets[i]
+        self._offsets = None if len(set(delays.beta)) <= 1 else -np.array(delays.beta, dtype=int)
+        self._arrivals = Lag(delays.alpha, rounds)
+        self._rounds = rounds
+        self._open = 1  # rounds the last publish opened
         self._last_published = 0
 
-    def publish_global(self, wg: np.ndarray, rounds: int = 1) -> np.ndarray:
-        """Open the next `rounds` rounds. wg holds the global models of the
-        rounds after the newest snapshot up to the first new round, one row
-        per round (a single model stands for all of them). Returns every
-        client's fetch in each new round: (rounds, 1, d) when beta is uniform,
-        else (rounds, clients, d); for one round (d,) or (clients, d). Views
-        until the next publish."""
-        new = self._open
-        end = self._end + new
-        if end > self._width:  # slide: keep the `reach` newest snapshots
-            keep, old = self._reach, self._end
-            self._snapshots[:keep] = self._snapshots[old - keep:old]
-            end = keep + new
-        if new == 1:
-            self._snapshots[end - 1] = wg
-        else:
-            self._snapshots[end - new:end] = wg
-        self._end, self._open = end, rounds
-        self._last_published += rounds
+    def publish_global(self, rounds: int = 1) -> np.ndarray:
+        """Open the next `rounds` rounds. Returns every client's fetch in
+        each: (rounds, 1, d) when beta is uniform, else (rounds, clients, d);
+        for one round (d,) or (clients, d). Stepping past the run's rounds is
+        a ConfigError."""
+        done = self._last_published
+        if done + rounds > self._rounds:
+            raise ConfigError(f"round {done + rounds} is past the run's {self._rounds} rounds")
+        self._last_published, self._open = done + rounds, rounds
+        now = self._reach + done  # the row in force when the first new round opens
+        self.after = self._history[now + 1:now + 1 + rounds]
         if self._offsets is not None:
-            return self._snapshots[end - 1 + self._offsets[0 if rounds == 1 else slice(rounds)]]
-        start = end - 1 - self._beta  # round t + k fetches row end - 1 + k - beta
-        return self._snapshots[start] if rounds == 1 else self._clients[start:start + rounds]
+            rows = self._offsets if rounds == 1 else np.arange(rounds)[:, None] + self._offsets
+            return self._history[now + rows]
+        start = now - self._beta  # round done + 1 + k fetches row start + k
+        return self._history[start] if rounds == 1 else self._clients[start:start + rounds]
 
     def exchange(self):
         """Every client sent its message of each round the last publish
@@ -191,12 +176,9 @@ class DelayedChannel:
         return self._arrivals.block(self._last_published - self._open + 1, self._open)
 
     def rewind(self) -> None:
-        """Take back the rounds the last publish opened: return to the end of
-        the round before them, whose snapshots stay, so that they can be
+        """Take back the rounds the last publish opened, so that they can be
         opened again one at a time."""
-        self._end -= 1
         self._last_published -= self._open
-        self._open = 1
 
     @property
     def fetch_counts(self) -> list[int]:

@@ -18,30 +18,30 @@ learners (fedres.erm): the models, the prediction column, the channel,
 whose count of published rounds is the run's only round counter, and the
 step and run loops.
 
-Array layout: wg (dg,), wl (P, dl), the channel's window of global
-snapshots, and round-indexed rows (N, P, b, ...) of x_global, x_local and
-label plus each client's prediction and residual (prediction - label).
-Round r lives in row (r - 1) % N (see channel.Lag). The caller passes the
-whole (N, P, b, ...) stream - run_fedres_sgd the dataset's, the bandit
-policies their gathered exploration samples - and the rows are the result
-columns. b = 1 is an ordinary batch of one.
+Array layout: wg (dg,), wl (P, dl), and round-indexed rows (N, P, b, ...)
+of x_global, x_local and label plus each client's prediction and residual
+(prediction - label); the channel holds the round-indexed global models.
+Round r lives in row r - 1 (see channel.Lag). The caller passes the whole
+(N, P, b, ...) stream - run_fedres_sgd the dataset's, the bandit policies
+their gathered exploration samples - and the rows are the result columns.
+b = 1 is an ordinary batch of one.
 
 Blocks: under the aligned rule everything the next
 
     L = max(1, min_i min(beta_i + 1, alpha_i + beta_i))   (batch rounds)
 
 rounds read is known before they start. Their fetches reach back to
-snapshots of round <= t (L <= beta_i + 1), and their client steps read
+global models of round <= t (L <= beta_i + 1), and their client steps read
 residuals of rounds < t (L <= alpha_i + beta_i), so both local chains
 start from models already in hand. run() therefore advances a block of L
 rounds at a time, with one NumPy call each over (L, P, b, d) slices for
 the block's fetches, client gradients, predictions and residuals, and
 server client sums. Only the two projected chains, wl <- proj(wl - step_k)
-and wg <- proj(wg - step_k), stay a loop over the block's rounds, and the
-channel takes the block's global models at the next publish. L is 1 at a
-zero round trip, for the other variants (their clients step on the round
-just priced) and for the exact learners; step() is always a block of one
-round, and a block of one carries no round axis. Buffers are O(L P d).
+and wg <- proj(wg - step_k), stay a loop over the block's rounds; the
+global chain writes each round's model into the channel's row of it. L is
+1 at a zero round trip, for the other variants (their clients step on the
+round just priced) and for the exact learners; step() is always a block of
+one round, and a block of one carries no round axis. Buffers are O(L P d).
 A block that raises InvariantError is replayed from its start a round at
 a time, so errors name the round and client they always named.
 
@@ -65,12 +65,13 @@ most Python per sample, and blocks cannot help it: a zero round trip makes
 every block one round long. The input alone selects a loop of its own in
 run(): each round reads the rows x[t, 0, 0] by index, fetches wg itself,
 takes 1-D `@` dot products, keeps the residuals and the prediction as
-Python floats and projects through project_ball's 1-D path; the window,
-exchange() and the (P, b, d) shapes are skipped, and the channel is told
-the round count at the end (or at a failure). Its bits are the block
-path's: a 1-D `@` is the per-element kernel of np.vecdot, Python float
-`+`, `-` and `*` are the IEEE operations NumPy does, the 1-D and 2-D
-projections compute each row alike, and the server keeps its `0.0 +`.
+Python floats and projects through project_ball's 1-D path; the
+channel's history, exchange() and the (P, b, d) shapes are skipped, and
+the channel is told the round count at the end (or at a failure). Its bits
+are the block path's: a 1-D `@` is the per-element kernel of np.vecdot,
+Python float `+`, `-` and `*` are the IEEE operations NumPy does, the 1-D
+and 2-D projections compute each row alike, and the server keeps its
+`0.0 +`.
 step() and every other input take the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
@@ -103,18 +104,18 @@ class RoundSystem:
     per run. A learner supplies _client_step(rows, fetched, n) for a block
     of n rounds (rows an int when n is 1, else a slice) and
     _server_step(n, arrivals) for the rows that arrive in it (arrivals as
-    channel.Lag.block returns them), which returns the global models
-    published after its rounds (a single model stands for all of them).
+    channel.Lag.block returns them), which writes the global model after
+    each of its rounds into their rows, channel.after.
 
     streams holds the rows x_global (N, P, b, dg), x_local (N, P, b, dl) and
-    label (N, P, b); round t reads row (t - 1) % N. A block of rounds
-    publishes the global models since the last publish (every client's
-    fetches come back), runs the clients on the block's rows and, when the
-    channel says rows have arrived in it, the server on them. step() runs
-    a block of one round and run() blocks of `block` rounds, or the
-    learner's _run_single loop for one client at zero delay with batch size
-    1 (see the module doc). The models start at zero unless init_global and
-    init_locals are given.
+    label (N, P, b); round t reads row t - 1. A block of rounds opens on the
+    channel (every client's fetches come back), runs the clients on the
+    block's rows and, when the channel says rows have arrived in it, the
+    server on them. step() runs a block of one round and run() blocks of
+    `block` rounds, or the learner's _run_single loop for one client at zero
+    delay with batch size 1 (see the module doc). Stepping past the streams
+    and run() after step() are ConfigErrors. The models start at zero
+    unless init_global and init_locals are given.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -133,7 +134,7 @@ class RoundSystem:
         # zeros: a run that fails mid-round prices its unpredicted row as finite
         self.prediction = np.zeros(self.label.shape)
         self.block = block
-        self.channel = DelayedChannel(delays, self.wg, ring=rows, block=block)
+        self.channel = DelayedChannel(delays, self.wg, rows)
         # every client's fetch in the last open round: (dg,) when beta is uniform, else (P, dg)
         self.fetched = self.wg
         self._rows = rows
@@ -153,14 +154,13 @@ class RoundSystem:
 
     def step(self) -> None:
         """Advance one round on the data already in its row."""
-        self._advance(self.wg, 1)
+        self._advance(1)
 
-    def _advance(self, published, n: int):
-        """Publish `published` (see DelayedChannel.publish_global), run the
-        next n rounds, and return the global models published after them."""
+    def _advance(self, n: int) -> None:
+        """Open the next n rounds on the channel and run them."""
         channel = self.channel
-        fetched = channel.publish_global(published, n)
-        start = (channel._last_published - n) % self._rows
+        fetched = channel.publish_global(n)
+        start = channel._last_published - n
         if n == 1:  # a block of one round has no round axis, like one row of the streams
             self.fetched = fetched
             self._client_step(start, fetched, 1)
@@ -168,7 +168,10 @@ class RoundSystem:
             self.fetched = fetched[-1]
             self._client_step(slice(start, start + n), fetched, n)
         arrivals = channel.exchange()
-        return self.wg if arrivals is None else self._server_step(n, arrivals)
+        if arrivals is None:
+            channel.after[:] = self.wg
+        else:
+            self._server_step(n, arrivals)
 
     def run(self) -> RunResult:
         """Run every row and return the run's columns: one client at zero
@@ -177,6 +180,9 @@ class RoundSystem:
         a round at a time, so the error names the round and client that
         blocks of one would."""
         channel = self.channel
+        if channel._last_published:
+            raise ConfigError(f"run() needs a fresh system; this one has stepped "
+                              f"{channel._last_published} rounds")
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 self._run_single() if self._single else self._run_blocks()
@@ -190,11 +196,10 @@ class RoundSystem:
     def _run_blocks(self) -> None:
         channel = self.channel
         full, rest = divmod(self._rows, self.block)
-        published = self.wg
         for n in [self.block] * full + [rest] * (rest > 0):
             wg, wl = self.wg, self.wl
             try:
-                published = self._advance(published, n)
+                self._advance(n)
             except InvariantError:
                 if n == 1:
                     raise
@@ -202,12 +207,11 @@ class RoundSystem:
                 channel.rewind()
                 for _ in range(n):
                     self.step()
-                published = self.wg
 
 
 def block_length(delays: DelayConfig, variant: str = "aligned") -> int:
     """Rounds run() advances at once: under the aligned rule a block of L =
-    min_i min(beta_i + 1, alpha_i + beta_i) rounds fetches only snapshots
+    min_i min(beta_i + 1, alpha_i + beta_i) rounds fetches only global models
     published before it and steps the clients only on residuals priced
     before it (see the module doc); 1 for a zero round trip and for the
     other variants."""
@@ -244,10 +248,8 @@ class SgdSystem(RoundSystem):
         lags = delays.round_trips if self._aligned else (0,) * clients
         self._history = Lag(lags, self._rows)
         self._fresh = self._aligned and min(lags) == 0
-        # the models after each round of a block of several: the local ones
-        # price its rows (aligned), the global ones are its snapshots
+        # the local models after each round of a block of several price its rows (aligned)
         self._wl_after = np.empty((block, *self.wl.shape))
-        self._wg_after = np.empty((block, len(self.wg)))
         self._single = self._single and self._aligned
 
     def _run_single(self) -> None:
@@ -345,7 +347,7 @@ class SgdSystem(RoundSystem):
         self.wl = wl
         return wl if n == 1 else out
 
-    def _server_step(self, n: int, arrivals) -> np.ndarray:
+    def _server_step(self, n: int, arrivals) -> None:
         first, index, live = arrivals
         r = self.residual[index]
         if self.local_prediction is not None:  # misaligned: a block of one, re-priced at wg
@@ -358,22 +360,18 @@ class SgdSystem(RoundSystem):
         gsum = 0.0 + (np.add.accumulate(grads, axis=-2)[..., -1, :] if grads.shape[-2] > 1
                       else grads[..., 0, :])
         steps = self.eta_global * gsum
-        out = None if n == 1 else self._wg_after[:n]
-        wg = self.wg
+        out, wg = self.channel.after, self.wg
         if first:
             out[:first] = wg
         radius, k = self.radius, first
         try:
             for k, step in enumerate((steps,) if n == 1 else steps, first):
-                wg = project_ball(wg - step, radius)
-                if n > 1:
-                    out[k] = wg
+                wg = out[k] = project_ball(wg - step, radius)
         except InvariantError:
             t = self.channel._last_published - n + 1 + k
             raise InvariantError(f"the global model has a non-finite norm after round {t}") \
                 from None
         self.wg = wg
-        return wg if n == 1 else out
 
 
 def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):

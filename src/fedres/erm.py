@@ -37,12 +37,13 @@ into every prefix of the block; gram_g is accumulated over the flattened
 behind, so each side has its own cursor and carry. The frozen right-hand
 sides depend on predictions and stay running sums.
 
-ErmSystem runs on engine.RoundSystem's round skeleton. A round publishes
-wg and gets every client's fetch back, solves all P local models with one
-stacked solve_gram call and predicts; then channel.exchange() says which
-round's rows reach the server: an uplink is a row index, never an object.
-The server reads the arrived rows' labels and either the sent local models
-(erm) or local predictions (fictitious), then re-solves wg.
+ErmSystem runs on engine.RoundSystem's round skeleton. A round opens on
+the channel and gets every client's fetch back, solves all P local models
+with one stacked solve_gram call and predicts; then channel.exchange()
+says which round's rows reach the server: an uplink is a row index, never
+an object. The server reads the arrived rows' labels and either the sent
+local models (erm) or local predictions (fictitious), then re-solves wg
+into the channel's row of the round.
 
 Bits: every sum adds one row at a time (on the server one client at a
 time, in ascending order), as the per-client learner this replaced did,
@@ -187,7 +188,7 @@ class ErmSystem(RoundSystem):
         else:
             self.frozen_rhs += (y - gp)[:, None] * xl
 
-    def _server_step(self, n: int, arrivals) -> np.ndarray:
+    def _server_step(self, n: int, arrivals) -> None:
         index = arrivals[1]  # one row of every client: blocks of one round, uniform delays
         gram_g, *rest = self.server_sums.upto(index + 1)
         if self.erm:
@@ -198,8 +199,7 @@ class ErmSystem(RoundSystem):
             xg, y = self.xg[index], self.y[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
-        self.wg = solve_gram(gram_g, rhs, self.radius)
-        return self.wg
+        self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
 
     def _run_single(self) -> None:
         """Every round of one client at zero delay, on unstacked sums and

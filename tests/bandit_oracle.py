@@ -5,9 +5,9 @@ gathered exploration samples and price the whole horizon in one pass.
 This module keeps the loop they replaced: each policy draws its own
 contexts and rewards, walks the horizon one exploration block at a time,
 prices the block's actions under the model pair in force, and feeds the
-block's exploration sample to a learner whose rows form a ring of max
-round trip + 1, one round at a time. regret() reprices the logged
-contexts under the env.
+block's exploration sample to a learner with one row per exploration
+round, one round at a time. regret() reprices the logged contexts under
+the env.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ def run_uniform_policy(env, rounds: int, seed: int) -> dict:
 def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
     clients = env.n_clients
     delays = as_delay_config(delays, clients)
-    ring = max(delays.round_trips) + 1
-    shape = (ring, clients, 1)
+    shape = (rounds // period, clients, 1)  # one row per exploration round
     system = SgdSystem((np.zeros(shape + (env.d_global,)), np.zeros(shape + (env.d_locals[0],)),
                         np.zeros(shape)), delays, hyper)
     xg, xl = env.context_blocks(substream(seed, "bandit-contexts"), rounds)
@@ -50,7 +49,7 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
         if block.stop % period == 0:  # the block's last round explores
             t, pick = block.stop - 1, rng.integers(env.k, size=clients)
             action[t] = pick
-            row = steps % ring  # the row of the system's next round
+            row = steps  # the row of the system's next round
             system.x_global[row, :, 0] = xg[t, every, pick]
             system.x_local[row, :, 0] = xl[t, every, pick]
             system.label[row, :, 0] = reward[t, every, pick]

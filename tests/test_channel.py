@@ -9,12 +9,21 @@ from fedres.errors import ConfigError
 
 def make_channel(alpha, beta, init=None):
     cfg = DelayConfig(alpha=tuple(alpha), beta=tuple(beta))
-    return DelayedChannel(cfg, np.zeros(2) if init is None else init, ring=64)
+    return DelayedChannel(cfg, np.zeros(2) if init is None else init, 64)
+
+
+def open_round(ch, wg=None):
+    """Open one round as a learner does: its fetches come back, and wg
+    (zeros by default) is written as the global model after it, the one in
+    force when the next round opens."""
+    fetched = ch.publish_global()
+    ch.after[0] = np.zeros(2) if wg is None else wg
+    return fetched
 
 
 def due(ch):
     """(client, sent round) of every message the open round delivers, in
-    ascending client order; rows are rounds - 1 (the ring is longer than the run)."""
+    ascending client order; rows are rounds - 1."""
     return delivered(ch, 1)[0]
 
 
@@ -38,10 +47,10 @@ def delivered(ch, n):
 
 
 def run_rounds(ch, n):
-    """Publish and exchange n rounds; what each of them delivered."""
+    """Open and exchange n rounds; what each of them delivered."""
     delivered = []
     for _ in range(n):
-        ch.publish_global(np.zeros(2))
+        open_round(ch)
         delivered.append(due(ch))
     return delivered
 
@@ -162,31 +171,36 @@ class TestUplink:
 
 
 class TestDownlink:
+    """in_force[r] is the global model in force when round r opens: the
+    model after round r - 1, the initial model for r = 1."""
+
     def test_zero_beta_fetches_current_round(self):
         ch = make_channel([0], [0])
         wg = np.array([1.0, 2.0])
-        assert np.array_equal(ch.publish_global(wg), wg)
+        open_round(ch, wg)
+        assert np.array_equal(open_round(ch), wg)
 
     def test_beta_four_fetches_round_six_at_ten(self):
         ch = make_channel([0], [4])
-        snaps = {}
+        in_force = {}
         for t in range(1, 11):
-            snaps[t] = np.array([float(t), 0.0])
-            fetched = ch.publish_global(snaps[t])
-        assert np.array_equal(fetched, snaps[6])
+            in_force[t + 1] = np.array([float(t + 1), 0.0])
+            fetched = open_round(ch, in_force[t + 1])
+        assert np.array_equal(fetched, in_force[6])
 
     def test_warmup_returns_initial(self):
         init = np.array([7.0, 7.0])
         ch = make_channel([0], [5], init=init)
-        ch.publish_global(np.zeros(2))
-        assert np.array_equal(ch.publish_global(np.zeros(2)), init)
+        open_round(ch)
+        assert np.array_equal(open_round(ch), init)
 
     def test_identity_at_zero_delay(self):
         ch = make_channel([0, 0], [0, 0])
+        wg = np.zeros(2)
         for t in range(1, 6):
-            wg = np.array([float(t), 1.0])
-            assert np.array_equal(ch.publish_global(wg), wg)
+            assert np.array_equal(ch.publish_global(), wg)
             assert due(ch) == [(0, t), (1, t)]
+            wg = ch.after[0] = np.array([float(t), 1.0])
 
 
 class TestDeliveryExactness:
@@ -203,7 +217,7 @@ class TestDeliveryExactness:
         outstanding = []
         received = []
         for t in range(1, horizon + 1):
-            ch.publish_global(np.zeros(2))
+            open_round(ch)
             outstanding += [(t + alpha[i], i, t) for i in range(clients)]
             got = due(ch)
             received.extend(got)
@@ -216,30 +230,34 @@ class TestDeliveryExactness:
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_eviction_never_loses_reachable_snapshots(self, seed):
+    def test_every_reachable_round_is_in_the_history(self, seed):
+        """Every fetch returns the model in force when round t - beta_i
+        opened, and keeps returning it: no later round overwrites it."""
         rng = np.random.default_rng(seed)
         clients = int(rng.integers(1, 4))
         alpha = tuple(int(a) for a in rng.integers(0, 5, clients))
         beta = tuple(int(b) for b in rng.integers(0, 5, clients))
         init = np.array([0.5, 0.25])
         ch = make_channel(alpha, beta, init=init)
-        all_snaps = {0: init}
+        in_force = {1: init}  # round -> the global model in force when it opens
+        fetches = []
         for t in range(1, 40):
-            wg = np.array([float(t), -1.0])
-            fetched = np.broadcast_to(ch.publish_global(wg), (clients, 2))
-            all_snaps[t] = wg
+            fetched = np.broadcast_to(ch.publish_global(), (clients, 2))
+            fetches.append((t, fetched))
+            in_force[t + 1] = ch.after[0] = np.array([float(t), -1.0])
+        for t, fetched in fetches:
             for i in range(clients):
                 # what a client fetch needs
-                assert np.array_equal(fetched[i], all_snaps[max(t - beta[i], 0)])
+                assert np.array_equal(fetched[i], in_force[max(t - beta[i], 1)])
 
 
 class TestBlocks:
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_blocks_fetch_and_deliver_as_rounds_of_one(self, seed):
-        """Publishing blocks of rounds (each block's snapshots at the next
-        publish), some rewound and replayed a round at a time, fetches the
-        snapshot of round t - beta_i and delivers round t - alpha_i's row."""
+        """Opening blocks of rounds (each block's global models written into
+        its rows), some rewound and replayed a round at a time, fetches the
+        model in force at round t - beta_i and delivers round t - alpha_i's row."""
         rng = np.random.default_rng(seed)
         clients = int(rng.integers(1, 4))
         alpha = tuple(int(a) for a in rng.integers(0, 6, clients))
@@ -247,28 +265,27 @@ class TestBlocks:
         block = int(rng.integers(1, min(beta) + 2))  # no fetch reads a snapshot of its block
         horizon = 40
         init = np.array([0.5, 0.25])
-        ch = DelayedChannel(DelayConfig(alpha=alpha, beta=beta), init, ring=64, block=block)
-        snaps = {r: rng.normal(0, 1, 2) for r in range(2, horizon + 1)}  # round -> its snapshot
-        snaps[1] = init
-        t, newest = 1, 0  # the next round to open and the newest published snapshot's round
+        ch = DelayedChannel(DelayConfig(alpha=alpha, beta=beta), init, horizon)
+        # round -> the global model in force when it opens
+        in_force = {r: rng.normal(0, 1, 2) for r in range(2, horizon + 2)}
+        in_force[1] = init
+        t = 1  # the next round to open
         while t <= horizon:
             n = min(block, horizon - t + 1)
-            published = np.array([snaps[r] for r in range(newest + 1, t + 1)])
             if rng.random() < 0.3:  # rewind the block and replay it a round at a time
-                ch.publish_global(published, n)
+                ch.publish_global(n)
                 ch.rewind()
-                opened = [(np.broadcast_to(ch.publish_global(snaps[t + k]), (clients, 2)),
+                opened = [(np.broadcast_to(open_round(ch, in_force[t + k + 1]), (clients, 2)),
                            due(ch)) for k in range(n)]
                 fetched = np.array([f for f, _ in opened])
                 arrived = [d for _, d in opened]
-                newest = t + n - 1
             else:
-                fetched = np.broadcast_to(ch.publish_global(published, n), (n, clients, 2))
+                fetched = np.broadcast_to(ch.publish_global(n), (n, clients, 2))
                 arrived = delivered(ch, n)
-                newest = t
+                ch.after[:] = [in_force[t + k + 1] for k in range(n)]
             for k in range(n):
                 for i in range(clients):
-                    want = snaps[t + k - beta[i]] if t + k - beta[i] >= 1 else init
+                    want = in_force[t + k - beta[i]] if t + k - beta[i] >= 1 else init
                     assert np.array_equal(fetched[k, i], want)
                 assert arrived[k] == [(i, t + k - alpha[i]) for i in range(clients)
                                         if t + k - alpha[i] >= 1]

@@ -26,14 +26,14 @@ APPENDIXC = dict(data="appendixc", clients=1, rounds=2000, eta_global=0.05, eta_
 INIT = np.array([1.0, 0.0])
 # name: (config, init, calls per round)
 CASES = {
-    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 2.0355),
-    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 4.355),
-    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 4.2745),
+    "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 2.0345),
+    "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 4.3545),
+    "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 4.274),
     # delayed SGD in blocks of min(beta + 1, alpha + beta) rounds: 6, then 101
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
-                  None, 6.158),
+                  None, 6.152),
     "sgd-long-delay": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000, alpha=100,
-                                        beta=100), None, 2.037),
+                                        beta=100), None, 2.0355),
 }
 
 

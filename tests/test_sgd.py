@@ -60,18 +60,28 @@ class TestClientRound:
             expected = (y - (init_g @ xg + init_l[i] @ xl)) ** 2
             assert res.loss[0, i] == pytest.approx(expected, rel=1e-12)
 
-    def test_missing_history_is_guarded(self, rng):
-        # direct state abuse: shrink the history ring below the round trip and step into the gap
-        from fedres.channel import Lag
-        from fedres.errors import InvariantError
+    def test_stepping_past_the_streams_and_run_after_step_are_config_errors(self, rng):
+        """On 5-row streams: a sixth step(), and run() after two step()s - at
+        one client with zero delay (the single-client loop) for both learners
+        and at two clients with delays (1, 1) - raise ConfigError."""
+        from fedres.erm import ErmSystem
 
-        x, y = np.ones((3, 1, 1, 2)), np.ones((3, 1, 1))
-        system = SgdSystem((x, x, y), DelayConfig.uniform(1, 1, 1), HyperParams(radius=1.0))
-        system._history = Lag((2,), ring=2)
-        system.step()
-        system.step()
-        with pytest.raises(InvariantError):
+        one = dataset_from_streams([scripted_stream(rng, 5, 2, 2)], 2, [2])
+        two = dataset_from_streams([scripted_stream(rng, 5, 2, 2) for _ in range(2)], 2, [2, 2])
+        system = SgdSystem.build(one, 0, HyperParams(), 5, 0)
+        for _ in range(5):
             system.step()
+        with pytest.raises(ConfigError):
+            system.step()
+        assert system.channel.fetch_counts == [5]
+        for learner, dataset, delays in ((SgdSystem, one, 0), (ErmSystem, one, 0),
+                                         (SgdSystem, two, (1, 1)), (ErmSystem, two, (1, 1))):
+            system = learner.build(dataset, delays, HyperParams(), 5, 0)
+            system.step()
+            system.step()
+            with pytest.raises(ConfigError):
+                system.run()
+            assert system.channel.fetch_counts == [2] * dataset.n_clients
 
 
 class TestServerRound:
