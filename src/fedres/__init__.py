@@ -33,7 +33,7 @@ from .engine import SgdSystem, run_fedres_sgd
 from .erm import run_fedres_erm, run_fictitious_play
 from .errors import ConfigError, InvariantError
 from .harness import ExperimentConfig, compute_regret, evaluate_accuracy, run_experiment, sweep
-from .results import RoundTrace, RunResult
+from .results import RunResult
 from .solver import alternating_joint_ls, solve_gram
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "SgdSystem", "run_fedres_sgd", "run_fedres_erm", "run_fictitious_play",
     "ConfigError", "InvariantError", "ExperimentConfig", "compute_regret",
     "evaluate_accuracy", "run_experiment", "sweep",
-    "RoundTrace", "RunResult",
+    "RunResult",
     "alternating_joint_ls", "solve_gram",
 ]

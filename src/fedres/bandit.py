@@ -28,8 +28,8 @@ bits it has in a block-by-block loop.
 
 A run returns a BanditResult: the RunResult columns, with the realized
 reward of the chosen action as label and its contexts as x_global /
-x_local, plus the actions, and the episode's context sets and true means
-(shared, not copied), which cb_regret prices.
+x_local, plus the actions and the episode it ran on (shared, not copied),
+whose true means cb_regret prices.
 """
 
 from __future__ import annotations
@@ -147,13 +147,10 @@ def draw_episode(env: BanditEnv, rounds: int, seed: int) -> BanditEpisode:
 @dataclass
 class BanditResult(RunResult):
     """A bandit run's columns (see the module doc), its actions (T, P), the
-    episode's context sets context_global (T, P, k, dg) and context_local
-    (T, P, k, dl) and true means (T, P, k), and how many rounds explored."""
+    episode it ran on, and how many rounds explored."""
 
     action: np.ndarray
-    context_global: np.ndarray
-    context_local: np.ndarray
-    means: np.ndarray
+    episode: BanditEpisode
     exploration_rounds: int
 
 
@@ -210,9 +207,7 @@ def _result(episode, action, in_force, final, fetch_counts, exploration_rounds) 
         final_locals=list(final[1]),
         fetch_counts=fetch_counts,
         action=action,
-        context_global=episode.context_global,
-        context_local=episode.context_local,
-        means=episode.means,
+        episode=episode,
         exploration_rounds=exploration_rounds,
     )
 
@@ -225,7 +220,7 @@ def cb_regret(result: BanditResult, env: BanditEnv) -> float:
         raise ConfigError("the run lacks the bandit fields; run/env mismatch")
     if result.clients != env.n_clients:
         raise ConfigError(f"a run of {result.clients} clients, env of {env.n_clients}")
-    means = result.means
+    means = result.episode.means
     gaps = means.max(axis=-1) - np.take_along_axis(means, result.action[..., None], -1)[..., 0]
     # the running sum of a loop over the records in order, bit for bit
     return float(np.add.accumulate(gaps.ravel())[-1]) / gaps.size

@@ -4,35 +4,18 @@ A RunResult is columnar and round-major. With N rounds (batch rounds at
 b > 1) and P clients: prediction and label (N, P, b); the consumed stream
 blocks x_global (N, P, b, dg) and x_local (N, P, b, dl); and loss (N, P),
 each (round, client)'s squared loss (batch mean), derived from the first
-two. The metrics read these columns. `traces` is kept only as a lazy
-read-only record view: its length costs nothing and a RoundTrace is built
-only when read. Building a result raises InvariantError at the first
+two. The metrics read these columns; `traces` is the loss column flattened
+to record order. Building a result raises InvariantError at the first
 non-finite loss or final model.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvariantError
-
-
-@dataclass(frozen=True)
-class RoundTrace:
-    """Per-(round, client) record of what the deployed pair did.
-
-    For batched rounds, loss is the batch-aggregated (mean) loss and
-    prediction/label hold the b per-sample values as tuples.
-    """
-
-    round: int
-    client_id: int
-    loss: float
-    prediction: float | tuple
-    label: float | tuple
 
 
 def squared_loss(prediction: np.ndarray, label: np.ndarray) -> np.ndarray:
@@ -74,8 +57,9 @@ class RunResult:
             raise InvariantError("non-finite final model")
 
     @property
-    def traces(self) -> "TraceView":
-        return TraceView(self)
+    def traces(self) -> np.ndarray:
+        """Every record's loss in record order; kept while perfbench counts len(traces)."""
+        return self.loss.reshape(-1)
 
     def mean_loss(self) -> float:
         return float(np.mean(self.loss.ravel()))
@@ -85,22 +69,3 @@ class RunResult:
         cutoff = self.rounds - max(1, int(self.rounds * fraction))
         return float(np.mean(self.loss[cutoff:].ravel()))
 
-
-class TraceView(Sequence):
-    """The records of a RunResult as RoundTraces, round-major, built on read."""
-
-    def __init__(self, result: RunResult):
-        self.result = result
-
-    def __len__(self) -> int:
-        return self.result.loss.size
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[j] for j in range(len(self))[k]]
-        r = self.result
-        n, i = divmod(range(len(self))[k], r.clients)
-        pred, y = r.prediction[n, i], r.label[n, i]
-        if len(y) == 1:
-            return RoundTrace(n + 1, i, float(r.loss[n, i]), float(pred[0]), float(y[0]))
-        return RoundTrace(n + 1, i, float(r.loss[n, i]), tuple(pred.tolist()), tuple(y.tolist()))

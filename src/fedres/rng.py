@@ -12,9 +12,13 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def substream(seed: int, name: str) -> np.random.Generator:
     """Generator for substream `name` of `seed`, stable across platforms."""
+    if int(seed) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seed}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()[:8]
     tag = int.from_bytes(digest, "little")
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))

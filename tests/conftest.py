@@ -3,12 +3,17 @@
 These deliberately re-derive results through different computational paths
 than the library (per-row formulas, explicit loops, projected gradient
 descent, finite differences) so agreement is evidence, not tautology;
-stepped_sgd_system exposes the engine's system for its gradient provenance.
+stepped_sgd_system exposes the engine's system for its gradient provenance,
+and kernel_note names the OpenBLAS core in the recorded fixtures' messages.
 Sample data is an (x_global (n, dg), x_local (n, dl), y (n,)) block, as in
 the library, or one (xg, xl, y) row of one.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,28 @@ def pgd_ls_oracle(rows: np.ndarray, targets: np.ndarray, radius: float,
         grad = 2.0 * rows.T @ (rows @ w - targets)
         w = ball_project_oracle(w - step * grad, radius)
     return w, float(np.sum((rows @ w - targets) ** 2))
+
+
+def pgd_ls_oracle_stacked(problems, iters: int = 20000) -> tuple[np.ndarray, np.ndarray]:
+    """pgd_ls_oracle on a list of (rows (n, d), targets (n,), radius) problems
+    at once, zero-padded to one (B, n_max, d_max) stack: a zero row or column
+    adds only 0.0 terms. Returns w (B, d_max) and the objectives (B,). The
+    per-problem loop is this version's oracle (see test_solver.py)."""
+    n_max = max(a.shape[0] for a, _, _ in problems)
+    d_max = max(a.shape[1] for a, _, _ in problems)
+    rows, targets = np.zeros((len(problems), n_max, d_max)), np.zeros((len(problems), n_max))
+    for k, (a, b, _) in enumerate(problems):
+        rows[k, :a.shape[0], :a.shape[1]], targets[k, :len(b)] = a, b
+    radii = np.array([[radius] for _, _, radius in problems], dtype=float)
+    lam = np.linalg.eigvalsh(np.swapaxes(rows, 1, 2) @ rows).max(axis=-1)
+    step = (1.0 / (2.0 * np.where(lam > 0, lam, 0.5)))[:, None]  # 1.0 at lam = 0, as in the loop
+    w = np.zeros((len(problems), d_max))
+    for _ in range(iters):
+        resid = (rows @ w[..., None])[..., 0] - targets
+        v = w - step * (2.0 * (resid[:, None, :] @ rows)[:, 0])
+        # v * 1.0 inside the ball: ball_project_oracle's two cases in one
+        w = v * (radii / np.maximum(np.sqrt(np.sum(v * v, axis=-1, keepdims=True)), radii))
+    return w, np.sum(((rows @ w[..., None])[..., 0] - targets) ** 2, axis=-1)
 
 
 def ls_objective(rows: np.ndarray, targets: np.ndarray, w: np.ndarray) -> float:
@@ -119,6 +146,29 @@ def stepped_sgd_system(dataset, delays, hyper, rounds: int, seed: int, *, batch_
     for _ in range(len(system.label)):
         system.step()
     return system
+
+
+@functools.cache
+def blas_kernel() -> str | None:
+    """The OpenBLAS core NumPy runs on (for example "SkylakeX"), read once from
+    the OpenBLAS in numpy.libs; None when that library or its symbol is missing."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def kernel_note(recorded: str) -> str:
+    """Assertion message of a fixture recorded under OpenBLAS core `recorded`:
+    NumPy's products and solves round differently under other cores."""
+    running = blas_kernel()
+    if running == recorded:
+        return f"recorded and running under OpenBLAS core {recorded}"
+    return (f"recorded under OpenBLAS core {recorded} but running under {running}; "
+            "other cores round differently, so these bits need not match")
 
 
 @pytest.fixture

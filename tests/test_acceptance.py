@@ -34,7 +34,7 @@ from conftest import (
     ball_project_oracle,
     finite_diff_grads,
     ls_objective,
-    pgd_ls_oracle,
+    pgd_ls_oracle_stacked,
     random_instance,
     rows_of,
     solve_rows,
@@ -282,17 +282,19 @@ def test_criterion_05_minibatch_contracts():
 
 def test_criterion_06_solver_optimality():
     rng = np.random.default_rng(606)
-    worst_gap = -np.inf
+    problems = []
     for _ in range(500):
         n = int(rng.integers(1, 21))
         d = int(rng.integers(1, 6))
         rows = rng.normal(0, 1, (n, d))
         targets = rng.normal(0, 2, n)
-        radius = float(rng.uniform(0.1, 2.0))
+        problems.append((rows, targets, float(rng.uniform(0.1, 2.0))))
+    _, pgd_objs = pgd_ls_oracle_stacked(problems, iters=5000)
+    worst_gap = -np.inf
+    for (rows, targets, radius), pgd_obj in zip(problems, pgd_objs):
         w = solve_rows(rows, targets, radius)
         assert np.linalg.norm(w) <= radius + 1e-10
-        _, pgd_obj = pgd_ls_oracle(rows, targets, radius, iters=5000)
-        worst_gap = max(worst_gap, ls_objective(rows, targets, w) - pgd_obj)
+        worst_gap = max(worst_gap, ls_objective(rows, targets, w) - float(pgd_obj))
     ok = worst_gap <= 1e-8
     report(6, ok, f"500 problems; worst objective excess over PGD oracle {worst_gap:.2e} <= 1e-8")
     assert ok

@@ -94,7 +94,7 @@ class TestRegret:
     def test_per_round_regret_bounded_by_value_range(self):
         env = make_realizable_env(4, 2, 2, 2, seed=4)
         res = run_epsilon_greedy(draw_episode(env, 60, 4), 0, HyperParams(), 5)
-        means = env.mean_rewards(res.context_global, res.context_local)
+        means = env.mean_rewards(res.episode.context_global, res.episode.context_local)
         chosen = np.take_along_axis(means, res.action[..., None], -1)[..., 0]
         top, bottom = means.max(axis=-1), means.min(axis=-1)
         assert np.all(top - chosen <= top - bottom + 1e-12)
@@ -184,9 +184,7 @@ class TestEpisode:
         greedy = run_epsilon_greedy(episode, 0, HyperParams(), 4)
         uniform = run_uniform_policy(episode)
         for res in (greedy, uniform):
-            assert res.means is episode.means
-            assert res.context_global is episode.context_global
-            assert res.context_local is episode.context_local
+            assert res.episode is episode  # its contexts and means, shared, not copied
 
     def test_one_rollout_prices_its_contexts_once(self, monkeypatch):
         calls = {"context_blocks": 0, "mean_rewards": 0}

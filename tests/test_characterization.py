@@ -23,11 +23,14 @@ from fedres.bandit import cb_regret
 from fedres.harness import compute_regret
 from fedres.solver import alternating_joint_ls
 
+from conftest import kernel_note
 from joint_ls_oracle import client_blocks
 from record_sgd_characterization import (CASES, PATH, REGRET_CASES, alignment_offsets, bandit_env,
                                          case_data, run)
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
+RECORDED_KERNEL = "SkylakeX"  # the OpenBLAS core the fixture's bits were recorded under
+KERNELS = kernel_note(RECORDED_KERNEL)
 
 
 @pytest.mark.parametrize("batch, variant", CASES)
@@ -35,28 +38,28 @@ def test_engine_reproduces_recorded_run(variant, batch):
     want = FIXTURE["runs"][f"{variant}-b{batch}"]
     data = case_data(FIXTURE, variant)
     res = run(data, variant, batch)
-    assert res.loss.tolist() == want["loss"]
-    assert res.prediction.tolist() == want["prediction"]
-    assert res.final_global.tolist() == want["final_global"]
-    assert [w.tolist() for w in res.final_locals] == want["final_locals"]
+    assert res.loss.tolist() == want["loss"], KERNELS
+    assert res.prediction.tolist() == want["prediction"], KERNELS
+    assert res.final_global.tolist() == want["final_global"], KERNELS
+    assert [w.tolist() for w in res.final_locals] == want["final_locals"], KERNELS
     assert list(res.fetch_counts) == want["fetch_counts"]
     if "alignment_offsets" in want:  # SGD only
         assert alignment_offsets(data, variant, batch) == want["alignment_offsets"]
     if "action" in want:  # bandit only
-        assert res.action.tolist() == want["action"]
-        assert cb_regret(res, bandit_env(variant)) == want["cb_regret"]
+        assert res.action.tolist() == want["action"], KERNELS
+        assert cb_regret(res, bandit_env(variant)) == want["cb_regret"], KERNELS
         assert res.exploration_rounds == want["exploration_rounds"]
 
 
-def test_trace_view_matches_recorded_columns():
+def test_records_match_recorded_columns():
     want = FIXTURE["runs"]["aligned-b3"]
     res = run(FIXTURE["data"], "aligned", 3)
     clients = res.clients
-    for k, tr in enumerate(res.traces):
+    assert len(res.traces) == res.rounds * clients
+    for k, loss in enumerate(res.traces):  # record k is round n + 1, client i
         n, i = divmod(k, clients)
-        assert (tr.round, tr.client_id) == (n + 1, i)
-        assert tr.loss == want["loss"][n][i]
-        assert list(tr.prediction) == want["prediction"][n][i]
+        assert loss == want["loss"][n][i], KERNELS
+        assert res.prediction[n, i].tolist() == want["prediction"][n][i], KERNELS
     assert np.isfinite(res.loss).all()
 
 
@@ -66,8 +69,8 @@ def test_regret_and_comparator_reproduce_recorded_values(variant, batch):
     res = run(data, variant, batch)
     for want in FIXTURE["regret"][f"{variant}-b{batch}"]:
         radius = want["radius"]
-        assert compute_regret(res, radius=radius) == want["regret"]
+        assert compute_regret(res, radius=radius) == want["regret"], KERNELS
         wg, wls, objective = alternating_joint_ls(*client_blocks(res), radius)
-        assert wg.tolist() == want["wg"]
-        assert [w.tolist() for w in wls] == want["wls"]
-        assert objective == want["objective"]
+        assert wg.tolist() == want["wg"], KERNELS
+        assert [w.tolist() for w in wls] == want["wls"], KERNELS
+        assert objective == want["objective"], KERNELS

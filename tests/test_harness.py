@@ -338,6 +338,28 @@ class TestCli:
         assert cli_main(["run", "--bogus-flag"]) == 1
         assert cli_main(["sweep-clients", "--rounds", "4"]) == 1  # missing --values
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--clients", "2", "--dim", "2"],
+        ["sweep-delay", "--values", "0", "--clients", "2", "--dim", "2"],
+        ["appendixc"],
+        ["bandit", "--clients", "2"],
+    ])
+    def test_negative_base_seed_is_config_error(self, argv, capsys):
+        argv = [*argv, "--rounds", "10", "--rollouts", "1", "--base-seed", "-1", "--output", "-"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    def test_negative_partition_seed_is_config_error(self, tmp_path, rng, capsys):
+        src = tmp_path / "corpus.txt"
+        src.write_text(toy_corpus(rng, n=200, k=8))
+        argv = ["partition", str(src), "--clients", "3", "--seed", "-1",
+                "--output", str(tmp_path / "manifest.txt")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "manifest.txt").exists()
+
     def test_io_error_exit_code(self, capsys):
         code = cli_main(["partition", "/nonexistent/file.libsvm", "--output", "-"])
         assert code == 2

@@ -123,7 +123,8 @@ class TestBatchedRuns:
         ds = dataset_from_streams(streams, 2, [2])
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
         res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=b)
-        for tr in res.traces:
-            assert isinstance(tr.prediction, tuple) and len(tr.prediction) == b
-            per_sample = [(y - p) ** 2 for y, p in zip(tr.label, tr.prediction)]
-            assert tr.loss == pytest.approx(float(np.mean(per_sample)), rel=1e-15)
+        for k, loss in enumerate(res.traces):
+            prediction, label = res.prediction.reshape(-1, b)[k], res.label.reshape(-1, b)[k]
+            assert len(prediction) == b
+            per_sample = [(y - p) ** 2 for y, p in zip(label.tolist(), prediction.tolist())]
+            assert loss == pytest.approx(float(np.mean(per_sample)), rel=1e-15)

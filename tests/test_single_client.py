@@ -16,16 +16,19 @@ from fedres.engine import SgdSystem, run_fedres_sgd
 from fedres.erm import ErmSystem
 from fedres.errors import InvariantError
 
+from conftest import kernel_note
 from record_single_client import CASES, PATH, record, run
 from test_sgd import dataset_from_streams
 
 FIXTURE = json.loads(PATH.read_text(encoding="utf-8"))
+RECORDED_KERNEL = "SkylakeX"  # the OpenBLAS core the fixture's bits were recorded under
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_run_reproduces_recorded_bits(name):
     # json writes repr floats, so equal text is equal bits, -0.0 included
-    assert json.dumps(record(run(FIXTURE["data"], name))) == json.dumps(FIXTURE["runs"][name])
+    want = json.dumps(FIXTURE["runs"][name])
+    assert json.dumps(record(run(FIXTURE["data"], name))) == want, kernel_note(RECORDED_KERNEL)
 
 
 @pytest.mark.parametrize("system, variant", [(SgdSystem, "aligned"), (ErmSystem, "erm"),

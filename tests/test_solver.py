@@ -10,7 +10,7 @@ from fedres.harness import compute_regret
 from fedres.results import RunResult
 from fedres.solver import BASE_RIDGE, alternating_joint_ls, solve_gram
 
-from conftest import ls_objective, pgd_ls_oracle, solve_rows
+from conftest import ls_objective, pgd_ls_oracle, pgd_ls_oracle_stacked, solve_rows
 from joint_ls_oracle import alternating_joint_ls_oracle, client_blocks
 from test_datagen import toy_corpus
 
@@ -45,6 +45,21 @@ class TestSolveConstrainedLs:
             assert np.linalg.norm(w) <= radius + 1e-10
             _, pgd_obj = pgd_ls_oracle(rows, targets, radius, iters=5000)
             assert ls_objective(rows, targets, w) <= pgd_obj + 1e-8
+
+    def test_stacked_pgd_matches_its_loop(self, rng):
+        """The padded stack criterion 6 runs agrees with the per-problem loop,
+        on the ball and inside it, and on a zero matrix (step 1.0)."""
+        problems = [(rng.normal(0, 1, (n, d)), rng.normal(0, 2, n), radius)
+                    for n, d, radius in ((1, 1, 0.5), (3, 5, 1.5), (20, 2, 0.1), (7, 3, 100.0),
+                                         (2, 4, 100.0), (12, 1, 2.0))]
+        problems.append((np.zeros((2, 2)), rng.normal(0, 2, 2), 1.0))
+        w, objectives = pgd_ls_oracle_stacked(problems, iters=300)
+        for k, (rows, targets, radius) in enumerate(problems):
+            w_loop, objective = pgd_ls_oracle(rows, targets, radius, iters=300)
+            d = rows.shape[1]
+            assert np.abs(w[k, :d] - w_loop).max() <= 1e-12
+            assert not w[k, d:].any()
+            assert abs(objectives[k] - objective) <= 1e-12
 
 
 class TestSolveGram:
