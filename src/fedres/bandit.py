@@ -21,10 +21,10 @@ recording the model pair in force in each exploration block (rounds
 s+1 .. s+B act on the pair after s / B steps). One pass then prices every
 action of every round under its block's pair and takes the greedy
 choices, and the exploration rounds are overwritten with their picks.
+The prediction column is the chosen action's value from that pass;
+np.vecdot gives every element the bits it has in a block-by-block loop.
 The uniform policy draws all its actions and keeps zero models, so it
-runs no learner and skips that pass. The prediction column prices the
-chosen contexts under the same pairs; np.vecdot gives every element the
-bits it has in a block-by-block loop.
+runs no learner, skips that pass and predicts zeros.
 
 A run returns a BanditResult: the RunResult columns, with the realized
 reward of the chosen action as label and its contexts as x_global /
@@ -53,14 +53,13 @@ class BanditEnv:
     True mean reward of an action is the clipped joint linear value of its
     (global, local) context under the true parameter pair; realized
     rewards add truncated Gaussian noise and re-clip. Contexts are drawn
-    uniformly from [0, context_scale]^d per block.
+    uniformly from [0, 1)^d per block.
     """
 
     k: int
     wg_star: np.ndarray
     wl_stars: tuple[np.ndarray, ...]
     noise_sigma: float = 0.0
-    context_scale: float = 1.0
 
     def __post_init__(self):
         if self.k < 2:
@@ -83,7 +82,7 @@ class BanditEnv:
         (T, P, k, dl), drawn by round, client, action, then global block."""
         dg = self.d_global
         shape = (rounds, self.n_clients, self.k, dg + self.d_locals[0])
-        block = rng.uniform(0.0, self.context_scale, shape)
+        block = rng.random(shape)
         return block[..., :dg], block[..., dg:]
 
     def mean_rewards(self, xg: np.ndarray, xl: np.ndarray) -> np.ndarray:
@@ -171,15 +170,16 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
                        as_delay_config(delays, clients), hyper)
     blocks = -(-rounds // period)
     pair_g, pair_l = np.empty((blocks, clients, dg)), np.empty((blocks, clients, dl))
-    for j in range(blocks):  # block j acts on the pair after j steps
-        pair_g[j], pair_l[j] = system.fetched, system.wl  # fetched is (dg,) under uniform beta
-        if j < len(explored):
-            system.step()
+    with np.errstate(over="ignore", invalid="ignore"):  # as in run(): a blow-up is InvariantError
+        for j in range(blocks):  # block j acts on the pair after j steps
+            pair_g[j], pair_l[j] = system.fetched, system.wl  # fetched is (dg,) under uniform beta
+            if j < len(explored):
+                system.step()
     in_force = np.arange(rounds) // period
-    wg, wl = pair_g[in_force], pair_l[in_force]
-    action, _ = choose_action(wg, wl, xg, xl)
+    action, values = choose_action(pair_g[in_force], pair_l[in_force], xg, xl)
     action[explored] = picks
-    return _result(episode, action, (wg, wl), (system.wg, system.wl),
+    prediction = np.take_along_axis(values, action[..., None], -1)
+    return _result(episode, action, prediction, (system.wg, system.wl),
                    system.channel.fetch_counts, len(explored))
 
 
@@ -188,21 +188,18 @@ def run_uniform_policy(episode: BanditEpisode) -> BanditResult:
     rounds, clients, k, dg = episode.context_global.shape
     action = substream(episode.seed, "bandit-uniform").integers(k, size=(rounds, clients))
     zero = np.zeros(dg), np.zeros((clients, episode.context_local.shape[-1]))
-    return _result(episode, action, zero, zero, [0] * clients, 0)
+    return _result(episode, action, np.zeros((rounds, clients, 1)), zero, [0] * clients, 0)
 
 
-def _result(episode, action, in_force, final, fetch_counts, exploration_rounds) -> BanditResult:
-    """The run of the actions (T, P): the chosen contexts and rewards, priced
-    under the model pairs in_force, whose leading axes broadcast against (T, P)."""
+def _result(episode, action, prediction, final, fetch_counts, exploration_rounds) -> BanditResult:
+    """The run of the actions (T, P) with their predicted values (T, P, 1):
+    the chosen contexts and rewards."""
     chosen = action[..., None]
-    x_global = np.take_along_axis(episode.context_global, chosen[..., None], axis=-2)
-    x_local = np.take_along_axis(episode.context_local, chosen[..., None], axis=-2)
-    _, prediction = choose_action(*in_force, x_global, x_local)  # vecdot: per-element bits
     return BanditResult(
         prediction=prediction,
         label=np.take_along_axis(episode.reward, chosen, axis=-1),
-        x_global=x_global,
-        x_local=x_local,
+        x_global=np.take_along_axis(episode.context_global, chosen[..., None], axis=-2),
+        x_local=np.take_along_axis(episode.context_local, chosen[..., None], axis=-2),
         final_global=final[0],
         final_locals=list(final[1]),
         fetch_counts=fetch_counts,

@@ -19,16 +19,10 @@ class _RoutedView:
     """Dataset view with features re-routed between the two blocks."""
 
     def __init__(self, base, mode: str):
+        if mode not in ("independent", "central"):
+            raise ValueError(mode)
         self.base = base
         self.mode = mode
-        if mode == "independent":
-            self.d_global = 0
-            self.d_locals = [base.d_global + dl for dl in base.d_locals]
-        elif mode == "central":
-            self.d_global = base.d_global
-            self.d_locals = [0] * base.n_clients
-        else:
-            raise ValueError(mode)
 
     @property
     def n_clients(self) -> int:

@@ -83,9 +83,11 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
     inf, or too large for a float).
     """
     labels: list[int] = []
-    rows: list[dict[int, float]] = []
     lines: list[int] = []
-    max_index = 0
+    # every entry as flat (row, column, value) lists, scattered in one assignment
+    rows: list[int] = []
+    columns: list[int] = []
+    values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -95,7 +97,7 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
             label = int(tokens[0])
         except ValueError:
             raise ConfigError(f"line {lineno}: non-numeric label {tokens[0]!r}")
-        entries: dict[int, float] = {}
+        row, seen = len(labels), set()
         for tok in tokens[1:]:
             head, sep, tail = tok.partition(":")
             if not sep:
@@ -107,17 +109,16 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
                 raise ConfigError(f"line {lineno}: malformed token {tok!r}")
             if index <= 0:
                 raise ConfigError(f"line {lineno}: index {index} must be >= 1")
-            if index in entries:
+            if index in seen:
                 raise ConfigError(f"line {lineno}: duplicate index {index}")
-            entries[index] = value
-            max_index = max(max_index, index)
+            seen.add(index)
+            rows.append(row)
+            columns.append(index - 1)
+            values.append(value)
         labels.append(label)
-        rows.append(entries)
         lines.append(lineno)
-    features = np.zeros((len(rows), max_index))
-    for i, entries in enumerate(rows):
-        for index, value in entries.items():
-            features[i, index - 1] = value
+    features = np.zeros((len(labels), max(columns, default=-1) + 1))
+    features[np.array(rows, dtype=int), np.array(columns, dtype=int)] = values
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ConfigError(f"line {lines[int(np.argmin(finite))]}: non-finite feature value")
@@ -139,16 +140,12 @@ def load_libsvm(path: str | Path) -> MulticlassCorpus:
 def serialize_libsvm(corpus: MulticlassCorpus) -> str:
     """Inverse of parse_libsvm up to blank lines: re-parsing is identical."""
     out = []
-    max_seen = 0
-    for row in corpus.features:
-        nz = np.nonzero(row)[0]
-        if len(nz):
-            max_seen = max(max_seen, int(nz[-1]) + 1)
+    pad = corpus.d and not corpus.features[:, -1].any()
     for i in range(corpus.n):
         row = corpus.features[i]
         toks = [str(int(corpus.labels[i]))]
         toks += [f"{j + 1}:{float(row[j])!r}" for j in np.nonzero(row)[0]]
-        if i == 0 and max_seen < corpus.d:
+        if i == 0 and pad:
             toks.append(f"{corpus.d}:0.0")  # keep the dense width round-trippable
         out.append(" ".join(toks))
     return "\n".join(out) + "\n"
@@ -169,7 +166,9 @@ class ClientData:
 
 @dataclass
 class FederatedDataset:
-    """Per-client streams plus the global/local feature split.
+    """Per-client streams of (x_global, x_local, y) rows; the streams carry
+    the global and local block widths. A LIBSVM partition also records which
+    corpus coordinates went to each block (global_index, local_index).
 
     Pool-backed datasets (LIBSVM partitions) replay their train pool in
     reshuffled epochs; pre-generated datasets (synthetic) return their
@@ -177,8 +176,6 @@ class FederatedDataset:
     """
 
     clients: list[ClientData]
-    d_global: int
-    d_locals: list[int]
     global_index: np.ndarray | None = None
     local_index: np.ndarray | None = None
     pregenerated: list[Block] | None = None
@@ -302,13 +299,8 @@ def partition_federated(
                 test_lines=[int(lines[j]) for j in np.concatenate([test_pos, test_neg])],
             )
         )
-    return FederatedDataset(
-        clients=client_data,
-        d_global=d_g,
-        d_locals=[d - d_g] * clients,
-        global_index=global_index,
-        local_index=local_index,
-    )
+    return FederatedDataset(clients=client_data, global_index=global_index,
+                            local_index=local_index)
 
 
 def write_partition_manifest(dataset: FederatedDataset, path: str | Path) -> None:
@@ -370,12 +362,7 @@ def gen_example2(
         client_data.append(
             ClientData(train=train, test=test, task=("sign-split", i < clients // 2))
         )
-    return FederatedDataset(
-        clients=client_data,
-        d_global=dim,
-        d_locals=[dim] * clients,
-        pregenerated=streams,
-    )
+    return FederatedDataset(clients=client_data, pregenerated=streams)
 
 
 def gen_appendixc(rounds: int, seed: int) -> FederatedDataset:
@@ -394,9 +381,5 @@ def gen_appendixc(rounds: int, seed: int) -> FederatedDataset:
     eps = rng.normal(0.0, 0.5, rounds)
     samples = np.stack([a + eps, b], axis=1), np.stack([1.0 - a, 1.0 - b], axis=1), np.ones(rounds)
     empty = np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0)
-    return FederatedDataset(
-        clients=[ClientData(train=samples, test=empty, task=("complementary-views",))],
-        d_global=2,
-        d_locals=[2],
-        pregenerated=[samples],
-    )
+    clients = [ClientData(train=samples, test=empty, task=("complementary-views",))]
+    return FederatedDataset(clients=clients, pregenerated=[samples])

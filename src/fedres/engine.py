@@ -120,7 +120,7 @@ class RoundSystem:
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
                  init_global: np.ndarray | None = None,
-                 init_locals: Sequence[np.ndarray] | None = None, block: int = 1):
+                 init_locals: Sequence[np.ndarray] | None = None):
         self.x_global, self.x_local, self.label = streams
         rows, clients = self.label.shape[:2]
         dg, dl = self.x_global.shape[-1], self.x_local.shape[-1]
@@ -133,7 +133,7 @@ class RoundSystem:
         self.radius = hyper.radius
         # zeros: a run that fails mid-round prices its unpredicted row as finite
         self.prediction = np.zeros(self.label.shape)
-        self.block = block
+        self.block = 1  # rounds per run() block; SgdSystem sets its own
         self.channel = DelayedChannel(delays, self.wg, rows)
         # every client's fetch in the last open round: (dg,) when beta is uniform, else (P, dg)
         self.fetched = self.wg
@@ -230,9 +230,8 @@ class SgdSystem(RoundSystem):
                  init_locals: Sequence[np.ndarray] | None = None):
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        block = block_length(delays, variant)
-        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals,
-                         block=block)
+        super().__init__(streams, delays, hyper, init_global=init_global, init_locals=init_locals)
+        self.block = block = block_length(delays, variant)
         clients, b = delays.clients, self.label.shape[2]
         # the features the gradients read: without the batch axis at b = 1
         self._xg, self._xl = (x[:, :, 0] if b == 1 else x for x in (self.x_global, self.x_local))
@@ -377,16 +376,19 @@ class SgdSystem(RoundSystem):
 def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):
     """Every client's stream as blocks x_global (N, P, b, dg), x_local
     (N, P, b, dl) and label (N, P, b), N = rounds / b: round-major views of
-    client-major arrays, so each client's whole stream stays contiguous."""
+    client-major arrays, so each client's whole stream stays contiguous. Every
+    client's feature blocks must have client 0's shapes."""
     if rounds % batch_size != 0:
         raise ConfigError(f"batch size {batch_size} does not divide horizon {rounds}")
-    if len(set(dataset.d_locals)) != 1:
-        raise ConfigError(f"clients need one local dimension, got {list(dataset.d_locals)}")
     clients = dataset.n_clients
     for i in range(clients):
         block = dataset.stream_block(i, rounds, seed)
         if i == 0:
             out = [np.empty((clients, *a.shape)) for a in block]
+            shapes = block[0].shape, block[1].shape
+        elif (block[0].shape, block[1].shape) != shapes:
+            raise ConfigError(f"client {i}'s feature blocks have shapes {block[0].shape}, "
+                              f"{block[1].shape}; client 0's have {shapes[0]}, {shapes[1]}")
         for column, a in zip(out, block):
             column[i] = a
     n = rounds // batch_size

@@ -99,8 +99,8 @@ class ExperimentConfig:
             raise ConfigError("exact-solve learners do not support batching")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
-        if not self.noise >= 0:
-            raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and nonnegative, got {self.noise}")
         if self.exploration_period < 1:
             raise ConfigError(f"exploration period must be >= 1, got {self.exploration_period}")
         if self.k_actions < 2:
@@ -168,12 +168,12 @@ def dispatch(cfg: ExperimentConfig, dataset, seed: int, init=None) -> RunResult:
 
 
 def compute_regret(result: RunResult, comparator=None, *,
-                   radius: float = DEFAULT_RADIUS, tol: float = 1e-8) -> float:
+                   radius: float = DEFAULT_RADIUS) -> float:
     """Average played loss minus the best fixed joint model's loss.
 
     The run is read as columns. The default comparator is the
     ball-constrained joint fit of the full offline data (alternating exact
-    solves to the given objective tolerance), handed each client's records
+    solves to the solver's default objective tolerance), handed each client's records
     in order as client-major stacks (P, N*b, ...). A comparator
     (wg, wls) gives one local model per client. Every record is priced in
     one pass over the round-major (N, P, b, ...) columns; batched records
@@ -186,7 +186,7 @@ def compute_regret(result: RunResult, comparator=None, *,
         # explicit sizes: a view's block may have d = 0
         stacks = (a.swapaxes(0, 1).reshape(result.clients, records, *a.shape[3:])
                   for a in (result.x_global, result.x_local, result.label))
-        wg, wls, _ = alternating_joint_ls(*stacks, radius, tol)
+        wg, wls, _ = alternating_joint_ls(*stacks, radius)
     else:
         wg, wls = comparator
         if len(wls) != result.clients:

@@ -64,8 +64,8 @@ class RunResult:
     def mean_loss(self) -> float:
         return float(np.mean(self.loss.ravel()))
 
-    def terminal_mean_loss(self, fraction: float = 0.1) -> float:
-        """Mean loss over the trailing fraction of rounds, all clients."""
-        cutoff = self.rounds - max(1, int(self.rounds * fraction))
+    def terminal_mean_loss(self) -> float:
+        """Mean loss over the trailing tenth of rounds (at least one), all clients."""
+        cutoff = self.rounds - max(1, int(self.rounds * 0.1))
         return float(np.mean(self.loss[cutoff:].ravel()))
 

@@ -3,9 +3,9 @@
 The constrained problem min_{||w|| <= r} ||A w - b||^2 is solved through
 its ridge-regularized normal equations; when the unconstrained solution
 leaves the ball, the Lagrange multiplier with ||w(lam)|| = r is located by
-bisection. The tiny base ridge keeps rank-deficient early-round systems
-well posed and makes the minimizer unique (minimum norm), which the
-deterministic replay tests rely on.
+bisection. The fixed base ridge BASE_RIDGE keeps rank-deficient
+early-round systems well posed and makes the minimizer unique (minimum
+norm), which the deterministic replay tests rely on.
 
 Nothing materializes a design matrix: the learners maintain Gram blocks
 incrementally and call solve_gram directly. solve_gram takes a leading
@@ -38,52 +38,51 @@ from .errors import ConfigError
 
 BASE_RIDGE = 1e-10
 _BISECT_REL_TOL = 1e-10
+_MAX_ALTERNATIONS = 1000
 
 
-def solve_gram(
-    ata: np.ndarray, atb: np.ndarray, radius: float, ridge: float = BASE_RIDGE
-) -> np.ndarray:
+def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     """Ball-constrained least squares from normal-equation blocks.
 
     ata is A^T A (..., d, d), atb is A^T b (..., d); a leading stack axis
     holds independent problems and returns one solution per row. Objective
-    gap to the true constrained minimum is bounded by the ridge
+    gap to the true constrained minimum is bounded by the BASE_RIDGE
     perturbation, far below test tolerances.
     """
     d = atb.shape[-1]
     if d == 0:
         return atb
-    w = _stacked_solve(ata + _ridge_diagonal(d, ridge), atb)
+    w = _stacked_solve(ata + _ridge_diagonal(d), atb)
     if w.ndim == 1:  # one problem: scalar arithmetic is cheapest
-        return w if math.sqrt(w @ w) <= radius else _solve_one(ata, atb, radius, ridge)
+        return w if math.sqrt(w @ w) <= radius else _solve_one(ata, atb, radius)
     inside = np.sqrt(np.vecdot(w, w)) <= radius  # np.linalg.norm's norm; NaN is outside
     if np.count_nonzero(inside) < inside.size:
         rows, a, b = w.reshape(-1, d), ata.reshape(-1, d, d), atb.reshape(-1, d)
         for i in np.flatnonzero(~inside):
-            rows[i] = _solve_one(a[i], b[i], radius, ridge)
+            rows[i] = _solve_one(a[i], b[i], radius)
     return w
 
 
 @lru_cache(maxsize=16)
-def _ridge_diagonal(d: int, ridge: float) -> np.ndarray:
-    """ridge on the diagonal and -0.0 elsewhere: adding it leaves every
-    off-diagonal entry's bits alone, -0.0 included, like adding ridge to
-    the diagonal of a copy."""
-    out = np.where(np.eye(d, dtype=bool), ridge, -0.0)
+def _ridge_diagonal(d: int) -> np.ndarray:
+    """BASE_RIDGE on the diagonal and -0.0 elsewhere: adding it leaves every
+    off-diagonal entry's bits alone, -0.0 included, like adding the ridge
+    to the diagonal of a copy."""
+    out = np.where(np.eye(d, dtype=bool), BASE_RIDGE, -0.0)
     out.flags.writeable = False
     return out
 
 
-def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float, ridge: float) -> np.ndarray:
+def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     """The scalar path for one (d, d) problem, bisection included."""
-    w = _ridge_solve(ata, atb, ridge)
+    w = _ridge_solve(ata, atb, BASE_RIDGE)
     norm = float(np.linalg.norm(w))
     if norm <= radius:
         return w
 
     # ||w(lam)|| <= ||atb|| / lam, so this hi already satisfies the bound.
-    lo = ridge
-    hi = max(float(np.linalg.norm(atb)) / radius, 2.0 * ridge)
+    lo = BASE_RIDGE
+    hi = max(float(np.linalg.norm(atb)) / radius, 2.0 * BASE_RIDGE)
     while float(np.linalg.norm(_ridge_solve(ata, atb, hi))) > radius:
         hi *= 2.0
     while hi - lo > _BISECT_REL_TOL * hi:
@@ -111,7 +110,6 @@ def alternating_joint_ls(
     y: np.ndarray,
     radius: float,
     tol: float = 1e-8,
-    max_iters: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Best joint (global, per-client local) fit of pooled offline data.
 
@@ -119,9 +117,9 @@ def alternating_joint_ls(
     y (P, n), each client's n records in order; an equal-shape list of
     per-client blocks converts. Alternates exact ball-constrained solves
     (all locals given the global, then the global given all locals) until
-    the total squared error improves by less than tol. Used as the default
-    regret comparator. Returns (global (dg,), locals (P, dl), final
-    objective).
+    the total squared error improves by less than tol, at most
+    _MAX_ALTERNATIONS times. Used as the default regret comparator.
+    Returns (global (dg,), locals (P, dl), final objective).
 
     Each side is one stacked solve_gram call per iteration, and sums over
     clients run in client order from zero, so the bits are those of a
@@ -149,7 +147,7 @@ def alternating_joint_ls(
         return float(_client_sum(np.sum(np.square(r, out=r), axis=1)))
 
     prev = objective()
-    for _ in range(max_iters):
+    for _ in range(_MAX_ALTERNATIONS):
         wls = solve_gram(gram_l, ly - cross_t @ wg, radius)
         wg = solve_gram(gram_g_total, _client_sum(gy - (cross @ wls[..., None])[..., 0]), radius)
         cur = objective()

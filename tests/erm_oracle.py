@@ -78,10 +78,11 @@ def run_oracle(dataset, delays, hyper, rounds, seed, variant, *, init_global=Non
     alpha, beta = delays.alpha[0], delays.beta[0]
     x_global, x_local, label = build_streams(dataset, rounds, seed)
     clients = [
-        ArchiveClient(d, hyper.radius, variant, None if init_locals is None else init_locals[i])
-        for i, d in enumerate(dataset.d_locals)
+        ArchiveClient(x_local.shape[-1], hyper.radius, variant,
+                      None if init_locals is None else init_locals[i])
+        for i in range(dataset.n_clients)
     ]
-    server = ArchiveServer(len(clients), dataset.d_global, hyper.radius, variant, init_global)
+    server = ArchiveServer(len(clients), x_global.shape[-1], hyper.radius, variant, init_global)
     snapshots = {0: server.wg}  # every round <= 0 reads the initial model
     outbox: dict[int, list] = {}
     prediction = np.empty(label.shape)

@@ -118,8 +118,7 @@ def dataset(data: dict) -> FederatedDataset:
                for rows in zip(data["x_global"], data["x_local"], data["y"])]
     clients = [ClientData(train=st, test=tuple(a[:0] for a in st), task=("scripted",))
                for st in streams]
-    return FederatedDataset(clients=clients, d_global=D_GLOBAL, d_locals=[D_LOCAL] * len(streams),
-                            pregenerated=streams)
+    return FederatedDataset(clients=clients, pregenerated=streams)
 
 
 def bandit_env(variant: str):

@@ -73,7 +73,7 @@ def run(data: dict, name: str):
         return dispatch(cfg, build_dataset(cfg, 0), 0, np.array(INIT))
     init_global, init_local = SCRIPTED[name]
     stream = tuple(np.array(data[k], dtype=float) for k in ("x_global", "x_local", "y"))
-    return run_fedres_sgd(dataset_from_streams([stream], 3, [1]), 0,
+    return run_fedres_sgd(dataset_from_streams([stream]), 0,
                           HyperParams(**SCRIPTED_HYPER), SCRIPTED_ROUNDS, 0,
                           init_global=np.array(init_global), init_locals=[np.array(init_local)])
 

@@ -52,10 +52,11 @@ def run_oracle(dataset, delays, hyper, rounds: int, seed: int, *, variant: str =
     alpha, beta = ([math.ceil(d / b) for d in side] for side in (delays.alpha, delays.beta))
     x_global, x_local, label = build_streams(dataset, rounds, seed, b)
     etas = np.broadcast_to(np.asarray(hyper.eta_local, dtype=float), (clients,))
-    initial = np.zeros(dataset.d_global) if init_global is None else np.array(init_global, float)
+    dg, dl = x_global.shape[-1], x_local.shape[-1]
+    initial = np.zeros(dg) if init_global is None else np.array(init_global, float)
     wg = initial
     wl = [np.zeros(dl) if init_locals is None else np.array(init_locals[i], float)
-          for i, dl in enumerate(dataset.d_locals)]
+          for i in range(clients)]
 
     def batch_mean(g, w, i, s, side):
         """Mean over round s's rows of client i of one block gradient at (g, w)."""

@@ -151,7 +151,7 @@ def test_criterion_03_zero_delay_bit_equivalence():
     clients, rounds, dg, dl = 3, 100, 3, 2
     streams = [scripted_stream(rng, rounds, dg, dl) for _ in range(clients)]
     rows = [rows_of(st) for st in streams]
-    ds = dataset_from_streams(streams, dg, [dl] * clients)
+    ds = dataset_from_streams(streams)
     eta, radius = 0.05, 100.0
     hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
     res = run_fedres_sgd(ds, 0, hp, rounds, 0)
@@ -208,7 +208,7 @@ def test_criterion_05_minibatch_contracts():
     rng = np.random.default_rng(505)
     clients, rounds, dg, dl = 2, 24, 2, 2
     streams = [scripted_stream(rng, rounds, dg, dl) for _ in range(clients)]
-    ds = dataset_from_streams(streams, dg, [dl] * clients)
+    ds = dataset_from_streams(streams)
     eta, radius = 0.08, 100.0
     hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from fedres.bandit import (
 from fedres.core import HyperParams
 from fedres.datagen import gen_example2
 from fedres.engine import run_fedres_sgd
-from fedres.errors import ConfigError
+from fedres.errors import ConfigError, InvariantError
 from fedres.harness import ExperimentConfig, bandit_rows
 from fedres.rng import substream
 
@@ -76,6 +78,17 @@ class TestUpdateSchedule:
         res_a = run_epsilon_greedy(draw_episode(env, 9, 2), 0, HyperParams(), 10)  # never explores
         assert res_a.exploration_rounds == 0
         assert np.all(res_a.final_global == 0) and np.all(res_a.final_locals[0] == 0)
+
+    def test_overflowing_steps_are_invariant_errors_under_warnings_as_errors(self):
+        """Steps large enough to overflow the models end the policy in
+        InvariantError, as they end run_fedres_sgd; no RuntimeWarning escapes
+        the learner's steps first."""
+        env = make_realizable_env(3, 2, 3, 3, seed=0)
+        hyper = HyperParams(eta_global=1e300, eta_local=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantError):
+                run_epsilon_greedy(draw_episode(env, 100, 0), 0, hyper, 10)
 
 
 class TestRegret:

@@ -17,7 +17,7 @@ def columns_equal(a, b):
 class TestSharedEngineReductions:
     def test_central_is_engine_with_empty_local_blocks(self, rng):
         streams = [scripted_stream(rng, 15, 3, 2) for _ in range(3)]
-        ds = dataset_from_streams(streams, 3, [2, 2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         cfg = ExperimentConfig(algo="central", clients=3, alpha=2, beta=1, rounds=15,
                                eta_global=0.1, eta_local=0.1)
@@ -29,7 +29,7 @@ class TestSharedEngineReductions:
 
     def test_independent_is_engine_with_empty_global_block(self, rng):
         streams = [scripted_stream(rng, 15, 3, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 3, [2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         cfg = ExperimentConfig(algo="independent", rounds=15, eta_global=0.1, eta_local=0.1)
         a = dispatch(cfg, independent_view(ds), 0)
@@ -40,7 +40,7 @@ class TestSharedEngineReductions:
 
     def test_identical_data_gives_identical_trajectories(self, rng):
         shared = scripted_stream(rng, 20, 2, 1)
-        ds = dataset_from_streams([shared, tuple(a.copy() for a in shared)], 2, [1, 1])
+        ds = dataset_from_streams([shared, tuple(a.copy() for a in shared)])
         res = run_fedres_sgd(independent_view(ds), 0, HyperParams(eta_global=0.1, eta_local=0.1),
                              20, 0)
         assert res.loss[:, 0].tolist() == res.loss[:, 1].tolist()
@@ -48,7 +48,7 @@ class TestSharedEngineReductions:
 
     def test_independent_matches_standalone_sgd_loop(self, rng):
         stream = scripted_stream(rng, 25, 2, 2)
-        ds = dataset_from_streams([stream], 2, [2])
+        ds = dataset_from_streams([stream])
         eta, radius = 0.15, 3.0
         hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
         res = run_fedres_sgd(independent_view(ds), 0, hp, 25, 0)
@@ -78,7 +78,7 @@ class TestCentralVsResidualSeparation:
 
     def test_warmup_rounds_leave_central_model_unchanged(self, rng):
         streams = [scripted_stream(rng, 3, 2, 1)]
-        ds = dataset_from_streams(streams, 2, [1])
+        ds = dataset_from_streams(streams)
         res = run_fedres_sgd(central_view(ds), (5, 0), HyperParams(eta_global=0.5, eta_local=0.5),
                              3, 0)
         assert np.all(res.final_global == np.zeros(2))
@@ -87,7 +87,7 @@ class TestCentralVsResidualSeparation:
 class TestRoutedViews:
     def test_views_transform_test_sets(self, rng):
         s = np.array([[1.0, 2.0]]), np.array([[3.0]]), np.array([-1.0])
-        ds = dataset_from_streams([s], 2, [1])
+        ds = dataset_from_streams([s])
         ds.clients[0].test = s
         ind_g, ind_l, ind_y = independent_view(ds).test_sets()[0]
         cen_g, cen_l, cen_y = central_view(ds).test_sets()[0]

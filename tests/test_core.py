@@ -22,7 +22,7 @@ def priced(wg, wl, *rows):
     horizon): its prediction and loss columns price each (xg, xl, y) row
     under the pair (wg, wl)."""
     n = len(rows)
-    ds = dataset_from_streams([stack_rows(rows)], len(wg), [len(wl)])
+    ds = dataset_from_streams([stack_rows(rows)])
     return run_fedres_sgd(ds, (n, 0), HyperParams(), n, 0, init_global=wg, init_locals=[wl])
 
 

@@ -61,7 +61,7 @@ def runs(draw, max_clients=5, max_dim=3):
                                                       max_size=clients))))
     outside = 1.5 * radius / np.sqrt(max(dg, dl))  # every coordinate this size: outside
     return dict(
-        dataset=dataset_from_streams(streams, dg, [dl] * clients),
+        dataset=dataset_from_streams(streams),
         delays=(draw(side), draw(side)),
         hyper=hyper,
         rounds=rounds,
@@ -216,7 +216,7 @@ def long_delay_case(clients: int, rounds: int, seed: int, radius: float = 0.3) -
                 rng.normal(0, 1, rounds)) for _ in range(clients)]
     hyper = HyperParams(radius=radius, eta_global=0.2,
                         eta_local=tuple(0.1 + 0.05 * i for i in range(clients)))
-    return dict(dataset=dataset_from_streams(streams, 2, [3] * clients), hyper=hyper,
+    return dict(dataset=dataset_from_streams(streams), hyper=hyper,
                 rounds=rounds, init_global=np.full(2, 0.4),
                 init_locals=[np.full(3, -0.3)] * clients)
 

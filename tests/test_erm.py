@@ -22,24 +22,24 @@ def ridge_solve(gram, rhs):
     return np.linalg.solve(gram + BASE_RIDGE * np.eye(len(rhs)), rhs)
 
 
-def erm_run(streams, d_global, delays, radius, **inits):
+def erm_run(streams, delays, radius, **inits):
     """run_fedres_erm on scripted per-client lists of (xg, xl, y) rows."""
     blocks = [stack_rows(st) for st in streams]
-    ds = dataset_from_streams(blocks, d_global, [b[1].shape[1] for b in blocks])
+    ds = dataset_from_streams(blocks)
     return run_fedres_erm(ds, delays, HyperParams(radius=radius), len(streams[0]), 0, **inits)
 
 
 class TestErmClientRound:
     def test_empty_archive_keeps_initial_local(self):
         s = np.ones(2), np.ones(2), 1.0
-        res = erm_run([[s]], 2, 0, 100.0)
+        res = erm_run([[s]], 0, 100.0)
         assert np.all(res.final_locals[0] == np.zeros(2))
 
     def test_one_archived_sample_is_1d_least_squares(self, rng):
         s1 = rng.normal(0, 1, 2), np.array([2.0]), 3.0
         s2 = np.zeros(2), np.zeros(1), 0.0
         # beta = 2: both rounds fetch the zero initial global model
-        res = erm_run([[s1, s2]], 2, (0, 2), 100.0)
+        res = erm_run([[s1, s2]], (0, 2), 100.0)
         assert res.final_locals[0] == pytest.approx([3.0 / 2.0], rel=1e-6)
 
     def test_archive_objective_matches_pgd_oracle(self, rng):
@@ -50,7 +50,7 @@ class TestErmClientRound:
         ]
         # beta = 6: every fetch through round 6 returns the initial global
         # model, and round 6 solves over the 5 archived samples
-        res = erm_run([samples + samples[:1]], 3, (0, 6), 1.0, init_global=fetched)
+        res = erm_run([samples + samples[:1]], (0, 6), 1.0, init_global=fetched)
         rows = np.stack([xl for _, xl, _ in samples[:5]])
         targets = np.array([y - fetched @ xg for xg, _, y in samples[:5]])
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=100_000)
@@ -61,7 +61,7 @@ class TestErmServerRound:
     def test_no_data_keeps_initial_global(self, rng):
         # alpha = 5: nothing reaches the server in round 1
         streams = [rows_of(scripted_stream(rng, 1, 3, 2)) for _ in range(2)]
-        res = erm_run(streams, 3, (5, 0), 100.0)
+        res = erm_run(streams, (5, 0), 100.0)
         assert np.all(res.final_global == np.zeros(3))
 
     def test_zero_locals_reduce_to_global_ls(self, rng):
@@ -70,7 +70,7 @@ class TestErmServerRound:
             (rng.normal(0, 1, 2), np.zeros(2), float(rng.normal(0, 2)))
             for _ in range(4)
         ]
-        res = erm_run([samples], 2, 0, 1.0)
+        res = erm_run([samples], 0, 1.0)
         rows = np.stack([xg for xg, _, _ in samples])
         targets = np.array([y for _, _, y in samples])
         _, pgd_obj = pgd_ls_oracle(rows, targets, 1.0, iters=100_000)
@@ -83,7 +83,7 @@ class TestErmServerRound:
             for _ in range(2)
         ]
         # alpha = 0: the last solve applies the local models sent that round
-        res = erm_run(archive, 2, 0, 1.0)
+        res = erm_run(archive, 0, 1.0)
         wl = res.final_locals
         rows = np.concatenate([np.stack([xg for xg, _, _ in archive[i]]) for i in range(2)])
         targets = np.concatenate(
@@ -134,7 +134,7 @@ class TestFrozenCounterpartVariant:
     def test_three_round_scripted_run_matches_hand_transcription(self, rng):
         rounds = 3
         streams = [scripted_stream(rng, rounds, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         res = run_fictitious_play(ds, 0, HyperParams(), rounds, 0)
 
         # hand-rolled frozen-counterpart recursion, zero delay
@@ -166,7 +166,7 @@ class TestFrozenCounterpartVariant:
 class TestComposedRuns:
     def test_first_round_uses_initial_models(self, rng):
         streams = [scripted_stream(rng, 1, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         init_g = np.array([0.2, -0.1])
         init_l = [np.array([0.3, 0.0]), np.array([-0.4, 0.5])]
         res = run_fedres_erm(ds, 0, HyperParams(), 1, 0, init_global=init_g, init_locals=init_l)
@@ -178,7 +178,7 @@ class TestComposedRuns:
     def test_zero_delay_matches_sequential_alternating_oracle(self, rng):
         rounds = 60
         streams = [scripted_stream(rng, rounds, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         res = run_fedres_erm(ds, 0, HyperParams(), rounds, 0)
 
         stream = rows_of(streams[0])
@@ -208,7 +208,7 @@ class TestComposedRuns:
     def test_fast_path_tracks_exact_rebuild(self, rng):
         rounds = 40
         streams = [scripted_stream(rng, rounds, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         for runner in (run_fedres_erm, run_fictitious_play):
             fast = runner(ds, (1, 1), HyperParams(), rounds, 0)
             variant = "erm" if runner is run_fedres_erm else "fictitious"
@@ -221,7 +221,7 @@ class TestComposedRuns:
     def test_within_round_alternating_descent(self, rng):
         rounds = 25
         stream = scripted_stream(rng, rounds, 2, 2)
-        ds = dataset_from_streams([stream], 2, [2])
+        ds = dataset_from_streams([stream])
         system = ErmSystem.build(ds, DelayConfig.uniform(1), HyperParams(radius=10.0), rounds, 0)
         archive = []
 
@@ -243,14 +243,14 @@ class TestComposedRuns:
             (x := rng.normal(0, 1, 2), z := rng.normal(0, 1, 2), float(wg_true @ x + wl_true @ z))
             for _ in range(512)
         )
-        ds = dataset_from_streams([stream], 2, [2])
+        ds = dataset_from_streams([stream])
         res = run_fedres_erm(ds, 0, HyperParams(), 512, 0)
         losses = res.loss.ravel()
         assert losses[:64].mean() > losses.mean()
 
     def test_heterogeneous_delays_rejected(self, rng):
         streams = [scripted_stream(rng, 2, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         with pytest.raises(ConfigError):
             run_fedres_erm(ds, ((0, 1), (0, 0)), HyperParams(), 2, 0)
 
@@ -258,20 +258,21 @@ class TestComposedRuns:
     @pytest.mark.parametrize("system", (ErmSystem, SgdSystem))
     def test_systems_check_client_count_and_local_dimension(self, rng, system):
         """Both learners, on the shared skeleton, reject delays for another
-        client count and local models of another or mixed dimension."""
+        client count, local models of another dimension, and streams whose
+        local or global block is wider than client 0's (naming the client)."""
         streams = [scripted_stream(rng, 4, 2, 2) for _ in range(2)]
-        blocks = build_streams(dataset_from_streams(streams, 2, [2, 2]), 4, 0)
+        blocks = build_streams(dataset_from_streams(streams), 4, 0)
         with pytest.raises(ConfigError):
             system(blocks, DelayConfig.uniform(3, 1, 1), HyperParams())
         with pytest.raises(ConfigError):
             system(blocks, DelayConfig.uniform(2, 1, 1), HyperParams(),
                    init_locals=[np.zeros(2), np.zeros(3)])
-        mixed = dataset_from_streams([streams[0], scripted_stream(rng, 4, 2, 3)], 2, [2, 3])
-        with pytest.raises(ConfigError):
-            system.build(mixed, (1, 1), HyperParams(), 4, 0)
+        for odd in (scripted_stream(rng, 4, 2, 3), scripted_stream(rng, 4, 3, 2)):
+            with pytest.raises(ConfigError, match="client 1"):
+                system.build(dataset_from_streams([streams[0], odd]), (1, 1), HyperParams(), 4, 0)
 
     def test_exact_learners_reject_batches(self, rng):
-        ds = dataset_from_streams([scripted_stream(rng, 4, 2, 2)], 2, [2])
+        ds = dataset_from_streams([scripted_stream(rng, 4, 2, 2)])
         with pytest.raises(ConfigError):
             ErmSystem.build(ds, 0, HyperParams(), 4, 0, batch_size=2)
 
@@ -282,7 +283,7 @@ class TestPrefixSums:
         prefix-sum table covers at most BLOCK + 1 stream rows."""
         rounds, clients = 3 * BLOCK + 17, 2
         streams = [scripted_stream(rng, rounds, 2, 2) for _ in range(clients)]
-        ds = dataset_from_streams(streams, 2, [2] * clients)
+        ds = dataset_from_streams(streams)
         for variant in ("erm", "fictitious"):
             system = ErmSystem.build(ds, DelayConfig.uniform(clients, 3, 2), HyperParams(), rounds,
                                      0, variant=variant)
@@ -298,7 +299,7 @@ class TestPrefixSums:
         cycle collector happens to run (a pool worker's memory would grow
         with every rollout)."""
         streams = [scripted_stream(rng, 5, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         gc.disable()
         try:
             for variant in ("erm", "fictitious"):
@@ -317,7 +318,7 @@ class TestPrefixSums:
         client and the server (alpha > 0), give the bits of one block."""
         rounds = 30
         streams = [scripted_stream(rng, rounds, 3, 2) for _ in range(3)]
-        ds = dataset_from_streams(streams, 3, [2] * 3)
+        ds = dataset_from_streams(streams)
         for runner in (run_fedres_erm, run_fictitious_play):
             want = runner(ds, (3, 2), HyperParams(radius=0.6), rounds, 0)
             for block in (1, 2, 7):

@@ -193,7 +193,8 @@ class TestConfigValidation:
         for algo, d_global, d_local in (("independent", 0, 4), ("central", 2, 0),
                                         ("fedres-erm", 2, 2)):
             view = build_dataset(ExperimentConfig(algo=algo, clients=2, dim=2), 0)
-            assert (view.d_global, view.d_locals) == (d_global, [d_local] * 2)
+            widths = [tuple(a.shape[1] for a in view.stream_block(i, 1, 0)[:2]) for i in range(2)]
+            assert widths == [(d_global, d_local)] * 2
 
     def test_independent_runs_without_delays(self):
         # Independent has nothing to communicate: its delays only label the row
@@ -264,7 +265,7 @@ class TestClientScaling:
             streams.append(train)
             data.append(ClientData(train=train, test=(xs[rounds:], zs[rounds:], ys[rounds:]),
                                    task=("shared",)))
-        return FederatedDataset(clients=data, d_global=2, d_locals=[2] * clients, pregenerated=streams)
+        return FederatedDataset(clients=data, pregenerated=streams)
 
     def test_accuracy_non_decreasing_in_clients_within_noise(self):
         rounds = 60
@@ -311,10 +312,13 @@ class TestCli:
         ["run", "--dim", "-1"],
         ["run", "--v-norm", "nan"],
         ["run", "--test-rounds", "-1"],
+        ["bandit", "--noise", "inf"],  # not a level: every reward would clip to 0 or 1
+        ["run", "--noise", "inf"],
     ])
     def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
         assert cli_main(argv + ["--rounds", "10", "--output", "-"]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_bandit_rejects_batching(self, capsys):
         # the policies take one learner step per exploration round

@@ -15,7 +15,7 @@ def one_batch_run(rows, wg, wl):
     steps on the batch-mean local gradient at (wg, wl), the loss record is
     the batch-mean loss at (wg, new wl), and the server steps on the
     batch-mean global gradient there."""
-    ds = dataset_from_streams([stack_rows(rows)], len(wg), [len(wl)])
+    ds = dataset_from_streams([stack_rows(rows)])
     hp = HyperParams(radius=1e6, eta_global=1.0, eta_local=1.0)
     return run_fedres_sgd(ds, 0, hp, len(rows), 0, batch_size=len(rows), init_global=wg,
                           init_locals=[wl])
@@ -64,7 +64,7 @@ class TestAggregation:
         assert gl == pytest.approx(sum(joint_grads(wg, wl, *s)[1] for s in batch) / 4.0, rel=1e-12)
 
     def test_wrong_length_rejected(self, rng):
-        ds = dataset_from_streams([(np.ones((2, 1)), np.ones((2, 1)), np.ones(2))], 1, [1])
+        ds = dataset_from_streams([(np.ones((2, 1)), np.ones((2, 1)), np.ones(2))])
         with pytest.raises(ConfigError):
             run_fedres_sgd(ds, 0, HyperParams(), 2, 0, batch_size=3)
         with pytest.raises(ConfigError):
@@ -74,7 +74,7 @@ class TestAggregation:
 class TestBatchedRuns:
     def test_batch_size_one_is_bit_identical_to_unbatched(self, rng):
         streams = [scripted_stream(rng, 12, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         a = run_fedres_sgd(ds, (1, 2), hp, 12, 0, batch_size=1)
         b = run_fedres_sgd(ds, (1, 2), hp, 12, 0)
@@ -84,7 +84,7 @@ class TestBatchedRuns:
     def test_full_horizon_batch_is_one_full_gradient_step(self, rng):
         rounds = 8
         streams = [scripted_stream(rng, rounds, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         eta = 0.2
         hp = HyperParams(radius=50.0, eta_global=eta, eta_local=eta)
         res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=rounds)
@@ -106,21 +106,21 @@ class TestBatchedRuns:
     def test_fetch_count_is_rounds_over_batch(self, rng):
         rounds = 24
         streams = [scripted_stream(rng, rounds, 2, 1) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [1, 1])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         for b in (1, 2, 4, 8):
             res = run_fedres_sgd(ds, (3, 2), hp, rounds, 0, batch_size=b)
             assert res.fetch_counts == [rounds // b, rounds // b]
 
     def test_indivisible_batch_rejected(self, rng):
-        ds = dataset_from_streams([scripted_stream(rng, 10, 1, 1)], 1, [1])
+        ds = dataset_from_streams([scripted_stream(rng, 10, 1, 1)])
         with pytest.raises(ConfigError):
             run_fedres_sgd(ds, 0, HyperParams(), 10, 0, batch_size=3)
 
     def test_batched_trace_carries_aggregated_loss(self, rng):
         rounds, b = 8, 4
         streams = [scripted_stream(rng, rounds, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
         res = run_fedres_sgd(ds, 0, hp, rounds, 0, batch_size=b)
         for k, loss in enumerate(res.traces):

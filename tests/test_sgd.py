@@ -12,13 +12,11 @@ from conftest import ball_project_oracle, rows_of, stack_rows, stepped_sgd_syste
 from sgd_oracle import alignment_offsets
 
 
-def dataset_from_streams(streams, d_global, d_locals):
+def dataset_from_streams(streams):
     """A pre-generated dataset of per-client (x_global, x_local, y) blocks."""
     clients = [ClientData(train=st, test=tuple(a[:0] for a in st), task=("scripted",))
                for st in streams]
-    return FederatedDataset(
-        clients=clients, d_global=d_global, d_locals=d_locals, pregenerated=streams
-    )
+    return FederatedDataset(clients=clients, pregenerated=streams)
 
 
 def scripted_stream(rng, rounds, d_global, d_local):
@@ -42,7 +40,7 @@ class TestClientRound:
 
     def test_warmup_leaves_local_unchanged(self, rng):
         streams = [scripted_stream(rng, 3, 2, 2)]
-        ds = dataset_from_streams(streams, 2, [2])
+        ds = dataset_from_streams(streams)
         init = np.array([0.5, -0.5])
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         res = run_fedres_sgd(ds, (2, 1), hp, 3, 0, init_locals=[init])
@@ -50,7 +48,7 @@ class TestClientRound:
 
     def test_first_round_under_delay_prices_initial_models(self, rng):
         streams = [scripted_stream(rng, 1, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         init_g = np.array([0.4, 0.1])
         init_l = [np.array([-0.2, 0.3]), np.array([0.6, 0.0])]
         hp = HyperParams(eta_global=0.5, eta_local=0.5)
@@ -66,8 +64,8 @@ class TestClientRound:
         and at two clients with delays (1, 1) - raise ConfigError."""
         from fedres.erm import ErmSystem
 
-        one = dataset_from_streams([scripted_stream(rng, 5, 2, 2)], 2, [2])
-        two = dataset_from_streams([scripted_stream(rng, 5, 2, 2) for _ in range(2)], 2, [2, 2])
+        one = dataset_from_streams([scripted_stream(rng, 5, 2, 2)])
+        two = dataset_from_streams([scripted_stream(rng, 5, 2, 2) for _ in range(2)])
         system = SgdSystem.build(one, 0, HyperParams(), 5, 0)
         for _ in range(5):
             system.step()
@@ -87,7 +85,7 @@ class TestClientRound:
 class TestServerRound:
     def test_no_messages_leaves_global_unchanged(self, rng):
         streams = [scripted_stream(rng, 2, 2, 1)]
-        ds = dataset_from_streams(streams, 2, [1])
+        ds = dataset_from_streams(streams)
         init = np.array([0.3, 0.3])
         res = run_fedres_sgd(
             ds, (3, 0), HyperParams(eta_global=0.5, eta_local=0.5), 2, 0, init_global=init
@@ -96,7 +94,7 @@ class TestServerRound:
 
     def test_single_client_zero_delay_is_centralized_step(self, rng):
         streams = [scripted_stream(rng, 1, 3, 2)]
-        ds = dataset_from_streams(streams, 3, [2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(radius=5.0, eta_global=0.2, eta_local=0.3)
         res = run_fedres_sgd(ds, 0, hp, 1, 0)
         xg, xl, y = rows_of(streams[0])[0]
@@ -113,7 +111,7 @@ class TestScriptedTwoClientDelayedRun:
         clients, rounds, dg, dl = 2, 4, 2, 2
         streams = [scripted_stream(rng, rounds, dg, dl) for _ in range(clients)]
         rows = [rows_of(st) for st in streams]
-        ds = dataset_from_streams(streams, dg, [dl] * clients)
+        ds = dataset_from_streams(streams)
         eta, radius = 0.1, 100.0
         hp = HyperParams(radius=radius, eta_global=eta, eta_local=eta)
         res = run_fedres_sgd(ds, (1, 1), hp, rounds, 0)
@@ -160,7 +158,7 @@ class TestScriptedTwoClientDelayedRun:
 class TestInvariants:
     def test_models_stay_in_ball(self, rng):
         streams = [scripted_stream(rng, 30, 2, 2) for _ in range(3)]
-        ds = dataset_from_streams(streams, 2, [2, 2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(radius=0.25, eta_global=0.9, eta_local=0.9)
         system = SgdSystem.build(ds, DelayConfig.uniform(3, 1, 1), hp, 30, 0)
         for _ in range(30):
@@ -172,7 +170,7 @@ class TestInvariants:
     def test_alignment_provenance(self, rng):
         for variant in ("aligned", "asymmetric"):
             streams = [scripted_stream(rng, 20, 2, 2) for _ in range(3)]
-            ds = dataset_from_streams(streams, 2, [2, 2, 2])
+            ds = dataset_from_streams(streams)
             hp = HyperParams(eta_global=0.05, eta_local=0.05)
             system = stepped_sgd_system(ds, ((0, 2, 3), (1, 0, 2)), hp, 20, 0, variant=variant)
             offsets = alignment_offsets(system)
@@ -182,7 +180,7 @@ class TestInvariants:
 
     def test_misaligned_server_breaks_alignment(self, rng):
         streams = [scripted_stream(rng, 20, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.05, eta_local=0.05)
         system = stepped_sgd_system(ds, (2, 3), hp, 20, 0, variant="misaligned")
         offsets = alignment_offsets(system)
@@ -198,7 +196,7 @@ class TestInvariants:
 
     def test_variants_diverge_under_delay(self, rng):
         streams = [scripted_stream(rng, 25, 2, 2) for _ in range(2)]
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         hp = HyperParams(eta_global=0.1, eta_local=0.1)
         finals = {
             v: run_fedres_sgd(ds, (2, 2), hp, 25, 0, variant=v).final_global
@@ -208,7 +206,7 @@ class TestInvariants:
         assert not np.allclose(finals["aligned"], finals["asymmetric"])
 
     def test_rejects_unknown_variant(self, rng):
-        ds = dataset_from_streams([scripted_stream(rng, 2, 1, 1)], 1, [1])
+        ds = dataset_from_streams([scripted_stream(rng, 2, 1, 1)])
         with pytest.raises(ConfigError):
             run_fedres_sgd(ds, 0, HyperParams(), 2, 0, variant="bogus")
 
@@ -241,7 +239,7 @@ class TestNumericHealth:
             rng = np.random.default_rng(seed)
             streams = [(rng.normal(0, 1, (120, 2)) * scale, rng.normal(0, 1, (120, 2)) * scale,
                         rng.normal(0, 1, 120)) for _ in range(2)]
-            ds = dataset_from_streams(streams, 2, [2, 2])
+            ds = dataset_from_streams(streams)
             inits = dict(init_global=np.ones(2), init_locals=[np.ones(2)] * 2)
         hp = HyperParams(radius=1e300, eta_global=eta_global, eta_local=eta_local)
         rounds = len(ds.pregenerated[0][2])
@@ -252,7 +250,7 @@ class TestNumericHealth:
     def test_overflowing_loss_is_caught_after_the_loop(self):
         # tiny features and steps keep the models finite while (y - pred)^2 overflows
         tiny = np.full((3, 1), 1e-10)
-        ds = dataset_from_streams([(tiny, tiny, np.full(3, 1e155))], 1, [1])
+        ds = dataset_from_streams([(tiny, tiny, np.full(3, 1e155))])
         hp = HyperParams(radius=1.0, eta_global=1e-150, eta_local=1e-150)
         with pytest.raises(InvariantError, match="non-finite loss at round 1, client 0"):
             run_fedres_sgd(ds, 0, hp, 3, 0)
@@ -273,6 +271,6 @@ class TestNumericHealth:
         streams = [scripted_stream(rng, 6, 2, 2) for _ in range(2)]
         xg, xl, y = streams[1]
         xg[3], xl[3], y[3] = [np.nan, 0.0], 0.0, 0.0
-        ds = dataset_from_streams(streams, 2, [2, 2])
+        ds = dataset_from_streams(streams)
         with pytest.raises(InvariantError, match=r"round 4, client 1|client 1 .*round 4"):
             run_fedres_sgd(ds, 0, HyperParams(eta_global=0.1, eta_local=0.1), 6, 0)

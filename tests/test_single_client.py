@@ -62,7 +62,7 @@ def test_the_input_alone_selects_the_single_client_loop(system, clients, delays,
     rng = np.random.default_rng(1)
     streams = [(rng.normal(0, 1, (8, 2)), rng.normal(0, 1, (8, 2)), rng.normal(0, 1, 8))
                for _ in range(clients)]
-    built = system.build(dataset_from_streams(streams, 2, [2] * clients), delays, HyperParams(),
+    built = system.build(dataset_from_streams(streams), delays, HyperParams(),
                          8, 0, batch_size, variant=variant)
     assert built._single == single
 
@@ -89,5 +89,5 @@ def test_diverging_run_raises_the_recorded_message(scales, message):
               rng.normal(0, 1, 200))
     hyper = HyperParams(radius=1e300, eta_global=eta_global, eta_local=eta_local)
     with pytest.raises(InvariantError, match=f"^{message}$"):
-        run_fedres_sgd(dataset_from_streams([stream], 2, [2]), 0, hyper, 200, 0,
+        run_fedres_sgd(dataset_from_streams([stream]), 0, hyper, 200, 0,
                        init_global=np.ones(2), init_locals=[np.ones(2)])

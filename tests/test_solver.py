@@ -111,12 +111,12 @@ class TestSolveGram:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_singular_system_raises(self):
-        singular = np.zeros((2, 2))  # with no ridge, exactly singular
+        singular = -BASE_RIDGE * np.eye(2)  # with the base ridge added, exactly singular
         with pytest.raises(np.linalg.LinAlgError):
-            solve_gram(singular, np.ones(2), 1.0, ridge=0.0)
+            solve_gram(singular, np.ones(2), 1.0)
         stack = np.stack([np.eye(2), singular, np.eye(2)])
         with pytest.raises(np.linalg.LinAlgError):
-            solve_gram(stack, np.ones((3, 2)), 1.0, ridge=0.0)
+            solve_gram(stack, np.ones((3, 2)), 1.0)
 
 
 class TestAlternatingJointLs:
@@ -191,7 +191,8 @@ class TestComparatorMatchesOracle:
         ds = partition_federated(corpus, clients=4, n0=10, seed=2)
         for view in (ds, independent_view(ds), central_view(ds)):
             wg, wls = self.assert_oracle_bits(streams_run(view, 100, batch_size=10), 1.0)
-            assert (wg.shape, wls.shape) == ((view.d_global,), (4, view.d_locals[0]))
+            dg, dl = (a.shape[1] for a in view.stream_block(0, 1, 0)[:2])
+            assert (wg.shape, wls.shape) == ((dg,), (4, dl))
 
     def test_binding_radius_bisects_on_both_sides(self):
         ds = gen_example2(6, 3, np.full(3, 1.0), 0.1, 80, seed=5, u_global=np.ones(3), test_rounds=0)
