@@ -76,16 +76,16 @@ def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     """
     if radius <= 0:
         raise ConfigError(f"projection radius must be positive, got {radius}")
-    if v.ndim == 1:  # one vector: scalar arithmetic is cheapest
-        n = math.sqrt(v @ v)
+    if v.ndim == 1:  # one vector: .dot (`@`'s bits for a square, less dispatch), Python floats
+        n = math.sqrt(v.dot(v))
         if n <= radius:  # NaN fails the screen
             return v
         if not math.isfinite(n):
             raise InvariantError(_NON_FINITE)
         f = radius / n
         w = v * f
-        while math.sqrt(w @ w) > radius:
-            f = np.nextafter(f, 0.0)
+        while math.sqrt(w.dot(w)) > radius:
+            f = math.nextafter(f, 0.0)
             w = v * f
         return w
     norms = np.sqrt(np.vecdot(v, v))

@@ -64,14 +64,16 @@ aligned rule (the three-way protocol's shape) is where a round costs the
 most Python per sample, and blocks cannot help it: a zero round trip makes
 every block one round long. The input alone selects a loop of its own in
 run(): each round reads the rows x[t, 0, 0] by index, fetches wg itself,
-takes 1-D `@` dot products, keeps the residuals and the prediction as
-Python floats and projects through project_ball's 1-D path; the
-channel's history, exchange() and the (P, b, d) shapes are skipped, and
-the channel is told the round count at the end (or at a failure). Its bits
-are the block path's: a 1-D `@` is the per-element kernel of np.vecdot,
-Python float `+`, `-` and `*` are the IEEE operations NumPy does, the 1-D
-and 2-D projections compute each row alike, and the server keeps its
-`0.0 +`.
+takes ndarray.dot products, keeps labels, residuals and the prediction
+as Python floats and the step sizes and the server's `0.0 +` as 0-d
+arrays, and projects through project_ball's 1-D path; the channel's
+history, exchange() and the (P, b, d) shapes are skipped, and the channel
+is told the round count at the end (or at a failure). Its bits are the
+block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less
+dispatch (at d = 1 a bare product, which `@` adds to 0.0: hence gp's
+`+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a Python float's
+IEEE operation on a faster path; Python float `+`, `-` and `*` are NumPy's
+IEEE operations; and the 1-D and 2-D projections compute rows alike.
 step() and every other input take the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
@@ -256,23 +258,22 @@ class SgdSystem(RoundSystem):
         rows x[t, 0, 0] read by index: the fetch is wg, the client steps on
         its pre-step residual and predicts, and the server steps on the new
         residual. Residuals and predictions are Python floats."""
-        xg_rows, xl_rows = self._xg[:, 0], self._xl[:, 0]
-        labels, prediction = self.label[:, 0, 0], self.prediction[:, 0, 0]
-        wg, wl, fetched = self.wg, self.wl[0], self.fetched
-        eta_g, eta_l, radius = self.eta_global, float(self.eta_local[0, 0]), self.radius
-        for t in range(self._rows):
-            xg, xl, y = xg_rows[t], xl_rows[t], labels.item(t)
+        xg_rows, xl_rows, prediction = self._xg[:, 0], self._xl[:, 0], self.prediction[:, 0, 0]
+        wg, wl, fetched, radius = self.wg, self.wl[0], self.fetched, self.radius
+        eta_g, eta_l, zero = map(np.array, (float(self.eta_global), self.eta_local[0, 0], 0.0))
+        for t, y in enumerate(self.label[:, 0, 0].tolist()):
+            xg, xl = xg_rows[t], xl_rows[t]
             fetched = wg
-            gp = float(xg @ fetched)
-            r = gp + float(xl @ wl) - y
+            gp = float(xg.dot(fetched)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
+            r = gp + float(xl.dot(wl)) - y
             try:
                 wl = project_ball(wl - eta_l * ((2.0 * r) * xl), radius)
             except InvariantError:
                 raise self._failed(t + 1, "the local model of client 0") from None
-            p = prediction[t] = gp + float(xl @ wl)
+            p = prediction[t] = gp + float(xl.dot(wl))
             r = p - y
             try:
-                wg = project_ball(wg - eta_g * (0.0 + (2.0 * r) * xg), radius)
+                wg = project_ball(wg - eta_g * (zero + (2.0 * r) * xg), radius)
             except InvariantError:
                 raise self._failed(t + 1, "the global model") from None
         self.channel._last_published = self._rows

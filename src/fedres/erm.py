@@ -57,8 +57,10 @@ its own in run(): each round reads the rows by index, fetches wg itself,
 solves on unstacked (d, d) sums and keeps the predictions as Python
 floats, and the server solves on the row just sent. Its bits are the
 stacked path's: the unstacked sums add the same rows in the same order, a
-(d, d) solve_gram makes the same LAPACK call as a stack of one, and a 1-D
-`@` is np.vecdot's per-element kernel.
+(d, d) solve_gram makes the same LAPACK call as a stack of one, and `.dot`
+products and the 0-d `0.0 +` keep `@`'s bits (see fedres.engine); the
+(d, d).(d,) products, bare at d = 1, are subtracted only from prefix sums,
+which are never -0.0.
 
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
@@ -208,26 +210,26 @@ class ErmSystem(RoundSystem):
         rows = xg_rows, xl_rows, labels = tuple(a[:, 0] for a in (self.xg, self.xl, self.y))
         pred = self.pred[:, 0]
         wg, wl, fetched, radius, erm = self.wg, self.wl[0], self.fetched, self.radius, self.erm
-        frozen_rhs, frozen_rhs_g = self.frozen_rhs[0], self.frozen_rhs_g
+        frozen_rhs, frozen_rhs_g, zero = self.frozen_rhs[0], self.frozen_rhs_g, np.array(0.0)
         # (dl, dl) sums and not (1, dl, dl): the same rows added in the same order
         client_sums = _PrefixSums(partial(_client_terms, erm), rows).each(1)
         server_sums = _PrefixSums(partial(_server_terms, erm), rows).each(1)
-        for t, (gram_g, *rest_g) in zip(range(self._rows), server_sums):
-            xg, xl, y = xg_rows[t], xl_rows[t], labels.item(t)
+        for t, y, (gram_g, *rest_g) in zip(range(self._rows), labels.tolist(), server_sums):
+            xg, xl = xg_rows[t], xl_rows[t]
             fetched = wg
             if t:  # every archive holds a sample
                 gram, *rest = next(client_sums)
                 if erm:
                     ly, cross = rest
-                    wl = solve_gram(gram, ly - cross @ fetched, radius)
+                    wl = solve_gram(gram, ly - cross.dot(fetched), radius)
                 else:
                     wl = solve_gram(gram, frozen_rhs, radius)
-            gp = float(xg @ fetched)
-            lp = float(xl @ wl)
+            gp = float(xg.dot(fetched)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
+            lp = float(xl.dot(wl)) + 0.0
             pred[t] = gp + lp
             if erm:
                 gy, cross_g = rest_g
-                rhs = 0.0 + (gy - cross_g @ wl)
+                rhs = zero + (gy - cross_g.dot(wl))
             else:
                 frozen_rhs += (y - gp) * xl
                 rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg

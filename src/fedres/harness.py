@@ -50,6 +50,7 @@ SWEEP_AXES = ("clients", "delay")
 # Test rows scored per pass: one pass over all of a 100-client fleet's 20 000
 # rows page-faults its fresh arrays and costs more than a loop over clients.
 ACCURACY_ROWS = 4096
+MAX_DATA_ENTRIES = 2**31  # float64 entries (16 GiB) one rollout's data may take
 OUTPUT_DIR_ENV = "FEDRES_OUTPUT_DIR"
 
 
@@ -109,6 +110,12 @@ class ExperimentConfig:
             raise ConfigError("the appendixc stream is single-client")
         if uses_data and self.data == "example2" and self.clients % 2:
             raise ConfigError("example2 needs an even number of clients")
+        # streams: rows x clients x (dg + dl + 1), 1 wide for an unread corpus; or the episode
+        rows = self.rounds + self.test_rounds * (uses_data and self.data == "example2")
+        width = ({"example2": 2 * self.dim + 1, "appendixc": 5}.get(self.data, 1) if uses_data
+                 else 8 * self.k_actions)
+        if (size := self.clients * rows * width) > MAX_DATA_ENTRIES:
+            raise ConfigError(f"the data would take {size:,} float64 entries; at most 2**31 fit")
 
     def hyper(self) -> HyperParams:
         eta = default_eta(self.rounds)

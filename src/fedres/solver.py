@@ -53,8 +53,8 @@ def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     if d == 0:
         return atb
     w = _stacked_solve(ata + _ridge_diagonal(d), atb)
-    if w.ndim == 1:  # one problem: scalar arithmetic is cheapest
-        return w if math.sqrt(w @ w) <= radius else _solve_one(ata, atb, radius)
+    if w.ndim == 1:  # one problem: .dot (`@`'s bits for a square, less dispatch), a Python float
+        return w if math.sqrt(w.dot(w)) <= radius else _solve_one(ata, atb, radius)
     inside = np.sqrt(np.vecdot(w, w)) <= radius  # np.linalg.norm's norm; NaN is outside
     if np.count_nonzero(inside) < inside.size:
         rows, a, b = w.reshape(-1, d), ata.reshape(-1, d, d), atb.reshape(-1, d)

@@ -110,6 +110,25 @@ class TestProjectBall:
         assert np.linalg.norm(once) <= radius * (1 + 1e-12)
 
 
+    def test_nudges_match_a_written_out_oracle(self, rng):
+        """A 1-D vector outside the ball: f = radius / sqrt(v @ v), then
+        np.nextafter(f, 0) steps until sqrt(w @ w) <= radius, bit for bit.
+        549 of the 4,000 draws take at least one step; at least 10% must."""
+        nudged = 0
+        for _ in range(4000):
+            v = rng.normal(size=rng.integers(1, 5)) * 10.0 ** rng.uniform(-3, 3)
+            radius = float(np.sqrt(v @ v)) * rng.uniform(0.05, 0.95)
+            f = radius / np.sqrt(v @ v)
+            w = v * f
+            steps = 0
+            while np.sqrt(w @ w) > radius:
+                f = np.nextafter(f, 0.0)
+                w = v * f
+                steps += 1
+            assert project_ball(v, radius).tobytes() == w.tobytes()
+            nudged += steps > 0
+        assert nudged >= 400
+
     def test_infinite_entry_raises(self):
         with pytest.raises(InvariantError):
             project_ball(vec(np.inf, 1), 1.0)

@@ -11,7 +11,9 @@ client at zero delay with batch size 1 - the three-way protocol's shape,
 which the general draw reaches about once in 245 examples - has its own
 draw for every learner. compute_regret runs against
 tests/joint_ls_oracle.py and a per-record loop on drawn SGD and exact runs.
-The examples are derandomized, so the module is deterministic.
+The examples are derandomized, so the module is deterministic. The oracles
+take 1-D `@` where the single-client loops and the 1-D projection take
+ndarray.dot; the first test pins how the two entry points agree.
 """
 
 import numpy as np
@@ -42,6 +44,34 @@ def examples(n: int):
 
 
 RADII = (0.05, 0.3, 1.0, 3.0, 100.0)  # binding every round .. never binding
+# signed zeros, subnormals and magnitudes near 1e+-150, whose products are near 1e+-300
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-150, -3e-150, 1e150, -7e149, 1.0)
+
+
+def test_dot_keeps_the_bits_of_matmul():
+    """On contiguous (d,).(d,) and (d, d).(d,) operands, d = 1..4, `@` has the
+    bits of `0.0 + .dot`, and of `.dot` itself for d >= 2: both make the
+    same BLAS call (ddot, dgemv), except that at d = 1 `.dot` is the bare
+    product, whose zero may be -0.0, and `@` adds that to 0.0. 5,000 draws
+    per shape and d, a quarter of the entries from SPECIAL and the rest
+    normal draws scaled by 10**k, k in [-150, 150]."""
+    rng = np.random.default_rng(18)
+
+    def entries(*shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 151, size=shape)
+        pick = rng.random(shape) < 0.25
+        x[pick] = rng.choice(SPECIAL, size=np.count_nonzero(pick))
+        return x
+
+    for d in range(1, 5):
+        v = entries(5000, d)
+        for a in entries(5000, d), entries(5000, d, d):
+            dot = np.array([x.dot(y) for x, y in zip(a, v)])
+            matmul = np.array([x @ y for x, y in zip(a, v)])
+            assert_same_bits(matmul, 0.0 + dot)
+            if d > 1:
+                assert_same_bits(matmul, dot)
+            assert np.array_equal(matmul, dot)  # at d = 1 only a zero's sign may differ
 
 
 @st.composite

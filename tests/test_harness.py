@@ -314,11 +314,24 @@ class TestCli:
         ["run", "--test-rounds", "-1"],
         ["bandit", "--noise", "inf"],  # not a level: every reward would clip to 0 or 1
         ["run", "--noise", "inf"],
+        # data too large to allocate: rejected by its size before anything is drawn
+        ["run", "--dim", "100000000000"],
+        ["run", "--rounds", "100000000000"],
+        ["run", "--clients", "100000000000"],
+        ["run", "--test-rounds", "100000000000"],
+        ["run", "--data", "appendixc", "--clients", "1", "--rounds", "100000000000"],
+        ["appendixc", "--rounds", "100000000000"],
+        ["bandit", "--rounds", "100000000000"],
+        ["bandit", "--actions", "100000000000"],
+        ["sweep-clients", "--values", "2", "100000000000"],
     ])
     def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
-        assert cli_main(argv + ["--rounds", "10", "--output", "-"]) == 1
+        # argv's own flags come last, so they override the short horizon
+        assert cli_main([argv[0], "--rounds", "10", "--output", "-", *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+        if "100000000000" in argv:
+            assert "float64 entries" in err
 
     def test_bandit_rejects_batching(self, capsys):
         # the policies take one learner step per exploration round

@@ -67,6 +67,24 @@ def test_the_input_alone_selects_the_single_client_loop(system, clients, delays,
     assert built._single == single
 
 
+@pytest.mark.parametrize("system, variant", [(SgdSystem, "aligned"), (ErmSystem, "erm"),
+                                             (ErmSystem, "fictitious")])
+def test_signed_zeros_at_one_feature_keep_the_block_path_bits(system, variant):
+    """At d = 1 ndarray.dot is the bare product, where the block path's
+    np.vecdot adds it to 0.0. Zero models on negative features price -0.0
+    products; with zero labels the models stay zero, and run()'s loop must
+    still give the predictions and models of a round-at-a-time step()."""
+    x = np.array([[-1.0], [-2.0], [0.5], [-0.0], [-3.0], [1.0]])
+    ds = dataset_from_streams([(x, x[::-1].copy(), np.zeros(6))])
+    systems = [system.build(ds, 0, HyperParams(), 6, 0, variant=variant) for _ in range(2)]
+    res = systems[0].run()
+    for _ in range(6):
+        systems[1].step()
+    assert res.prediction.tobytes() == systems[1].prediction.tobytes()
+    assert res.final_global.tobytes() == systems[1].wg.tobytes()
+    assert np.array(res.final_locals).tobytes() == systems[1].wl.tobytes()
+
+
 # (global scale, local scale, global step, local step) of a random stream
 # from seed 0, and the message the round-at-a-time engine raised on it
 DIVERGING = [
