@@ -61,20 +61,28 @@ runs; both predict with the pre-step local model.
 
 Single client: one client at zero delay with batch size 1 under the
 aligned rule (the three-way protocol's shape) is where a round costs the
-most Python per sample, and blocks cannot help it: a zero round trip makes
-every block one round long. The input alone selects a loop of its own in
-run(): each round reads the rows x[t, 0, 0] by index, fetches wg itself,
-takes ndarray.dot products, keeps labels, residuals and the prediction
-as Python floats and the step sizes and the server's `0.0 +` as 0-d
-arrays, and projects through project_ball's 1-D path; the channel's
-history, exchange() and the (P, b, d) shapes are skipped, and the channel
-is told the round count at the end (or at a failure). Its bits are the
-block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less
-dispatch (at d = 1 a bare product, which `@` adds to 0.0: hence gp's
-`+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a Python float's
-IEEE operation on a faster path; Python float `+`, `-` and `*` are NumPy's
-IEEE operations; and the 1-D and 2-D projections compute rows alike.
-step() and every other input take the block path.
+most per sample, and blocks cannot help it: a zero round trip makes every
+block one round long. The input alone selects a loop of its own in run():
+each round reads the rows x[t, 0, 0] by index, fetches wg itself, prices
+and steps the client, then the server, and projects through
+project_ball's 1-D path; the channel's history, exchange() and the
+(P, b, d) shapes are skipped, and the channel is told the round count at
+the end (or at a failure). The loop runs in C (_run_native, see
+fedres.native) wherever that library loaded: rows are read and
+predictions written in place, every (d,).(d,) product is a call of the
+OpenBLAS ddot that 1-D ndarray.dot makes (a bare product at d = 1) and
+every other operation one IEEE double operation in the Python loop's
+order, so its bits are the Python loop's. _run_single is that Python loop,
+which runs where the C library does not (no C compiler, another BLAS)
+and is the reference tests/test_native.py compares against. It takes
+ndarray.dot products, keeps labels, residuals and the prediction as
+Python floats and the step sizes and the server's `0.0 +` as 0-d arrays.
+Its bits are the block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's
+kernel, with less dispatch (at d = 1 a bare product, which `@` adds to
+0.0: hence gp's `+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a
+Python float's IEEE operation on a faster path; Python float `+`, `-` and
+`*` are NumPy's IEEE operations; and the 1-D and 2-D projections compute
+rows alike. step() and every other input take the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
 would, so the bits do not depend on L. Dot products are np.vecdot, whose
@@ -93,6 +101,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .channel import DelayConfig, DelayedChannel, Lag, as_delay_config
 from .core import HyperParams, project_ball
 from .errors import ConfigError, InvariantError
@@ -114,8 +123,9 @@ class RoundSystem:
     channel (every client's fetches come back), runs the clients on the
     block's rows and, when the channel says rows have arrived in it, the
     server on them. step() runs a block of one round and run() blocks of
-    `block` rounds, or the learner's _run_single loop for one client at zero
-    delay with batch size 1 (see the module doc). Stepping past the streams
+    `block` rounds, or for one client at zero delay with batch size 1 the
+    learner's own loop: _run_native in C where fedres.native loaded, else
+    _run_single (see the module doc). Stepping past the streams
     and run() after step() are ConfigErrors. The models start at zero
     unless init_global and init_locals are given.
     """
@@ -187,13 +197,25 @@ class RoundSystem:
                               f"{channel._last_published} rounds")
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                self._run_single() if self._single else self._run_blocks()
+                if not self._single:
+                    self._run_blocks()
+                # LOOPS first: the Python loop's set-up stays free of extra calls
+                elif native.LOOPS is None or (cols := self._native_columns()) is None:
+                    self._run_single()
+                else:
+                    self._run_native(cols)
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
                 done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
                 raise
         return RunResult(self.prediction, self.label, self.x_global, self.x_local, self.wg,
                          list(self.wl), self.channel.fetch_counts)
+
+    def _native_columns(self) -> native.Columns | None:
+        """The client's rows x[t, 0, 0] as the C loops read them, or None
+        where those loops do not run (see fedres.native)."""
+        return native.columns(*(a[:, 0, 0] for a in (self.x_global, self.x_local, self.label,
+                                                    self.prediction)))
 
     def _run_blocks(self) -> None:
         channel = self.channel
@@ -252,6 +274,17 @@ class SgdSystem(RoundSystem):
         # the local models after each round of a block of several price its rows (aligned)
         self._wl_after = np.empty((block, *self.wl.shape))
         self._single = self._single and self._aligned
+
+    def _run_native(self, cols: native.Columns) -> None:
+        """_run_single in C (fedres.native), on the client's columns."""
+        wg, wl, fetched = self.wg.copy(), self.wl[0].copy(), self.fetched.copy()
+        failed, t = native.sgd(cols, float(self.eta_global), self.eta_local[0, 0],
+                               float(self.radius), wg, wl, fetched)
+        if failed:
+            raise self._failed(t, "the global model" if failed == native.GLOBAL_NOT_FINITE
+                               else "the local model of client 0")
+        self.channel._last_published = self._rows
+        self.wg, self.wl, self.fetched = wg, wl[None], fetched
 
     def _run_single(self) -> None:
         """Every round of one client at zero delay and batch size 1, the

@@ -54,13 +54,20 @@ per-client formulas exactly (tests/data/sgd_characterization.json).
 
 One client at zero delay (the three-way protocol's shape) runs a loop of
 its own in run(): each round reads the rows by index, fetches wg itself,
-solves on unstacked (d, d) sums and keeps the predictions as Python
-floats, and the server solves on the row just sent. Its bits are the
-stacked path's: the unstacked sums add the same rows in the same order, a
-(d, d) solve_gram makes the same LAPACK call as a stack of one, and `.dot`
-products and the 0-d `0.0 +` keep `@`'s bits (see fedres.engine); the
-(d, d).(d,) products, bare at d = 1, are subtracted only from prefix sums,
-which are never -0.0.
+solves on unstacked (d, d) sums, and the server solves on the row just
+sent. It runs in C (_run_native, see fedres.native) wherever that library
+loaded, with running sums of the same terms in the same order, solves
+through the OpenBLAS dgesv that NumPy's solve1 calls (the bisection and
+np.linalg.solve's LinAlgError on a singular system included), and the
+(d, d).(d,) products through the dgemv, daxpy or ddot that ndarray.dot
+picks for the shape; _run_single is the same loop in Python, where the C
+library does not run and as the tests' reference. It keeps the
+predictions as Python floats. Its bits are the stacked path's: the
+unstacked sums add the same rows in the same order, a (d, d) solve_gram
+makes the same LAPACK call as a stack of one, and `.dot` products and the
+0-d `0.0 +` keep `@`'s bits (see fedres.engine); the (d, d).(d,)
+products, bare at d = 1, are subtracted only from prefix sums, which are
+never -0.0.
 
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
@@ -76,6 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .channel import DelayConfig
 from .core import HyperParams
 from .engine import RoundSystem
@@ -202,6 +210,15 @@ class ErmSystem(RoundSystem):
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
         self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
+
+    def _run_native(self, cols: native.Columns) -> None:
+        """_run_single in C (fedres.native), on the client's columns."""
+        wg, wl, fetched = self.wg.copy(), self.wl[0].copy(), self.fetched.copy()
+        frozen_rhs_g = self.frozen_rhs_g.copy()
+        native.erm(cols, self.erm, float(self.radius), wg, wl, fetched, self.frozen_rhs[0],
+                   frozen_rhs_g)
+        self.channel._last_published = self._rows
+        self.wg, self.wl, self.fetched, self.frozen_rhs_g = wg, wl[None], fetched, frozen_rhs_g
 
     def _run_single(self) -> None:
         """Every round of one client at zero delay, on unstacked sums and

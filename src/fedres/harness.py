@@ -30,7 +30,7 @@ from .baselines import central_view, independent_view
 from .core import DEFAULT_RADIUS, HyperParams, default_eta
 from .datagen import gen_appendixc, gen_example2, load_libsvm, partition_federated
 from .engine import run_fedres_sgd
-from .erm import run_fedres_erm, run_fictitious_play
+from .erm import BLOCK, run_fedres_erm, run_fictitious_play
 from .errors import ConfigError
 from .results import RunResult
 from .solver import alternating_joint_ls
@@ -50,7 +50,7 @@ SWEEP_AXES = ("clients", "delay")
 # Test rows scored per pass: one pass over all of a 100-client fleet's 20 000
 # rows page-faults its fresh arrays and costs more than a loop over clients.
 ACCURACY_ROWS = 4096
-MAX_DATA_ENTRIES = 2**31  # float64 entries (16 GiB) one rollout's data may take
+MAX_DATA_ENTRIES = 2**31  # float64 entries (16 GiB) one rollout's data and Grams may take
 OUTPUT_DIR_ENV = "FEDRES_OUTPUT_DIR"
 
 
@@ -114,8 +114,14 @@ class ExperimentConfig:
         rows = self.rounds + self.test_rounds * (uses_data and self.data == "example2")
         width = ({"example2": 2 * self.dim + 1, "appendixc": 5}.get(self.data, 1) if uses_data
                  else 8 * self.k_actions)
-        if (size := self.clients * rows * width) > MAX_DATA_ENTRIES:
-            raise ConfigError(f"the data would take {size:,} float64 entries; at most 2**31 fit")
+        size = self.clients * rows * width
+        if uses_data:  # clients x (dg + dl)^2 bounds the regret comparator's Gram blocks,
+            # and min(BLOCK, rounds) + 1 of them an exact learner's prefix-sum tables
+            tables = (min(BLOCK, self.rounds) + 1) * (self.algo in ("fedres-erm", "fictitious"))
+            size += self.clients * (width - 1) ** 2 * (1 + tables)
+        if size > MAX_DATA_ENTRIES:
+            raise ConfigError(f"the data and its Gram blocks would take {size:,} float64 "
+                              "entries; at most 2**31 fit")
 
     def hyper(self) -> HyperParams:
         eta = default_eta(self.rounds)

@@ -324,13 +324,18 @@ class TestCli:
         ["bandit", "--rounds", "100000000000"],
         ["bandit", "--actions", "100000000000"],
         ["sweep-clients", "--values", "2", "100000000000"],
+        # quadratic in the dimension: the regret comparator's clients x (2 dim)^2 Gram
+        # entries, and up to 129 times as many for an exact learner's prefix-sum tables
+        ["run", "--dim", "20000"],
+        ["run", "--algo", "fedres-erm", "--dim", "2000", "--rounds", "200"],
+        ["run", "--algo", "fictitious", "--dim", "2000", "--rounds", "200"],
     ])
     def test_bad_bandit_and_noise_settings_are_config_errors(self, argv, capsys):
         # argv's own flags come last, so they override the short horizon
         assert cli_main([argv[0], "--rounds", "10", "--output", "-", *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
-        if "100000000000" in argv:
+        if {"100000000000", "20000", "2000"} & set(argv):
             assert "float64 entries" in err
 
     def test_bandit_rejects_batching(self, capsys):

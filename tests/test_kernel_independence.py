@@ -3,7 +3,8 @@
 The recorded fixtures hold only under the kernel they were recorded on
 (see RECORDED_KERNEL in test_characterization.py), but the checks that
 compare two computations on the running kernel must hold on any of them:
-tests/test_differential.py (the loop oracles, and `@` against ndarray.dot)
+tests/test_differential.py (the loop oracles, and `@` against ndarray.dot),
+tests/test_native.py (the C single-client loops against the Python ones)
 and criteria 3 and 5. This reruns them in one subprocess under OpenBLAS's
 Haswell kernels, which round a dot product differently from this suite's
 recording kernel, SkylakeX. Haswell needs AVX2. The SSE3-only Prescott
@@ -22,7 +23,7 @@ import pytest
 from conftest import blas_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKS = ["tests/test_differential.py",
+CHECKS = ["tests/test_differential.py", "tests/test_native.py",
           "tests/test_acceptance.py::test_criterion_03_zero_delay_bit_equivalence",
           "tests/test_acceptance.py::test_criterion_05_minibatch_contracts"]
 KERNEL_PROBE = ("import sys; sys.path[:0] = ['tests']; "
