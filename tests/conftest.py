@@ -87,15 +87,15 @@ def rows_of(block) -> list[tuple]:
 
 
 def joint_loss(wg: np.ndarray, wl: np.ndarray, xg: np.ndarray, xl: np.ndarray, y) -> float:
-    """Squared loss of the joint prediction on one row: (y - wg.xg - wl.xl)^2."""
-    r = y - float(wg @ xg + wl @ xl)
+    """Squared loss of the joint prediction on one row: (y - xg.wg - xl.wl)^2."""
+    r = y - float(xg @ wg + xl @ wl)
     return float(r * r)
 
 
 def joint_grads(wg: np.ndarray, wl: np.ndarray, xg: np.ndarray, xl: np.ndarray,
                 y) -> tuple[np.ndarray, np.ndarray]:
     """Both block gradients of joint_loss: 2(pred - y) xg and 2(pred - y) xl."""
-    r = 2.0 * (wg @ xg + wl @ xl - y)
+    r = 2.0 * (xg @ wg + xl @ wl - y)
     return r * xg, r * xl
 
 

@@ -20,10 +20,12 @@ the round's rows, evaluated at a recorded (global, local) model pair:
 Warmup rounds (a step whose round is < 1) skip the step. At batch size
 b > 1, rounds are batch rounds and a delay of d rounds is ceil(d / b) of
 them. Reductions take the forms the engine documents: dot products are
-1-D `@`, a batch mean is np.add.reduce over the stacked rows divided by b,
-and the server sum is a `+` loop over clients from zeros. Models go through core.project_ball one
-vector at a time: conftest.ball_project_oracle does not nudge a scaled
-vector back inside the ball, so its bits differ whenever the ball binds.
+1-D `@` in the engine's operand order, features first (x . w: a kernel's
+ddot need not be symmetric), a batch mean is np.add.reduce over the
+stacked rows divided by b, and the server sum is a `+` loop over clients
+from zeros. Models go through core.project_ball one vector at a time:
+conftest.ball_project_oracle does not nudge a scaled vector back inside
+the ball, so its bits differ whenever the ball binds.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def run_oracle(dataset, delays, hyper, rounds: int, seed: int, *, variant: str =
                                      hyper.radius)
                 client_offsets[i].append((t - beta[i], t, beta[i]))
             g, w = pairs[i, t]
-            prediction[t - 1, i] = [g @ xg + w @ xl
+            prediction[t - 1, i] = [xg @ g + xl @ w
                                     for xg, xl in zip(x_global[t - 1, i], x_local[t - 1, i])]
         gsum, arrived = np.zeros(len(wg)), False
         for i in range(clients):

@@ -4,13 +4,18 @@ The recorded fixtures hold only under the kernel they were recorded on
 (see RECORDED_KERNEL in test_characterization.py), but the checks that
 compare two computations on the running kernel must hold on any of them:
 tests/test_differential.py (the loop oracles, and `@` against ndarray.dot),
-tests/test_native.py (the C single-client loops against the Python ones)
-and criteria 3 and 5. This reruns them in one subprocess under OpenBLAS's
-Haswell kernels, which round a dot product differently from this suite's
-recording kernel, SkylakeX. Haswell needs AVX2. The SSE3-only Prescott
-kernels would run anywhere, but their ddot is not symmetric: `x @ y` and
-`y @ x` differ at d >= 3, and the engine takes x . w where the oracles
-take w @ x, so seven differential cases fail there.
+tests/test_native.py (the C single-client loops against the Python ones),
+the regret comparator against its per-iteration oracle in
+tests/test_solver.py (whose skipped objective evaluations rest on a
+rounding-error bound that must hold under any kernel) and criteria 3
+and 5. This reruns them in one subprocess under OpenBLAS's Haswell
+kernels, which round a dot product differently from this suite's
+recording kernel, SkylakeX. Haswell needs AVX2. OPENBLAS_CORETYPE=Prescott
+would run anywhere, but it selects the Katmai core, whose ddot rounds
+differently when both operands sit 8 bytes off a 16-byte boundary, as
+rows of a (..., 3) array do. The oracles' operands sit at other addresses
+than the engine's, which is the likely reason five differential cases
+fail there.
 """
 
 import os
@@ -24,6 +29,8 @@ from conftest import blas_kernel
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS = ["tests/test_differential.py", "tests/test_native.py",
+          "tests/test_solver.py::TestComparatorMatchesOracle",
+          "tests/test_solver.py::test_screened_comparator_keeps_the_oracle_bits",
           "tests/test_acceptance.py::test_criterion_03_zero_delay_bit_equivalence",
           "tests/test_acceptance.py::test_criterion_05_minibatch_contracts"]
 KERNEL_PROBE = ("import sys; sys.path[:0] = ['tests']; "

@@ -14,6 +14,10 @@ prefix-sum reads; their -native twins run the C loops, which make no
 Python call per round: what they count is set-up. The delayed SGD cases
 run blocks of several rounds, whose only per-round calls are the
 projections.
+
+The regret comparator's work is bounded the same way: the number of times
+solver.alternating_joint_ls evaluates its n-row objective per fit, which
+its Gram-space screen keeps to the alternations it cannot decide.
 """
 
 import cProfile
@@ -23,7 +27,10 @@ import numpy as np
 import pytest
 
 import fedres
-from fedres import native
+from fedres import native, solver
+from fedres.core import DEFAULT_RADIUS
+from fedres.datagen import gen_appendixc
+from fedres.engine import build_streams
 from fedres.harness import ExperimentConfig, build_dataset, dispatch
 
 PACKAGE = str(Path(fedres.__file__).parent)
@@ -65,3 +72,22 @@ def test_calls_per_round_stay_within_bound(name, monkeypatch):
     else:
         monkeypatch.setattr(native, "LOOPS", None)
     assert calls_per_round(cfg, init) <= bound
+
+
+# name: (dataset, rounds, objective evaluations per fit); evaluating after
+# every alternation would take 127 and 3
+COMPARATOR_CASES = {
+    "appendixc": (lambda: gen_appendixc(20_000, 1), 20_000, 2),
+    "fleet": (lambda: build_dataset(CASES["sgd-fleet"][0], 0), 500, 2),
+}
+
+
+@pytest.mark.parametrize("name", COMPARATOR_CASES)
+def test_comparator_objective_evaluations_stay_within_bound(name):
+    make_dataset, rounds, bound = COMPARATOR_CASES[name]
+    streams = build_streams(make_dataset(), rounds, 0, 1)
+    xg, xl, y = (a.swapaxes(0, 1).reshape(a.shape[1], rounds, *a.shape[3:]) for a in streams)
+    profile = cProfile.Profile()
+    profile.runcall(solver.alternating_joint_ls, xg, xl, y, DEFAULT_RADIUS)
+    assert sum(entry.callcount for entry in profile.getstats()
+               if entry.code is solver._objective.__code__) <= bound

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedres import solver
 from fedres.baselines import central_view, independent_view
 from fedres.core import DEFAULT_RADIUS
 from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
@@ -201,3 +204,78 @@ class TestComparatorMatchesOracle:
         assert np.linalg.norm(wg) == pytest.approx(radius, rel=1e-6)
         norms = np.linalg.norm(wls, axis=1)
         assert np.isclose(norms, radius, rtol=1e-6).sum() >= 3 and norms.max() <= radius * (1 + 1e-9)
+
+
+@st.composite
+def joint_fits(draw):
+    """A comparator fit drawn over P 1-6, n 1-300, dg and dl 0-4, data scales
+    1e-150 to 1e152, a radius from binding to loose and tol in {0, 1e-12,
+    1e-8, 1e-4}: labels from a joint model plus noise, on the features' scale
+    or on another."""
+    p, n = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    dg, dl = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    x_scale = 10.0 ** draw(st.integers(-150, 152))
+    y_scale = draw(st.sampled_from([x_scale, 10.0 ** draw(st.integers(-150, 152))]))
+    noise = draw(st.sampled_from((0.0, 1e-6, 1e-2, 1.0)))
+    radius = 10.0 ** draw(st.floats(-3.0, 3.0))
+    tol = draw(st.sampled_from((0.0, 1e-12, 1e-8, 1e-4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xg, xl = rng.normal(0, x_scale, (p, n, dg)), rng.normal(0, x_scale, (p, n, dl))
+    model = xg @ rng.normal(0, 1, dg) + np.vecdot(xl, rng.normal(0, 1, (p, 1, dl)))
+    y = model * (y_scale / x_scale) + rng.normal(0, noise * y_scale, (p, n))
+    return xg, xl, y, radius, tol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_screened_comparator_keeps_the_oracle_bits(monkeypatch):
+    """alternating_joint_ls skips the n-row objective while its Gram-space
+    screen proves the loop goes on; its (wg, wls, objective) must still have
+    the bits of the oracle, which evaluates the objective after every
+    alternation. 150 derandomized draws (joint_fits). So that the check is
+    not vacuous, each of these kinds must make up at least 10% of them:
+    draws that skip an evaluation, that skip and then stop on the
+    alternation the screen hands over, that never skip, that bind the
+    radius, that have a zero-width block, and that run at tol 0."""
+    objective, solve = solver._objective, solver.solve_gram
+    counts = {"evaluations": 0, "solves": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_objective", counted("evaluations", objective))
+    monkeypatch.setattr(solver, "solve_gram", counted("solves", solve))
+    kinds = {k: 0 for k in ("skip", "stop at hand-over", "never skip", "binding", "zero width",
+                            "tol 0")}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(joint_fits())
+    def check(fit):
+        xg, xl, y, radius, tol = fit
+        try:
+            want_g, want_l, want_obj = alternating_joint_ls_oracle(list(xg), list(xl), list(y),
+                                                                   radius, tol)
+        except np.linalg.LinAlgError:  # a Gram block that the base ridge cannot lift
+            with pytest.raises(np.linalg.LinAlgError):
+                alternating_joint_ls(xg, xl, y, radius, tol)
+            return
+        counts.update(evaluations=0, solves=0)
+        wg, wls, obj = alternating_joint_ls(xg, xl, y, radius, tol)
+        assert wg.tobytes() == want_g.tobytes()
+        assert wls.tobytes() == np.array(want_l).reshape(wls.shape).tobytes()
+        assert obj.hex() == want_obj.hex()
+        alternations = counts["solves"] // 2
+        skipped = alternations + 1 - counts["evaluations"]
+        kinds["skip"] += skipped > 0
+        kinds["stop at hand-over"] += skipped > 0 and counts["evaluations"] == 2
+        kinds["never skip"] += skipped == 0
+        norms = np.sqrt(np.append(np.vecdot(wls, wls), wg @ wg))
+        kinds["binding"] += bool(np.any(norms >= radius * (1 - 1e-9)))
+        kinds["zero width"] += 0 in xg.shape + xl.shape
+        kinds["tol 0"] += tol == 0.0
+
+    check()
+    assert min(kinds.values()) >= 15, kinds
