@@ -28,8 +28,8 @@ typedef int64_t blasint; /* scipy-openblas64: ILP64 integers */
 
 enum { ROW_MAJOR = 101, NO_TRANS = 111 }; /* CblasRowMajor, CblasNoTrans */
 
-/* Statuses; the failing round goes to *failed_round. */
-enum { OK = 0, LOCAL_NOT_FINITE = 1, GLOBAL_NOT_FINITE = 2, SINGULAR = 3, NO_MEMORY = 4 };
+/* Statuses (fedres.native's): which model failed, and how. */
+enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, LOCAL_SINGULAR, GLOBAL_SINGULAR, NO_MEMORY };
 
 static const double BASE_RIDGE = 1e-10;      /* solver.BASE_RIDGE */
 static const double BISECT_REL_TOL = 1e-10;  /* solver._BISECT_REL_TOL */
@@ -113,16 +113,16 @@ static blasint ridge_solve(const double *ata, const double *atb, blasint d, doub
     return info;
 }
 
-/* solver._solve_one: the ridge solve, then bisection on the ridge */
+/* solver._solve_one: the ridge solve, then bisection on the ridge; -1 if singular */
 static int solve_one(const double *ata, const double *atb, blasint d, double radius,
                      Solver *s, double *w)
 {
     double norm, lo, hi, mid, limit;
     blasint i;
     if (ridge_solve(ata, atb, d, BASE_RIDGE, s, w))
-        return SINGULAR;
+        return -1;
     if (sqrt(dot(w, w, d)) <= radius)
-        return OK;
+        return 0;
     lo = BASE_RIDGE;
     hi = sqrt(dot(atb, atb, d)) / radius;
     limit = 2.0 * BASE_RIDGE;
@@ -130,7 +130,7 @@ static int solve_one(const double *ata, const double *atb, blasint d, double rad
         hi = limit;
     for (;;) {
         if (ridge_solve(ata, atb, d, hi, s, s->trial))
-            return SINGULAR;
+            return -1;
         if (!(sqrt(dot(s->trial, s->trial, d)) > radius))
             break;
         hi *= 2.0;
@@ -138,24 +138,24 @@ static int solve_one(const double *ata, const double *atb, blasint d, double rad
     while (hi - lo > BISECT_REL_TOL * hi) {
         mid = 0.5 * (lo + hi);
         if (ridge_solve(ata, atb, d, mid, s, s->trial))
-            return SINGULAR;
+            return -1;
         if (sqrt(dot(s->trial, s->trial, d)) > radius)
             lo = mid;
         else
             hi = mid;
     }
     if (ridge_solve(ata, atb, d, hi, s, w))
-        return SINGULAR;
+        return -1;
     norm = sqrt(dot(w, w, d));
     if (norm > radius) {
         double f = radius / norm;
         for (i = 0; i < d; i++)
             w[i] = w[i] * f;
     }
-    return OK;
+    return 0;
 }
 
-/* solver.solve_gram's path for one (d, d) problem, into w */
+/* solver.solve_gram's path for one (d, d) problem, into w; -1 when singular */
 static int solve_gram(const double *ata, const double *atb, blasint d, double radius,
                       Solver *s, double *w)
 {
@@ -164,7 +164,7 @@ static int solve_gram(const double *ata, const double *atb, blasint d, double ra
         for (i = 0; i < d; i++) /* solve1 fills a failed solution with NaN */
             w[i] = NAN;
     if (sqrt(dot(w, w, d)) <= radius)
-        return OK;
+        return 0;
     return solve_one(ata, atb, d, radius, s, w);
 }
 
@@ -185,18 +185,18 @@ static void add_scaled(double *sum, double c, const double *x, blasint n)
         sum[i] += c * x[i];
 }
 
-/* Streams: round t reads xg + t sxg (dg,), xl + t sxl (dl,), y[t sy] and
-   writes pred[t sp] (strides in doubles). */
+/* Streams: C-contiguous rows; round t reads xg + t dg (dg,), xl + t dl (dl,)
+   and y[t] and writes pred[t]. */
 typedef struct {
-    blasint rows, dg, dl, sxg, sxl, sy, sp;
+    blasint rows, dg, dl;
     const double *xg, *xl, *y;
     double *pred;
 } Streams;
 
 /* engine.SgdSystem._run_single: wg, wl hold the initial models and get the
-   final ones; fetched gets the last round's fetch. */
+   final ones; *last_round gets the failing round, or the rows. */
 int fedres_sgd(const Streams *in, double eta_g, double eta_l, double radius, double *wg,
-               double *wl, double *fetched, int64_t *failed_round)
+               double *wl, int64_t *last_round)
 {
     blasint t, i, dg = in->dg, dl = in->dl;
     double *v = malloc((size_t)(dg > dl ? dg : dl) * sizeof(double));
@@ -204,9 +204,8 @@ int fedres_sgd(const Streams *in, double eta_g, double eta_l, double radius, dou
     if (!v)
         return NO_MEMORY;
     for (t = 0; t < in->rows; t++) {
-        const double *xg = in->xg + t * in->sxg, *xl = in->xl + t * in->sxl;
-        double y = in->y[t * in->sy], gp, r, c, p;
-        memcpy(fetched, wg, (size_t)dg * sizeof(double));
+        const double *xg = in->xg + t * dg, *xl = in->xl + t * dl;
+        double y = in->y[t], gp, r, c, p;
         gp = dot(xg, wg, dg) + 0.0;
         r = gp + dot(xl, wl, dl) - y;
         c = 2.0 * r;
@@ -216,7 +215,7 @@ int fedres_sgd(const Streams *in, double eta_g, double eta_l, double radius, dou
             status = LOCAL_NOT_FINITE;
             break;
         }
-        p = in->pred[t * in->sp] = gp + dot(xl, wl, dl);
+        p = in->pred[t] = gp + dot(xl, wl, dl);
         r = p - y;
         c = 2.0 * r;
         for (i = 0; i < dg; i++)
@@ -226,20 +225,21 @@ int fedres_sgd(const Streams *in, double eta_g, double eta_l, double radius, dou
             break;
         }
     }
-    *failed_round = t + 1;
+    *last_round = t + (status != OK);
     free(v);
     return status;
 }
 
-/* erm.ErmSystem._run_single, erm (re-applying) or fictitious: wg, wl and
-   frozen_rhs_g hold the initial values and get the final ones, frozen_rhs
-   is updated in place every round, fetched gets the last round's fetch. */
+/* erm.ErmSystem._run_single, erm (re-applying) or fictitious, as
+   fedres_sgd. */
 int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl,
-               double *fetched, double *frozen_rhs, double *frozen_rhs_g, int64_t *failed_round)
+               int64_t *last_round)
 {
     blasint t, i, dg = in->dg, dl = in->dl, d = dg > dl ? dg : dl;
     /* client sums over rows [0, t): gram (dl, dl), ly (dl), cross (dl, dg);
-       server sums over rows [0, t]: gram_g (dg, dg), gy (dg), cross_g (dg, dl) */
+       server sums over rows [0, t]: gram_g (dg, dg), gy (dg), cross_g (dg, dl);
+       fictitious keeps its frozen right-hand sums, of (y - gp) xl over rows
+       [0, t) and of (y - lp) xg over rows [0, t], in ly and gy */
     size_t client = (size_t)(dl * dl + dl + dl * dg), server = (size_t)(dg * dg + dg + dg * dl);
     double *sums = calloc(client + server + (size_t)(d * d + 3 * d), sizeof(double));
     blasint *pivots = malloc((size_t)d * sizeof(blasint));
@@ -256,29 +256,26 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
     s.lu = sums + client + server, s.trial = s.lu + d * d, s.pivots = pivots;
     rhs = s.trial + d, product = rhs + d;
     for (t = 0; t < in->rows; t++) {
-        const double *xg = in->xg + t * in->sxg, *xl = in->xl + t * in->sxl;
-        double y = in->y[t * in->sy], gp, lp;
-        memcpy(fetched, wg, (size_t)dg * sizeof(double));
+        const double *xg = in->xg + t * dg, *xl = in->xl + t * dl;
+        double y = in->y[t], gp, lp;
         if (t) { /* every archive holds a sample */
-            const double *pxg = xg - in->sxg, *pxl = xl - in->sxl;
-            double py = in->y[(t - 1) * in->sy];
+            const double *pxg = xg - dg, *pxl = xl - dl;
             add_outer(gram, pxl, pxl, dl, dl);
             if (erm) {
-                add_scaled(ly, py, pxl, dl);
+                add_scaled(ly, in->y[t - 1], pxl, dl);
                 add_outer(cross, pxl, pxg, dl, dg);
                 matvec(cross, wg, dl, dg, product);
                 for (i = 0; i < dl; i++)
                     rhs[i] = ly[i] - product[i];
-                status = solve_gram(gram, rhs, dl, radius, &s, wl);
-            } else {
-                status = solve_gram(gram, frozen_rhs, dl, radius, &s, wl);
             }
-            if (status)
+            if (solve_gram(gram, erm ? rhs : ly, dl, radius, &s, wl)) {
+                status = LOCAL_SINGULAR;
                 break;
+            }
         }
         gp = dot(xg, wg, dg) + 0.0;
         lp = dot(xl, wl, dl) + 0.0;
-        in->pred[t * in->sp] = gp + lp;
+        in->pred[t] = gp + lp;
         add_outer(gram_g, xg, xg, dg, dg);
         if (erm) {
             add_scaled(gy, y, xg, dg);
@@ -286,16 +283,16 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
             matvec(cross_g, wl, dg, dl, product);
             for (i = 0; i < dg; i++)
                 rhs[i] = 0.0 + (gy[i] - product[i]);
-            status = solve_gram(gram_g, rhs, dg, radius, &s, wg);
         } else {
-            add_scaled(frozen_rhs, y - gp, xl, dl);
-            add_scaled(frozen_rhs_g, y - lp, xg, dg);
-            status = solve_gram(gram_g, frozen_rhs_g, dg, radius, &s, wg);
+            add_scaled(ly, y - gp, xl, dl);
+            add_scaled(gy, y - lp, xg, dg);
         }
-        if (status)
+        if (solve_gram(gram_g, erm ? rhs : gy, dg, radius, &s, wg)) {
+            status = GLOBAL_SINGULAR;
             break;
+        }
     }
-    *failed_round = t + 1;
+    *last_round = t + (status != OK);
     free(sums);
     free(pivots);
     return status;

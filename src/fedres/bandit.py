@@ -159,8 +159,7 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
     if period < 1:
         raise ConfigError(f"exploration period must be >= 1, got {period}")
     xg, xl, reward = episode.context_global, episode.context_local, episode.reward
-    rounds, clients, k, dg = xg.shape
-    dl = xl.shape[-1]
+    rounds, clients, k = xg.shape[:3]
     explored = np.arange(period - 1, rounds, period)  # each full block's last round
     # the picks one call per block would draw: integers() takes 32-bit draws, and
     # PCG64 keeps the spare half of a 64-bit output between calls
@@ -169,12 +168,14 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
     system = SgdSystem((xg[at][:, :, None], xl[at][:, :, None], reward[at][:, :, None]),
                        as_delay_config(delays, clients), hyper)
     blocks = -(-rounds // period)
-    pair_g, pair_l = np.empty((blocks, clients, dg)), np.empty((blocks, clients, dl))
+    pair_l = np.empty((blocks, clients, xl.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # as in run(): a blow-up is InvariantError
         for j in range(blocks):  # block j acts on the pair after j steps
-            pair_g[j], pair_l[j] = system.fetched, system.wl  # fetched is (dg,) under uniform beta
+            pair_l[j] = system.wl
             if j < len(explored):
                 system.step()
+    # the global half: each client's fetch in round max(j, 1), (blocks, 1 or P, dg)
+    pair_g = system.channel.fetches(np.maximum(np.arange(blocks), 1))
     in_force = np.arange(rounds) // period
     action, values = choose_action(pair_g[in_force], pair_l[in_force], xg, xl)
     action[explored] = picks

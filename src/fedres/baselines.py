@@ -2,12 +2,14 @@
 
 Independent re-routes every feature into the local block (empty global
 block, no effective communication, zero delay by construction); Central
-re-routes everything into the global block (empty local block), so the
+keeps the global block and drops the local one (empty local block), so the
 server does all the learning over delay-subjected uploads and clients
-predict with the delayed global model alone. Both are literally the
-residual engine on a transformed dataset: run_fedres_sgd on
-independent_view(dataset) (with zero delays) or central_view(dataset), so
-any engine fix reaches all three schemes identically.
+predict with the delayed global model alone. On a partitioned LIBSVM
+corpus Central therefore never sees the local half of the coordinates; on
+example2 both blocks hold the same coordinates, and nothing is lost. Both
+are literally the residual engine on a transformed dataset: run_fedres_sgd
+on independent_view(dataset) (with zero delays) or central_view(dataset),
+so any engine fix reaches all three schemes identically.
 """
 
 from __future__ import annotations

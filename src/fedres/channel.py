@@ -14,11 +14,14 @@ reach the server in them. Neither takes a round: the count of published
 rounds is the run's only round counter, and fetch counts and in-flight
 messages derive from it. rewind() takes the rounds the last publish opened
 back, so that they can be opened again one at a time.
-The global models are one more round-indexed column: row max(beta) + r - 1
-of the history holds the model in force when round r opens, the max(beta)
-rows in front of round 1 the initial model. A round's fetches are one row
-per client (one slice when beta is uniform), and the learner writes the
-models after the open rounds into their rows, `after`. A block fetches
+The global models are one more round-indexed column: row R + r - 1 of the
+history holds the model in force when round r opens and the R rows in front
+of round 1 the initial model, R = max(beta) capped at the run's rounds (a
+longer downlink fetches the initial model throughout). A round's fetches
+are one row per client (one slice when beta is uniform), and the learner
+writes the models after the open rounds into their rows, `after`. The
+history is the one record of every fetch: fetches(rounds) gathers any past
+round's by the same row rule publish_global applies. A block fetches
 nothing newer than its first round's model as long as it is at most
 min(beta) + 1 rounds long.
 A channel serves one single-threaded run.
@@ -38,9 +41,11 @@ _INT = (Integral, np.bool_)  # bools pass this screen only to be rejected by _de
 
 
 def _delay(value) -> int:
-    """A delay as a plain int: integers (NumPy's too) pass, bools and the rest do not."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Integral) or value < 0:
-        raise ConfigError(f"delays must be nonnegative integers, got {value!r}")
+    """A delay as a plain int: integers (NumPy's too) below 2**62, so that a
+    round trip fits an int64, pass; bools and the rest do not."""
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, Integral)
+            or not 0 <= value < 2**62):
+        raise ConfigError(f"delays must be integers in [0, 2**62), got {value!r}")
     return int(value)
 
 
@@ -140,13 +145,17 @@ class DelayedChannel:
     def __init__(self, delays: DelayConfig, initial_global: np.ndarray, rounds: int):
         self.delays = delays
         initial = np.asarray(initial_global, dtype=float)
-        self._reach = max(delays.beta, default=0)  # the rows in front of round 1
+        # the rows in front of round 1: a longer downlink reads the initial model throughout
+        self._reach = min(max(delays.beta, default=0), rounds)
         self._history = np.empty((self._reach + rounds + 1, *initial.shape))
         self._history[:self._reach + 1] = initial  # rounds <= 1 open on the initial model
         self._clients = self._history[:, None]  # uniform beta: every client reads one slice
-        self._beta = delays.beta[0]
-        # per-client beta: client i's fetch in the first new round is row now + offsets[i]
-        self._offsets = None if len(set(delays.beta)) <= 1 else -np.array(delays.beta, dtype=int)
+        self._uniform = len(set(delays.beta)) <= 1
+        # the fetch rule: client i's fetch in round r is row r + _fetch[i] of the
+        # history, the model in force when round r - beta[i] opens (one int for
+        # every client when beta is uniform)
+        beta = min(delays.beta[0], rounds) if self._uniform else np.minimum(delays.beta, rounds)
+        self._fetch = self._reach - 1 - beta
         self._arrivals = Lag(delays.alpha, rounds)
         self._rounds = rounds
         self._open = 1  # rounds the last publish opened
@@ -163,11 +172,16 @@ class DelayedChannel:
         self._last_published, self._open = done + rounds, rounds
         now = self._reach + done  # the row in force when the first new round opens
         self.after = self._history[now + 1:now + 1 + rounds]
-        if self._offsets is not None:
-            rows = self._offsets if rounds == 1 else np.arange(rounds)[:, None] + self._offsets
-            return self._history[now + rows]
-        start = now - self._beta  # round done + 1 + k fetches row start + k
+        start = done + 1 + self._fetch  # round done + 1 + k fetches row start + k
+        if not self._uniform:
+            return self._history[start if rounds == 1 else np.arange(rounds)[:, None] + start]
         return self._history[start] if rounds == 1 else self._clients[start:start + rounds]
+
+    def fetches(self, rounds: np.ndarray) -> np.ndarray:
+        """Every client's fetch in each of `rounds` (round numbers from 1 to
+        one past the last published), gathered from the history: (len(rounds),
+        1, d) when beta is uniform, else (len(rounds), clients, d)."""
+        return self._history[np.asarray(rounds)[:, None] + self._fetch]
 
     def exchange(self):
         """Every client sent its message of each round the last publish

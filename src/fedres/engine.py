@@ -59,30 +59,33 @@ The variants differ only in which residual each side reads:
 "asymmetric" and "misaligned" are documented-but-discouraged rules for A/B
 runs; both predict with the pre-step local model.
 
-Single client: one client at zero delay with batch size 1 under the
-aligned rule (the three-way protocol's shape) is where a round costs the
-most per sample, and blocks cannot help it: a zero round trip makes every
-block one round long. The input alone selects a loop of its own in run():
-each round reads the rows x[t, 0, 0] by index, fetches wg itself, prices
-and steps the client, then the server, and projects through
-project_ball's 1-D path; the channel's history, exchange() and the
-(P, b, d) shapes are skipped, and the channel is told the round count at
-the end (or at a failure). The loop runs in C (_run_native, see
-fedres.native) wherever that library loaded: rows are read and
-predictions written in place, every (d,).(d,) product is a call of the
-OpenBLAS ddot that 1-D ndarray.dot makes (a bare product at d = 1) and
-every other operation one IEEE double operation in the Python loop's
-order, so its bits are the Python loop's. _run_single is that Python loop,
-which runs where the C library does not (no C compiler, another BLAS)
-and is the reference tests/test_native.py compares against. It takes
-ndarray.dot products, keeps labels, residuals and the prediction as
-Python floats and the step sizes and the server's `0.0 +` as 0-d arrays.
-Its bits are the block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's
-kernel, with less dispatch (at d = 1 a bare product, which `@` adds to
-0.0: hence gp's `+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a
-Python float's IEEE operation on a faster path; Python float `+`, `-` and
-`*` are NumPy's IEEE operations; and the 1-D and 2-D projections compute
-rows alike. step() and every other input take the block path.
+Single client: one client at zero delay with batch size 1 under the aligned
+rule (the three-way protocol's shape) is where a round costs the most per
+sample, and blocks cannot help it: a zero round trip makes every block one
+round long. The input alone selects a loop of its own in run(): each round
+reads the rows x[t, 0, 0] by index, prices and steps the client at the
+fetch wg, then the server, and projects through project_ball's 1-D path;
+the channel's history, exchange() and the (P, b, d) shapes are skipped. The
+loop takes the rows and the initial models and returns (wg, wl, status,
+round): the final models, or a fedres.native status naming the model that
+failed and its round. run() alone turns that into the round count, the
+final models or the InvariantError. The loop runs in C (_run_native, see
+fedres.native) wherever that library loaded and the rows are C-contiguous,
+as build_streams gives them: rows are read and predictions written in
+place, every (d,).(d,) product is a call of the OpenBLAS ddot that 1-D
+ndarray.dot makes (a bare product at d = 1) and every other operation one
+IEEE double operation in the Python loop's order, so its bits are the
+Python loop's. _run_single is that Python loop, which runs where the C
+library does not (no C compiler, another BLAS) and is the reference
+tests/test_native.py compares against. It takes ndarray.dot products, keeps
+labels, residuals and the prediction as Python floats and the step sizes
+and the server's `0.0 +` as 0-d arrays. Its bits are the block path's:
+`.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less dispatch (at
+d = 1 a bare product, which `@` adds to 0.0: hence gp's `+ 0.0`, and no sum
+with gp is -0.0); a 0-d operand is a Python float's IEEE operation on a
+faster path; Python float `+`, `-` and `*` are NumPy's IEEE operations; and
+the 1-D and 2-D projections compute rows alike. step() and every other
+input take the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
 would, so the bits do not depend on L. Dot products are np.vecdot, whose
@@ -108,6 +111,13 @@ from .errors import ConfigError, InvariantError
 from .results import RunResult, check_finite, squared_loss
 
 VARIANTS = ("aligned", "misaligned", "asymmetric")
+# the single-client loops' failures (fedres.native's statuses), each naming its round
+FAILURES = {
+    native.LOCAL_NOT_FINITE: "the local model of client 0 has a non-finite norm after round {}",
+    native.GLOBAL_NOT_FINITE: "the global model has a non-finite norm after round {}",
+    native.LOCAL_SINGULAR: "a local solve in round {} has a singular Gram block",
+    native.GLOBAL_SINGULAR: "the global solve in round {} has a singular Gram block",
+}
 
 
 class RoundSystem:
@@ -124,8 +134,8 @@ class RoundSystem:
     block's rows and, when the channel says rows have arrived in it, the
     server on them. step() runs a block of one round and run() blocks of
     `block` rounds, or for one client at zero delay with batch size 1 the
-    learner's own loop: _run_native in C where fedres.native loaded, else
-    _run_single (see the module doc). Stepping past the streams
+    learner's own loop: _run_native in C where fedres.native takes the
+    rows, else _run_single (see the module doc). Stepping past the streams
     and run() after step() are ConfigErrors. The models start at zero
     unless init_global and init_locals are given.
     """
@@ -138,6 +148,8 @@ class RoundSystem:
         dg, dl = self.x_global.shape[-1], self.x_local.shape[-1]
         if delays.clients != clients:
             raise ConfigError(f"{delays.clients} delay entries for {clients} clients")
+        if init_global is not None and np.shape(init_global) != (dg,):
+            raise ConfigError(f"need a global model of dimension {dg}")
         if init_locals is not None and [np.shape(w) for w in init_locals] != [(dl,)] * clients:
             raise ConfigError(f"need {clients} local models of dimension {dl}")
         self.wg = np.zeros(dg) if init_global is None else np.array(init_global, dtype=float)
@@ -147,8 +159,6 @@ class RoundSystem:
         self.prediction = np.zeros(self.label.shape)
         self.block = 1  # rounds per run() block; SgdSystem sets its own
         self.channel = DelayedChannel(delays, self.wg, rows)
-        # every client's fetch in the last open round: (dg,) when beta is uniform, else (P, dg)
-        self.fetched = self.wg
         self._rows = rows
         # one client at zero delay with batch size 1: run() takes _run_single
         self._single = clients == 1 and self.label.shape[2] == 1 and delays.round_trips == (0,)
@@ -173,12 +183,8 @@ class RoundSystem:
         channel = self.channel
         fetched = channel.publish_global(n)
         start = channel._last_published - n
-        if n == 1:  # a block of one round has no round axis, like one row of the streams
-            self.fetched = fetched
-            self._client_step(start, fetched, 1)
-        else:
-            self.fetched = fetched[-1]
-            self._client_step(slice(start, start + n), fetched, n)
+        # a block of one round has no round axis, like one row of the streams
+        self._client_step(start if n == 1 else slice(start, start + n), fetched, n)
         arrivals = channel.exchange()
         if arrivals is None:
             channel.after[:] = self.wg
@@ -187,10 +193,11 @@ class RoundSystem:
 
     def run(self) -> RunResult:
         """Run every row and return the run's columns: one client at zero
-        delay with batch size 1 in _run_single's loop, anything else in
-        blocks. A block that raises InvariantError is replayed from its start
-        a round at a time, so the error names the round and client that
-        blocks of one would."""
+        delay with batch size 1 in the learner's single-client loop, which
+        returns (wg, wl, status, round) and is the only thing run() reads
+        of it, anything else in blocks. A block that raises InvariantError is
+        replayed from its start a round at a time, so the error names the
+        round and client that blocks of one would."""
         channel = self.channel
         if channel._last_published:
             raise ConfigError(f"run() needs a fresh system; this one has stepped "
@@ -199,11 +206,14 @@ class RoundSystem:
             try:
                 if not self._single:
                     self._run_blocks()
-                # LOOPS first: the Python loop's set-up stays free of extra calls
-                elif native.LOOPS is None or (cols := self._native_columns()) is None:
-                    self._run_single()
                 else:
-                    self._run_native(cols)
+                    # LOOPS first: the Python loop's set-up stays free of extra calls
+                    cols = None if native.LOOPS is None else self._native_columns()
+                    wg, wl, status, channel._last_published = (
+                        self._run_single() if cols is None else self._run_native(cols))
+                    if status:
+                        raise InvariantError(FAILURES[status].format(channel._last_published))
+                    self.wg, self.wl = wg, wl[None]
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
                 done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
@@ -272,51 +282,39 @@ class SgdSystem(RoundSystem):
         self._history = Lag(lags, self._rows)
         self._fresh = self._aligned and min(lags) == 0
         # the local models after each round of a block of several price its rows (aligned)
-        self._wl_after = np.empty((block, *self.wl.shape))
+        self._wl_after = np.empty((min(block, self._rows), *self.wl.shape))
         self._single = self._single and self._aligned
 
-    def _run_native(self, cols: native.Columns) -> None:
-        """_run_single in C (fedres.native), on the client's columns."""
-        wg, wl, fetched = self.wg.copy(), self.wl[0].copy(), self.fetched.copy()
-        failed, t = native.sgd(cols, float(self.eta_global), self.eta_local[0, 0],
-                               float(self.radius), wg, wl, fetched)
-        if failed:
-            raise self._failed(t, "the global model" if failed == native.GLOBAL_NOT_FINITE
-                               else "the local model of client 0")
-        self.channel._last_published = self._rows
-        self.wg, self.wl, self.fetched = wg, wl[None], fetched
+    def _run_native(self, cols: native.Columns) -> tuple:
+        """_run_single in C (fedres.native), on the client's rows."""
+        return native.sgd(cols, float(self.eta_global), self.eta_local[0, 0],
+                          float(self.radius), self.wg, self.wl[0])
 
-    def _run_single(self) -> None:
+    def _run_single(self) -> tuple:
         """Every round of one client at zero delay and batch size 1, the
-        rows x[t, 0, 0] read by index: the fetch is wg, the client steps on
-        its pre-step residual and predicts, and the server steps on the new
-        residual. Residuals and predictions are Python floats."""
+        rows x[t, 0, 0] read by index: the client steps on its residual at
+        the fetch wg and predicts, and the server steps on the new residual.
+        Residuals and predictions are Python floats. Returns (wg, wl,
+        status, round): the final models, or the ones in force when the
+        model that status names failed in that round."""
         xg_rows, xl_rows, prediction = self._xg[:, 0], self._xl[:, 0], self.prediction[:, 0, 0]
-        wg, wl, fetched, radius = self.wg, self.wl[0], self.fetched, self.radius
+        wg, wl, radius = self.wg, self.wl[0], self.radius
         eta_g, eta_l, zero = map(np.array, (float(self.eta_global), self.eta_local[0, 0], 0.0))
         for t, y in enumerate(self.label[:, 0, 0].tolist()):
             xg, xl = xg_rows[t], xl_rows[t]
-            fetched = wg
-            gp = float(xg.dot(fetched)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
+            gp = float(xg.dot(wg)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
             r = gp + float(xl.dot(wl)) - y
             try:
                 wl = project_ball(wl - eta_l * ((2.0 * r) * xl), radius)
             except InvariantError:
-                raise self._failed(t + 1, "the local model of client 0") from None
+                return wg, wl, native.LOCAL_NOT_FINITE, t + 1
             p = prediction[t] = gp + float(xl.dot(wl))
             r = p - y
             try:
                 wg = project_ball(wg - eta_g * (zero + (2.0 * r) * xg), radius)
             except InvariantError:
-                raise self._failed(t + 1, "the global model") from None
-        self.channel._last_published = self._rows
-        self.wg, self.wl, self.fetched = wg, wl[None], fetched
-
-    def _failed(self, t: int, model: str) -> InvariantError:
-        """The error for a model whose norm overflowed in round t of the
-        single-client loop; the round clock stops at round t."""
-        self.channel._last_published = t
-        return InvariantError(f"{model} has a non-finite norm after round {t}")
+                return wg, wl, native.GLOBAL_NOT_FINITE, t + 1
+        return wg, wl, native.OK, self._rows
 
     def _client_step(self, rows, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.x_global[rows], self.x_local[rows], self.label[rows]

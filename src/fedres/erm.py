@@ -51,23 +51,27 @@ through np.add.accumulate; stacked products (cross @ fetched, np.vecdot,
 outer products x[..., :, None] * x[..., None, :]) and the stacked
 solve_gram equal their per-client forms. The results equal the
 per-client formulas exactly (tests/data/sgd_characterization.json).
+A singular Gram block ends a run with InvariantError, naming the solve
+(local or global) and its round, on the stacked path and in the
+single-client loop alike.
 
 One client at zero delay (the three-way protocol's shape) runs a loop of
-its own in run(): each round reads the rows by index, fetches wg itself,
-solves on unstacked (d, d) sums, and the server solves on the row just
-sent. It runs in C (_run_native, see fedres.native) wherever that library
-loaded, with running sums of the same terms in the same order, solves
-through the OpenBLAS dgesv that NumPy's solve1 calls (the bisection and
-np.linalg.solve's LinAlgError on a singular system included), and the
+its own in run(), under the contract of engine's: each round reads the rows
+by index, solves at the fetch wg on unstacked (d, d) sums, and the server
+solves on the row just sent; the fictitious sums start at zero in the loop,
+and it returns (wg, wl, status, round). It runs in C (_run_native, see
+fedres.native) wherever that library takes the rows, with running sums of
+the same terms in the same order, solves through the OpenBLAS dgesv that
+NumPy's solve1 calls (the bisection included; where np.linalg.solve would
+raise LinAlgError, the loop returns the singular solve's status), and the
 (d, d).(d,) products through the dgemv, daxpy or ddot that ndarray.dot
 picks for the shape; _run_single is the same loop in Python, where the C
-library does not run and as the tests' reference. It keeps the
-predictions as Python floats. Its bits are the stacked path's: the
-unstacked sums add the same rows in the same order, a (d, d) solve_gram
-makes the same LAPACK call as a stack of one, and `.dot` products and the
-0-d `0.0 +` keep `@`'s bits (see fedres.engine); the (d, d).(d,)
-products, bare at d = 1, are subtracted only from prefix sums, which are
-never -0.0.
+library does not run and as the tests' reference. It keeps the predictions
+as Python floats. Its bits are the stacked path's: the unstacked sums add
+the same rows in the same order, a (d, d) solve_gram makes the same LAPACK
+call as a stack of one, and `.dot` products and the 0-d `0.0 +` keep `@`'s
+bits (see fedres.engine); the (d, d).(d,) products, bare at d = 1, are
+subtracted only from prefix sums, which are never -0.0.
 
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
@@ -86,8 +90,8 @@ import numpy as np
 from . import native
 from .channel import DelayConfig
 from .core import HyperParams
-from .engine import RoundSystem
-from .errors import ConfigError
+from .engine import FAILURES, RoundSystem
+from .errors import ConfigError, InvariantError
 from .results import RunResult
 from .solver import solve_gram
 
@@ -189,7 +193,7 @@ class ErmSystem(RoundSystem):
                 rhs = ly - cross @ fetched
             else:
                 rhs = self.frozen_rhs
-            self.wl = solve_gram(gram, rhs, self.radius)
+            self.wl = self._solve(native.LOCAL_SINGULAR, gram, rhs)
         gp = np.vecdot(xg, fetched)
         lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
         self.pred[row] = gp + lp
@@ -209,39 +213,46 @@ class ErmSystem(RoundSystem):
             xg, y = self.xg[index], self.y[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
-        self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
+        self.wg = self.channel.after[0] = self._solve(native.GLOBAL_SINGULAR, gram_g, rhs)
 
-    def _run_native(self, cols: native.Columns) -> None:
-        """_run_single in C (fedres.native), on the client's columns."""
-        wg, wl, fetched = self.wg.copy(), self.wl[0].copy(), self.fetched.copy()
-        frozen_rhs_g = self.frozen_rhs_g.copy()
-        native.erm(cols, self.erm, float(self.radius), wg, wl, fetched, self.frozen_rhs[0],
-                   frozen_rhs_g)
-        self.channel._last_published = self._rows
-        self.wg, self.wl, self.fetched, self.frozen_rhs_g = wg, wl[None], fetched, frozen_rhs_g
+    def _solve(self, status: int, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """solve_gram on the open round's stacked blocks; a singular one ends
+        the run with the error of the single-client loop's status."""
+        try:
+            return solve_gram(gram, rhs, self.radius)
+        except np.linalg.LinAlgError:
+            raise InvariantError(FAILURES[status].format(self.channel._last_published)) from None
 
-    def _run_single(self) -> None:
+    def _run_native(self, cols: native.Columns) -> tuple:
+        """_run_single in C (fedres.native), on the client's rows."""
+        return native.erm(cols, self.erm, float(self.radius), self.wg, self.wl[0])
+
+    def _run_single(self) -> tuple:
         """Every round of one client at zero delay, on unstacked sums and
-        solves: the fetch is wg, the client solves and predicts, and the
-        server solves on the row just sent. Predictions are Python floats."""
+        solves: the client solves at the fetch wg and predicts, and the
+        server solves on the row just sent. Predictions are Python floats.
+        Returns (wg, wl, status, round) as SgdSystem._run_single does."""
         rows = xg_rows, xl_rows, labels = tuple(a[:, 0] for a in (self.xg, self.xl, self.y))
         pred = self.pred[:, 0]
-        wg, wl, fetched, radius, erm = self.wg, self.wl[0], self.fetched, self.radius, self.erm
-        frozen_rhs, frozen_rhs_g, zero = self.frozen_rhs[0], self.frozen_rhs_g, np.array(0.0)
+        wg, wl, radius, erm, zero = self.wg, self.wl[0], self.radius, self.erm, np.array(0.0)
+        frozen_rhs, frozen_rhs_g = np.zeros(wl.shape), np.zeros(wg.shape)  # fictitious only
         # (dl, dl) sums and not (1, dl, dl): the same rows added in the same order
         client_sums = _PrefixSums(partial(_client_terms, erm), rows).each(1)
         server_sums = _PrefixSums(partial(_server_terms, erm), rows).each(1)
         for t, y, (gram_g, *rest_g) in zip(range(self._rows), labels.tolist(), server_sums):
             xg, xl = xg_rows[t], xl_rows[t]
-            fetched = wg
             if t:  # every archive holds a sample
                 gram, *rest = next(client_sums)
                 if erm:
                     ly, cross = rest
-                    wl = solve_gram(gram, ly - cross.dot(fetched), radius)
+                    rhs = ly - cross.dot(wg)
                 else:
-                    wl = solve_gram(gram, frozen_rhs, radius)
-            gp = float(xg.dot(fetched)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
+                    rhs = frozen_rhs
+                try:
+                    wl = solve_gram(gram, rhs, radius)
+                except np.linalg.LinAlgError:
+                    return wg, wl, native.LOCAL_SINGULAR, t + 1
+            gp = float(xg.dot(wg)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
             lp = float(xl.dot(wl)) + 0.0
             pred[t] = gp + lp
             if erm:
@@ -250,9 +261,11 @@ class ErmSystem(RoundSystem):
             else:
                 frozen_rhs += (y - gp) * xl
                 rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg
-            wg = solve_gram(gram_g, rhs, radius)
-        self.channel._last_published = self._rows
-        self.wg, self.wl, self.fetched, self.frozen_rhs_g = wg, wl[None], fetched, frozen_rhs_g
+            try:
+                wg = solve_gram(gram_g, rhs, radius)
+            except np.linalg.LinAlgError:
+                return wg, wl, native.GLOBAL_SINGULAR, t + 1
+        return wg, wl, native.OK, self._rows
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,

@@ -31,7 +31,7 @@ from .core import DEFAULT_RADIUS, HyperParams, default_eta
 from .datagen import gen_appendixc, gen_example2, load_libsvm, partition_federated
 from .engine import run_fedres_sgd
 from .erm import BLOCK, run_fedres_erm, run_fictitious_play
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .results import RunResult
 from .solver import alternating_joint_ls
 
@@ -199,7 +199,11 @@ def compute_regret(result: RunResult, comparator=None, *,
         # explicit sizes: a view's block may have d = 0
         stacks = (a.swapaxes(0, 1).reshape(result.clients, records, *a.shape[3:])
                   for a in (result.x_global, result.x_local, result.label))
-        wg, wls, _ = alternating_joint_ls(*stacks, radius)
+        try:
+            wg, wls, _ = alternating_joint_ls(*stacks, radius)
+        except np.linalg.LinAlgError:
+            raise InvariantError("a solve of the regret comparator's fit has a singular Gram "
+                                 "block") from None
     else:
         wg, wls = comparator
         if len(wls) != result.clients:

@@ -2,11 +2,14 @@
 
 engine.SgdSystem and erm.ErmSystem run one client at zero delay with batch
 size 1 in a loop of their own (see fedres.engine). _loops.c holds those
-loops with every round in C. It makes the products and solves through the
-OpenBLAS entry points NumPy itself calls - scipy_cblas_ddot64_ (1-D
-ndarray.dot), scipy_cblas_dgemv64_ and scipy_cblas_daxpy64_ (the (m, n).(n,)
-products) and scipy_dgesv_64_ (solve1) - resolved here in the OpenBLAS of
-numpy.libs, so its bits are NumPy's under whichever OpenBLAS kernel runs.
+loops with every round in C, under the Python loops' contract: the
+client's C-contiguous rows and the initial models in; the predictions, the
+final models, a status and the round it names out. It makes the products
+and solves through the OpenBLAS entry points NumPy itself calls -
+scipy_cblas_ddot64_ (1-D ndarray.dot), scipy_cblas_dgemv64_ and
+scipy_cblas_daxpy64_ (the (m, n).(n,) products) and scipy_dgesv_64_
+(solve1) - resolved here in the OpenBLAS of numpy.libs, so its bits are
+NumPy's under whichever OpenBLAS kernel runs.
 
 Importing this module builds _loops.c with the system C compiler `cc` into
 $XDG_CACHE_HOME/fedres (~/.cache/fedres by default), once per source, flags
@@ -37,17 +40,15 @@ SOURCE = Path(__file__).with_name("_loops.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 BLAS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_",
         "scipy_dgesv_64_")
-# _loops.c's statuses
-LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, SINGULAR, NO_MEMORY = 1, 2, 3, 4
+# the single-client loops' statuses, in C and Python alike: which model failed, and how
+OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, LOCAL_SINGULAR, GLOBAL_SINGULAR, NO_MEMORY = range(6)
 
 
 class Columns(ctypes.Structure):
-    """One client's rows as the C loops read them (_loops.c's Streams): round
-    t reads xg + t sxg, xl + t sxl and y[t sy] and writes pred[t sp], strides
-    in float64 entries."""
+    """One client's C-contiguous rows as the C loops read them (_loops.c's
+    Streams): round t reads xg + t dg, xl + t dl and y[t] and writes pred[t]."""
 
-    _fields_ = ([(name, ctypes.c_int64) for name in ("rows", "dg", "dl", "sxg", "sxl", "sy",
-                                                      "sp")]
+    _fields_ = ([(name, ctypes.c_int64) for name in ("rows", "dg", "dl")]
                 + [(name, ctypes.c_void_p) for name in ("xg", "xl", "y", "pred")])
 
 
@@ -109,9 +110,9 @@ def _load():
     pointer, double = ctypes.c_void_p, ctypes.c_double
     round_ = ctypes.POINTER(ctypes.c_int64)
     lib.fedres_sgd.argtypes = [ctypes.POINTER(Columns), double, double, double, pointer,
-                               pointer, pointer, round_]
+                               pointer, round_]
     lib.fedres_erm.argtypes = [ctypes.POINTER(Columns), ctypes.c_int, double, pointer, pointer,
-                               pointer, pointer, pointer, round_]
+                               round_]
     lib.fedres_sgd.restype = lib.fedres_erm.restype = ctypes.c_int
     lib.openblas = blas  # NumPy holds it too; the bound entry points live in it
     return lib, None
@@ -123,52 +124,37 @@ LOOPS, FALLBACK_REASON = _load()
 def columns(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray) -> Columns | None:
     """The rows xg (N, dg), xl (N, dl), labels y (N,) and predictions pred (N,)
     as Columns, read and written in place; None when the C loops are not
-    loaded or do not take these arrays: anything but float64, a feature row
-    that is not contiguous (NumPy would pass BLAS another stride) or an empty
-    feature block."""
+    loaded or do not take these arrays: anything but C-contiguous float64
+    (build_streams' rows are), an empty feature block, or unequal row counts."""
     arrays = xg, xl, y, pred
-    if LOOPS is None or any(a.dtype != np.float64 for a in arrays):
+    if LOOPS is None or min(xg.shape[1], xl.shape[1]) < 1:
         return None
-    if min(xg.shape[1], xl.shape[1]) < 1 or xg.strides[1] != 8 or xl.strides[1] != 8:
+    if not len(xg) == len(xl) == len(y) == len(pred):
         return None
-    if any(s % 8 for a in arrays for s in a.strides):
+    if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays):
         return None
-    return Columns(len(y), xg.shape[1], xl.shape[1], *(a.strides[0] // 8 for a in arrays),
-                   *(a.ctypes.data for a in arrays))
+    return Columns(len(y), xg.shape[1], xl.shape[1], *(a.ctypes.data for a in arrays))
 
 
-def _data(a: np.ndarray) -> int:
-    if a.dtype != np.float64 or not a.flags.c_contiguous:
-        raise ValueError("the C loops take contiguous float64 models")
-    return a.ctypes.data
-
-
-def _check(status: int) -> None:
+def _finish(status: int, wg: np.ndarray, wl: np.ndarray, t: ctypes.c_int64) -> tuple:
     if status == NO_MEMORY:
         raise MemoryError("the single-client loop could not allocate its sums")
-    if status == SINGULAR:  # np.linalg.solve's error on the same system
-        raise np.linalg.LinAlgError("Singular matrix")
+    return wg, wl, status, t.value
 
 
 def sgd(cols: Columns, eta_g: float, eta_l: float, radius: float, wg: np.ndarray,
-        wl: np.ndarray, fetched: np.ndarray) -> tuple[int, int]:
-    """SgdSystem's loop over cols from the models wg and wl, which become the
-    final ones, and the last round's fetch into fetched. Returns (0, _), or
-    (LOCAL_NOT_FINITE or GLOBAL_NOT_FINITE, the round whose model failed)."""
-    failed = ctypes.c_int64()
-    status = LOOPS.fedres_sgd(cols, eta_g, eta_l, radius, _data(wg), _data(wl), _data(fetched),
-                              failed)
-    _check(status)
-    return status, failed.value
+        wl: np.ndarray) -> tuple:
+    """SgdSystem._run_single in C over cols from copies of the models wg and
+    wl: returns (final wg, final wl, status, round) as that loop does."""
+    wg, wl, t = np.array(wg, dtype=float), np.array(wl, dtype=float), ctypes.c_int64()
+    status = LOOPS.fedres_sgd(cols, eta_g, eta_l, radius, wg.ctypes.data, wl.ctypes.data, t)
+    return _finish(status, wg, wl, t)
 
 
-def erm(cols: Columns, reapply: bool, radius: float, wg: np.ndarray, wl: np.ndarray,
-        fetched: np.ndarray, frozen_rhs: np.ndarray, frozen_rhs_g: np.ndarray) -> None:
-    """ErmSystem's loop (the erm variant when reapply, else fictitious) over
-    cols from the models wg and wl and the server's frozen sum frozen_rhs_g,
-    which become the final ones; frozen_rhs is updated every round and the
-    last round's fetch goes into fetched. A singular system raises
-    np.linalg.LinAlgError, as np.linalg.solve does."""
-    failed = ctypes.c_int64()
-    _check(LOOPS.fedres_erm(cols, int(reapply), radius, _data(wg), _data(wl), _data(fetched),
-                            _data(frozen_rhs), _data(frozen_rhs_g), failed))
+def erm(cols: Columns, reapply: bool, radius: float, wg: np.ndarray, wl: np.ndarray) -> tuple:
+    """ErmSystem._run_single in C (the erm variant when reapply, else
+    fictitious) over cols from copies of the models wg and wl: returns (final
+    wg, final wl, status, round) as that loop does."""
+    wg, wl, t = np.array(wg, dtype=float), np.array(wl, dtype=float), ctypes.c_int64()
+    status = LOOPS.fedres_erm(cols, int(reapply), radius, wg.ctypes.data, wl.ctypes.data, t)
+    return _finish(status, wg, wl, t)

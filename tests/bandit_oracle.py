@@ -39,11 +39,16 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
     rng = substream(seed, "bandit-uniform" if uniform else "bandit-explore")
     every = np.arange(clients)
     steps = 0
+    # the global model after each step: client i's fetch in round r is the
+    # one in force when round r - beta[i] opens, after round r - 1 - beta[i]
+    in_force = [system.wg.copy()]
     action = np.empty((rounds, clients), dtype=np.int64)
     value = np.empty(reward.shape)
     for start in range(0, rounds, period):
         block = slice(start, min(start + period, rounds))
-        value[block] = (np.vecdot(xg[block], system.fetched[..., None, :])
+        # the pair after `steps` steps: the fetch in round `steps`
+        fetched = np.array([in_force[max(steps - 1 - b, 0)] for b in delays.beta])
+        value[block] = (np.vecdot(xg[block], fetched[:, None, :])
                         + np.vecdot(xl[block], system.wl[:, None, :]))
         action[block] = np.argmax(value[block], axis=-1)
         if block.stop % period == 0:  # the block's last round explores
@@ -54,6 +59,7 @@ def run_policy(env, delays, hyper, rounds, period, seed, uniform) -> dict:
             system.x_local[row, :, 0] = xl[t, every, pick]
             system.label[row, :, 0] = reward[t, every, pick]
             system.step()
+            in_force.append(system.wg.copy())
             steps += 1
     if uniform:
         action = rng.integers(env.k, size=action.shape)

@@ -60,6 +60,12 @@ class TestDelayConfig:
         with pytest.raises(ConfigError):
             DelayConfig(alpha=(-1,), beta=(0,))
 
+    def test_rejects_delays_whose_round_trip_overflows_an_int64(self):
+        assert DelayConfig(alpha=(2**62 - 1,), beta=(2**62 - 1,)).round_trips == (2**63 - 2,)
+        for big in (2**62, 2**63, 10**30):
+            with pytest.raises(ConfigError):
+                DelayConfig(alpha=(0,), beta=(big,))
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigError):
             DelayConfig(alpha=(0, 1), beta=(0,))
@@ -232,11 +238,13 @@ class TestDeliveryExactness:
     @settings(max_examples=30, deadline=None)
     def test_every_reachable_round_is_in_the_history(self, seed):
         """Every fetch returns the model in force when round t - beta_i
-        opened, and keeps returning it: no later round overwrites it."""
+        opened, and keeps returning it: no later round overwrites it; and
+        fetches() gathers the same models afterwards. A beta past the
+        run's 64 rounds fetches the initial model throughout."""
         rng = np.random.default_rng(seed)
         clients = int(rng.integers(1, 4))
         alpha = tuple(int(a) for a in rng.integers(0, 5, clients))
-        beta = tuple(int(b) for b in rng.integers(0, 5, clients))
+        beta = tuple(int(b) for b in rng.choice([0, 1, 2, 3, 4, 70, 10**15], clients))
         init = np.array([0.5, 0.25])
         ch = make_channel(alpha, beta, init=init)
         in_force = {1: init}  # round -> the global model in force when it opens
@@ -249,6 +257,10 @@ class TestDeliveryExactness:
             for i in range(clients):
                 # what a client fetch needs
                 assert np.array_equal(fetched[i], in_force[max(t - beta[i], 1)])
+        gathered = ch.fetches(np.arange(1, 41))
+        assert gathered.shape == (40, clients if len(set(beta)) > 1 else 1, 2)
+        for t, fetched in fetches + [(40, [in_force[max(40 - b, 1)] for b in beta])]:
+            assert np.array_equal(np.broadcast_to(gathered[t - 1], (clients, 2)), fetched)
 
 
 class TestBlocks:

@@ -41,10 +41,10 @@ CASES = {
     "sgd-appendixc": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 2.0345),
     "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 4.3545),
     "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 4.274),
-    "sgd-appendixc-native": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 0.0515),
-    "erm-appendixc-native": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 0.048),
+    "sgd-appendixc-native": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 0.044),
+    "erm-appendixc-native": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 0.0395),
     "fictitious-appendixc-native": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT,
-                                    0.048),
+                                    0.0395),
     # delayed SGD in blocks of min(beta + 1, alpha + beta) rounds: 6, then 101
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
                   None, 6.152),
