@@ -15,9 +15,9 @@
      (n,).(n,)     n = 1: the bare product; else 0.0 + ddot (DOUBLE_dot's sum)
      (m, n).(n,)   m = 1: as (n,).(n,); n = 1: daxpy into zeros;
                    else row-major dgemv into zeros
-   solver's solve1 is dgesv on a column-major copy of the matrix, whose
-   failure (info != 0) gives a NaN solution; np.linalg.solve raises
-   LinAlgError on it instead. */
+   solver's solve1 and np.linalg.solve are dgesv on a column-major copy of
+   the matrix; where it fails (info != 0), solver._ridge_solve retries with
+   the ridge doubled, as ridge_solve here does. */
 
 #include <math.h>
 #include <stdint.h>
@@ -29,7 +29,7 @@ typedef int64_t blasint; /* scipy-openblas64: ILP64 integers */
 enum { ROW_MAJOR = 101, NO_TRANS = 111 }; /* CblasRowMajor, CblasNoTrans */
 
 /* Statuses (fedres.native's): which model failed, and how. */
-enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, LOCAL_SINGULAR, GLOBAL_SINGULAR, NO_MEMORY };
+enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, NO_MEMORY };
 
 static const double BASE_RIDGE = 1e-10;      /* solver.BASE_RIDGE */
 static const double BISECT_REL_TOL = 1e-10;  /* solver._BISECT_REL_TOL */
@@ -100,72 +100,67 @@ typedef struct {
     blasint *pivots;
 } Solver;
 
-/* dgesv on (ata + ridge on the diagonal) w = atb; returns LAPACK's info */
-static blasint ridge_solve(const double *ata, const double *atb, blasint d, double ridge,
-                           Solver *s, double *w)
+/* solver._ridge_solve: dgesv on (ata + ridge on the diagonal) w = atb, the
+   ridge doubled while the system is singular; NaN if it still is at an
+   infinite or NaN ridge */
+static void ridge_solve(const double *ata, const double *atb, blasint d, double ridge,
+                        Solver *s, double *w)
 {
-    blasint i, j, one = 1, info = 0;
-    for (i = 0; i < d; i++)
-        for (j = 0; j < d; j++)
-            s->lu[j * d + i] = i == j ? ata[i * d + j] + ridge : ata[i * d + j];
-    memcpy(w, atb, (size_t)d * sizeof(double));
-    dgesv(&d, &one, s->lu, &d, s->pivots, w, &d, &info);
-    return info;
+    blasint i, j, one = 1, info;
+    for (;;) {
+        for (i = 0; i < d; i++)
+            for (j = 0; j < d; j++)
+                s->lu[j * d + i] = i == j ? ata[i * d + j] + ridge : ata[i * d + j];
+        memcpy(w, atb, (size_t)d * sizeof(double));
+        dgesv(&d, &one, s->lu, &d, s->pivots, w, &d, &info);
+        if (!info)
+            return;
+        if (!(ridge < INFINITY)) {
+            for (i = 0; i < d; i++)
+                w[i] = NAN;
+            return;
+        }
+        ridge *= 2.0;
+    }
 }
 
-/* solver._solve_one: the ridge solve, then bisection on the ridge; -1 if singular */
-static int solve_one(const double *ata, const double *atb, blasint d, double radius,
-                     Solver *s, double *w)
+/* solver.solve_gram's path for one (d, d) problem, into w: the ridge solve,
+   then bisection on the ridge (solver._solve_one; solve1's first solve
+   gives the same w where it succeeds) */
+static void solve_gram(const double *ata, const double *atb, blasint d, double radius,
+                       Solver *s, double *w)
 {
     double norm, lo, hi, mid, limit;
     blasint i;
-    if (ridge_solve(ata, atb, d, BASE_RIDGE, s, w))
-        return -1;
+    ridge_solve(ata, atb, d, BASE_RIDGE, s, w);
     if (sqrt(dot(w, w, d)) <= radius)
-        return 0;
+        return;
     lo = BASE_RIDGE;
     hi = sqrt(dot(atb, atb, d)) / radius;
     limit = 2.0 * BASE_RIDGE;
     if (limit > hi) /* Python's max(hi, limit): NaN stays */
         hi = limit;
     for (;;) {
-        if (ridge_solve(ata, atb, d, hi, s, s->trial))
-            return -1;
+        ridge_solve(ata, atb, d, hi, s, s->trial);
         if (!(sqrt(dot(s->trial, s->trial, d)) > radius))
             break;
         hi *= 2.0;
     }
     while (hi - lo > BISECT_REL_TOL * hi) {
         mid = 0.5 * (lo + hi);
-        if (ridge_solve(ata, atb, d, mid, s, s->trial))
-            return -1;
+        ridge_solve(ata, atb, d, mid, s, s->trial);
         if (sqrt(dot(s->trial, s->trial, d)) > radius)
             lo = mid;
         else
             hi = mid;
     }
-    if (ridge_solve(ata, atb, d, hi, s, w))
-        return -1;
+    ridge_solve(ata, atb, d, hi, s, w);
     norm = sqrt(dot(w, w, d));
     if (norm > radius) {
         double f = radius / norm;
         for (i = 0; i < d; i++)
             w[i] = w[i] * f;
     }
-    return 0;
-}
-
-/* solver.solve_gram's path for one (d, d) problem, into w; -1 when singular */
-static int solve_gram(const double *ata, const double *atb, blasint d, double radius,
-                      Solver *s, double *w)
-{
-    blasint i;
-    if (ridge_solve(ata, atb, d, BASE_RIDGE, s, w))
-        for (i = 0; i < d; i++) /* solve1 fills a failed solution with NaN */
-            w[i] = NAN;
-    if (sqrt(dot(w, w, d)) <= radius)
-        return 0;
-    return solve_one(ata, atb, d, radius, s, w);
 }
 
 /* sum += a b^T for a (m,) and b (n,), row by row */
@@ -245,7 +240,6 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
     blasint *pivots = malloc((size_t)d * sizeof(blasint));
     double *gram, *ly, *cross, *gram_g, *gy, *cross_g, *rhs, *product;
     Solver s;
-    int status = OK;
     if (!sums || !pivots) {
         free(sums);
         free(pivots);
@@ -268,10 +262,7 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
                 for (i = 0; i < dl; i++)
                     rhs[i] = ly[i] - product[i];
             }
-            if (solve_gram(gram, erm ? rhs : ly, dl, radius, &s, wl)) {
-                status = LOCAL_SINGULAR;
-                break;
-            }
+            solve_gram(gram, erm ? rhs : ly, dl, radius, &s, wl);
         }
         gp = dot(xg, wg, dg) + 0.0;
         lp = dot(xl, wl, dl) + 0.0;
@@ -287,13 +278,10 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
             add_scaled(ly, y - gp, xl, dl);
             add_scaled(gy, y - lp, xg, dg);
         }
-        if (solve_gram(gram_g, erm ? rhs : gy, dg, radius, &s, wg)) {
-            status = GLOBAL_SINGULAR;
-            break;
-        }
+        solve_gram(gram_g, erm ? rhs : gy, dg, radius, &s, wg);
     }
-    *last_round = t + (status != OK);
+    *last_round = t;
     free(sums);
     free(pivots);
-    return status;
+    return OK;
 }

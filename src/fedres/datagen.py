@@ -24,6 +24,7 @@ their streams from them through stream_block.
 from __future__ import annotations
 
 import gzip
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,11 +131,21 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
 
 
 def load_libsvm(path: str | Path) -> MulticlassCorpus:
+    """Parse a LIBSVM file, plain or gzip (.gz). Text that is not UTF-8 is a
+    ConfigError, like other malformed LIBSVM; a .gz file that is not gzip,
+    truncated or corrupt is an OSError naming the file."""
     path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            return parse_libsvm(fh.read())
-    return parse_libsvm(path.read_text(encoding="utf-8"))
+    try:
+        if path.suffix == ".gz":
+            with gzip.open(path, "rt", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise OSError(f"{path}: unreadable gzip archive ({exc})") from None
+    return parse_libsvm(text)
 
 
 def serialize_libsvm(corpus: MulticlassCorpus) -> str:

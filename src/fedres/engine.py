@@ -67,25 +67,26 @@ reads the rows x[t, 0, 0] by index, prices and steps the client at the
 fetch wg, then the server, and projects through project_ball's 1-D path;
 the channel's history, exchange() and the (P, b, d) shapes are skipped. The
 loop takes the rows and the initial models and returns (wg, wl, status,
-round): the final models, or a fedres.native status naming the model that
-failed and its round. run() alone turns that into the round count, the
-final models or the InvariantError. The loop runs in C (_run_native, see
-fedres.native) wherever that library loaded and the rows are C-contiguous,
-as build_streams gives them: rows are read and predictions written in
-place, every (d,).(d,) product is a call of the OpenBLAS ddot that 1-D
-ndarray.dot makes (a bare product at d = 1) and every other operation one
-IEEE double operation in the Python loop's order, so its bits are the
-Python loop's. _run_single is that Python loop, which runs where the C
-library does not (no C compiler, another BLAS) and is the reference
-tests/test_native.py compares against. It takes ndarray.dot products, keeps
-labels, residuals and the prediction as Python floats and the step sizes
-and the server's `0.0 +` as 0-d arrays. Its bits are the block path's:
-`.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less dispatch (at
-d = 1 a bare product, which `@` adds to 0.0: hence gp's `+ 0.0`, and no sum
-with gp is -0.0); a 0-d operand is a Python float's IEEE operation on a
-faster path; Python float `+`, `-` and `*` are NumPy's IEEE operations; and
-the 1-D and 2-D projections compute rows alike. step() and every other
-input take the block path.
+round): the final models, or a fedres.native status naming the model whose
+norm stopped being finite and its round (only SGD's can: the exact
+learners' solves always answer). run() alone turns that into the round
+count, the final models or the InvariantError. The loop runs in C
+(_run_native, see fedres.native) wherever that library loaded and the rows
+are C-contiguous, as build_streams gives them: rows are read and
+predictions written in place, every (d,).(d,) product is a call of the
+OpenBLAS ddot that 1-D ndarray.dot makes (a bare product at d = 1) and
+every other operation one IEEE double operation in the Python loop's order,
+so its bits are the Python loop's. _run_single is that Python loop, which
+runs where the C library does not (no C compiler, another BLAS) and is the
+reference tests/test_native.py compares against. It takes ndarray.dot
+products, keeps labels, residuals and the prediction as Python floats and
+the step sizes and the server's `0.0 +` as 0-d arrays. Its bits are the
+block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less
+dispatch (at d = 1 a bare product, which `@` adds to 0.0: hence gp's
+`+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a Python float's IEEE
+operation on a faster path; Python float `+`, `-` and `*` are NumPy's IEEE
+operations; and the 1-D and 2-D projections compute rows alike. step() and
+every other input take the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
 would, so the bits do not depend on L. Dot products are np.vecdot, whose
@@ -115,8 +116,6 @@ VARIANTS = ("aligned", "misaligned", "asymmetric")
 FAILURES = {
     native.LOCAL_NOT_FINITE: "the local model of client 0 has a non-finite norm after round {}",
     native.GLOBAL_NOT_FINITE: "the global model has a non-finite norm after round {}",
-    native.LOCAL_SINGULAR: "a local solve in round {} has a singular Gram block",
-    native.GLOBAL_SINGULAR: "the global solve in round {} has a singular Gram block",
 }
 
 

@@ -51,22 +51,22 @@ through np.add.accumulate; stacked products (cross @ fetched, np.vecdot,
 outer products x[..., :, None] * x[..., None, :]) and the stacked
 solve_gram equal their per-client forms. The results equal the
 per-client formulas exactly (tests/data/sgd_characterization.json).
-A singular Gram block ends a run with InvariantError, naming the solve
-(local or global) and its round, on the stacked path and in the
-single-client loop alike.
+A Gram block that the base ridge leaves singular is solved at a doubled
+ridge (solver._ridge_solve), on the stacked path and in the single-client
+loop alike, so a singular block ends no run.
 
 One client at zero delay (the three-way protocol's shape) runs a loop of
 its own in run(), under the contract of engine's: each round reads the rows
 by index, solves at the fetch wg on unstacked (d, d) sums, and the server
 solves on the row just sent; the fictitious sums start at zero in the loop,
-and it returns (wg, wl, status, round). It runs in C (_run_native, see
-fedres.native) wherever that library takes the rows, with running sums of
-the same terms in the same order, solves through the OpenBLAS dgesv that
-NumPy's solve1 calls (the bisection included; where np.linalg.solve would
-raise LinAlgError, the loop returns the singular solve's status), and the
-(d, d).(d,) products through the dgemv, daxpy or ddot that ndarray.dot
-picks for the shape; _run_single is the same loop in Python, where the C
-library does not run and as the tests' reference. It keeps the predictions
+and it returns (wg, wl, status, round), its status always native.OK. It
+runs in C (_run_native, see fedres.native) wherever that library takes the
+rows, with running sums of the same terms in the same order, solves
+through the OpenBLAS dgesv that NumPy's solve1 calls (the bisection and
+the doubled ridge included), and the (d, d).(d,) products through the
+dgemv, daxpy or ddot that ndarray.dot picks for the shape; _run_single is
+the same loop in Python, where the C library does not run and as the
+tests' reference. It keeps the predictions
 as Python floats. Its bits are the stacked path's: the unstacked sums add
 the same rows in the same order, a (d, d) solve_gram makes the same LAPACK
 call as a stack of one, and `.dot` products and the 0-d `0.0 +` keep `@`'s
@@ -90,8 +90,8 @@ import numpy as np
 from . import native
 from .channel import DelayConfig
 from .core import HyperParams
-from .engine import FAILURES, RoundSystem
-from .errors import ConfigError, InvariantError
+from .engine import RoundSystem
+from .errors import ConfigError
 from .results import RunResult
 from .solver import solve_gram
 
@@ -193,7 +193,7 @@ class ErmSystem(RoundSystem):
                 rhs = ly - cross @ fetched
             else:
                 rhs = self.frozen_rhs
-            self.wl = self._solve(native.LOCAL_SINGULAR, gram, rhs)
+            self.wl = solve_gram(gram, rhs, self.radius)
         gp = np.vecdot(xg, fetched)
         lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
         self.pred[row] = gp + lp
@@ -213,15 +213,7 @@ class ErmSystem(RoundSystem):
             xg, y = self.xg[index], self.y[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
-        self.wg = self.channel.after[0] = self._solve(native.GLOBAL_SINGULAR, gram_g, rhs)
-
-    def _solve(self, status: int, gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """solve_gram on the open round's stacked blocks; a singular one ends
-        the run with the error of the single-client loop's status."""
-        try:
-            return solve_gram(gram, rhs, self.radius)
-        except np.linalg.LinAlgError:
-            raise InvariantError(FAILURES[status].format(self.channel._last_published)) from None
+        self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
 
     def _run_native(self, cols: native.Columns) -> tuple:
         """_run_single in C (fedres.native), on the client's rows."""
@@ -248,10 +240,7 @@ class ErmSystem(RoundSystem):
                     rhs = ly - cross.dot(wg)
                 else:
                     rhs = frozen_rhs
-                try:
-                    wl = solve_gram(gram, rhs, radius)
-                except np.linalg.LinAlgError:
-                    return wg, wl, native.LOCAL_SINGULAR, t + 1
+                wl = solve_gram(gram, rhs, radius)
             gp = float(xg.dot(wg)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
             lp = float(xl.dot(wl)) + 0.0
             pred[t] = gp + lp
@@ -261,10 +250,7 @@ class ErmSystem(RoundSystem):
             else:
                 frozen_rhs += (y - gp) * xl
                 rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg
-            try:
-                wg = solve_gram(gram_g, rhs, radius)
-            except np.linalg.LinAlgError:
-                return wg, wl, native.GLOBAL_SINGULAR, t + 1
+            wg = solve_gram(gram_g, rhs, radius)
         return wg, wl, native.OK, self._rows
 
 

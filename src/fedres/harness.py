@@ -31,7 +31,7 @@ from .core import DEFAULT_RADIUS, HyperParams, default_eta
 from .datagen import gen_appendixc, gen_example2, load_libsvm, partition_federated
 from .engine import run_fedres_sgd
 from .erm import BLOCK, run_fedres_erm, run_fictitious_play
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError
 from .results import RunResult
 from .solver import alternating_joint_ls
 
@@ -51,6 +51,7 @@ SWEEP_AXES = ("clients", "delay")
 # rows page-faults its fresh arrays and costs more than a loop over clients.
 ACCURACY_ROWS = 4096
 MAX_DATA_ENTRIES = 2**31  # float64 entries (16 GiB) one rollout's data and Grams may take
+MAX_ROLLOUTS = 2**20  # every rollout's task and CSV row are held in memory at once
 OUTPUT_DIR_ENV = "FEDRES_OUTPUT_DIR"
 
 
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algo {self.algo!r}; expected one of {ALGOS}")
         if self.rounds < 1 or self.clients < 1 or self.rollouts < 1:
             raise ConfigError("rounds, clients and rollouts must be positive")
+        if self.rollouts > MAX_ROLLOUTS:
+            raise ConfigError(f"at most {MAX_ROLLOUTS:,} rollouts, got {self.rollouts:,}")
         if self.dim < 1 or self.test_rounds < 0:
             raise ConfigError(f"dim must be >= 1 and test rounds >= 0, got {self.dim}, "
                               f"{self.test_rounds}")
@@ -199,11 +202,7 @@ def compute_regret(result: RunResult, comparator=None, *,
         # explicit sizes: a view's block may have d = 0
         stacks = (a.swapaxes(0, 1).reshape(result.clients, records, *a.shape[3:])
                   for a in (result.x_global, result.x_local, result.label))
-        try:
-            wg, wls, _ = alternating_joint_ls(*stacks, radius)
-        except np.linalg.LinAlgError:
-            raise InvariantError("a solve of the regret comparator's fit has a singular Gram "
-                                 "block") from None
+        wg, wls, _ = alternating_joint_ls(*stacks, radius)
     else:
         wg, wls = comparator
         if len(wls) != result.clients:

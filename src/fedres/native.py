@@ -8,8 +8,9 @@ final models, a status and the round it names out. It makes the products
 and solves through the OpenBLAS entry points NumPy itself calls -
 scipy_cblas_ddot64_ (1-D ndarray.dot), scipy_cblas_dgemv64_ and
 scipy_cblas_daxpy64_ (the (m, n).(n,) products) and scipy_dgesv_64_
-(solve1) - resolved here in the OpenBLAS of numpy.libs, so its bits are
-NumPy's under whichever OpenBLAS kernel runs.
+(solve1, called again at a doubled ridge where it finds a system singular,
+as solver._ridge_solve does) - resolved here in the OpenBLAS of
+numpy.libs, so its bits are NumPy's under whichever OpenBLAS kernel runs.
 
 Importing this module builds _loops.c with the system C compiler `cc` into
 $XDG_CACHE_HOME/fedres (~/.cache/fedres by default), once per source, flags
@@ -40,8 +41,9 @@ SOURCE = Path(__file__).with_name("_loops.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 BLAS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_",
         "scipy_dgesv_64_")
-# the single-client loops' statuses, in C and Python alike: which model failed, and how
-OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, LOCAL_SINGULAR, GLOBAL_SINGULAR, NO_MEMORY = range(6)
+# the single-client loops' statuses, in C and Python alike: which model's norm stopped
+# being finite (an exact learner's loop returns OK), or that the C loop ran out of memory
+OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, NO_MEMORY = range(4)
 
 
 class Columns(ctypes.Structure):

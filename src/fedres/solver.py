@@ -5,7 +5,11 @@ its ridge-regularized normal equations; when the unconstrained solution
 leaves the ball, the Lagrange multiplier with ||w(lam)|| = r is located by
 bisection. The fixed base ridge BASE_RIDGE keeps rank-deficient
 early-round systems well posed and makes the minimizer unique (minimum
-norm), which the deterministic replay tests rely on.
+norm), which the deterministic replay tests rely on. Where a Gram
+diagonal is so large that a ridge is lost in rounding and the system is
+exactly singular (two equal or scaled columns, say), the solve retries
+with the ridge doubled until it is not (_ridge_solve): every solve has an
+answer, and one that is not singular keeps its bits.
 
 Nothing materializes a design matrix: the learners maintain Gram blocks
 incrementally and call solve_gram directly. solve_gram takes a leading
@@ -37,9 +41,9 @@ from functools import lru_cache
 import numpy as np
 # The gufunc behind np.linalg.solve for a vector right-hand side, without
 # the wrapper's per-call checks and error state: a singular system yields
-# a non-finite row (NumPy warns of an invalid value), which the scalar path
-# re-solves through np.linalg.solve and so raises LinAlgError
-# (tests/test_solver.py pins the bits and the error).
+# a NaN row (NumPy warns of an invalid value unless the caller's np.errstate
+# ignores it), which the scalar path re-solves with the doubled ridge
+# (tests/test_solver.py pins the bits).
 from numpy.linalg._umath_linalg import solve1 as _stacked_solve
 
 from .errors import ConfigError
@@ -55,7 +59,10 @@ def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     ata is A^T A (..., d, d), atb is A^T b (..., d); a leading stack axis
     holds independent problems and returns one solution per row. Objective
     gap to the true constrained minimum is bounded by the BASE_RIDGE
-    perturbation, far below test tolerances.
+    perturbation, far below test tolerances. A singular row's stacked solve
+    warns of an invalid value before the scalar path answers it, unless
+    the caller's np.errstate ignores invalid values (RoundSystem.run and
+    alternating_joint_ls do).
     """
     d = atb.shape[-1]
     if d == 0:
@@ -107,9 +114,26 @@ def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _ridge_solve(ata: np.ndarray, atb: np.ndarray, ridge: float) -> np.ndarray:
-    m = ata.copy()
-    m.flat[:: m.shape[0] + 1] += ridge
-    return np.linalg.solve(m, atb)
+    """(ata + ridge I) w = atb, with the ridge doubled while that system is
+    exactly singular; NaN if it still is at an infinite or NaN ridge.
+
+    LAPACK's dgesv fails only on a pivot that is exactly zero. The ridge
+    doubles until it passes the rounding of the diagonal, and from there
+    the pivots of a Gram matrix, which is positive semidefinite, are at
+    least about the ridge. At the latest, it reaches infinity (after about
+    1,100 doublings from BASE_RIDGE): every diagonal entry is then infinite,
+    and partial pivoting takes infinite or NaN pivots, never zero. A
+    non-finite ridge stops the loop all the same, so it ends on any input.
+    """
+    while True:
+        m = ata.copy()
+        m.flat[:: m.shape[0] + 1] += ridge
+        try:
+            return np.linalg.solve(m, atb)
+        except np.linalg.LinAlgError:
+            if not ridge < math.inf:
+                return np.full(atb.shape, math.nan)
+            ridge *= 2.0
 
 
 def alternating_joint_ls(
@@ -192,20 +216,21 @@ def alternating_joint_ls(
     wg = np.zeros(xg.shape[2])
     wls = np.zeros((len(xl), xl.shape[2]))
     prev = None  # the objective at the previous iterate, once the screen hands over
-    for _ in range(_MAX_ALTERNATIONS):
-        wg0, wls0 = wg, wls
-        rhs_l = ly - cross_t @ wg
-        wls = solve_gram(gram_l, rhs_l, radius)
-        rhs_g = _client_sum(gy - (cross @ wls[..., None])[..., 0])
-        wg = solve_gram(gram_g_total, rhs_g, radius)
-        if prev is None:
-            if screen.proves(tol, wls0, wls, rhs_l, wg0, wg, rhs_g):
-                continue
-            prev = _objective(xg, xl, y, wg0, wls0)
-        cur = _objective(xg, xl, y, wg, wls)
-        if prev - cur < tol:
-            return wg, wls, cur
-        prev = cur
+    with np.errstate(invalid="ignore"):  # a singular block's stacked solve (see solve_gram)
+        for _ in range(_MAX_ALTERNATIONS):
+            wg0, wls0 = wg, wls
+            rhs_l = ly - cross_t @ wg
+            wls = solve_gram(gram_l, rhs_l, radius)
+            rhs_g = _client_sum(gy - (cross @ wls[..., None])[..., 0])
+            wg = solve_gram(gram_g_total, rhs_g, radius)
+            if prev is None:
+                if screen.proves(tol, wls0, wls, rhs_l, wg0, wg, rhs_g):
+                    continue
+                prev = _objective(xg, xl, y, wg0, wls0)
+            cur = _objective(xg, xl, y, wg, wls)
+            if prev - cur < tol:
+                return wg, wls, cur
+            prev = cur
     return wg, wls, _objective(xg, xl, y, wg, wls) if prev is None else prev
 
 

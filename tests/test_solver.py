@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,13 +115,107 @@ class TestSolveGram:
         assert solve_gram(ata[None], atb[None], 10.0)[0].tobytes() == np.linalg.solve(ridged, atb).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_singular_system_raises(self):
-        singular = -BASE_RIDGE * np.eye(2)  # with the base ridge added, exactly singular
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_gram(singular, np.ones(2), 1.0)
-        stack = np.stack([np.eye(2), singular, np.eye(2)])
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_gram(stack, np.ones((3, 2)), 1.0)
+    def test_singular_system_takes_the_first_doubled_ridge_that_is_not_singular(self):
+        """A system that the base ridge leaves exactly singular is solved at
+        BASE_RIDGE * 2**k for the least k at which np.linalg.solve accepts
+        it, alone and in a stack: -BASE_RIDGE I cancels the base ridge, and
+        two equal columns of 2**26 or 2**498 (a Gram diagonal near 1e300)
+        lose it in rounding. On a binding radius the bisection runs on the
+        same rule and ends on the ball."""
+        x26, x498 = np.full(2, 2.0**26), np.full(2, 2.0**498)
+        for ata, atb, radius in [(-BASE_RIDGE * np.eye(2), np.ones(2), 1e20),
+                                 (np.outer(x26, x26), 3.0 * x26, 1.0),
+                                 (np.outer(x498, x498), 3.0 * x498, 1.0)]:
+            ridge = BASE_RIDGE
+            while True:
+                try:
+                    want = np.linalg.solve(ridged(ata, ridge), atb)
+                    break
+                except np.linalg.LinAlgError:
+                    ridge *= 2.0
+            assert ridge > BASE_RIDGE and np.linalg.norm(want) <= radius
+            stack = np.stack([np.eye(2), ata, np.eye(2)]), np.stack([atb] * 3)
+            assert solve_gram(ata, atb, radius).tobytes() == want.tobytes()
+            assert solve_gram(*stack, radius)[1].tobytes() == want.tobytes()
+            small = 1e-3 * float(np.linalg.norm(want))
+            w = solve_gram(ata, atb, small)
+            assert w.tobytes() == solve_gram(*stack, small)[1].tobytes()
+            assert np.linalg.norm(w) == pytest.approx(small, rel=1e-9)
+
+    def test_a_system_singular_at_every_ridge_ends_as_nan(self, monkeypatch):
+        """The doubling ends on any input: a system that dgesv refuses at
+        every ridge stops at the first infinite one, as NaN."""
+        ridges = []
+
+        def singular(m, b):
+            ridges.append(float(m[0, 0]))
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        assert np.isnan(solver._ridge_solve(np.zeros((2, 2)), np.ones(2), BASE_RIDGE)).all()
+        assert ridges[0] == BASE_RIDGE and ridges[1:] == [2.0 * r for r in ridges[:-1]]
+        assert ridges[-2] < math.inf == ridges[-1] and len(ridges) < 1200
+
+
+def ridged(ata: np.ndarray, ridge: float) -> np.ndarray:
+    """ata with ridge added to its diagonal, as the solver adds it."""
+    out = ata.copy()
+    out.flat[:: len(out) + 1] += ridge
+    return out
+
+
+@st.composite
+def collinear_grams(draw):
+    """Gram stacks (P, d, d) and right-hand sides (P, d) of n records whose
+    d >= 2 columns copy, negate or scale k < d drawn ones, at a scale of 1
+    to 1e150 (1e3 as a corpus of values near +-1000, and 1e7 with one
+    record, among them), labels on a scale that makes the radius bind or
+    not, and a radius from 1e-3 to 1e3."""
+    p, d = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    n = draw(st.sampled_from([1, 1, 2, 5, 30]))
+    scale = 10.0 ** draw(st.sampled_from([0, 3, 7, 7]) | st.integers(0, 150))
+    radius = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = int(rng.integers(1, d))
+    columns = np.concatenate([np.arange(k), rng.integers(0, k, d - k)])
+    factors = rng.choice([1.0, 1.0, -1.0, 0.5, 2.0, 3.0], d)
+    x = rng.normal(0, scale, (p, n, k))[..., columns] * factors
+    y = rng.normal(0, 1, (p, n)) * draw(st.sampled_from([1.0, scale, 1e3 * scale]))
+    xt = x.swapaxes(1, 2)
+    return xt @ x, (xt @ y[..., None])[..., 0], radius
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning",
+                            "ignore:overflow encountered:RuntimeWarning")
+def test_collinear_columns_get_finite_answers_in_the_ball():
+    """Duplicated and scaled columns, whose Gram blocks the base ridge
+    often leaves singular: every row of a stacked call has the bits of its
+    own call, and is finite and inside the ball. 120 derandomized draws
+    (collinear_grams); so that the check is not vacuous, at least one in
+    four must hold a block that is singular at the base ridge, and ten of
+    those a block whose unconstrained answer leaves the ball."""
+    kinds = {"singular": 0, "binding": 0, "draws": 0}
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(collinear_grams())
+    def check(grams):
+        ata, atb, radius = grams
+        stacked = solve_gram(ata, atb, radius)
+        for a, b, w in zip(ata, atb, stacked):
+            assert solve_gram(a, b, radius).tobytes() == w.tobytes()
+        assert np.isfinite(stacked).all()
+        assert np.sqrt(np.vecdot(stacked, stacked)).max() <= radius * (1 + 1e-12)
+        kinds["draws"] += 1
+        for a, b in zip(ata, atb):
+            try:
+                np.linalg.solve(ridged(a, BASE_RIDGE), b)
+            except np.linalg.LinAlgError:
+                kinds["singular"] += 1
+                kinds["binding"] += bool(np.linalg.norm(solve_gram(a, b, math.inf)) > radius)
+                break
+
+    check()
+    assert kinds["singular"] >= kinds["draws"] / 4 and kinds["binding"] >= 10, kinds
 
 
 class TestAlternatingJointLs:
@@ -255,13 +351,8 @@ def test_screened_comparator_keeps_the_oracle_bits(monkeypatch):
     @given(joint_fits())
     def check(fit):
         xg, xl, y, radius, tol = fit
-        try:
-            want_g, want_l, want_obj = alternating_joint_ls_oracle(list(xg), list(xl), list(y),
-                                                                   radius, tol)
-        except np.linalg.LinAlgError:  # a Gram block that the base ridge cannot lift
-            with pytest.raises(np.linalg.LinAlgError):
-                alternating_joint_ls(xg, xl, y, radius, tol)
-            return
+        want_g, want_l, want_obj = alternating_joint_ls_oracle(list(xg), list(xl), list(y),
+                                                               radius, tol)
         counts.update(evaluations=0, solves=0)
         wg, wls, obj = alternating_joint_ls(xg, xl, y, radius, tol)
         assert wg.tobytes() == want_g.tobytes()
