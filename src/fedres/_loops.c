@@ -124,42 +124,53 @@ static void ridge_solve(const double *ata, const double *atb, blasint d, double 
     }
 }
 
+/* solver._norm_over: ||v|| / radius, from v scaled by its largest |entry|
+   where the plain sum of squares overflows; scaled gets v scaled */
+static double norm_over(const double *v, blasint d, double radius, double *scaled)
+{
+    double norm = sqrt(dot(v, v, d)), top = 0.0;
+    blasint i;
+    for (i = 0; i < d; i++)
+        if (fabs(v[i]) > top)
+            top = fabs(v[i]);
+    if (!(norm == INFINITY && top < INFINITY))
+        return norm / radius;
+    for (i = 0; i < d; i++)
+        scaled[i] = v[i] / top;
+    return top / radius * sqrt(dot(scaled, scaled, d));
+}
+
 /* solver.solve_gram's path for one (d, d) problem, into w: the ridge solve,
    then bisection on the ridge (solver._solve_one; solve1's first solve
-   gives the same w where it succeeds) */
+   gives the same w where it succeeds, and ridge_solve's doubling where it
+   does not). w ends as the solve that accepted hi. */
 static void solve_gram(const double *ata, const double *atb, blasint d, double radius,
                        Solver *s, double *w)
 {
-    double norm, lo, hi, mid, limit;
-    blasint i;
+    double lo, hi, mid, limit;
     ridge_solve(ata, atb, d, BASE_RIDGE, s, w);
     if (sqrt(dot(w, w, d)) <= radius)
         return;
     lo = BASE_RIDGE;
-    hi = sqrt(dot(atb, atb, d)) / radius;
+    hi = norm_over(atb, d, radius, s->trial);
     limit = 2.0 * BASE_RIDGE;
     if (limit > hi) /* Python's max(hi, limit): NaN stays */
         hi = limit;
     for (;;) {
-        ridge_solve(ata, atb, d, hi, s, s->trial);
-        if (!(sqrt(dot(s->trial, s->trial, d)) > radius))
+        ridge_solve(ata, atb, d, hi, s, w);
+        if (!(sqrt(dot(w, w, d)) > radius))
             break;
         hi *= 2.0;
     }
     while (hi - lo > BISECT_REL_TOL * hi) {
         mid = 0.5 * (lo + hi);
         ridge_solve(ata, atb, d, mid, s, s->trial);
-        if (sqrt(dot(s->trial, s->trial, d)) > radius)
+        if (sqrt(dot(s->trial, s->trial, d)) > radius) {
             lo = mid;
-        else
+        } else {
             hi = mid;
-    }
-    ridge_solve(ata, atb, d, hi, s, w);
-    norm = sqrt(dot(w, w, d));
-    if (norm > radius) {
-        double f = radius / norm;
-        for (i = 0; i < d; i++)
-            w[i] = w[i] * f;
+            memcpy(w, s->trial, (size_t)d * sizeof(double));
+        }
     }
 }
 

@@ -136,7 +136,7 @@ class RoundSystem:
     learner's own loop: _run_native in C where fedres.native takes the
     rows, else _run_single (see the module doc). Stepping past the streams
     and run() after step() are ConfigErrors. The models start at zero
-    unless init_global and init_locals are given.
+    unless init_global and init_locals are given, which must be finite.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -153,6 +153,8 @@ class RoundSystem:
             raise ConfigError(f"need {clients} local models of dimension {dl}")
         self.wg = np.zeros(dg) if init_global is None else np.array(init_global, dtype=float)
         self.wl = np.zeros((clients, dl)) if init_locals is None else np.array(init_locals, float)
+        if not (np.isfinite(self.wg).all() and np.isfinite(self.wl).all()):
+            raise ConfigError("the initial models must be finite")
         self.radius = hyper.radius
         # zeros: a run that fails mid-round prices its unpredicted row as finite
         self.prediction = np.zeros(self.label.shape)

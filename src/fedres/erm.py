@@ -28,14 +28,15 @@ Array layout (ErmSystem, P clients):
   round-indexed rows (N, P, ...) of the stream blocks, the predictions and
   the local predictions, plus (erm only) the local model each client sent.
 gram, ly, cross, gram_g, gy and cross_g depend only on the streams (the
-frozen variant keeps only gram and gram_g). Each side's _PrefixSums builds
-them BLOCK rows at a time: a table holds the sum carried from the previous
-block followed by the block's terms, and one np.add.accumulate turns it
-into every prefix of the block; gram_g is accumulated over the flattened
-(row, client) axis and read every P-th entry. The client reads rows
-< t - 1 in round t and the server the rows that have arrived, alpha rounds
-behind, so each side has its own cursor and carry. The frozen right-hand
-sides depend on predictions and stay running sums.
+frozen variant keeps only gram and gram_g). Each side's _prefix_sums
+generator builds them BLOCK rows at a time: a table holds the sum carried
+from the previous block followed by the block's terms, and one
+np.add.accumulate turns it into every prefix of the block; gram_g is
+accumulated over the flattened (row, client) axis and read every P-th
+entry. Both sides take the prefixes in order, one per round: the client
+the rows < t - 1 in round t (from round 2 on), the server one more row of
+every client per arrival, alpha rounds behind. The frozen right-hand sides
+depend on predictions and stay running sums.
 
 ErmSystem runs on engine.RoundSystem's round skeleton. A round opens on
 the channel and gets every client's fetch back, solves all P local models
@@ -99,41 +100,27 @@ VARIANTS = ("erm", "fictitious")
 BLOCK = 128  # stream rows per prefix-sum table: memory is O(BLOCK), not O(rounds)
 
 
-class _PrefixSums:
-    """Sums over stream rows [0, n) of terms that depend only on the data,
-    for n >= 1 that never decreases; built BLOCK rows at a time.
+def _prefix_sums(terms, streams):
+    """The sums over stream rows [0, 1), [0, 2), ... in turn, one tuple per
+    prefix, of terms that depend only on the data; its readers take every
+    prefix in order, one per round. Built BLOCK rows at a time: a table
+    holds the sum carried from the previous block followed by the block's
+    terms, and one np.add.accumulate turns it into every prefix of the block.
 
     terms(x_global, x_local, label) gets a block of rows of the streams and
     returns one array per sum, with the rows on the leading axis (flattened
-    with `stride` entries per row if need be).
+    with the same number of entries per row if need be: those are added in
+    turn, and a prefix ends after a row's last entry).
     """
-
-    def __init__(self, terms, streams):
-        self.terms, self.streams, self.rows = terms, streams, len(streams[0])
-        self.start = self.stop = 0  # the tables cover prefixes n in [start, stop]
-        self.tables, self.strides = [], []
-
-    def upto(self, n: int) -> list[np.ndarray]:
-        while n > self.stop:
-            self._next_block()
-        k = n - self.start
-        return [table[k * stride] for table, stride in zip(self.tables, self.strides)]
-
-    def each(self, n: int):
-        """The sums over rows [0, n), [0, n + 1), ... in turn, one tuple per
-        prefix; for unstrided tables (one client)."""
-        while n <= self.rows:
-            self.upto(n)
-            yield from zip(*(table[n - self.start:] for table in self.tables))
-            n = self.stop + 1
-
-    def _next_block(self) -> None:
-        lo, hi = self.stop, min(self.stop + BLOCK, self.rows)
-        terms = self.terms(*(a[lo:hi] for a in self.streams))
-        carry = [table[-1] for table in self.tables] or [np.zeros(t.shape[1:]) for t in terms]
-        self.strides = [len(t) // (hi - lo) for t in terms]
-        self.tables = [_accumulate(c, t) for c, t in zip(carry, terms)]
-        self.start, self.stop = lo, hi
+    # zeros of each sum's shape, from the terms of no rows: no block's terms
+    # outlive its tables
+    carry = [np.zeros(t.shape[1:]) for t in terms(*(a[:0] for a in streams))]
+    for lo in range(0, len(streams[0]), BLOCK):
+        rows = [a[lo:lo + BLOCK] for a in streams]
+        n = len(rows[0])
+        tables = [_accumulate(c, t)[len(t) // n::len(t) // n] for c, t in zip(carry, terms(*rows))]
+        carry = [table[-1] for table in tables]
+        yield from zip(*tables)
 
 
 def _client_terms(erm: bool, xg, xl, y) -> tuple:
@@ -179,15 +166,15 @@ class ErmSystem(RoundSystem):
         # module functions, not bound methods: no reference cycle keeps a
         # finished system's arrays alive until the garbage collector runs
         rows = self.xg, self.xl, self.y
-        self.client_sums = _PrefixSums(partial(_client_terms, self.erm), rows)
-        self.server_sums = _PrefixSums(partial(_server_terms, self.erm), rows)
+        self.client_sums = _prefix_sums(partial(_client_terms, self.erm), rows)
+        self.server_sums = _prefix_sums(partial(_server_terms, self.erm), rows)
         self.frozen_rhs = np.zeros(self.wl.shape)
         self.frozen_rhs_g = np.zeros(self.wg.shape)
 
     def _client_step(self, row: int, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.xg[row], self.xl[row], self.y[row]
         if row:  # every archive holds a sample
-            gram, *rest = self.client_sums.upto(row)
+            gram, *rest = next(self.client_sums)
             if self.erm:
                 ly, cross = rest
                 rhs = ly - cross @ fetched
@@ -203,8 +190,9 @@ class ErmSystem(RoundSystem):
             self.frozen_rhs += (y - gp)[:, None] * xl
 
     def _server_step(self, n: int, arrivals) -> None:
-        index = arrivals[1]  # one row of every client: blocks of one round, uniform delays
-        gram_g, *rest = self.server_sums.upto(index + 1)
+        # one row of every client per round, in order: blocks of one round, uniform delays
+        index = arrivals[1]
+        gram_g, *rest = next(self.server_sums)
         if self.erm:
             gy, cross_g = rest
             terms = gy - (cross_g @ self.sent_wl[index][:, :, None])[:, :, 0]
@@ -229,8 +217,8 @@ class ErmSystem(RoundSystem):
         wg, wl, radius, erm, zero = self.wg, self.wl[0], self.radius, self.erm, np.array(0.0)
         frozen_rhs, frozen_rhs_g = np.zeros(wl.shape), np.zeros(wg.shape)  # fictitious only
         # (dl, dl) sums and not (1, dl, dl): the same rows added in the same order
-        client_sums = _PrefixSums(partial(_client_terms, erm), rows).each(1)
-        server_sums = _PrefixSums(partial(_server_terms, erm), rows).each(1)
+        client_sums = _prefix_sums(partial(_client_terms, erm), rows)
+        server_sums = _prefix_sums(partial(_server_terms, erm), rows)
         for t, y, (gram_g, *rest_g) in zip(range(self._rows), labels.tolist(), server_sums):
             xg, xl = xg_rows[t], xl_rows[t]
             if t:  # every archive holds a sample

@@ -69,12 +69,12 @@ def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
         return atb
     w = _stacked_solve(ata + _ridge_diagonal(d), atb)
     if w.ndim == 1:  # one problem: .dot (`@`'s bits for a square, less dispatch), a Python float
-        return w if math.sqrt(w.dot(w)) <= radius else _solve_one(ata, atb, radius)
+        return w if math.sqrt(w.dot(w)) <= radius else _solve_one(ata, atb, radius, w)
     inside = np.sqrt(np.vecdot(w, w)) <= radius  # np.linalg.norm's norm; NaN is outside
     if np.count_nonzero(inside) < inside.size:
         rows, a, b = w.reshape(-1, d), ata.reshape(-1, d, d), atb.reshape(-1, d)
         for i in np.flatnonzero(~inside):
-            rows[i] = _solve_one(a[i], b[i], radius)
+            rows[i] = _solve_one(a[i], b[i], radius, rows[i])
     return w
 
 
@@ -88,29 +88,44 @@ def _ridge_diagonal(d: int) -> np.ndarray:
     return out
 
 
-def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
-    """The scalar path for one (d, d) problem, bisection included."""
-    w = _ridge_solve(ata, atb, BASE_RIDGE)
-    norm = float(np.linalg.norm(w))
-    if norm <= radius:
-        return w
+def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float, w: np.ndarray) -> np.ndarray:
+    """The scalar path for one (d, d) problem, given w, its stacked solve at
+    the base ridge, outside the ball or not finite: a singular system's NaN
+    is re-solved at a doubled ridge, then the bisection finds the ridge
+    whose solution is on the ball."""
+    if not np.isfinite(w).all():
+        w = _ridge_solve(ata, atb, BASE_RIDGE)
+        if float(np.linalg.norm(w)) <= radius:
+            return w
 
     # ||w(lam)|| <= ||atb|| / lam, so this hi already satisfies the bound.
     lo = BASE_RIDGE
-    hi = max(float(np.linalg.norm(atb)) / radius, 2.0 * BASE_RIDGE)
-    while float(np.linalg.norm(_ridge_solve(ata, atb, hi))) > radius:
+    hi = max(_norm_over(atb, radius), 2.0 * BASE_RIDGE)
+    w = _ridge_solve(ata, atb, hi)
+    while float(np.linalg.norm(w)) > radius:
         hi *= 2.0
+        w = _ridge_solve(ata, atb, hi)
     while hi - lo > _BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if float(np.linalg.norm(_ridge_solve(ata, atb, mid))) > radius:
+        trial = _ridge_solve(ata, atb, mid)
+        if float(np.linalg.norm(trial)) > radius:
             lo = mid
         else:
-            hi = mid
-    w = _ridge_solve(ata, atb, hi)
-    norm = float(np.linalg.norm(w))
-    if norm > radius:
-        w = w * (radius / norm)
-    return w
+            hi, w = mid, trial
+    return w  # the solve that accepted hi: on the ball, or inside it
+
+
+def _norm_over(v: np.ndarray, radius: float) -> float:
+    """np.linalg.norm(v) / radius; where the squares pass the largest
+    double, from v scaled by its largest |entry| instead, so that the
+    quotient is finite wherever the true one is."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    top = float(np.abs(v).max())
+    if norm == math.inf and top < math.inf:
+        scaled = v / top
+        return top / radius * math.sqrt(scaled.dot(scaled))
+    return norm / radius
 
 
 def _ridge_solve(ata: np.ndarray, atb: np.ndarray, ridge: float) -> np.ndarray:

@@ -14,6 +14,8 @@ or 3 (invariant breach); an exit 0 must write the CSV header, one row per
 rollout (and sweep value, bandit policy and appendixc learner), and finite
 values, but for test accuracy, which is NaN where no client has a test row
 (always for the bandit), or for partition a manifest line per sample.
+Outside the draws, every subcommand that writes a file meets a
+$FEDRES_OUTPUT_DIR that is a file or lies under one, and must exit 2.
 """
 
 import contextlib
@@ -265,3 +267,33 @@ def test_duplicate_columns_end_as_a_named_invariant_breach(corpora, algo, client
                                  "--output", "-"])
     assert (code, stderr) == (0, "")
     check_csv(stdout, 1)
+
+
+# every subcommand that writes a file, at small sizes; partition's corpus is resolved later
+WRITERS = {
+    "run": ["run", "--rounds", "4", "--rollouts", "1"],
+    "sweep-clients": ["sweep-clients", "--values", "2", "--rounds", "4", "--rollouts", "1"],
+    "sweep-delay": ["sweep-delay", "--values", "0", "--rounds", "4", "--rollouts", "1"],
+    "bandit": ["bandit", "--rounds", "20", "--rollouts", "1"],
+    "appendixc": ["appendixc", "--rounds", "4", "--rollouts", "1"],
+    "partition": ["partition", "--clients", "2", "--n0", "4"],
+}
+
+
+@pytest.mark.parametrize("output", [None, "relative.csv"])
+@pytest.mark.parametrize("where", ["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", WRITERS)
+def test_an_output_directory_that_cannot_be_made_is_an_io_error(corpora, tmp_path, monkeypatch,
+                                                                command, where, output):
+    """$FEDRES_OUTPUT_DIR at a file, or at a path under one: a default or
+    relative --output resolves under it, and the run ends with exit 2 and
+    one line on stderr, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("FEDRES_OUTPUT_DIR", str(blocker if where == "a-file" else blocker / "dir"))
+    argv = WRITERS[command] + (["--output", output] if output else [])
+    if command == "partition":
+        argv.append(corpora["plain"].removeprefix("libsvm:"))
+    code, stdout, stderr = main(argv)
+    assert (code, stdout) == (2, ""), stderr
+    assert re.fullmatch(r"io error: .+\n", stderr), stderr

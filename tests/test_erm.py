@@ -15,7 +15,7 @@ from fedres.solver import BASE_RIDGE
 
 from conftest import ls_objective, pgd_ls_oracle, rows_of, stack_rows
 from erm_oracle import ArchiveClient, ArchiveServer, run_oracle
-from test_sgd import dataset_from_streams, scripted_stream
+from test_sgd import NON_FINITE_INITS, dataset_from_streams, scripted_stream
 
 
 def ridge_solve(gram, rhs):
@@ -271,6 +271,15 @@ class TestComposedRuns:
             with pytest.raises(ConfigError, match="client 1"):
                 system.build(dataset_from_streams([streams[0], odd]), (1, 1), HyperParams(), 4, 0)
 
+    @pytest.mark.parametrize("init_global, init_local", NON_FINITE_INITS)
+    @pytest.mark.parametrize("runner", (run_fedres_erm, run_fictitious_play))
+    def test_non_finite_initial_models_are_config_errors(self, runner, init_global, init_local):
+        """inf or NaN in the global or a local model is bad input, refused
+        before round 1 (not a non-finite loss after it)."""
+        with pytest.raises(ConfigError, match="initial models must be finite"):
+            runner(gen_appendixc(50, 0), 0, HyperParams(), 50, 0,
+                   init_global=np.array(init_global), init_locals=[np.array(init_local)])
+
     def test_exact_learners_reject_batches(self, rng):
         ds = dataset_from_streams([scripted_stream(rng, 4, 2, 2)])
         with pytest.raises(ConfigError):
@@ -278,21 +287,36 @@ class TestComposedRuns:
 
 
 class TestPrefixSums:
-    def test_tables_hold_one_block(self, rng):
+    def test_tables_hold_one_block(self, rng, monkeypatch):
         """Memory is O(BLOCK): at a horizon of several blocks, every
         prefix-sum table covers at most BLOCK + 1 stream rows."""
         rounds, clients = 3 * BLOCK + 17, 2
         streams = [scripted_stream(rng, rounds, 2, 2) for _ in range(clients)]
         ds = dataset_from_streams(streams)
+        # per side, (entries, entries per stream row) of each table: the
+        # carried sum followed by a block's terms
+        tables = {"client": [], "server": []}
+
+        def recorded(side, terms):
+            def wrapped(variant, xg, xl, y):
+                out = terms(variant, xg, xl, y)
+                if len(y):
+                    tables[side].append([(len(t) + 1, len(t) // len(y)) for t in out])
+                return out
+            return wrapped
+
+        monkeypatch.setattr(erm, "_client_terms", recorded("client", erm._client_terms))
+        monkeypatch.setattr(erm, "_server_terms", recorded("server", erm._server_terms))
         for variant in ("erm", "fictitious"):
             system = ErmSystem.build(ds, DelayConfig.uniform(clients, 3, 2), HyperParams(), rounds,
                                      0, variant=variant)
             for _ in range(rounds):
                 system.step()
-                for sums in (system.client_sums, system.server_sums):
-                    for table, stride in zip(sums.tables, sums.strides):
-                        assert len(table) <= BLOCK * stride + 1
-            assert system.client_sums.start >= 2 * BLOCK  # several blocks were built
+            for side, blocks in tables.items():
+                assert all(entries <= BLOCK * stride + 1
+                           for block in blocks for entries, stride in block)
+                assert len(blocks) >= 3, side  # several blocks were built
+                blocks.clear()
 
     def test_finished_system_is_freed_by_reference_counting(self, rng):
         """No reference cycle holds a finished system's arrays until the

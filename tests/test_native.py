@@ -14,6 +14,7 @@ learners bisect, and scales that blow a model up mid-run; one draw runs at
 d >= 20. The examples are derandomized, so the module is deterministic.
 """
 
+import math
 import os
 import platform
 import shutil
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedres import native
+from fedres import native, solver
 from fedres.core import HyperParams
 from fedres.engine import SgdSystem
 from fedres.erm import ErmSystem
@@ -138,6 +139,31 @@ def test_a_singular_system_gives_the_same_finite_bits_in_both_loops(variant):
     want = run(case, None)
     assert want[0] is None
     assert all(np.isfinite(np.frombuffer(a)).all() for a in want[1][:3])  # predictions, models
+    assert run(case, native.LOOPS) == want
+
+
+@needs_loops
+@pytest.mark.parametrize("variant", ["erm", "fictitious"])
+def test_a_bracket_that_overflows_gives_the_same_bits_in_both_loops(variant, monkeypatch):
+    """Rows of about 1e80 put the right-hand sides near 1e160, whose
+    squares overflow: the bisection's first bracket ||atb|| / radius comes
+    from the scaled norm in both loops, which end on the ball with the same
+    bits."""
+    rng = np.random.default_rng(5)
+    streams = tuple(rng.normal(0, 1e80, shape) for shape in [(8, 2), (8, 2), 8])
+    case = ErmSystem, streams, HyperParams(radius=0.3), variant, np.zeros(2), np.zeros(2)
+    overflows = []
+
+    def norm_over(v, radius, plain=solver._norm_over):
+        with np.errstate(over="ignore"):
+            overflows.append(math.isinf(np.linalg.norm(v)))
+        return plain(v, radius)
+
+    monkeypatch.setattr(solver, "_norm_over", norm_over)
+    want = run(case, None)
+    assert want[0] is None and sum(overflows) >= 5  # the Python loop's brackets overflowed
+    for model in want[1][1:3]:
+        assert np.linalg.norm(np.frombuffer(model)) == pytest.approx(0.3, rel=1e-9)
     assert run(case, native.LOOPS) == want
 
 

@@ -13,7 +13,9 @@ SGD's two projections and the exact learners' two solves and two
 prefix-sum reads; their -native twins run the C loops, which make no
 Python call per round: what they count is set-up. The delayed SGD cases
 run blocks of several rounds, whose only per-round calls are the
-projections.
+projections; the delayed exact cases run the stacked P-client path a round
+at a time, through the engine's round skeleton, the two solves and the two
+prefix-sum reads.
 
 The regret comparator's work is bounded the same way: the number of times
 solver.alternating_joint_ls evaluates its n-row objective per fit, which
@@ -50,6 +52,11 @@ CASES = {
                   None, 6.152),
     "sgd-long-delay": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000, alpha=100,
                                         beta=100), None, 2.0355),
+    # the exact learners' stacked path, a round at a time
+    "erm-delayed": (ExperimentConfig(algo="fedres-erm", clients=2, rounds=2000, alpha=1, beta=1),
+                    None, 10.182),
+    "fictitious-delayed": (ExperimentConfig(algo="fictitious", clients=2, rounds=2000, alpha=1,
+                                            beta=1), None, 11.132),
 }
 
 

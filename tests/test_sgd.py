@@ -211,7 +211,19 @@ class TestInvariants:
             run_fedres_sgd(ds, 0, HyperParams(), 2, 0, variant="bogus")
 
 
+NON_FINITE_INITS = [(bad, np.array([1.0, 0.0])) for bad in ([np.inf, 0.0], [0.0, np.nan])] + [
+    (np.array([1.0, 0.0]), bad) for bad in ([-np.inf, 0.0], [np.nan, 0.0])]
+
+
 class TestNumericHealth:
+    @pytest.mark.parametrize("init_global, init_local", NON_FINITE_INITS)
+    def test_non_finite_initial_models_are_config_errors(self, init_global, init_local):
+        """inf or NaN in the global or a local model is bad input, refused
+        before round 1 (not an InvariantError after it)."""
+        with pytest.raises(ConfigError, match="initial models must be finite"):
+            run_fedres_sgd(gen_appendixc(50, 0), 0, HyperParams(), 50, 0,
+                           init_global=np.array(init_global), init_locals=[np.array(init_local)])
+
     def test_diverging_run_names_round_and_client(self):
         ds = gen_example2(2, 4, np.full(4, 0.5), 0.0, 200, 0)
         hp = HyperParams(radius=1e300, eta_global=50.0, eta_local=50.0)

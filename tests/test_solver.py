@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ class TestSolveGram:
         assert np.isnan(solver._ridge_solve(np.zeros((2, 2)), np.ones(2), BASE_RIDGE)).all()
         assert ridges[0] == BASE_RIDGE and ridges[1:] == [2.0 * r for r in ridges[:-1]]
         assert ridges[-2] < math.inf == ridges[-1] and len(ridges) < 1200
+
+    def test_a_bracket_past_the_largest_double_starts_from_the_scaled_norm(self):
+        """||atb|| / radius is finite, but the squares of atb's entries of
+        about 1e181 are not: the bisection starts from the norm of atb scaled
+        by its largest entry, not from an infinite ridge, whose solve is 0.
+        It ends on the ball, where the same problem scaled by 2**-600 ends,
+        alone and in a stack, and warns of no overflow."""
+        x = np.full(2, 2.0**200)
+        ata, atb = np.outer(x, x), 3.0 * 2.0**400 * x
+        # the caller's state of RoundSystem.run: the singular base-ridge solve's NaN is quiet
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            w = solve_gram(ata, atb, 1.0)
+            stacked = solve_gram(np.stack([np.eye(2), ata]), np.stack([x * 0.0, atb]), 1.0)[1]
+        twin = solve_gram(ata * 2.0**-600, atb * 2.0**-600, 1.0)
+        assert stacked.tobytes() == w.tobytes()
+        assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-9)
+        np.testing.assert_allclose(w, twin, rtol=1e-9)
 
 
 def ridged(ata: np.ndarray, ridge: float) -> np.ndarray:
