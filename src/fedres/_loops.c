@@ -1,18 +1,21 @@
-/* The single-client loops of fedres.engine and fedres.erm, every round in C.
+/* The rounds of fedres.engine and fedres.erm, every round in C.
 
-   Each function here is the C form of a Python loop - SgdSystem._run_single
-   and ErmSystem._run_single - and of the 1-D paths of core.project_ball and
-   solver.solve_gram that those loops call, written to give the same bits
-   and the same failures. Products and solves go through the OpenBLAS entry
-   points that NumPy itself calls; fedres.native resolves them in NumPy's
-   OpenBLAS and passes them to fedres_bind. Everything else is one IEEE
-   double operation per Python operation, in the Python order: the library
-   is built with -ffp-contract=off and without fast-math, so no product and
-   sum fuse and no sum is reassociated.
+   Each function here is the C form of a Python path, written to give the
+   same bits and the same failures: fedres_rounds is SgdSystem's block path
+   under the aligned rule at batch size 1, for any number of clients, and
+   fedres_erm is ErmSystem._run_single, with the 1-D path of
+   solver.solve_gram that it calls. Products and solves go through the
+   OpenBLAS entry points that NumPy itself calls; fedres.native resolves
+   them in NumPy's OpenBLAS and passes them to fedres_bind. Everything else
+   is one IEEE double operation per Python operation, in the Python order:
+   the library is built with -ffp-contract=off and without fast-math, so no
+   product and sum fuse and no sum is reassociated.
 
-   ndarray.dot on contiguous 1-D and (m, n) C-order operands, as NumPy's
-   cblas_matrixproduct dispatches it:
-     (n,).(n,)     n = 1: the bare product; else 0.0 + ddot (DOUBLE_dot's sum)
+   The products, on unit-stride operands, as NumPy dispatches them:
+     np.vecdot     every element 0.0 + ddot, DOUBLE_dot's sum: at n = 1 the
+                   product added to 0.0 (never -0.0), at n = 0 +0.0
+     (n,).(n,)     ndarray.dot, cblas_matrixproduct: n = 1 the bare product;
+                   else 0.0 + ddot
      (m, n).(n,)   m = 1: as (n,).(n,); n = 1: daxpy into zeros;
                    else row-major dgemv into zeros
    solver's solve1 and np.linalg.solve are dgesv on a column-major copy of
@@ -58,6 +61,24 @@ static double dot(const double *x, const double *y, blasint n)
     return 0.0 + ddot(n, x, 1, y, 1);
 }
 
+/* dst[:n] = src[:n]: a loop, cheaper than a memcpy call for a model's few entries */
+static void copy(double *dst, const double *src, blasint n)
+{
+    blasint i;
+    for (i = 0; i < n; i++)
+        dst[i] = src[i];
+}
+
+/* one element of np.vecdot(x, y) for x, y of length n */
+static double vdot(const double *x, const double *y, blasint n)
+{
+    if (n == 0)
+        return 0.0;
+    if (n == 1)
+        return 0.0 + x[0] * y[0];
+    return 0.0 + ddot(n, x, 1, y, 1);
+}
+
 /* out = a.dot(x) for a C-order (m, n) matrix */
 static void matvec(const double *a, const double *x, blasint m, blasint n, double *out)
 {
@@ -72,13 +93,15 @@ static void matvec(const double *a, const double *x, blasint m, blasint n, doubl
         dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
 }
 
-/* core.project_ball(v, radius) into w; -1 when the norm is not finite */
+/* core.project_ball(v, radius) into w, for a vector or a row of the 2-D
+   path (both compute a row alike); -1, with w untouched, when the norm is
+   not finite */
 static int project(const double *v, blasint d, double radius, double *w)
 {
-    double n = sqrt(dot(v, v, d)), f;
+    double n = sqrt(vdot(v, v, d)), f;
     blasint i;
     if (n <= radius) { /* NaN fails the screen */
-        memcpy(w, v, (size_t)d * sizeof(double));
+        copy(w, v, d);
         return 0;
     }
     if (!isfinite(n))
@@ -86,7 +109,7 @@ static int project(const double *v, blasint d, double radius, double *w)
     f = radius / n;
     for (i = 0; i < d; i++)
         w[i] = v[i] * f;
-    while (sqrt(dot(w, w, d)) > radius) {
+    while (sqrt(vdot(w, w, d)) > radius) {
         f = nextafter(f, 0.0);
         for (i = 0; i < d; i++)
             w[i] = v[i] * f;
@@ -199,45 +222,8 @@ typedef struct {
     double *pred;
 } Streams;
 
-/* engine.SgdSystem._run_single: wg, wl hold the initial models and get the
-   final ones; *last_round gets the failing round, or the rows. */
-int fedres_sgd(const Streams *in, double eta_g, double eta_l, double radius, double *wg,
-               double *wl, int64_t *last_round)
-{
-    blasint t, i, dg = in->dg, dl = in->dl;
-    double *v = malloc((size_t)(dg > dl ? dg : dl) * sizeof(double));
-    int status = OK;
-    if (!v)
-        return NO_MEMORY;
-    for (t = 0; t < in->rows; t++) {
-        const double *xg = in->xg + t * dg, *xl = in->xl + t * dl;
-        double y = in->y[t], gp, r, c, p;
-        gp = dot(xg, wg, dg) + 0.0;
-        r = gp + dot(xl, wl, dl) - y;
-        c = 2.0 * r;
-        for (i = 0; i < dl; i++)
-            v[i] = wl[i] - eta_l * (c * xl[i]);
-        if (project(v, dl, radius, wl)) {
-            status = LOCAL_NOT_FINITE;
-            break;
-        }
-        p = in->pred[t] = gp + dot(xl, wl, dl);
-        r = p - y;
-        c = 2.0 * r;
-        for (i = 0; i < dg; i++)
-            v[i] = wg[i] - eta_g * (0.0 + c * xg[i]);
-        if (project(v, dg, radius, wg)) {
-            status = GLOBAL_NOT_FINITE;
-            break;
-        }
-    }
-    *last_round = t + (status != OK);
-    free(v);
-    return status;
-}
-
-/* erm.ErmSystem._run_single, erm (re-applying) or fictitious, as
-   fedres_sgd. */
+/* erm.ErmSystem._run_single, erm (re-applying) or fictitious: wg, wl hold
+   the initial models and get the final ones; *last_round gets the rows. */
 int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl,
                int64_t *last_round)
 {
@@ -295,4 +281,128 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
     free(sums);
     free(pivots);
     return OK;
+}
+
+/* Rounds: a P-client run of engine.SgdSystem as fedres_rounds reads and
+   writes it. Round t (from 1) of client i reads the rows
+   xg + (t - 1) xg_row + i xg_client (dg,), the same of xl (dl,) and of y;
+   strides count elements, and the feature axes are unit-stride. Its
+   prediction and residual are entry (t - 1) clients + i of pred and resid.
+   history is the channel's (reach + rows + 1, dg) C-order history: client
+   i fetches row t + fetch[i] in round t, and row reach + t gets the global
+   model after round t. wg (dg,) and wl (clients, dl) are the models,
+   stepped in place. alpha and lag are each client's uplink delay and round
+   trip, eta_local its step. */
+typedef struct {
+    blasint rows, clients, dg, dl, reach;
+    blasint xg_row, xg_client, xl_row, xl_client, y_row, y_client;
+    const double *xg, *xl, *y;
+    double *pred, *resid, *history, *wg, *wl;
+    const blasint *fetch, *alpha, *lag;
+    const double *eta_local;
+    double eta_global, radius;
+} Rounds;
+
+/* Scratch of one round: fetched products (clients), the stepped local
+   models (clients, dl), a vector to project and the server's client sum. */
+typedef struct {
+    double *gp, *next, *v, *gsum;
+} Round;
+
+/* Round t of fedres_rounds; the failing client goes to *client. */
+static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_lag,
+                     Round *k, int64_t *client)
+{
+    blasint P = s->clients, dg = s->dg, dl = s->dl, row = t - 1, i, j, at;
+    double *resid = s->resid + row * P;
+    for (i = 0; i < P; i++)
+        k->gp[i] = vdot(s->xg + row * s->xg_row + i * s->xg_client,
+                        s->history + (t + s->fetch[i]) * dg, dg);
+    if (min_lag == 0) /* a zero round trip steps on its pre-step residual */
+        for (i = 0; i < P; i++)
+            resid[i] = k->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client,
+                                       s->wl + i * dl, dl)
+                       - s->y[row * s->y_row + i * s->y_client];
+    /* every live client steps on the residual of round t - lag: the block
+       path's 2-D projection, row by row; wl changes only if every row does */
+    for (i = 0; i < P; i++) {
+        const double *w = s->wl + i * dl, *x;
+        double c, eta = s->eta_local[i];
+        at = t - s->lag[i] - 1; /* the row of round t - lag */
+        if (at < 0) {
+            copy(k->next + i * dl, w, dl);
+            continue;
+        }
+        c = 2.0 * s->resid[at * P + i];
+        x = s->xl + at * s->xl_row + i * s->xl_client;
+        for (j = 0; j < dl; j++)
+            k->v[j] = w[j] - eta * (c * x[j]);
+        if (project(k->v, dl, s->radius, k->next + i * dl)) {
+            *client = i;
+            return LOCAL_NOT_FINITE;
+        }
+    }
+    copy(s->wl, k->next, P * dl);
+    for (i = 0; i < P; i++) {
+        double p = k->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client, s->wl + i * dl,
+                                   dl);
+        s->pred[row * P + i] = p;
+        resid[i] = p - s->y[row * s->y_row + i * s->y_client];
+    }
+    /* the server steps on the residuals of round t - alpha, summed in client
+       order from the first client; a client not live yet adds (2.0 * 0.0) x
+       of the row the block path reads, (t - alpha - 1) modulo the rows */
+    if (t > min_alpha) {
+        for (i = 0; i < P; i++) {
+            const double *x;
+            double c;
+            at = t - s->alpha[i] - 1; /* the row of round t - alpha */
+            if (at >= 0) {
+                c = 2.0 * s->resid[at * P + i];
+            } else { /* not live yet: 2.0 * 0.0 */
+                c = 0.0;
+                at %= s->rows;
+                if (at < 0)
+                    at += s->rows;
+            }
+            x = s->xg + at * s->xg_row + i * s->xg_client;
+            for (j = 0; j < dg; j++)
+                k->gsum[j] = i ? k->gsum[j] + c * x[j] : c * x[j];
+        }
+        for (j = 0; j < dg; j++)
+            k->v[j] = s->wg[j] - s->eta_global * (0.0 + k->gsum[j]);
+        if (project(k->v, dg, s->radius, s->wg)) {
+            *client = -1;
+            return GLOBAL_NOT_FINITE;
+        }
+    }
+    copy(s->history + (s->reach + t) * dg, s->wg, dg);
+    return OK;
+}
+
+/* engine.SgdSystem's rounds t0 + 1 .. t0 + n under the aligned rule at
+   batch size 1, with the block path's bits. On a failure, failure[0] and
+   failure[1] get its round and client (-1 for the global model), and the
+   models stay those in force when it failed. */
+int fedres_rounds(const Rounds *s, int64_t t0, int64_t n, int64_t *failure)
+{
+    blasint P = s->clients, dl = s->dl, d = s->dg > dl ? s->dg : dl, min_alpha, min_lag, t, i;
+    int status = OK;
+    Round k;
+    k.gp = malloc((size_t)(P + P * dl + d + s->dg + 1) * sizeof(double));
+    if (!k.gp)
+        return NO_MEMORY;
+    k.next = k.gp + P, k.v = k.next + P * dl, k.gsum = k.v + d;
+    min_alpha = min_lag = INT64_MAX;
+    for (i = 0; i < P; i++) {
+        if (s->alpha[i] < min_alpha)
+            min_alpha = s->alpha[i];
+        if (s->lag[i] < min_lag)
+            min_lag = s->lag[i];
+    }
+    for (t = t0 + 1; t <= t0 + n && status == OK; t++)
+        status = one_round(s, t, min_alpha, min_lag, &k, &failure[1]);
+    failure[0] = t - 1;
+    free(k.gp);
+    return status;
 }

@@ -26,6 +26,13 @@ Round r lives in row r - 1 (see channel.Lag). The caller passes the whole
 their gathered exploration samples - and the rows are the result columns.
 b = 1 is an ordinary batch of one.
 
+Which path runs: under the aligned rule at batch size 1 - fleet's, the
+bandit's and the three-way protocol's shape - every round runs in C
+wherever fedres.native loaded and takes the rows (the C round, below);
+run() makes one call for all rows and step() one per round. Elsewhere
+(b > 1, the other variants, no C compiler) the Python paths run: blocks,
+and for one client at zero delay with batch size 1 the single-client loop.
+
 Blocks: under the aligned rule everything the next
 
     L = max(1, min_i min(beta_i + 1, alpha_i + beta_i))   (batch rounds)
@@ -43,7 +50,21 @@ global chain writes each round's model into the channel's row of it. L is
 round just priced) and for the exact learners; step() is always a block of
 one round, and a block of one carries no round axis. Buffers are O(L P d).
 A block that raises InvariantError is replayed from its start a round at
-a time, so errors name the round and client they always named.
+a time, so errors name the round and client they always named. The block
+path is the reference the C round is tested against (tests/test_native.py).
+
+The C round (fedres.native.rounds and advance; _loops.c's fedres_rounds)
+runs the block path's rounds one at a time over the system's own arrays:
+it reads the rows where they lie, at any row and client strides, fetches
+from the channel's history, writes predictions, residuals and every
+round's global model into their rows, and steps wg and wl in place. Every
+element is computed as the block path computes it: np.vecdot's elements
+are 0.0 + the OpenBLAS ddot NumPy calls, each row is projected as
+project_ball does, nudges included, the server sums clients in order from
+the first and adds that to 0.0, and a client not live yet adds
+(2.0 * 0.0) x of the row the block path reads for it. On a non-finite
+model it stops, with the models in force, and returns the round and
+client, which the InvariantError names as the block path's does.
 
 Shared residual: both gradients of round s are 2 (pred_s - y_s) x, because
 the client's delayed pair and the server's (uplinked local prediction,
@@ -61,32 +82,26 @@ runs; both predict with the pre-step local model.
 
 Single client: one client at zero delay with batch size 1 under the aligned
 rule (the three-way protocol's shape) is where a round costs the most per
-sample, and blocks cannot help it: a zero round trip makes every block one
-round long. The input alone selects a loop of its own in run(): each round
-reads the rows x[t, 0, 0] by index, prices and steps the client at the
-fetch wg, then the server, and projects through project_ball's 1-D path;
-the channel's history, exchange() and the (P, b, d) shapes are skipped. The
-loop takes the rows and the initial models and returns (wg, wl, status,
-round): the final models, or a fedres.native status naming the model whose
-norm stopped being finite and its round (only SGD's can: the exact
-learners' solves always answer). run() alone turns that into the round
-count, the final models or the InvariantError. The loop runs in C
-(_run_native, see fedres.native) wherever that library loaded and the rows
-are C-contiguous, as build_streams gives them: rows are read and
-predictions written in place, every (d,).(d,) product is a call of the
-OpenBLAS ddot that 1-D ndarray.dot makes (a bare product at d = 1) and
-every other operation one IEEE double operation in the Python loop's order,
-so its bits are the Python loop's. _run_single is that Python loop, which
-runs where the C library does not (no C compiler, another BLAS) and is the
-reference tests/test_native.py compares against. It takes ndarray.dot
+sample in Python, and blocks cannot help it: a zero round trip makes every
+block one round long. Where the C round does not run, the input alone
+selects a loop of its own in run(), _run_single: each round reads the rows
+x[t, 0, 0] by index, prices and steps the client at the fetch wg, then the
+server, and projects through project_ball's 1-D path; the channel's
+history, exchange(), the residual column and the (P, b, d) shapes are
+skipped. The loop takes the rows and the initial models and returns (wg,
+wl, status, round): the final models, or the ones in force when the model
+that a fedres.native status names stopped being finite, and its round
+(only SGD's can fail: the exact learners' solves always answer, and their
+loop runs in C too, see fedres.erm). run() alone turns that into the round
+count, the models and any InvariantError. _run_single takes ndarray.dot
 products, keeps labels, residuals and the prediction as Python floats and
 the step sizes and the server's `0.0 +` as 0-d arrays. Its bits are the
 block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less
 dispatch (at d = 1 a bare product, which `@` adds to 0.0: hence gp's
 `+ 0.0`, and no sum with gp is -0.0); a 0-d operand is a Python float's IEEE
 operation on a faster path; Python float `+`, `-` and `*` are NumPy's IEEE
-operations; and the 1-D and 2-D projections compute rows alike. step() and
-every other input take the block path.
+operations; and the 1-D and 2-D projections compute rows alike. step()
+takes the block path.
 
 Bits: a block computes every element exactly as its rounds one at a time
 would, so the bits do not depend on L. Dot products are np.vecdot, whose
@@ -94,8 +109,9 @@ per-element kernel is 1-D `@` whatever the leading axes; batch means
 reduce the batch axis of (..., P, b, d) blocks, the same reduction per
 (round, client) at any leading shape; the server sums each round's
 clients in ascending order with np.add.accumulate along the client axis
-(clients not live yet add zeros, which change no bit after the final
-`0.0 +`); and the chains step round by round in order. So results equal
+(a client not live yet adds (2.0 * 0.0) x, zeros that change no bit after
+the final `0.0 +` unless x is not finite); and the chains step round by
+round in order. So results equal
 the per-sample formulas exactly.
 """
 
@@ -112,11 +128,15 @@ from .errors import ConfigError, InvariantError
 from .results import RunResult, check_finite, squared_loss
 
 VARIANTS = ("aligned", "misaligned", "asymmetric")
-# the single-client loops' failures (fedres.native's statuses), each naming its round
-FAILURES = {
-    native.LOCAL_NOT_FINITE: "the local model of client 0 has a non-finite norm after round {}",
-    native.GLOBAL_NOT_FINITE: "the global model has a non-finite norm after round {}",
-}
+
+
+def _failure(status: int, round_: int, client: int) -> InvariantError:
+    """The error of a model whose norm stopped being finite in a round, by
+    its fedres.native status; client names the local model."""
+    if status == native.GLOBAL_NOT_FINITE:
+        return InvariantError(f"the global model has a non-finite norm after round {round_}")
+    return InvariantError(f"the local model of client {client} has a non-finite norm "
+                          f"after round {round_}")
 
 
 class RoundSystem:
@@ -134,9 +154,11 @@ class RoundSystem:
     server on them. step() runs a block of one round and run() blocks of
     `block` rounds, or for one client at zero delay with batch size 1 the
     learner's own loop: _run_native in C where fedres.native takes the
-    rows, else _run_single (see the module doc). Stepping past the streams
-    and run() after step() are ConfigErrors. The models start at zero
-    unless init_global and init_locals are given, which must be finite.
+    rows, else _run_single (see the module doc). A learner with a C round
+    sets _rounds (fedres.native.rounds), and then step() and run() make one
+    call of it each instead. Stepping past the streams and run() after
+    step() are ConfigErrors. The models start at zero unless init_global
+    and init_locals are given, which must be finite.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -163,6 +185,7 @@ class RoundSystem:
         self._rows = rows
         # one client at zero delay with batch size 1: run() takes _run_single
         self._single = clients == 1 and self.label.shape[2] == 1 and delays.round_trips == (0,)
+        self._rounds = None  # the learner's C round (fedres.native.rounds), where it has one
 
     @classmethod
     def build(cls, dataset, delays, hyper: HyperParams, rounds: int, seed: int,
@@ -177,7 +200,23 @@ class RoundSystem:
 
     def step(self) -> None:
         """Advance one round on the data already in its row."""
-        self._advance(1)
+        if self._rounds is None:
+            self._advance(1)
+        else:
+            self._run_c(1)
+
+    def _run_c(self, n: int) -> None:
+        """The next n rounds in one call of the learner's C round
+        (fedres.native.advance), which leaves the models, rows and channel
+        history as blocks of them do and names a failing model's round and
+        client as they do."""
+        channel = self.channel
+        done = channel._last_published
+        if done + n > self._rows:
+            raise ConfigError(f"round {done + n} is past the run's {self._rows} rounds")
+        status, channel._last_published, client = native.advance(self._rounds, done, n)
+        if status:
+            raise _failure(status, channel._last_published, client)
 
     def _advance(self, n: int) -> None:
         """Open the next n rounds on the channel and run them."""
@@ -193,10 +232,11 @@ class RoundSystem:
             self._server_step(n, arrivals)
 
     def run(self) -> RunResult:
-        """Run every row and return the run's columns: one client at zero
-        delay with batch size 1 in the learner's single-client loop, which
-        returns (wg, wl, status, round) and is the only thing run() reads
-        of it, anything else in blocks. A block that raises InvariantError is
+        """Run every row and return the run's columns: in one call of the
+        learner's C round where it has one; else one client at zero delay
+        with batch size 1 in the learner's single-client loop, which returns
+        (wg, wl, status, round) and is the only thing run() reads of it, and
+        anything else in blocks. A block that raises InvariantError is
         replayed from its start a round at a time, so the error names the
         round and client that blocks of one would."""
         channel = self.channel
@@ -205,16 +245,18 @@ class RoundSystem:
                               f"{channel._last_published} rounds")
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                if not self._single:
+                if self._rounds is not None:
+                    self._run_c(self._rows)
+                elif not self._single:
                     self._run_blocks()
                 else:
                     # LOOPS first: the Python loop's set-up stays free of extra calls
                     cols = None if native.LOOPS is None else self._native_columns()
                     wg, wl, status, channel._last_published = (
                         self._run_single() if cols is None else self._run_native(cols))
+                    self.wg, self.wl = wg, wl[None]  # in force, if a model failed
                     if status:
-                        raise InvariantError(FAILURES[status].format(channel._last_published))
-                    self.wg, self.wl = wg, wl[None]
+                        raise _failure(status, channel._last_published, 0)
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
                 done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
@@ -285,11 +327,17 @@ class SgdSystem(RoundSystem):
         # the local models after each round of a block of several price its rows (aligned)
         self._wl_after = np.empty((min(block, self._rows), *self.wl.shape))
         self._single = self._single and self._aligned
+        # the C round, which steps the models in place and writes the channel's history
+        self._rounds = None if native.LOOPS is None or not self._aligned or b != 1 else (
+            native.rounds(self._xg, self._xl, self.label[:, :, 0], self.prediction[:, :, 0],
+                          self.residual[:, :, 0], self.channel._history, self.wg, self.wl,
+                          fetch=self.channel._fetch, alpha=delays.alpha, lag=lags,
+                          eta_local=self.eta_local[:, 0], eta_global=float(self.eta_global),
+                          radius=float(self.radius)))
 
-    def _run_native(self, cols: native.Columns) -> tuple:
-        """_run_single in C (fedres.native), on the client's rows."""
-        return native.sgd(cols, float(self.eta_global), self.eta_local[0, 0],
-                          float(self.radius), self.wg, self.wl[0])
+    def _native_columns(self) -> None:
+        """None: this learner's C loop is the P-client round, self._rounds."""
+        return None
 
     def _run_single(self) -> tuple:
         """Every round of one client at zero delay and batch size 1, the
@@ -374,8 +422,7 @@ class SgdSystem(RoundSystem):
             bad = np.flatnonzero(~np.isfinite(np.vecdot(v, v)))
             if live is not None:
                 bad = bad[live[k - first][bad]]
-            raise InvariantError(f"the local model of client {bad[0]} has a non-finite norm "
-                                 f"after round {t + k}") from None
+            raise _failure(native.LOCAL_NOT_FINITE, t + k, bad[0]) from None
         self.wl = wl
         return wl if n == 1 else out
 
@@ -401,8 +448,7 @@ class SgdSystem(RoundSystem):
                 wg = out[k] = project_ball(wg - step, radius)
         except InvariantError:
             t = self.channel._last_published - n + 1 + k
-            raise InvariantError(f"the global model has a non-finite norm after round {t}") \
-                from None
+            raise _failure(native.GLOBAL_NOT_FINITE, t, -1) from None
         self.wg = wg
 
 

@@ -59,10 +59,13 @@ def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     ata is A^T A (..., d, d), atb is A^T b (..., d); a leading stack axis
     holds independent problems and returns one solution per row. Objective
     gap to the true constrained minimum is bounded by the BASE_RIDGE
-    perturbation, far below test tolerances. A singular row's stacked solve
-    warns of an invalid value before the scalar path answers it, unless
-    the caller's np.errstate ignores invalid values (RoundSystem.run and
-    alternating_joint_ls do).
+    perturbation, far below test tolerances. Two warnings precede a right
+    answer unless the caller's np.errstate ignores them, as RoundSystem.run
+    and alternating_joint_ls do (once per run or fit, not per call): a
+    singular row's stacked solve warns of an invalid value before the
+    scalar path answers it, and a base-ridge solution whose squares pass the
+    largest double warns of an overflow in the inside-the-ball screen
+    before the bisection puts it on the ball.
     """
     d = atb.shape[-1]
     if d == 0:
@@ -231,7 +234,8 @@ def alternating_joint_ls(
     wg = np.zeros(xg.shape[2])
     wls = np.zeros((len(xl), xl.shape[2]))
     prev = None  # the objective at the previous iterate, once the screen hands over
-    with np.errstate(invalid="ignore"):  # a singular block's stacked solve (see solve_gram)
+    # a singular block's stacked solve, a base-ridge solution's overflowing squares (solve_gram)
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_ALTERNATIONS):
             wg0, wls0 = wg, wls
             rhs_l = ly - cross_t @ wg

@@ -1,17 +1,30 @@
-"""The C single-client loops (fedres.native) against the Python loops, bit
-for bit, and the loader's fallback.
+"""The C loops (fedres.native) against the Python paths, bit for bit, and
+the loader's fallback.
 
 Each case runs one system twice, once with the C loops and once with
-native.LOOPS switched off, which leaves the Python loops - the reference -
+native.LOOPS switched off, which leaves the Python paths - the reference -
 and compares everything the run leaves behind, bit for bit with every NaN
-taken as one value: predictions, models, the round count and any error (a
-blow-up, an InvariantError naming its round). Singular Gram blocks, from
-equal or scaled columns, must get the same doubled ridge in both.
-Hypothesis draws SGD, ERM and fictitious play with dg and dl independently from 1 to
-4, -0.0 among the features, initial models outside the ball, steps up to
-1.0 (binding projections that nudge), radii small enough that the exact
-learners bisect, and scales that blow a model up mid-run; one draw runs at
-d >= 20. The examples are derandomized, so the module is deterministic.
+taken as one value.
+
+The single-client cases compare predictions, models, the round count and
+any error (a blow-up, an InvariantError naming its round) with the Python
+single-client loops. Singular Gram blocks, from equal or scaled columns,
+must get the same doubled ridge in both. Hypothesis draws SGD, ERM and
+fictitious play with dg and dl independently from 1 to 4, -0.0 among the
+features, initial models outside the ball, steps up to 1.0 (binding
+projections that nudge), radii small enough that the exact learners
+bisect, and scales that blow a model up mid-run; one draw runs at d >= 20.
+
+The P-client cases compare SGD's C round with the block path, through
+run() and through a step() sequence: predictions, residuals, models, the
+channel's history, fetch counts, messages in flight, the round count and
+the error, which names the round and the client. Hypothesis draws 1 to 6
+clients with their own delays from 0 to 6 each way (warm-ups that end
+client by client), dg and dl from 0 to 4 (the empty blocks of the
+Independent and Central views), per-client steps, an infinite or NaN
+global feature in a last row (which a client not live yet reads), and the
+single-client draw's signed zeros, radii, inits and scales. The examples are
+derandomized, so the module is deterministic.
 """
 
 import math
@@ -28,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedres import native, solver
+from fedres.channel import DelayConfig
 from fedres.core import HyperParams
 from fedres.engine import SgdSystem
 from fedres.erm import ErmSystem
@@ -71,22 +85,32 @@ def cases(draw, dims=st.integers(1, 4)):
 def run(case, loops) -> tuple:
     """(error, state) of the case's run with native.LOOPS set to loops."""
     system_class, streams, hyper, variant, init_global, init_local = case
-    system = system_class.build(dataset_from_streams([streams]), 0, hyper, len(streams[2]), 0,
-                                variant=variant, init_global=init_global,
-                                init_locals=[init_local])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "LOOPS", loops)
-        assert (system._native_columns() is not None) == (loops is not None)
-        try:
-            system.run()
-            error = None
-        except InvariantError as exc:
-            error = type(exc), str(exc)
-    state = [system.prediction, system.wg, system.wl, system.channel._last_published]
-    # one NaN for every NaN: IEEE 754 leaves the sign and payload of an
-    # operation's NaN to the implementation, and NumPy's SIMD loops and the
-    # C compiler order the operands of a sum differently
-    return error, [np.where(np.isnan(a), np.nan, a).tobytes() for a in map(np.asarray, state)]
+        system = system_class.build(dataset_from_streams([streams]), 0, hyper,
+                                    len(streams[2]), 0, variant=variant,
+                                    init_global=init_global, init_locals=[init_local])
+        in_c = system._rounds if system_class is SgdSystem else system._native_columns()
+        assert (in_c is not None) == (loops is not None)
+        error = outcome(system.run)
+    return error, same_nans(system.prediction, system.wg, system.wl,
+                            system.channel._last_published)
+
+
+def outcome(call) -> tuple | None:
+    """None, or the type and message of the InvariantError that call raised."""
+    try:
+        call()
+    except InvariantError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def same_nans(*arrays) -> list:
+    """The arrays' bytes with one NaN for every NaN: IEEE 754 leaves the sign
+    and payload of an operation's NaN to the implementation, and NumPy's
+    SIMD loops and the C compiler order the operands of a sum differently."""
+    return [np.where(np.isnan(a), np.nan, a).tobytes() for a in map(np.asarray, arrays)]
 
 
 def assert_same_run(case):
@@ -192,6 +216,91 @@ def test_collinear_columns_give_the_same_bits_in_both_loops(case):
     want = run(case, None)
     assert want[0] is None
     assert run(case, native.LOOPS) == want
+
+
+@st.composite
+def round_cases(draw):
+    """A P-client SGD system's constructor arguments: (per-client streams,
+    delays, hyperparameters, initial global, initial locals)."""
+    clients, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    dg, dl = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    alpha, beta = (draw(st.lists(st.integers(0, 6), min_size=clients, max_size=clients))
+                   for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale_g, scale_l = (10.0 ** draw(st.sampled_from([0, 0, 0, -3, 3, 20, 80, 160]))
+                        for _ in range(2))
+    zeros = draw(st.booleans())  # signed zeros, which a d = 1 product keeps
+    # in a last row, which a client not live yet reads first: its (2.0 * 0.0) x is NaN
+    last = draw(st.sampled_from([None] * 6 + [math.inf, math.nan]))
+    label = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    streams = []
+    for _ in range(clients):
+        xg, xl = rng.normal(0, 1, (rounds, dg)) * scale_g, rng.normal(0, 1, (rounds, dl)) * scale_l
+        if zeros:
+            xg[rng.random(xg.shape) < 0.3] = -0.0
+            xl[rng.random(xl.shape) < 0.3] = -0.0
+        if last is not None and dg and rng.random() < 0.5:
+            xg[-1, 0] = last
+        streams.append((xg, xl, rng.normal(0, 1, rounds) * label))
+    step = st.sampled_from([1e-60, 0.05, 0.3, 1.0, 1e12])
+    hyper = HyperParams(radius=draw(st.sampled_from([0.01, 0.05, 0.3, 1.0, 100.0, 1e300])),
+                        eta_global=draw(step),
+                        eta_local=draw(st.lists(step, min_size=clients, max_size=clients)))
+    init = st.sampled_from([0.0, -0.0, 0.1, 3.0, -1e3])  # 3.0 and -1e3: outside most balls
+    return (streams, DelayConfig(tuple(alpha), tuple(beta)), hyper, np.full(dg, draw(init)),
+            [np.full(dl, draw(init)) for _ in range(clients)])
+
+
+def run_rounds(case, loops, stepwise: bool) -> tuple:
+    """(error, state) of the case's SGD run with native.LOOPS set to loops,
+    through run() or a round at a time through step(); without the loops
+    always in blocks, the reference."""
+    streams, delays, hyper, init_global, init_locals = case
+    rounds = len(streams[0][2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "LOOPS", loops)
+        system = SgdSystem.build(dataset_from_streams(streams), delays, hyper, rounds, 0,
+                                 init_global=init_global, init_locals=init_locals)
+        assert (system._rounds is not None) == (loops is not None)
+        system._single = False  # the one-client, zero-delay draws too
+        with np.errstate(over="ignore", invalid="ignore"):  # as run() and the bandit set
+            error = outcome(lambda: [system.step() for _ in range(rounds)] if stepwise
+                            else system.run())
+    channel = system.channel
+    done = channel._last_published
+    # rows past the last published round, and the history row of a failed
+    # one, are scratch: a failed block leaves its later rows written
+    written = channel._reach + done + (error is None)
+    return error, same_nans(system.prediction[:done], system.residual[:done], system.wg,
+                            system.wl, channel._history[:written], done,
+                            channel.fetch_counts, channel.pending_payloads)
+
+
+@needs_loops
+@given(round_cases(), st.booleans())
+@examples(300)
+def test_the_c_round_matches_the_block_path(case, stepwise):
+    want = run_rounds(case, None, stepwise)
+    assert run_rounds(case, native.LOOPS, stepwise) == want
+
+
+@needs_loops
+def test_rows_the_c_round_cannot_read_take_the_block_path():
+    """The C round reads whole-element strides of aligned float64 rows, with
+    unit-stride features where a block has two or more: a gathered stream
+    (the bandit's) and the client-major views of build_streams qualify;
+    float32 rows and features at a stride of two do not."""
+    x, y = np.zeros((2, 5, 3, 1, 4)), np.zeros((5, 3, 1))
+
+    def rounds(xg, xl, label):
+        return SgdSystem((xg, xl, label), DelayConfig.uniform(3, 1, 2), HyperParams())._rounds
+
+    assert rounds(x[0], x[1], y) is not None
+    assert rounds(x[0].swapaxes(0, 1).copy().swapaxes(0, 1), x[1, ..., :1], y) is not None
+    assert rounds(x[0, ..., ::4], x[1, ..., ::4], y) is not None  # one feature: any stride
+    for args in [(x[0].astype(np.float32), x[1], y), (x[0], x[1], y.astype(np.float32)),
+                 (x[0, ..., ::2], x[1], y), (x[0], x[1, ..., ::2], y)]:
+        assert rounds(*args) is None
 
 
 @needs_loops

@@ -13,9 +13,10 @@ SGD's two projections and the exact learners' two solves and two
 prefix-sum reads; their -native twins run the C loops, which make no
 Python call per round: what they count is set-up. The delayed SGD cases
 run blocks of several rounds, whose only per-round calls are the
-projections; the delayed exact cases run the stacked P-client path a round
-at a time, through the engine's round skeleton, the two solves and the two
-prefix-sum reads.
+projections; their -native twins run every round in one call of the C
+round, so they count set-up and the regret comparator. The delayed exact
+cases run the stacked P-client path a round at a time, through the
+engine's round skeleton, the two solves and the two prefix-sum reads.
 
 The regret comparator's work is bounded the same way: the number of times
 solver.alternating_joint_ls evaluates its n-row objective per fit, which
@@ -52,6 +53,10 @@ CASES = {
                   None, 6.152),
     "sgd-long-delay": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000, alpha=100,
                                         beta=100), None, 2.0355),
+    "sgd-fleet-native": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5,
+                                          beta=5), None, 2.514),
+    "sgd-long-delay-native": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000,
+                                               alpha=100, beta=100), None, 0.0885),
     # the exact learners' stacked path, a round at a time
     "erm-delayed": (ExperimentConfig(algo="fedres-erm", clients=2, rounds=2000, alpha=1, beta=1),
                     None, 10.182),

@@ -260,6 +260,26 @@ class TestAlternatingJointLs:
         _, _, obj = alternating_joint_ls(xg, xl, ys, radius=1.0)
         assert obj <= float(np.sum(ys[0] ** 2)) + 1e-12
 
+    def test_base_ridge_solutions_whose_squares_overflow_warn_of_nothing(self):
+        """Features near 1e-6 and labels near 1e150 give a first local
+        solve a base-ridge solution near 1e154, whose squares pass the
+        largest double in solve_gram's inside-the-ball screen. The fit
+        ignores that overflow, as it does a singular block's NaN, and ends
+        finite and in the ball with no warning."""
+        rng = np.random.default_rng(0)
+        xg, xl = rng.normal(0, 1e-6, (2, 4, 2)), rng.normal(0, 1e-6, (2, 4, 2))
+        y = rng.normal(0, 1e150, (2, 4))
+        xlt = xl.swapaxes(1, 2)
+        first = solver._stacked_solve(xlt @ xl + solver._ridge_diagonal(2),
+                                      (xlt @ y[..., None])[..., 0])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.vecdot(first, first)).any()  # the screen overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wg, wls, obj = alternating_joint_ls(xg, xl, y, radius=100.0)
+        assert np.isfinite(obj) and np.isfinite(wg).all() and np.isfinite(wls).all()
+        assert max(np.linalg.norm(wg), *np.linalg.norm(wls, axis=1)) <= 100.0
+
     def test_rejects_unequal_or_inconsistent_blocks(self, rng):
         xg = [rng.normal(0, 1, (5, 2)), rng.normal(0, 1, (6, 2))]
         xl = [rng.normal(0, 1, (5, 1)), rng.normal(0, 1, (6, 1))]
