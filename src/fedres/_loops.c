@@ -3,13 +3,18 @@
    Each function here is the C form of a Python path, written to give the
    same bits and the same failures: fedres_rounds is SgdSystem's block path
    under the aligned rule at batch size 1, for any number of clients, and
-   fedres_erm is ErmSystem._run_single, with the 1-D path of
-   solver.solve_gram that it calls. Products and solves go through the
-   OpenBLAS entry points that NumPy itself calls; fedres.native resolves
-   them in NumPy's OpenBLAS and passes them to fedres_bind. Everything else
-   is one IEEE double operation per Python operation, in the Python order:
-   the library is built with -ffp-contract=off and without fast-math, so no
-   product and sum fuse and no sum is reassociated.
+   fedres_erm is ErmSystem's path for one client at zero delay, with the
+   1-D path of solver.solve_gram that it calls. Both share one contract:
+   a view of the system's own arrays, which fedres.native builds once with
+   the system, and a call that runs its rounds t0 + 1 .. t0 + n in place
+   and returns a status with the round and client it names. Every array,
+   the running sums and scratch included, is the caller's: nothing here
+   allocates. Products and solves go through the OpenBLAS entry points that
+   NumPy itself calls; fedres.native resolves them in NumPy's OpenBLAS and
+   passes them to fedres_bind. Everything else is one IEEE double operation
+   per Python operation, in the Python order: the library is built with
+   -ffp-contract=off and without fast-math, so no product and sum fuse and
+   no sum is reassociated.
 
    The products, on unit-stride operands, as NumPy dispatches them:
      np.vecdot     every element 0.0 + ddot, DOUBLE_dot's sum: at n = 1 the
@@ -24,15 +29,14 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t blasint; /* scipy-openblas64: ILP64 integers */
 
 enum { ROW_MAJOR = 101, NO_TRANS = 111 }; /* CblasRowMajor, CblasNoTrans */
 
-/* Statuses (fedres.native's): which model failed, and how. */
-enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, NO_MEMORY };
+/* Statuses (fedres.native's): which model failed. */
+enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE };
 
 static const double BASE_RIDGE = 1e-10;      /* solver.BASE_RIDGE */
 static const double BISECT_REL_TOL = 1e-10;  /* solver._BISECT_REL_TOL */
@@ -117,17 +121,37 @@ static int project(const double *v, blasint d, double radius, double *w)
     return 0;
 }
 
-/* Scratch of one solve: a column-major matrix, a trial solution, pivots. */
+/* Exact: a one-client run of erm.ErmSystem at zero delay as fedres_erm
+   reads and writes it. Round t (from 1) reads the rows xg + (t - 1) xg_row
+   (dg,), the same of xl (dl,) and of y, and writes pred[t - 1]; strides
+   count elements, and the feature axes are unit-stride. history is the
+   channel's (reach + rows + 1, dg) C-order history, whose row reach + t
+   gets the global model after round t; wg (dg,) and wl (dl,) are the
+   models, solved in place at the fetch wg. erm picks the re-applying
+   variant, else fictitious play. The running sums start at zero and carry
+   over between calls: the client's solve in round t reads sums over rows
+   [0, t - 1) of gram = xl xl^T (dl, dl), ly = y xl (dl,) and cross = xl xg^T
+   (dl, dg), the server's over rows [0, t) of gram_g = xg xg^T (dg, dg),
+   gy = y xg (dg,) and cross_g = xg xl^T (dg, dl). Fictitious play keeps the
+   two grams, and in ly and gy its frozen right-hand sums of (y - gp) xl
+   and (y - lp) xg over the same rows. Scratch, max(dg, dl) entries a side:
+   a solve's column-major lu, trial solution and pivots, a right-hand side
+   rhs and a product. */
 typedef struct {
-    double *lu, *trial;
+    blasint rows, dg, dl, reach, erm, xg_row, xl_row, y_row;
+    const double *xg, *xl, *y;
+    double *pred, *history, *wg, *wl;
+    double *gram, *ly, *cross, *gram_g, *gy, *cross_g;
+    double *lu, *trial, *rhs, *product;
     blasint *pivots;
-} Solver;
+    double radius;
+} Exact;
 
 /* solver._ridge_solve: dgesv on (ata + ridge on the diagonal) w = atb, the
    ridge doubled while the system is singular; NaN if it still is at an
    infinite or NaN ridge */
-static void ridge_solve(const double *ata, const double *atb, blasint d, double ridge,
-                        Solver *s, double *w)
+static void ridge_solve(const Exact *s, const double *ata, const double *atb, blasint d,
+                        double ridge, double *w)
 {
     blasint i, j, one = 1, info;
     for (;;) {
@@ -167,11 +191,11 @@ static double norm_over(const double *v, blasint d, double radius, double *scale
    then bisection on the ridge (solver._solve_one; solve1's first solve
    gives the same w where it succeeds, and ridge_solve's doubling where it
    does not). w ends as the solve that accepted hi. */
-static void solve_gram(const double *ata, const double *atb, blasint d, double radius,
-                       Solver *s, double *w)
+static void solve_gram(const Exact *s, const double *ata, const double *atb, blasint d,
+                       double *w)
 {
-    double lo, hi, mid, limit;
-    ridge_solve(ata, atb, d, BASE_RIDGE, s, w);
+    double lo, hi, mid, limit, radius = s->radius;
+    ridge_solve(s, ata, atb, d, BASE_RIDGE, w);
     if (sqrt(dot(w, w, d)) <= radius)
         return;
     lo = BASE_RIDGE;
@@ -180,14 +204,14 @@ static void solve_gram(const double *ata, const double *atb, blasint d, double r
     if (limit > hi) /* Python's max(hi, limit): NaN stays */
         hi = limit;
     for (;;) {
-        ridge_solve(ata, atb, d, hi, s, w);
+        ridge_solve(s, ata, atb, d, hi, w);
         if (!(sqrt(dot(w, w, d)) > radius))
             break;
         hi *= 2.0;
     }
     while (hi - lo > BISECT_REL_TOL * hi) {
         mid = 0.5 * (lo + hi);
-        ridge_solve(ata, atb, d, mid, s, s->trial);
+        ridge_solve(s, ata, atb, d, mid, s->trial);
         if (sqrt(dot(s->trial, s->trial, d)) > radius) {
             lo = mid;
         } else {
@@ -214,72 +238,47 @@ static void add_scaled(double *sum, double c, const double *x, blasint n)
         sum[i] += c * x[i];
 }
 
-/* Streams: C-contiguous rows; round t reads xg + t dg (dg,), xl + t dl (dl,)
-   and y[t] and writes pred[t]. */
-typedef struct {
-    blasint rows, dg, dl;
-    const double *xg, *xl, *y;
-    double *pred;
-} Streams;
-
-/* erm.ErmSystem._run_single, erm (re-applying) or fictitious: wg, wl hold
-   the initial models and get the final ones; *last_round gets the rows. */
-int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl,
-               int64_t *last_round)
+/* erm.ErmSystem's rounds t0 + 1 .. t0 + n for one client at zero delay,
+   with the bits of its stacked path and of _run_single: the client solves
+   at the fetch wg and predicts, and the server solves on the row just
+   sent. failure[0] gets the last round; the solves always answer, so the
+   status is OK. */
+int fedres_erm(const Exact *s, int64_t t0, int64_t n, int64_t *failure)
 {
-    blasint t, i, dg = in->dg, dl = in->dl, d = dg > dl ? dg : dl;
-    /* client sums over rows [0, t): gram (dl, dl), ly (dl), cross (dl, dg);
-       server sums over rows [0, t]: gram_g (dg, dg), gy (dg), cross_g (dg, dl);
-       fictitious keeps its frozen right-hand sums, of (y - gp) xl over rows
-       [0, t) and of (y - lp) xg over rows [0, t], in ly and gy */
-    size_t client = (size_t)(dl * dl + dl + dl * dg), server = (size_t)(dg * dg + dg + dg * dl);
-    double *sums = calloc(client + server + (size_t)(d * d + 3 * d), sizeof(double));
-    blasint *pivots = malloc((size_t)d * sizeof(blasint));
-    double *gram, *ly, *cross, *gram_g, *gy, *cross_g, *rhs, *product;
-    Solver s;
-    if (!sums || !pivots) {
-        free(sums);
-        free(pivots);
-        return NO_MEMORY;
-    }
-    gram = sums, ly = gram + dl * dl, cross = ly + dl;
-    gram_g = sums + client, gy = gram_g + dg * dg, cross_g = gy + dg;
-    s.lu = sums + client + server, s.trial = s.lu + d * d, s.pivots = pivots;
-    rhs = s.trial + d, product = rhs + d;
-    for (t = 0; t < in->rows; t++) {
-        const double *xg = in->xg + t * dg, *xl = in->xl + t * dl;
-        double y = in->y[t], gp, lp;
-        if (t) { /* every archive holds a sample */
-            const double *pxg = xg - dg, *pxl = xl - dl;
-            add_outer(gram, pxl, pxl, dl, dl);
-            if (erm) {
-                add_scaled(ly, in->y[t - 1], pxl, dl);
-                add_outer(cross, pxl, pxg, dl, dg);
-                matvec(cross, wg, dl, dg, product);
+    blasint dg = s->dg, dl = s->dl, t, i;
+    for (t = t0 + 1; t <= t0 + n; t++) {
+        const double *xg = s->xg + (t - 1) * s->xg_row, *xl = s->xl + (t - 1) * s->xl_row;
+        double y = s->y[(t - 1) * s->y_row], gp, lp;
+        if (t > 1) { /* every archive holds a sample */
+            const double *pxg = xg - s->xg_row, *pxl = xl - s->xl_row;
+            add_outer(s->gram, pxl, pxl, dl, dl);
+            if (s->erm) {
+                add_scaled(s->ly, s->y[(t - 2) * s->y_row], pxl, dl);
+                add_outer(s->cross, pxl, pxg, dl, dg);
+                matvec(s->cross, s->wg, dl, dg, s->product);
                 for (i = 0; i < dl; i++)
-                    rhs[i] = ly[i] - product[i];
+                    s->rhs[i] = s->ly[i] - s->product[i];
             }
-            solve_gram(gram, erm ? rhs : ly, dl, radius, &s, wl);
+            solve_gram(s, s->gram, s->erm ? s->rhs : s->ly, dl, s->wl);
         }
-        gp = dot(xg, wg, dg) + 0.0;
-        lp = dot(xl, wl, dl) + 0.0;
-        in->pred[t] = gp + lp;
-        add_outer(gram_g, xg, xg, dg, dg);
-        if (erm) {
-            add_scaled(gy, y, xg, dg);
-            add_outer(cross_g, xg, xl, dg, dl);
-            matvec(cross_g, wl, dg, dl, product);
+        gp = dot(xg, s->wg, dg) + 0.0;
+        lp = dot(xl, s->wl, dl) + 0.0;
+        s->pred[t - 1] = gp + lp;
+        add_outer(s->gram_g, xg, xg, dg, dg);
+        if (s->erm) {
+            add_scaled(s->gy, y, xg, dg);
+            add_outer(s->cross_g, xg, xl, dg, dl);
+            matvec(s->cross_g, s->wl, dg, dl, s->product);
             for (i = 0; i < dg; i++)
-                rhs[i] = 0.0 + (gy[i] - product[i]);
+                s->rhs[i] = 0.0 + (s->gy[i] - s->product[i]);
         } else {
-            add_scaled(ly, y - gp, xl, dl);
-            add_scaled(gy, y - lp, xg, dg);
+            add_scaled(s->ly, y - gp, xl, dl);
+            add_scaled(s->gy, y - lp, xg, dg);
         }
-        solve_gram(gram_g, erm ? rhs : gy, dg, radius, &s, wg);
+        solve_gram(s, s->gram_g, s->erm ? s->rhs : s->gy, dg, s->wg);
+        copy(s->history + (s->reach + t) * dg, s->wg, dg);
     }
-    *last_round = t;
-    free(sums);
-    free(pivots);
+    failure[0] = t - 1;
     return OK;
 }
 
@@ -292,7 +291,9 @@ int fedres_erm(const Streams *in, int erm, double radius, double *wg, double *wl
    i fetches row t + fetch[i] in round t, and row reach + t gets the global
    model after round t. wg (dg,) and wl (clients, dl) are the models,
    stepped in place. alpha and lag are each client's uplink delay and round
-   trip, eta_local its step. */
+   trip, eta_local its step. Scratch of a round: the fetched products gp
+   (clients,), the stepped local models next (clients, dl), a local step v
+   (dl,) and the server's client sum gsum (dg,). */
 typedef struct {
     blasint rows, clients, dg, dl, reach;
     blasint xg_row, xg_client, xl_row, xl_client, y_row, y_client;
@@ -300,27 +301,22 @@ typedef struct {
     double *pred, *resid, *history, *wg, *wl;
     const blasint *fetch, *alpha, *lag;
     const double *eta_local;
+    double *gp, *next, *v, *gsum;
     double eta_global, radius;
 } Rounds;
 
-/* Scratch of one round: fetched products (clients), the stepped local
-   models (clients, dl), a vector to project and the server's client sum. */
-typedef struct {
-    double *gp, *next, *v, *gsum;
-} Round;
-
 /* Round t of fedres_rounds; the failing client goes to *client. */
 static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_lag,
-                     Round *k, int64_t *client)
+                     int64_t *client)
 {
     blasint P = s->clients, dg = s->dg, dl = s->dl, row = t - 1, i, j, at;
     double *resid = s->resid + row * P;
     for (i = 0; i < P; i++)
-        k->gp[i] = vdot(s->xg + row * s->xg_row + i * s->xg_client,
+        s->gp[i] = vdot(s->xg + row * s->xg_row + i * s->xg_client,
                         s->history + (t + s->fetch[i]) * dg, dg);
     if (min_lag == 0) /* a zero round trip steps on its pre-step residual */
         for (i = 0; i < P; i++)
-            resid[i] = k->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client,
+            resid[i] = s->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client,
                                        s->wl + i * dl, dl)
                        - s->y[row * s->y_row + i * s->y_client];
     /* every live client steps on the residual of round t - lag: the block
@@ -330,21 +326,21 @@ static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_
         double c, eta = s->eta_local[i];
         at = t - s->lag[i] - 1; /* the row of round t - lag */
         if (at < 0) {
-            copy(k->next + i * dl, w, dl);
+            copy(s->next + i * dl, w, dl);
             continue;
         }
         c = 2.0 * s->resid[at * P + i];
         x = s->xl + at * s->xl_row + i * s->xl_client;
         for (j = 0; j < dl; j++)
-            k->v[j] = w[j] - eta * (c * x[j]);
-        if (project(k->v, dl, s->radius, k->next + i * dl)) {
+            s->v[j] = w[j] - eta * (c * x[j]);
+        if (project(s->v, dl, s->radius, s->next + i * dl)) {
             *client = i;
             return LOCAL_NOT_FINITE;
         }
     }
-    copy(s->wl, k->next, P * dl);
+    copy(s->wl, s->next, P * dl);
     for (i = 0; i < P; i++) {
-        double p = k->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client, s->wl + i * dl,
+        double p = s->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client, s->wl + i * dl,
                                    dl);
         s->pred[row * P + i] = p;
         resid[i] = p - s->y[row * s->y_row + i * s->y_client];
@@ -367,11 +363,11 @@ static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_
             }
             x = s->xg + at * s->xg_row + i * s->xg_client;
             for (j = 0; j < dg; j++)
-                k->gsum[j] = i ? k->gsum[j] + c * x[j] : c * x[j];
+                s->gsum[j] = i ? s->gsum[j] + c * x[j] : c * x[j];
         }
-        for (j = 0; j < dg; j++)
-            k->v[j] = s->wg[j] - s->eta_global * (0.0 + k->gsum[j]);
-        if (project(k->v, dg, s->radius, s->wg)) {
+        for (j = 0; j < dg; j++) /* the step to project, in place of the sum */
+            s->gsum[j] = s->wg[j] - s->eta_global * (0.0 + s->gsum[j]);
+        if (project(s->gsum, dg, s->radius, s->wg)) {
             *client = -1;
             return GLOBAL_NOT_FINITE;
         }
@@ -381,28 +377,22 @@ static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_
 }
 
 /* engine.SgdSystem's rounds t0 + 1 .. t0 + n under the aligned rule at
-   batch size 1, with the block path's bits. On a failure, failure[0] and
-   failure[1] get its round and client (-1 for the global model), and the
-   models stay those in force when it failed. */
+   batch size 1, with the block path's bits. failure[0] gets the last round
+   run; on a failure it is the failing round, failure[1] gets its client
+   (-1 for the global model), and the models stay those in force when it
+   failed. */
 int fedres_rounds(const Rounds *s, int64_t t0, int64_t n, int64_t *failure)
 {
-    blasint P = s->clients, dl = s->dl, d = s->dg > dl ? s->dg : dl, min_alpha, min_lag, t, i;
+    blasint min_alpha = INT64_MAX, min_lag = INT64_MAX, t, i;
     int status = OK;
-    Round k;
-    k.gp = malloc((size_t)(P + P * dl + d + s->dg + 1) * sizeof(double));
-    if (!k.gp)
-        return NO_MEMORY;
-    k.next = k.gp + P, k.v = k.next + P * dl, k.gsum = k.v + d;
-    min_alpha = min_lag = INT64_MAX;
-    for (i = 0; i < P; i++) {
+    for (i = 0; i < s->clients; i++) {
         if (s->alpha[i] < min_alpha)
             min_alpha = s->alpha[i];
         if (s->lag[i] < min_lag)
             min_lag = s->lag[i];
     }
     for (t = t0 + 1; t <= t0 + n && status == OK; t++)
-        status = one_round(s, t, min_alpha, min_lag, &k, &failure[1]);
+        status = one_round(s, t, min_alpha, min_lag, &failure[1]);
     failure[0] = t - 1;
-    free(k.gp);
     return status;
 }

@@ -169,11 +169,10 @@ def run_epsilon_greedy(episode: BanditEpisode, delays, hyper: HyperParams,
                        as_delay_config(delays, clients), hyper)
     blocks = -(-rounds // period)
     pair_l = np.empty((blocks, clients, xl.shape[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # as in run(): a blow-up is InvariantError
-        for j in range(blocks):  # block j acts on the pair after j steps
-            pair_l[j] = system.wl
-            if j < len(explored):
-                system.step()
+    for j in range(blocks):  # block j acts on the pair after j steps
+        pair_l[j] = system.wl
+        if j < len(explored):
+            system.step()
     # the global half: each client's fetch in round max(j, 1), (blocks, 1 or P, dg)
     pair_g = system.channel.fetches(np.maximum(np.arange(blocks), 1))
     in_force = np.arange(rounds) // period

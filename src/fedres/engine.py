@@ -29,9 +29,10 @@ b = 1 is an ordinary batch of one.
 Which path runs: under the aligned rule at batch size 1 - fleet's, the
 bandit's and the three-way protocol's shape - every round runs in C
 wherever fedres.native loaded and takes the rows (the C round, below);
-run() makes one call for all rows and step() one per round. Elsewhere
-(b > 1, the other variants, no C compiler) the Python paths run: blocks,
-and for one client at zero delay with batch size 1 the single-client loop.
+run() makes one call for all rows and step() one per round. The exact
+learners' C round (fedres.erm) keeps the same contract. Elsewhere (b > 1,
+the other variants, no C compiler) the Python paths run: blocks, and for
+one client at zero delay with batch size 1 the single-client loop.
 
 Blocks: under the aligned rule everything the next
 
@@ -54,7 +55,8 @@ a time, so errors name the round and client they always named. The block
 path is the reference the C round is tested against (tests/test_native.py).
 
 The C round (fedres.native.rounds and advance; _loops.c's fedres_rounds)
-runs the block path's rounds one at a time over the system's own arrays:
+runs the block path's rounds one at a time over the system's own arrays,
+through a view built once with the system, whose scratch arrays it holds:
 it reads the rows where they lie, at any row and client strides, fetches
 from the channel's history, writes predictions, residuals and every
 round's global model into their rows, and steps wg and wl in place. Every
@@ -88,12 +90,10 @@ selects a loop of its own in run(), _run_single: each round reads the rows
 x[t, 0, 0] by index, prices and steps the client at the fetch wg, then the
 server, and projects through project_ball's 1-D path; the channel's
 history, exchange(), the residual column and the (P, b, d) shapes are
-skipped. The loop takes the rows and the initial models and returns (wg,
-wl, status, round): the final models, or the ones in force when the model
-that a fedres.native status names stopped being finite, and its round
-(only SGD's can fail: the exact learners' solves always answer, and their
-loop runs in C too, see fedres.erm). run() alone turns that into the round
-count, the models and any InvariantError. _run_single takes ndarray.dot
+skipped. The loop leaves what the C round leaves: the final models, or
+the ones in force when a model stopped being finite, the round count, and
+the InvariantError naming that model and its round (only SGD's can fail:
+the exact learners' solves always answer). _run_single takes ndarray.dot
 products, keeps labels, residuals and the prediction as Python floats and
 the step sizes and the server's `0.0 +` as 0-d arrays. Its bits are the
 block path's: `.dot` is 1-D `@`'s BLAS call, np.vecdot's kernel, with less
@@ -153,12 +153,12 @@ class RoundSystem:
     block's rows and, when the channel says rows have arrived in it, the
     server on them. step() runs a block of one round and run() blocks of
     `block` rounds, or for one client at zero delay with batch size 1 the
-    learner's own loop: _run_native in C where fedres.native takes the
-    rows, else _run_single (see the module doc). A learner with a C round
-    sets _rounds (fedres.native.rounds), and then step() and run() make one
-    call of it each instead. Stepping past the streams and run() after
-    step() are ConfigErrors. The models start at zero unless init_global
-    and init_locals are given, which must be finite.
+    learner's own loop, _run_single (see the module doc). A learner whose C
+    round takes the system sets _rounds, its fedres.native view, and then
+    step() and run() make one call of it each instead. Stepping past the
+    streams and run() after step() are ConfigErrors. The models start at
+    zero unless init_global and init_locals are given, which must be
+    finite.
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -185,7 +185,7 @@ class RoundSystem:
         self._rows = rows
         # one client at zero delay with batch size 1: run() takes _run_single
         self._single = clients == 1 and self.label.shape[2] == 1 and delays.round_trips == (0,)
-        self._rounds = None  # the learner's C round (fedres.native.rounds), where it has one
+        self._rounds = None  # the learner's C round (a fedres.native view), where it takes the rows
 
     @classmethod
     def build(cls, dataset, delays, hyper: HyperParams, rounds: int, seed: int,
@@ -199,9 +199,12 @@ class RoundSystem:
         return cls(build_streams(dataset, rounds, seed, batch_size), delays, hyper, **kwargs)
 
     def step(self) -> None:
-        """Advance one round on the data already in its row."""
+        """Advance one round on the data already in its row; a model that
+        stops being finite raises run()'s InvariantError, and NumPy warns
+        of nothing."""
         if self._rounds is None:
-            self._advance(1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._advance(1)
         else:
             self._run_c(1)
 
@@ -234,11 +237,10 @@ class RoundSystem:
     def run(self) -> RunResult:
         """Run every row and return the run's columns: in one call of the
         learner's C round where it has one; else one client at zero delay
-        with batch size 1 in the learner's single-client loop, which returns
-        (wg, wl, status, round) and is the only thing run() reads of it, and
-        anything else in blocks. A block that raises InvariantError is
-        replayed from its start a round at a time, so the error names the
-        round and client that blocks of one would."""
+        with batch size 1 in the learner's single-client loop, and anything
+        else in blocks. A block that raises InvariantError is replayed from
+        its start a round at a time, so the error names the round and client
+        that blocks of one would."""
         channel = self.channel
         if channel._last_published:
             raise ConfigError(f"run() needs a fresh system; this one has stepped "
@@ -250,25 +252,13 @@ class RoundSystem:
                 elif not self._single:
                     self._run_blocks()
                 else:
-                    # LOOPS first: the Python loop's set-up stays free of extra calls
-                    cols = None if native.LOOPS is None else self._native_columns()
-                    wg, wl, status, channel._last_published = (
-                        self._run_single() if cols is None else self._run_native(cols))
-                    self.wg, self.wl = wg, wl[None]  # in force, if a model failed
-                    if status:
-                        raise _failure(status, channel._last_published, 0)
+                    self._run_single()
             except InvariantError:  # a model's norm overflowed; a loss may have done so first
                 done = channel._last_published
                 check_finite(squared_loss(self.prediction[:done], self.label[:done]))
                 raise
         return RunResult(self.prediction, self.label, self.x_global, self.x_local, self.wg,
                          list(self.wl), self.channel.fetch_counts)
-
-    def _native_columns(self) -> native.Columns | None:
-        """The client's rows x[t, 0, 0] as the C loops read them, or None
-        where those loops do not run (see fedres.native)."""
-        return native.columns(*(a[:, 0, 0] for a in (self.x_global, self.x_local, self.label,
-                                                    self.prediction)))
 
     def _run_blocks(self) -> None:
         channel = self.channel
@@ -335,20 +325,17 @@ class SgdSystem(RoundSystem):
                           eta_local=self.eta_local[:, 0], eta_global=float(self.eta_global),
                           radius=float(self.radius)))
 
-    def _native_columns(self) -> None:
-        """None: this learner's C loop is the P-client round, self._rounds."""
-        return None
-
-    def _run_single(self) -> tuple:
+    def _run_single(self) -> None:
         """Every round of one client at zero delay and batch size 1, the
         rows x[t, 0, 0] read by index: the client steps on its residual at
         the fetch wg and predicts, and the server steps on the new residual.
-        Residuals and predictions are Python floats. Returns (wg, wl,
-        status, round): the final models, or the ones in force when the
-        model that status names failed in that round."""
+        Residuals and predictions are Python floats. Leaves the models in
+        force and the round count, and raises the InvariantError of a model
+        that failed, as the C round does."""
         xg_rows, xl_rows, prediction = self._xg[:, 0], self._xl[:, 0], self.prediction[:, 0, 0]
         wg, wl, radius = self.wg, self.wl[0], self.radius
         eta_g, eta_l, zero = map(np.array, (float(self.eta_global), self.eta_local[0, 0], 0.0))
+        done, status = self._rows, native.OK
         for t, y in enumerate(self.label[:, 0, 0].tolist()):
             xg, xl = xg_rows[t], xl_rows[t]
             gp = float(xg.dot(wg)) + 0.0  # `@`'s bits at d = 1 too (see the module doc)
@@ -356,14 +343,18 @@ class SgdSystem(RoundSystem):
             try:
                 wl = project_ball(wl - eta_l * ((2.0 * r) * xl), radius)
             except InvariantError:
-                return wg, wl, native.LOCAL_NOT_FINITE, t + 1
+                done, status = t + 1, native.LOCAL_NOT_FINITE
+                break
             p = prediction[t] = gp + float(xl.dot(wl))
             r = p - y
             try:
                 wg = project_ball(wg - eta_g * (zero + (2.0 * r) * xg), radius)
             except InvariantError:
-                return wg, wl, native.GLOBAL_NOT_FINITE, t + 1
-        return wg, wl, native.OK, self._rows
+                done, status = t + 1, native.GLOBAL_NOT_FINITE
+                break
+        self.wg, self.wl, self.channel._last_published = wg, wl[None], done
+        if status:
+            raise _failure(status, done, 0)
 
     def _client_step(self, rows, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.x_global[rows], self.x_local[rows], self.label[rows]

@@ -56,23 +56,22 @@ A Gram block that the base ridge leaves singular is solved at a doubled
 ridge (solver._ridge_solve), on the stacked path and in the single-client
 loop alike, so a singular block ends no run.
 
-One client at zero delay (the three-way protocol's shape) runs a loop of
-its own in run(), under the contract of engine's: each round reads the rows
-by index, solves at the fetch wg on unstacked (d, d) sums, and the server
-solves on the row just sent; the fictitious sums start at zero in the loop,
-and it returns (wg, wl, status, round), its status always native.OK. It
-runs in C (_run_native, see fedres.native) wherever that library takes the
-rows, with running sums of the same terms in the same order, solves
-through the OpenBLAS dgesv that NumPy's solve1 calls (the bisection and
-the doubled ridge included), and the (d, d).(d,) products through the
-dgemv, daxpy or ddot that ndarray.dot picks for the shape; _run_single is
-the same loop in Python, where the C library does not run and as the
-tests' reference. It keeps the predictions
-as Python floats. Its bits are the stacked path's: the unstacked sums add
-the same rows in the same order, a (d, d) solve_gram makes the same LAPACK
-call as a stack of one, and `.dot` products and the 0-d `0.0 +` keep `@`'s
-bits (see fedres.engine); the (d, d).(d,) products, bare at d = 1, are
-subtracted only from prefix sums, which are never -0.0.
+One client at zero delay (the three-way protocol's shape) runs in C
+wherever fedres.native takes the rows, under SGD's C-round contract (see
+fedres.engine): _loops.c's fedres_erm keeps running sums of the same terms
+in the same order, solves through the OpenBLAS dgesv that NumPy's solve1
+calls (the bisection and the doubled ridge included), takes the
+(d, d).(d,) products through the dgemv, daxpy or ddot that ndarray.dot
+picks for the shape, and writes what the stacked path writes. Without the
+library run() takes _run_single, the same loop in Python and the tests'
+reference: each round reads the rows by index, solves at the fetch wg on
+unstacked (d, d) sums, and the server solves on the row just sent. It
+keeps the predictions as Python floats. Its bits are the stacked path's:
+the unstacked sums add the same rows in the same order, a (d, d)
+solve_gram makes the same LAPACK call as a stack of one, and `.dot`
+products and the 0-d `0.0 +` keep `@`'s bits (see fedres.engine); the
+(d, d).(d,) products, bare at d = 1, are subtracted only from prefix sums,
+which are never -0.0.
 
 Delays must be uniform across clients here, so every round after the first
 alpha delivers one row of every client; the delayed-gradient learner
@@ -170,6 +169,10 @@ class ErmSystem(RoundSystem):
         self.server_sums = _prefix_sums(partial(_server_terms, self.erm), rows)
         self.frozen_rhs = np.zeros(self.wl.shape)
         self.frozen_rhs_g = np.zeros(self.wg.shape)
+        # the C round, which solves the models in place and writes the channel's history
+        self._rounds = None if native.LOOPS is None or not self._single else native.exact(
+            self.xg, self.xl, self.y, self.pred, self.channel._history, self.wg, self.wl,
+            erm=self.erm, radius=float(self.radius))
 
     def _client_step(self, row: int, fetched: np.ndarray, n: int) -> None:
         xg, xl, y = self.xg[row], self.xl[row], self.y[row]
@@ -203,15 +206,11 @@ class ErmSystem(RoundSystem):
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
         self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
 
-    def _run_native(self, cols: native.Columns) -> tuple:
-        """_run_single in C (fedres.native), on the client's rows."""
-        return native.erm(cols, self.erm, float(self.radius), self.wg, self.wl[0])
-
-    def _run_single(self) -> tuple:
+    def _run_single(self) -> None:
         """Every round of one client at zero delay, on unstacked sums and
         solves: the client solves at the fetch wg and predicts, and the
         server solves on the row just sent. Predictions are Python floats.
-        Returns (wg, wl, status, round) as SgdSystem._run_single does."""
+        Leaves the final models and the round count, as the C round does."""
         rows = xg_rows, xl_rows, labels = tuple(a[:, 0] for a in (self.xg, self.xl, self.y))
         pred = self.pred[:, 0]
         wg, wl, radius, erm, zero = self.wg, self.wl[0], self.radius, self.erm, np.array(0.0)
@@ -239,7 +238,7 @@ class ErmSystem(RoundSystem):
                 frozen_rhs += (y - gp) * xl
                 rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg
             wg = solve_gram(gram_g, rhs, radius)
-        return wg, wl, native.OK, self._rows
+        self.wg, self.wl, self.channel._last_published = wg, wl[None], self._rows
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,

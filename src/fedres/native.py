@@ -1,19 +1,20 @@
 """The rounds in C: _loops.c, built once and loaded with ctypes.
 
-_loops.c holds two entry points, each the C form of a Python path with its
-bits and its failures (see fedres.engine and fedres.erm):
-- fedres_rounds runs engine.SgdSystem's rounds under the aligned rule at
-  batch size 1, for any number of clients, delays and warm-ups, as the
-  block path computes them. It reads the system's rows where they lie:
-  rounds(...) takes the (N, P, d) feature rows and the (N, P) labels at any
-  row and client strides that are whole elements, with unit-stride
-  features, aligned float64; the predictions, residuals, models and the
-  channel's history it writes in place are C-contiguous. One call runs any
-  number of rounds and returns a status, with the round and client it names.
-- fedres_erm runs ErmSystem._run_single, one client at zero delay, on the
-  client's C-contiguous rows (columns(...)): the initial models in; the
-  predictions, the final models, a status and the round out.
-They make the products and solves through the OpenBLAS entry points NumPy
+_loops.c holds the C form of two Python paths, with their bits and their
+failures (see fedres.engine and fedres.erm): fedres_rounds runs
+engine.SgdSystem's rounds under the aligned rule at batch size 1, for any
+number of clients, delays and warm-ups, as the block path computes them,
+and fedres_erm runs erm.ErmSystem's rounds for one client at zero delay.
+Both keep one contract. A system builds its view once, with rounds() or
+exact(): a ctypes structure over the system's own arrays, which carries
+its C function. The rows are read in place, where readable() says the
+loops can; the predictions, residuals, models and the channel's history
+are written in place; the running sums and the scratch are arrays the view
+holds, so no C function allocates. advance(view, done, n) runs rounds
+done + 1 .. done + n in one call and returns a status with the round and
+client it names.
+
+The products and solves go through the OpenBLAS entry points NumPy
 itself calls - scipy_cblas_ddot64_ (np.vecdot and 1-D ndarray.dot),
 scipy_cblas_dgemv64_ and scipy_cblas_daxpy64_ (the (m, n).(n,) products)
 and scipy_dgesv_64_ (solve1, called again at a doubled ridge where it finds
@@ -41,6 +42,7 @@ import platform
 import shutil
 import sys
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,30 +53,32 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 BLAS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_",
         "scipy_dgesv_64_")
 # the loops' statuses, in C and Python alike: which model's norm stopped being finite
-# (an exact learner's loop returns OK), or that a C loop ran out of memory
-OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE, NO_MEMORY = range(4)
-
-
-class Columns(ctypes.Structure):
-    """One client's C-contiguous rows as the C loops read them (_loops.c's
-    Streams): round t reads xg + t dg, xl + t dl and y[t] and writes pred[t]."""
-
-    _fields_ = ([(name, ctypes.c_int64) for name in ("rows", "dg", "dl")]
-                + [(name, ctypes.c_void_p) for name in ("xg", "xl", "y", "pred")])
+# (an exact learner's loop always returns OK)
+OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE = range(3)
 
 
 class Rounds(ctypes.Structure):
-    """A P-client SGD run as fedres_rounds reads and writes it (_loops.c's
-    Rounds): row and client strides in elements, then the arrays, then the
-    scalar steps and radius."""
+    """_loops.c's Rounds: a P-client SGD run as fedres_rounds reads and writes it."""
 
     _fields_ = ([(name, ctypes.c_int64) for name in (
                     "rows", "clients", "dg", "dl", "reach",
                     "xg_row", "xg_client", "xl_row", "xl_client", "y_row", "y_client")]
                 + [(name, ctypes.c_void_p) for name in (
                     "xg", "xl", "y", "pred", "resid", "history", "wg", "wl",
-                    "fetch", "alpha", "lag", "eta_local")]
+                    "fetch", "alpha", "lag", "eta_local", "gp", "next", "v", "gsum")]
                 + [(name, ctypes.c_double) for name in ("eta_global", "radius")])
+
+
+class Exact(ctypes.Structure):
+    """_loops.c's Exact: a one-client exact learner as fedres_erm reads and writes it."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in (
+                    "rows", "dg", "dl", "reach", "erm", "xg_row", "xl_row", "y_row")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "xg", "xl", "y", "pred", "history", "wg", "wl",
+                    "gram", "ly", "cross", "gram_g", "gy", "cross_g",
+                    "lu", "trial", "rhs", "product", "pivots")]
+                + [("radius", ctypes.c_double)])
 
 
 def _openblas():
@@ -132,12 +136,10 @@ def _load():
     lib.fedres_bind.argtypes = [ctypes.c_void_p] * 4
     lib.fedres_bind.restype = None
     lib.fedres_bind(*(ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in BLAS))
-    pointer, double = ctypes.c_void_p, ctypes.c_double
     int64 = ctypes.c_int64
-    lib.fedres_rounds.argtypes = [ctypes.POINTER(Rounds), int64, int64, ctypes.POINTER(int64)]
-    lib.fedres_erm.argtypes = [ctypes.POINTER(Columns), ctypes.c_int, double, pointer, pointer,
-                               ctypes.POINTER(int64)]
-    lib.fedres_rounds.restype = lib.fedres_erm.restype = ctypes.c_int
+    for loop, view in [(lib.fedres_rounds, Rounds), (lib.fedres_erm, Exact)]:
+        loop.argtypes = [ctypes.POINTER(view), int64, int64, ctypes.POINTER(int64)]
+        loop.restype = ctypes.c_int
     lib.openblas = blas  # NumPy holds it too; the bound entry points live in it
     return lib, None
 
@@ -145,19 +147,26 @@ def _load():
 LOOPS, FALLBACK_REASON = _load()
 
 
-def columns(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray) -> Columns | None:
-    """The rows xg (N, dg), xl (N, dl), labels y (N,) and predictions pred (N,)
-    as Columns, read and written in place; None when the C loops are not
-    loaded or do not take these arrays: anything but C-contiguous float64
-    (build_streams' rows are), an empty feature block, or unequal row counts."""
-    arrays = xg, xl, y, pred
-    if LOOPS is None or min(xg.shape[1], xl.shape[1]) < 1:
-        return None
-    if not len(xg) == len(xl) == len(y) == len(pred):
-        return None
-    if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in arrays):
-        return None
-    return Columns(len(y), xg.shape[1], xl.shape[1], *(a.ctypes.data for a in arrays))
+def readable(xg: np.ndarray, xl: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the C loops are loaded and read the rows xg (N, P, dg), xl
+    (N, P, dl) and labels y (N, P) in place: aligned float64 of one (N, P),
+    at whole-element strides, with unit-stride features where a block has
+    two or more."""
+    return (LOOPS is not None and xg.shape[:-1] == xl.shape[:-1] == y.shape
+            and xg.dtype == xl.dtype == y.dtype == np.float64
+            and xg.flags.aligned and xl.flags.aligned and y.flags.aligned
+            and not np.any(np.remainder(xg.strides + xl.strides + y.strides, 8))
+            and (xg.shape[-1] < 2 or xg.strides[-1] == 8)
+            and (xl.shape[-1] < 2 or xl.strides[-1] == 8))
+
+
+def _view(struct, loop, ints, strides, arrays, doubles):
+    """struct over ints, byte strides in elements, the arrays' addresses and
+    doubles, which keeps the arrays alive and carries its C function, loop."""
+    view = struct(*ints, *(np.array(strides) // 8).tolist(),
+                  *map(attrgetter("ctypes.data"), arrays), *doubles)
+    view.arrays, view.loop, view.failure = arrays, loop, (ctypes.c_int64 * 2)()
+    return view
 
 
 def rounds(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
@@ -168,45 +177,42 @@ def rounds(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
     residuals (N, P), the channel's history (reach + N + 1, dg) and the models
     wg (dg,) and wl (P, dl), written in place and C-contiguous; each client's
     fetch row offset, uplink delay, round trip and local step (an int or
-    float for every client, or one each). None when the C loops are not
-    loaded or do not take the rows: anything but aligned float64 at whole
-    element strides, with unit-stride features where they have two or more."""
-    if LOOPS is None:
-        return None
-    if not (xg.dtype == xl.dtype == y.dtype == np.float64
-            and xg.flags.aligned and xl.flags.aligned and y.flags.aligned):
-        return None
-    if (np.any(np.remainder(xg.strides + xl.strides + y.strides, 8))
-            or xg.shape[-1] > 1 and xg.strides[-1] != 8
-            or xl.shape[-1] > 1 and xl.strides[-1] != 8):
+    float for every client, or one each). None where readable() says no."""
+    if not readable(xg, xl, y):
         return None
     rows, clients = y.shape
     per_client = [np.array(np.broadcast_to(v, clients), dtype=kind) for v, kind in
                   [(fetch, np.int64), (alpha, np.int64), (lag, np.int64), (eta_local, float)]]
-    arrays = [xg, xl, y, pred, resid, history, wg, wl, *per_client]
-    run = Rounds(rows, clients, xg.shape[-1], xl.shape[-1], len(history) - rows - 1,
-                 *[s // 8 for s in (*xg.strides[:2], *xl.strides[:2], *y.strides)],
-                 *[a.ctypes.data for a in arrays], eta_global, radius)
-    run.arrays, run.failure = arrays, (ctypes.c_int64 * 2)()  # alive as long as run is
-    return run
+    return _view(Rounds, LOOPS.fedres_rounds,
+                 [rows, clients, xg.shape[-1], xl.shape[-1], len(history) - rows - 1],
+                 xg.strides[:2] + xl.strides[:2] + y.strides,
+                 [xg, xl, y, pred, resid, history, wg, wl, *per_client, np.empty(clients),
+                  np.empty(wl.shape), np.empty(xl.shape[-1]), np.empty(xg.shape[-1])],
+                 [eta_global, radius])
 
 
-def advance(run: Rounds, done: int, n: int) -> tuple:
-    """Rounds done + 1 .. done + n of run in C: (status, round, client), the
-    last round run and OK, or the round and client (-1: the global model)
-    whose model failed."""
-    status = LOOPS.fedres_rounds(run, done, n, run.failure)
-    if status == NO_MEMORY:
-        raise MemoryError("the C round could not allocate its scratch")
-    return status, *run.failure
+def exact(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
+          history: np.ndarray, wg: np.ndarray, wl: np.ndarray, *, erm: bool,
+          radius: float) -> Exact | None:
+    """A one-client exact learner at zero delay as Exact for advance(), the
+    erm variant when erm, else fictitious play, over arrays laid out as
+    rounds() takes them at P = 1; its running sums (zeros) and the solves'
+    scratch are new arrays the view holds. None where readable() says no or
+    a feature block is empty."""
+    if not readable(xg, xl, y) or min(xg.shape[-1], xl.shape[-1]) < 1:
+        return None
+    rows, dg, dl = len(y), xg.shape[-1], xl.shape[-1]
+    d = max(dg, dl)
+    sums = [np.zeros(shape) for shape in [(dl, dl), dl, (dl, dg), (dg, dg), dg, (dg, dl)]]
+    return _view(Exact, LOOPS.fedres_erm, [rows, dg, dl, len(history) - rows - 1, erm],
+                 [xg.strides[0], xl.strides[0], y.strides[0]],
+                 [xg, xl, y, pred, history, wg, wl, *sums, np.empty((d, d)), np.empty(d),
+                  np.empty(d), np.empty(d), np.empty(d, np.int64)],
+                 [radius])
 
 
-def erm(cols: Columns, reapply: bool, radius: float, wg: np.ndarray, wl: np.ndarray) -> tuple:
-    """ErmSystem._run_single in C (the erm variant when reapply, else
-    fictitious) over cols from copies of the models wg and wl: returns (final
-    wg, final wl, status, round) as that loop does."""
-    wg, wl, t = np.array(wg, dtype=float), np.array(wl, dtype=float), ctypes.c_int64()
-    status = LOOPS.fedres_erm(cols, int(reapply), radius, wg.ctypes.data, wl.ctypes.data, t)
-    if status == NO_MEMORY:
-        raise MemoryError("the single-client loop could not allocate its sums")
-    return wg, wl, status, t.value
+def advance(view: Rounds | Exact, done: int, n: int) -> tuple:
+    """Rounds done + 1 .. done + n of view in one call of its C function:
+    (status, round, client), the last round run and OK, or the round and
+    client (-1: the global model) whose model failed."""
+    return view.loop(view, done, n, view.failure), *view.failure

@@ -60,12 +60,12 @@ def solve_gram(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
     holds independent problems and returns one solution per row. Objective
     gap to the true constrained minimum is bounded by the BASE_RIDGE
     perturbation, far below test tolerances. Two warnings precede a right
-    answer unless the caller's np.errstate ignores them, as RoundSystem.run
-    and alternating_joint_ls do (once per run or fit, not per call): a
-    singular row's stacked solve warns of an invalid value before the
-    scalar path answers it, and a base-ridge solution whose squares pass the
-    largest double warns of an overflow in the inside-the-ball screen
-    before the bisection puts it on the ball.
+    answer unless the caller's np.errstate ignores them, as RoundSystem's
+    run() and step() and alternating_joint_ls do (once per call of theirs,
+    not per solve): a singular row's stacked solve warns of an invalid
+    value before the scalar path answers it, and a base-ridge solution
+    whose squares pass the largest double warns of an overflow in the
+    inside-the-ball screen before the bisection puts it on the ball.
     """
     d = atb.shape[-1]
     if d == 0:

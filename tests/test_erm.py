@@ -229,7 +229,7 @@ class TestComposedRuns:
             return sum((y - g @ xg - w @ xl) ** 2 for xg, xl, y in archive[:upto])
 
         for t, s in enumerate(rows_of(stream), 1):
-            wg, w_prev = system.wg, system.wl[0].copy()  # zero delay: round t fetches wg
+            wg, w_prev = system.wg.copy(), system.wl[0].copy()  # zero delay: round t fetches wg
             system.step()
             wl = system.wl[0].copy()
             if t > 1:

@@ -4,9 +4,9 @@ The recorded fixtures hold only under the kernel they were recorded on
 (see RECORDED_KERNEL in test_characterization.py), but the checks that
 compare two computations on the running kernel must hold on any of them:
 tests/test_differential.py (the loop oracles, and `@` against ndarray.dot),
-tests/test_native.py (the C loops against the Python paths: the C round
-against the blocks, the single-client loops against theirs, where the C
-loops loaded),
+tests/test_native.py (the C loops against the Python paths: the C rounds
+against the blocks, the stacked exact path and the single-client loops,
+where the C loops loaded),
 the regret comparator against its per-iteration oracle in
 tests/test_solver.py (whose skipped objective evaluations rest on a
 rounding-error bound that must hold under any kernel) and criteria 3

@@ -15,6 +15,11 @@ features, initial models outside the ball, steps up to 1.0 (binding
 projections that nudge), radii small enough that the exact learners
 bisect, and scales that blow a model up mid-run; one draw runs at d >= 20.
 
+The exact cases compare the exact learners' C round with their stacked
+path (the single-client loop switched off), through run() and through a
+step() sequence, on the single-client draws: predictions, models, the
+channel's history, the round count and run()'s error.
+
 The P-client cases compare SGD's C round with the block path, through
 run() and through a step() sequence: predictions, residuals, models, the
 channel's history, fetch counts, messages in flight, the round count and
@@ -44,7 +49,7 @@ from fedres import native, solver
 from fedres.channel import DelayConfig
 from fedres.core import HyperParams
 from fedres.engine import SgdSystem
-from fedres.erm import ErmSystem
+from fedres.erm import VARIANTS, ErmSystem
 from fedres.errors import ConfigError, InvariantError
 
 from test_sgd import dataset_from_streams
@@ -60,10 +65,10 @@ def examples(n: int):
 
 
 @st.composite
-def cases(draw, dims=st.integers(1, 4)):
+def cases(draw, dims=st.integers(1, 4), learners=LEARNERS):
     """A single-client system's constructor arguments: (class, streams,
     hyperparameters, variant, initial global, initial local)."""
-    system, variant = draw(st.sampled_from(LEARNERS))
+    system, variant = draw(st.sampled_from(learners))
     rounds, dg, dl = draw(st.integers(1, 30)), draw(dims), draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # 1e20 makes early Grams singular to within the base ridge; 1e80 and
@@ -90,8 +95,7 @@ def run(case, loops) -> tuple:
         system = system_class.build(dataset_from_streams([streams]), 0, hyper,
                                     len(streams[2]), 0, variant=variant,
                                     init_global=init_global, init_locals=[init_local])
-        in_c = system._rounds if system_class is SgdSystem else system._native_columns()
-        assert (in_c is not None) == (loops is not None)
+        assert (system._rounds is not None) == (loops is not None)
         error = outcome(system.run)
     return error, same_nans(system.prediction, system.wg, system.wl,
                             system.channel._last_published)
@@ -284,6 +288,39 @@ def test_the_c_round_matches_the_block_path(case, stepwise):
     assert run_rounds(case, native.LOOPS, stepwise) == want
 
 
+def run_exact(case, loops, stepwise: bool) -> tuple:
+    """(error, state) of the case's exact learner with native.LOOPS set to
+    loops, through run() or a round at a time through step(); without the
+    loops always on the stacked path, the reference."""
+    system_class, streams, hyper, variant, init_global, init_local = case
+    rounds = len(streams[2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "LOOPS", loops)
+        system = system_class.build(dataset_from_streams([streams]), 0, hyper, rounds, 0,
+                                    variant=variant, init_global=init_global,
+                                    init_locals=[init_local])
+        assert (system._rounds is not None) == (loops is not None)
+        system._single = False  # the stacked path, not the single-client loop
+        error = outcome(lambda: [system.step() for _ in range(rounds)] if stepwise
+                        else system.run())
+    channel = system.channel
+    done = channel._last_published
+    return error, same_nans(system.prediction[:done], system.wg, system.wl,
+                            channel._history[:channel._reach + done + 1], done,
+                            channel.fetch_counts)
+
+
+@needs_loops
+@given(cases(learners=LEARNERS[1:]), st.booleans())
+@examples(200)
+def test_the_exact_c_round_matches_the_stacked_path(case, stepwise):
+    """The exact learners' C round writes what their stacked path writes:
+    predictions, models, the channel's history, the round count and
+    run()'s error, a non-finite loss."""
+    want = run_exact(case, None, stepwise)
+    assert run_exact(case, native.LOOPS, stepwise) == want
+
+
 @needs_loops
 def test_rows_the_c_round_cannot_read_take_the_block_path():
     """The C round reads whole-element strides of aligned float64 rows, with
@@ -304,13 +341,33 @@ def test_rows_the_c_round_cannot_read_take_the_block_path():
 
 
 @needs_loops
-def test_rows_that_are_not_c_contiguous_take_the_python_loop():
-    """The C loops read rows at a stride of one row; any other layout falls back."""
-    x, y = np.zeros((6, 4)), np.zeros(6)
-    assert native.columns(x, x, y, y.copy()) is not None
-    for args in [(x[:, ::2], x[:, :2], y, y), (x[::2], x[::2], y[::2], y[::2]),
-                 (x, x, y.astype(np.float32), y), (x, x[:, :0], y, y), (x, x[:5], y, y)]:
-        assert native.columns(*args) is None
+def test_rows_the_exact_c_round_cannot_read_take_the_python_loop():
+    """The exact learners' C round reads the rows by readable()'s rule, as
+    SGD's does, and needs a feature in each block: rows at any row stride
+    qualify, and give the Python loop's bits; features at a stride of two,
+    float32 labels, an empty block and unequal row counts do not."""
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(0, 1, (12, 1, 1, 4)), rng.normal(0, 1, (12, 1, 1))
+
+    def system(xg, xl, label, variant="erm"):
+        return ErmSystem((xg, xl, label), DelayConfig.uniform(1), HyperParams(radius=0.5),
+                         variant=variant)
+
+    for args in [(x, x, y), (x[::2], x[::2], y[::2]),  # every other row
+                 (x[::-1], x[..., :2], y[::-1])]:  # backwards; rows wider than a block
+        for variant in VARIANTS:
+            runs = []
+            for loops in [native.LOOPS, None]:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(native, "LOOPS", loops)
+                    built = system(*args, variant)
+                assert (built._rounds is not None) == (loops is not None)
+                built.run()
+                runs.append(same_nans(built.prediction, built.wg, built.wl))
+            assert runs[0] == runs[1]
+    for args in [(x[..., ::2], x[..., :2], y), (x, x, y.astype(np.float32)),
+                 (x, x[..., :0], y), (x, x[:5], y)]:
+        assert system(*args)._rounds is None
 
 
 @pytest.mark.parametrize("system, variant", LEARNERS)
@@ -333,6 +390,17 @@ def test_the_c_loops_load_where_they_can():
     """A broken build must not fall back unnoticed where it should work."""
     assert native.LOOPS is not None, native.FALLBACK_REASON
     assert native.FALLBACK_REASON is None
+
+
+@needs_loops
+@pytest.mark.skipif(not shutil.which("cc"), reason="no C compiler: cc is not on PATH")
+def test_the_c_loops_compile_without_a_warning(tmp_path):
+    """-Wall -Wextra -Werror catch a variable or status left unused. Where
+    the loops did not build, test_the_c_loops_load_where_they_can speaks."""
+    proc = subprocess.run(["cc", *native.FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+                           str(tmp_path / "loops.so"), str(native.SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 FALLBACK_RUN = """

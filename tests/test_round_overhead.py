@@ -45,9 +45,9 @@ CASES = {
     "erm-appendixc": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 4.3545),
     "fictitious-appendixc": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT, 4.274),
     "sgd-appendixc-native": (ExperimentConfig(algo="fedres-sgd", **APPENDIXC), INIT, 0.044),
-    "erm-appendixc-native": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 0.0395),
+    "erm-appendixc-native": (ExperimentConfig(algo="fedres-erm", **APPENDIXC), INIT, 0.0325),
     "fictitious-appendixc-native": (ExperimentConfig(algo="fictitious", **APPENDIXC), INIT,
-                                    0.0395),
+                                    0.0325),
     # delayed SGD in blocks of min(beta + 1, alpha + beta) rounds: 6, then 101
     "sgd-fleet": (ExperimentConfig(algo="fedres-sgd", clients=100, rounds=500, alpha=5, beta=5),
                   None, 6.152),

@@ -81,6 +81,24 @@ class TestClientRound:
                 system.run()
             assert system.channel.fetch_counts == [2] * dataset.n_clients
 
+    @pytest.mark.parametrize("variant, batch_size", [("misaligned", 1), ("aligned", 2)])
+    def test_a_step_that_overflows_raises_the_error_of_run(self, variant, batch_size):
+        """Global features of 1e200 at a global step of 1e100 overflow the
+        first server step on the block path: a step() sequence ends in the
+        InvariantError run() raises, and no NumPy warning comes first (the
+        suite turns one into an error)."""
+        rng = np.random.default_rng(0)
+        stream = rng.normal(0, 1, (40, 2)) * 1e200, rng.normal(0, 1, (40, 2)), rng.normal(0, 1, 40)
+        hyper = HyperParams(radius=1e300, eta_global=1e100)
+        message = "^the global model has a non-finite norm after round 1$"
+        systems = [SgdSystem.build(dataset_from_streams([stream]), 0, hyper, 40, 0, batch_size,
+                                   variant=variant) for _ in range(2)]
+        with pytest.raises(InvariantError, match=message):
+            systems[0].run()
+        with pytest.raises(InvariantError, match=message):
+            for _ in range(40 // batch_size):
+                systems[1].step()
+
 
 class TestServerRound:
     def test_no_messages_leaves_global_unchanged(self, rng):

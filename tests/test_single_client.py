@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from fedres import native
 from fedres.core import HyperParams
 from fedres.datagen import gen_appendixc
 from fedres.engine import SgdSystem, run_fedres_sgd
@@ -67,16 +68,23 @@ def test_the_input_alone_selects_the_single_client_loop(system, clients, delays,
     assert built._single == single
 
 
+@pytest.mark.parametrize("loops", ["on", "off"])
 @pytest.mark.parametrize("system, variant", [(SgdSystem, "aligned"), (ErmSystem, "erm"),
                                              (ErmSystem, "fictitious")])
-def test_signed_zeros_at_one_feature_keep_the_block_path_bits(system, variant):
+def test_signed_zeros_at_one_feature_keep_the_block_path_bits(system, variant, loops,
+                                                              monkeypatch):
     """At d = 1 ndarray.dot is the bare product, where the block path's
     np.vecdot adds it to 0.0. Zero models on negative features price -0.0
     products; with zero labels the models stay zero, and run()'s loop must
-    still give the predictions and models of a round-at-a-time step()."""
+    still give the predictions and models of a round-at-a-time step(). With
+    the C loops off, that compares _run_single with the block path; with
+    them on (where they load), the C round's run() with its step()."""
+    if loops == "off":
+        monkeypatch.setattr(native, "LOOPS", None)
     x = np.array([[-1.0], [-2.0], [0.5], [-0.0], [-3.0], [1.0]])
     ds = dataset_from_streams([(x, x[::-1].copy(), np.zeros(6))])
     systems = [system.build(ds, 0, HyperParams(), 6, 0, variant=variant) for _ in range(2)]
+    assert (systems[0]._rounds is None) == (native.LOOPS is None)
     res = systems[0].run()
     for _ in range(6):
         systems[1].step()
