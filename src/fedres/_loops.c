@@ -1,28 +1,36 @@
-/* The rounds of fedres.engine and fedres.erm, every round in C.
+/* The rounds of fedres.engine and fedres.erm, and the regret comparator's
+   alternations, in C.
 
    Each function here is the C form of a Python path, written to give the
    same bits and the same failures: fedres_rounds is SgdSystem's block path
-   under the aligned rule at batch size 1, for any number of clients, and
-   fedres_erm is ErmSystem's path for one client at zero delay, with the
-   1-D path of solver.solve_gram that it calls. Both share one contract:
-   a view of the system's own arrays, which fedres.native builds once with
-   the system, and a call that runs its rounds t0 + 1 .. t0 + n in place
-   and returns a status with the round and client it names. Every array,
-   the running sums and scratch included, is the caller's: nothing here
-   allocates. Products and solves go through the OpenBLAS entry points that
-   NumPy itself calls; fedres.native resolves them in NumPy's OpenBLAS and
-   passes them to fedres_bind. Everything else is one IEEE double operation
-   per Python operation, in the Python order: the library is built with
+   under the aligned rule at batch size 1, for any number of clients;
+   fedres_erm is ErmSystem's path for one client at zero delay; fedres_joint
+   runs solver.alternating_joint_ls's alternations while its screen proves
+   them; and fedres_solve is solver.solve_gram's scalar path for one
+   problem. All four solve through one solve_gram over a Solver, scratch
+   the caller owns. The rounds share one contract: a view of the system's
+   own arrays, which fedres.native builds once with the system, and a call
+   that runs its rounds t0 + 1 .. t0 + n in place and returns a status with
+   the round and client it names. Every array, the running sums and scratch
+   included, is the caller's: nothing here allocates. Products and solves
+   go through the OpenBLAS entry points that NumPy itself calls;
+   fedres.native resolves them in NumPy's OpenBLAS and passes them to
+   fedres_bind. Everything else is one IEEE double operation per Python
+   operation, in the Python order: the library is built with
    -ffp-contract=off and without fast-math, so no product and sum fuse and
    no sum is reassociated.
 
-   The products, on unit-stride operands, as NumPy dispatches them:
+   The products, as NumPy 2.4 dispatches them:
      np.vecdot     every element 0.0 + ddot, DOUBLE_dot's sum: at n = 1 the
                    product added to 0.0 (never -0.0), at n = 0 +0.0
      (n,).(n,)     ndarray.dot, cblas_matrixproduct: n = 1 the bare product;
                    else 0.0 + ddot
-     (m, n).(n,)   m = 1: as (n,).(n,); n = 1: daxpy into zeros;
-                   else row-major dgemv into zeros
+     (m, n) @ (n,) np.matmul, per stack element (matmul below): n < 2 a loop
+                   from 0; m = 1 0.0 + ddot; else dgemv, column-major and
+                   transposed on C-order rows, row-major and transposed on
+                   C-order columns (a swapaxes view). fedres_erm subtracts
+                   them from sums that are never -0.0, where ndarray.dot's
+                   forms (bare at m = n = 1, daxpy at n = 1) agree
    solver's solve1 and np.linalg.solve are dgesv on a column-major copy of
    the matrix; where it fails (info != 0), solver._ridge_solve retries with
    the ridge doubled, as ridge_solve here does. */
@@ -33,7 +41,7 @@
 
 typedef int64_t blasint; /* scipy-openblas64: ILP64 integers */
 
-enum { ROW_MAJOR = 101, NO_TRANS = 111 }; /* CblasRowMajor, CblasNoTrans */
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 }; /* CBLAS's */
 
 /* Statuses (fedres.native's): which model failed. */
 enum { OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE };
@@ -44,17 +52,15 @@ static const double BISECT_REL_TOL = 1e-10;  /* solver._BISECT_REL_TOL */
 typedef double ddot_f(blasint, const double *, blasint, const double *, blasint);
 typedef void dgemv_f(int, int, blasint, blasint, double, const double *, blasint,
                      const double *, blasint, double, double *, blasint);
-typedef void daxpy_f(blasint, double, const double *, blasint, double *, blasint);
 typedef void dgesv_f(const blasint *, const blasint *, double *, const blasint *, blasint *,
                      double *, const blasint *, blasint *);
 static ddot_f *ddot;
 static dgemv_f *dgemv;
-static daxpy_f *daxpy;
 static dgesv_f *dgesv;
 
-void fedres_bind(ddot_f *dot, dgemv_f *gemv, daxpy_f *axpy, dgesv_f *gesv)
+void fedres_bind(ddot_f *dot, dgemv_f *gemv, dgesv_f *gesv)
 {
-    ddot = dot, dgemv = gemv, daxpy = axpy, dgesv = gesv;
+    ddot = dot, dgemv = gemv, dgesv = gesv;
 }
 
 /* x.dot(y) for x, y of length n */
@@ -83,18 +89,26 @@ static double vdot(const double *x, const double *y, blasint n)
     return 0.0 + ddot(n, x, 1, y, 1);
 }
 
-/* out = a.dot(x) for a C-order (m, n) matrix */
-static void matvec(const double *a, const double *x, blasint m, blasint n, double *out)
+/* out = a @ x for an (m, n) matrix whose rows are rs and columns cs
+   elements apart, one of them 1, as np.matmul dispatches it */
+static void matmul(const double *a, blasint rs, blasint cs, const double *x, blasint m,
+                   blasint n, double *out)
 {
-    if (m == 1) {
-        out[0] = dot(a, x, n);
+    blasint i;
+    if (n < 2 || m == 0) { /* matmul_inner_noblas: 0 += the product */
+        for (i = 0; i < m; i++)
+            out[i] = n ? 0.0 + a[i * rs] * x[0] : 0.0;
+        return;
+    }
+    if (m == 1) { /* DOUBLE_dot */
+        out[0] = 0.0 + ddot(n, a, cs, x, 1);
         return;
     }
     memset(out, 0, (size_t)m * sizeof(double));
-    if (n == 1)
-        daxpy(m, x[0], a, 1, out, 1);
+    if (cs == 1) /* C-order rows */
+        dgemv(COL_MAJOR, TRANS, n, m, 1.0, a, rs, x, 1, 0.0, out, 1);
     else
-        dgemv(ROW_MAJOR, NO_TRANS, m, n, 1.0, a, n, x, 1, 0.0, out, 1);
+        dgemv(ROW_MAJOR, TRANS, n, m, 1.0, a, cs, x, 1, 0.0, out, 1);
 }
 
 /* core.project_ball(v, radius) into w, for a vector or a row of the 2-D
@@ -121,36 +135,19 @@ static int project(const double *v, blasint d, double radius, double *w)
     return 0;
 }
 
-/* Exact: a one-client run of erm.ErmSystem at zero delay as fedres_erm
-   reads and writes it. Round t (from 1) reads the rows xg + (t - 1) xg_row
-   (dg,), the same of xl (dl,) and of y, and writes pred[t - 1]; strides
-   count elements, and the feature axes are unit-stride. history is the
-   channel's (reach + rows + 1, dg) C-order history, whose row reach + t
-   gets the global model after round t; wg (dg,) and wl (dl,) are the
-   models, solved in place at the fetch wg. erm picks the re-applying
-   variant, else fictitious play. The running sums start at zero and carry
-   over between calls: the client's solve in round t reads sums over rows
-   [0, t - 1) of gram = xl xl^T (dl, dl), ly = y xl (dl,) and cross = xl xg^T
-   (dl, dg), the server's over rows [0, t) of gram_g = xg xg^T (dg, dg),
-   gy = y xg (dg,) and cross_g = xg xl^T (dg, dl). Fictitious play keeps the
-   two grams, and in ly and gy its frozen right-hand sums of (y - gp) xl
-   and (y - lp) xg over the same rows. Scratch, max(dg, dl) entries a side:
-   a solve's column-major lu, trial solution and pivots, a right-hand side
-   rhs and a product. */
+/* Solver: a solve's scratch for up to d features, arrays the caller
+   owns - a column-major lu (d, d), a trial solution (d,) and the pivots
+   (d,) - and the radius of the ball. */
 typedef struct {
-    blasint rows, dg, dl, reach, erm, xg_row, xl_row, y_row;
-    const double *xg, *xl, *y;
-    double *pred, *history, *wg, *wl;
-    double *gram, *ly, *cross, *gram_g, *gy, *cross_g;
-    double *lu, *trial, *rhs, *product;
+    double *lu, *trial;
     blasint *pivots;
     double radius;
-} Exact;
+} Solver;
 
 /* solver._ridge_solve: dgesv on (ata + ridge on the diagonal) w = atb, the
    ridge doubled while the system is singular; NaN if it still is at an
    infinite or NaN ridge */
-static void ridge_solve(const Exact *s, const double *ata, const double *atb, blasint d,
+static void ridge_solve(const Solver *s, const double *ata, const double *atb, blasint d,
                         double ridge, double *w)
 {
     blasint i, j, one = 1, info;
@@ -187,14 +184,17 @@ static double norm_over(const double *v, blasint d, double radius, double *scale
     return top / radius * sqrt(dot(scaled, scaled, d));
 }
 
-/* solver.solve_gram's path for one (d, d) problem, into w: the ridge solve,
-   then bisection on the ridge (solver._solve_one; solve1's first solve
-   gives the same w where it succeeds, and ridge_solve's doubling where it
-   does not). w ends as the solve that accepted hi. */
-static void solve_gram(const Exact *s, const double *ata, const double *atb, blasint d,
+/* solver.solve_gram for one (d, d) problem, C-order, into w: the ridge
+   solve, then bisection on the ridge (solver._solve_one; solve1's first
+   solve gives the same w where it succeeds, and ridge_solve's doubling
+   where it does not). w ends as the solve that accepted hi. A row of a
+   stacked call has the same bits. */
+static void solve_gram(const Solver *s, const double *ata, const double *atb, blasint d,
                        double *w)
 {
     double lo, hi, mid, limit, radius = s->radius;
+    if (d == 0)
+        return;
     ridge_solve(s, ata, atb, d, BASE_RIDGE, w);
     if (sqrt(dot(w, w, d)) <= radius)
         return;
@@ -220,6 +220,142 @@ static void solve_gram(const Exact *s, const double *ata, const double *atb, bla
         }
     }
 }
+
+/* solver._solve_one's entry point: solve_gram over the caller's scratch */
+void fedres_solve(double *lu, double *trial, blasint *pivots, double radius, const double *ata,
+                  const double *atb, int64_t d, double *w)
+{
+    Solver s = {lu, trial, pivots, radius};
+    solve_gram(&s, ata, atb, d, w);
+}
+
+/* Joint: the regret comparator's fit (solver.alternating_joint_ls) as
+   fedres_joint reads and writes it, over its C-order blocks of P =
+   clients: gram_l (P, dl, dl), ly (P, dl), cross (P, dg, dl), gram_g
+   (dg, dg) and gy (P, dg). wg (dg,) and wl (P, dl) are the iterate, from
+   zeros. tol and limit are the fit's, and pad through norm_l are the fields
+   of its solver._DecreaseScreen, whose state (bound, norm_g, norm_l) moves
+   on with each proof. Scratch: the iterate before (wg0, wl0), the
+   alternation's right-hand sides rhs_l (P, dl) and rhs_g (dg,), step_l and
+   term_l (P, dl), step_g and term_g (dg,), sum (max(dg, dl)). */
+typedef struct {
+    blasint clients, dg, dl, limit;
+    const double *gram_l, *ly, *cross, *gram_g, *gy;
+    double *wg, *wl, *wg0, *wl0, *rhs_l, *rhs_g, *step_l, *term_l, *step_g, *term_g, *sum;
+    Solver solver;
+    double tol, pad, y, a, b, gamma_sum, gamma_res, gamma_dec, floor, bound, norm_g, norm_l;
+} Joint;
+
+static const double UNIT_ROUNDOFF = 0x1p-53; /* solver._UNIT_ROUNDOFF */
+
+/* _DecreaseScreen._objective_error */
+static double objective_error(const Joint *s, double bound, double size)
+{
+    double v = sqrt(bound) + s->gamma_res * size;
+    return s->gamma_sum * (v * v) + 2.0 * s->gamma_res * size * v + s->floor;
+}
+
+/* _DecreaseScreen.proves for the step (wg0, wl0) -> (wg, wl), in its
+   formulas and with NumPy's products, so that it proves what the Python
+   screen proves; the proof holds whatever the rounding order */
+static int proves(Joint *s)
+{
+    blasint dg = s->dg, dl = s->dl, n = s->clients * dl, i, j;
+    double dec, err_dec, bound, slack, a0, am, a1, norm_g, norm_l, pad = s->pad;
+    for (i = 0; i < n; i += dl) { /* np.vecdot(gram_l, wl0 + wl1) - 2.0 rhs_l */
+        for (j = 0; j < dl; j++) {
+            s->step_l[i + j] = s->wl0[i + j] - s->wl[i + j];
+            s->sum[j] = s->wl0[i + j] + s->wl[i + j];
+        }
+        for (j = 0; j < dl; j++)
+            s->term_l[i + j] = vdot(s->gram_l + (i + j) * dl, s->sum, dl) - 2.0 * s->rhs_l[i + j];
+    }
+    for (j = 0; j < dg; j++) {
+        s->step_g[j] = s->wg0[j] - s->wg[j];
+        s->sum[j] = s->wg0[j] + s->wg[j];
+    }
+    matmul(s->gram_g, dg, 1, s->sum, dg, dg, s->term_g);
+    for (j = 0; j < dg; j++)
+        s->term_g[j] = s->term_g[j] - 2.0 * s->rhs_g[j];
+    dec = vdot(s->step_l, s->term_l, n) + dot(s->step_g, s->term_g, dg);
+    norm_g = sqrt(dot(s->wg, s->wg, dg)) + pad;
+    norm_l = sqrt(vdot(s->wl, s->wl, n)) + pad;
+    a0 = s->y + s->a * s->norm_g + s->b * s->norm_l;
+    am = s->y + s->a * s->norm_g + s->b * norm_l;
+    a1 = s->y + s->a * norm_g + s->b * norm_l;
+    err_dec = s->gamma_dec * (s->b * (sqrt(vdot(s->step_l, s->step_l, n)) + pad) * (a0 + am)
+                              + s->a * (sqrt(dot(s->step_g, s->step_g, dg)) + pad) * (am + a1));
+    err_dec += s->floor;
+    bound = s->bound - dec + err_dec + 4.0 * UNIT_ROUNDOFF * (s->bound + fabs(dec));
+    if (!(0.0 <= bound && bound < INFINITY))
+        return 0;
+    slack = dec - objective_error(s, s->bound, a0) - objective_error(s, bound, a1);
+    if (!(s->tol <= slack - err_dec && slack - err_dec < INFINITY))
+        return 0;
+    s->bound = bound, s->norm_g = norm_g, s->norm_l = norm_l;
+    return 1;
+}
+
+/* alternating_joint_ls's alternations while its screen proves them, with
+   the bits of its Python loop: the locals given the global, one client at
+   a time (each row of the stacked solve_gram has the bits of its own call),
+   then the global on 0.0 + the client-order sum of gy_i - cross_i @ wl_i.
+   Returns how many the screen proved, with (wg, wl) the iterate after
+   them: the first alternation it cannot prove is undone. */
+int64_t fedres_joint(Joint *s)
+{
+    blasint dg = s->dg, dl = s->dl, k, i, j;
+    for (k = 0; k < s->limit; k++) {
+        copy(s->wg0, s->wg, dg);
+        copy(s->wl0, s->wl, s->clients * dl);
+        for (i = 0; i < s->clients; i++) {
+            double *rhs = s->rhs_l + i * dl;
+            matmul(s->cross + i * dg * dl, 1, dl, s->wg, dl, dg, rhs); /* cross_t @ wg */
+            for (j = 0; j < dl; j++)
+                rhs[j] = s->ly[i * dl + j] - rhs[j];
+            solve_gram(&s->solver, s->gram_l + i * dl * dl, rhs, dl, s->wl + i * dl);
+        }
+        for (i = 0; i < s->clients; i++) {
+            matmul(s->cross + i * dg * dl, dl, 1, s->wl + i * dl, dg, dl, s->term_g);
+            for (j = 0; j < dg; j++) {
+                double term = s->gy[i * dg + j] - s->term_g[j];
+                s->rhs_g[j] = i ? s->rhs_g[j] + term : term;
+            }
+        }
+        for (j = 0; j < dg; j++)
+            s->rhs_g[j] = 0.0 + s->rhs_g[j];
+        solve_gram(&s->solver, s->gram_g, s->rhs_g, dg, s->wg);
+        if (!proves(s)) {
+            copy(s->wg, s->wg0, dg);
+            copy(s->wl, s->wl0, s->clients * dl);
+            break;
+        }
+    }
+    return k;
+}
+
+/* Exact: a one-client run of erm.ErmSystem at zero delay as fedres_erm
+   reads and writes it. Round t (from 1) reads the rows xg + (t - 1) xg_row
+   (dg,), the same of xl (dl,) and of y, and writes pred[t - 1]; strides
+   count elements, and the feature axes are unit-stride. history is the
+   channel's (reach + rows + 1, dg) C-order history, whose row reach + t
+   gets the global model after round t; wg (dg,) and wl (dl,) are the
+   models, solved in place at the fetch wg. erm picks the re-applying
+   variant, else fictitious play. The running sums start at zero and carry
+   over between calls: the client's solve in round t reads sums over rows
+   [0, t - 1) of gram = xl xl^T (dl, dl), ly = y xl (dl,) and cross = xl xg^T
+   (dl, dg), the server's over rows [0, t) of gram_g = xg xg^T (dg, dg),
+   gy = y xg (dg,) and cross_g = xg xl^T (dg, dl). Fictitious play keeps the
+   two grams, and in ly and gy its frozen right-hand sums of (y - gp) xl
+   and (y - lp) xg over the same rows. Scratch, max(dg, dl) entries: a
+   right-hand side rhs, a product and the solves'. */
+typedef struct {
+    blasint rows, dg, dl, reach, erm, xg_row, xl_row, y_row;
+    const double *xg, *xl, *y;
+    double *pred, *history, *wg, *wl;
+    double *gram, *ly, *cross, *gram_g, *gy, *cross_g, *rhs, *product;
+    Solver solver;
+} Exact;
 
 /* sum += a b^T for a (m,) and b (n,), row by row */
 static void add_outer(double *sum, const double *a, const double *b, blasint m, blasint n)
@@ -255,11 +391,11 @@ int fedres_erm(const Exact *s, int64_t t0, int64_t n, int64_t *failure)
             if (s->erm) {
                 add_scaled(s->ly, s->y[(t - 2) * s->y_row], pxl, dl);
                 add_outer(s->cross, pxl, pxg, dl, dg);
-                matvec(s->cross, s->wg, dl, dg, s->product);
+                matmul(s->cross, dg, 1, s->wg, dl, dg, s->product);
                 for (i = 0; i < dl; i++)
                     s->rhs[i] = s->ly[i] - s->product[i];
             }
-            solve_gram(s, s->gram, s->erm ? s->rhs : s->ly, dl, s->wl);
+            solve_gram(&s->solver, s->gram, s->erm ? s->rhs : s->ly, dl, s->wl);
         }
         gp = dot(xg, s->wg, dg) + 0.0;
         lp = dot(xl, s->wl, dl) + 0.0;
@@ -268,14 +404,14 @@ int fedres_erm(const Exact *s, int64_t t0, int64_t n, int64_t *failure)
         if (s->erm) {
             add_scaled(s->gy, y, xg, dg);
             add_outer(s->cross_g, xg, xl, dg, dl);
-            matvec(s->cross_g, s->wl, dg, dl, s->product);
+            matmul(s->cross_g, dl, 1, s->wl, dg, dl, s->product);
             for (i = 0; i < dg; i++)
                 s->rhs[i] = 0.0 + (s->gy[i] - s->product[i]);
         } else {
             add_scaled(s->ly, y - gp, xl, dl);
             add_scaled(s->gy, y - lp, xg, dg);
         }
-        solve_gram(s, s->gram_g, s->erm ? s->rhs : s->gy, dg, s->wg);
+        solve_gram(&s->solver, s->gram_g, s->erm ? s->rhs : s->gy, dg, s->wg);
         copy(s->history + (s->reach + t) * dg, s->wg, dg);
     }
     failure[0] = t - 1;

@@ -158,7 +158,9 @@ class RoundSystem:
     step() and run() make one call of it each instead. Stepping past the
     streams and run() after step() are ConfigErrors. The models start at
     zero unless init_global and init_locals are given, which must be
-    finite.
+    finite. wg and wl are written in place on every path, C or Python: an
+    array taken from system.wg before step() or run() is system.wg after
+    it, and holds the new model (a C view holds their addresses).
     """
 
     def __init__(self, streams, delays: DelayConfig, hyper: HyperParams, *,
@@ -264,13 +266,13 @@ class RoundSystem:
         channel = self.channel
         full, rest = divmod(self._rows, self.block)
         for n in [self.block] * full + [rest] * (rest > 0):
-            wg, wl = self.wg, self.wl
+            saved = (self.wg.copy(), self.wl.copy()) if n > 1 else None  # a replay's start
             try:
                 self._advance(n)
             except InvariantError:
-                if n == 1:
+                if saved is None:
                     raise
-                self.wg, self.wl = wg, wl
+                self.wg[:], self.wl[:] = saved
                 channel.rewind()
                 for _ in range(n):
                     self.step()
@@ -352,7 +354,7 @@ class SgdSystem(RoundSystem):
             except InvariantError:
                 done, status = t + 1, native.GLOBAL_NOT_FINITE
                 break
-        self.wg, self.wl, self.channel._last_published = wg, wl[None], done
+        self.wg[:], self.wl[0], self.channel._last_published = wg, wl, done
         if status:
             raise _failure(status, done, 0)
 
@@ -414,7 +416,7 @@ class SgdSystem(RoundSystem):
             if live is not None:
                 bad = bad[live[k - first][bad]]
             raise _failure(native.LOCAL_NOT_FINITE, t + k, bad[0]) from None
-        self.wl = wl
+        self.wl[:] = wl
         return wl if n == 1 else out
 
     def _server_step(self, n: int, arrivals) -> None:
@@ -440,7 +442,7 @@ class SgdSystem(RoundSystem):
         except InvariantError:
             t = self.channel._last_published - n + 1 + k
             raise _failure(native.GLOBAL_NOT_FINITE, t, -1) from None
-        self.wg = wg
+        self.wg[:] = wg
 
 
 def build_streams(dataset, rounds: int, seed: int, batch_size: int = 1):

@@ -61,13 +61,13 @@ wherever fedres.native takes the rows, under SGD's C-round contract (see
 fedres.engine): _loops.c's fedres_erm keeps running sums of the same terms
 in the same order, solves through the OpenBLAS dgesv that NumPy's solve1
 calls (the bisection and the doubled ridge included), takes the
-(d, d).(d,) products through the dgemv, daxpy or ddot that ndarray.dot
-picks for the shape, and writes what the stacked path writes. Without the
-library run() takes _run_single, the same loop in Python and the tests'
-reference: each round reads the rows by index, solves at the fetch wg on
-unstacked (d, d) sums, and the server solves on the row just sent. It
-keeps the predictions as Python floats. Its bits are the stacked path's:
-the unstacked sums add the same rows in the same order, a (d, d)
+(d, d).(d,) products through the dgemv or ddot that the stacked path's
+np.matmul picks for the shape, and writes what the stacked path writes.
+Without the library run() takes _run_single, the same loop in Python and
+the tests' reference: each round reads the rows by index, solves at the
+fetch wg on unstacked (d, d) sums, and the server solves on the row just
+sent. It keeps the predictions as Python floats. Its bits are the stacked
+path's: the unstacked sums add the same rows in the same order, a (d, d)
 solve_gram makes the same LAPACK call as a stack of one, and `.dot`
 products and the 0-d `0.0 +` keep `@`'s bits (see fedres.engine); the
 (d, d).(d,) products, bare at d = 1, are subtracted only from prefix sums,
@@ -183,7 +183,7 @@ class ErmSystem(RoundSystem):
                 rhs = ly - cross @ fetched
             else:
                 rhs = self.frozen_rhs
-            self.wl = solve_gram(gram, rhs, self.radius)
+            self.wl[:] = solve_gram(gram, rhs, self.radius)
         gp = np.vecdot(xg, fetched)
         lp = self.local_prediction[row] = np.vecdot(xl, self.wl)
         self.pred[row] = gp + lp
@@ -204,7 +204,7 @@ class ErmSystem(RoundSystem):
             xg, y = self.xg[index], self.y[index]
             terms = (y - self.local_prediction[index])[:, None] * xg
             rhs = self.frozen_rhs_g = _accumulate(self.frozen_rhs_g, terms)[-1]
-        self.wg = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
+        self.wg[:] = self.channel.after[0] = solve_gram(gram_g, rhs, self.radius)
 
     def _run_single(self) -> None:
         """Every round of one client at zero delay, on unstacked sums and
@@ -238,7 +238,7 @@ class ErmSystem(RoundSystem):
                 frozen_rhs += (y - gp) * xl
                 rhs = frozen_rhs_g = frozen_rhs_g + (y - lp) * xg
             wg = solve_gram(gram_g, rhs, radius)
-        self.wg, self.wl, self.channel._last_published = wg, wl[None], self._rows
+        self.wg[:], self.wl[0], self.channel._last_published = wg, wl, self._rows
 
 
 def run_fedres_erm(dataset, delays, hyper: HyperParams, rounds: int, seed: int, *,

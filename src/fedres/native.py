@@ -1,26 +1,27 @@
-"""The rounds in C: _loops.c, built once and loaded with ctypes.
+"""The C loops: _loops.c, built once and loaded with ctypes.
 
-_loops.c holds the C form of two Python paths, with their bits and their
-failures (see fedres.engine and fedres.erm): fedres_rounds runs
-engine.SgdSystem's rounds under the aligned rule at batch size 1, for any
-number of clients, delays and warm-ups, as the block path computes them,
-and fedres_erm runs erm.ErmSystem's rounds for one client at zero delay.
-Both keep one contract. A system builds its view once, with rounds() or
-exact(): a ctypes structure over the system's own arrays, which carries
-its C function. The rows are read in place, where readable() says the
-loops can; the predictions, residuals, models and the channel's history
-are written in place; the running sums and the scratch are arrays the view
-holds, so no C function allocates. advance(view, done, n) runs rounds
-done + 1 .. done + n in one call and returns a status with the round and
-client it names.
+_loops.c holds the C form of four Python paths, with their bits and their
+failures (see fedres.engine, fedres.erm and fedres.solver): fedres_rounds
+runs engine.SgdSystem's rounds under the aligned rule at batch size 1, for
+any number of clients, delays and warm-ups, as the block path computes
+them; fedres_erm runs erm.ErmSystem's rounds for one client at zero delay;
+solve() is solver._solve_one; alternate() runs the alternations of
+solver.alternating_joint_ls that its screen proves. The last three solve
+through one solve_gram over scratch the caller owns. The rounds keep one
+contract. A system builds its view once, with rounds() or exact(): a ctypes
+structure over the system's own arrays, which carries its C function. The
+rows are read in place, where readable() says the loops can; the
+predictions, residuals, models and the channel's history are written in
+place; the running sums and the scratch are arrays the view holds, so no
+C function allocates. advance(view, done, n) runs rounds done + 1 ..
+done + n in one call and returns a status with the round and client it names.
 
 The products and solves go through the OpenBLAS entry points NumPy
 itself calls - scipy_cblas_ddot64_ (np.vecdot and 1-D ndarray.dot),
-scipy_cblas_dgemv64_ and scipy_cblas_daxpy64_ (the (m, n).(n,) products)
-and scipy_dgesv_64_ (solve1, called again at a doubled ridge where it finds
-a system singular, as solver._ridge_solve does) - resolved here in the
-OpenBLAS of numpy.libs, so their bits are NumPy's under whichever OpenBLAS
-kernel runs.
+scipy_cblas_dgemv64_ (np.matmul's (m, n) @ (n,)) and scipy_dgesv_64_
+(solve1, called again at a doubled ridge where it finds a system singular,
+as solver._ridge_solve does) - resolved here in the OpenBLAS of
+numpy.libs, so their bits are NumPy's under whichever OpenBLAS kernel runs.
 
 Importing this module builds _loops.c with the system C compiler `cc` into
 $XDG_CACHE_HOME/fedres (~/.cache/fedres by default), once per source, flags
@@ -42,6 +43,7 @@ import platform
 import shutil
 import sys
 import tempfile
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -50,8 +52,7 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_loops.c")
 # plain IEEE double arithmetic: no contracted multiply-adds, no fast-math, no -march
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-BLAS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_cblas_daxpy64_",
-        "scipy_dgesv_64_")
+BLAS = ("scipy_cblas_ddot64_", "scipy_cblas_dgemv64_", "scipy_dgesv_64_")
 # the loops' statuses, in C and Python alike: which model's norm stopped being finite
 # (an exact learner's loop always returns OK)
 OK, LOCAL_NOT_FINITE, GLOBAL_NOT_FINITE = range(3)
@@ -69,6 +70,8 @@ class Rounds(ctypes.Structure):
                 + [(name, ctypes.c_double) for name in ("eta_global", "radius")])
 
 
+# Exact and Joint spell out _loops.c's Solver, which they hold by value: its
+# scratch (lu, trial, pivots) ends their pointers, and its radius starts their doubles
 class Exact(ctypes.Structure):
     """_loops.c's Exact: a one-client exact learner as fedres_erm reads and writes it."""
 
@@ -76,9 +79,25 @@ class Exact(ctypes.Structure):
                     "rows", "dg", "dl", "reach", "erm", "xg_row", "xl_row", "y_row")]
                 + [(name, ctypes.c_void_p) for name in (
                     "xg", "xl", "y", "pred", "history", "wg", "wl",
-                    "gram", "ly", "cross", "gram_g", "gy", "cross_g",
-                    "lu", "trial", "rhs", "product", "pivots")]
+                    "gram", "ly", "cross", "gram_g", "gy", "cross_g", "rhs", "product",
+                    "lu", "trial", "pivots")]
                 + [("radius", ctypes.c_double)])
+
+
+# the fields of solver._DecreaseScreen that Joint copies, and bound, norm_g and norm_l back
+SCREEN = ("pad", "y", "a", "b", "gamma_sum", "gamma_res", "gamma_dec", "floor", "bound",
+          "norm_g", "norm_l")
+
+
+class Joint(ctypes.Structure):
+    """_loops.c's Joint: the regret comparator's fit as fedres_joint reads and writes it."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("clients", "dg", "dl", "limit")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "gram_l", "ly", "cross", "gram_g", "gy", "wg", "wl", "wg0", "wl0",
+                    "rhs_l", "rhs_g", "step_l", "term_l", "step_g", "term_g", "sum",
+                    "lu", "trial", "pivots")]
+                + [(name, ctypes.c_double) for name in ("radius", "tol", *SCREEN)])
 
 
 def _openblas():
@@ -133,13 +152,18 @@ def _load():
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         return None, f"cannot load {path}: {exc}"
-    lib.fedres_bind.argtypes = [ctypes.c_void_p] * 4
+    lib.fedres_bind.argtypes = [ctypes.c_void_p] * len(BLAS)
     lib.fedres_bind.restype = None
     lib.fedres_bind(*(ctypes.cast(getattr(blas, name), ctypes.c_void_p) for name in BLAS))
     int64 = ctypes.c_int64
     for loop, view in [(lib.fedres_rounds, Rounds), (lib.fedres_erm, Exact)]:
         loop.argtypes = [ctypes.POINTER(view), int64, int64, ctypes.POINTER(int64)]
         loop.restype = ctypes.c_int
+    lib.fedres_solve.argtypes = [*[ctypes.c_void_p] * 3, ctypes.c_double, *[ctypes.c_void_p] * 2,
+                                 int64, ctypes.c_void_p]
+    lib.fedres_solve.restype = None
+    lib.fedres_joint.argtypes = [ctypes.POINTER(Joint)]
+    lib.fedres_joint.restype = int64
     lib.openblas = blas  # NumPy holds it too; the bound entry points live in it
     return lib, None
 
@@ -167,6 +191,42 @@ def _view(struct, loop, ints, strides, arrays, doubles):
                   *map(attrgetter("ctypes.data"), arrays), *doubles)
     view.arrays, view.loop, view.failure = arrays, loop, (ctypes.c_int64 * 2)()
     return view
+
+
+@lru_cache(maxsize=16)
+def _scratch(d: int) -> tuple:
+    """A solve's scratch for d features, lu (d, d), trial (d,) and pivots (d,),
+    and their addresses, one set per d (like solver._ridge_diagonal): runs are single-threaded."""
+    arrays = np.empty((d, d)), np.empty(d), np.empty(d, np.int64)
+    return arrays, [a.ctypes.data for a in arrays]
+
+
+def solve(ata: np.ndarray, atb: np.ndarray, radius: float) -> np.ndarray:
+    """solver._solve_one for one (d, d) problem, d >= 1, in C (fedres_solve):
+    the base-ridge solve, then the bisection, with the Python body's bits."""
+    ata, atb = (np.ascontiguousarray(a, dtype=float) for a in (ata, atb))
+    w = np.empty(len(atb))
+    LOOPS.fedres_solve(*_scratch(len(w))[1], radius, ata.ctypes.data, atb.ctypes.data, len(w),
+                       w.ctypes.data)
+    return w
+
+
+def alternate(blocks: tuple, screen, radius: float, tol: float, limit: int) -> tuple:
+    """solver.alternating_joint_ls's alternations from zero models in C
+    (fedres_joint), at most limit, while screen, its _DecreaseScreen, proves
+    them, over the C-order blocks gram_l (P, dl, dl), ly (P, dl), cross
+    (P, dg, dl), gram_g (dg, dg) and gy (P, dg): how many it proved, and the
+    global and local models after them; screen moves on with them."""
+    p, dg, dl = blocks[2].shape
+    d = max(dg, dl)
+    # wg, wl, then scratch: wg0, wl0, rhs_l, rhs_g, step_l, term_l, step_g, term_g, sum, a solve's
+    arrays = [np.zeros(dg), np.zeros((p, dl)), *map(np.empty, [dg, (p, dl), (p, dl), dg, p * dl,
+              p * dl, dg, dg, d, (d, d), d]), np.empty(d, np.int64)]
+    view = Joint(p, dg, dl, limit, *map(attrgetter("ctypes.data"), [*blocks, *arrays]), radius,
+                 tol, *attrgetter(*SCREEN)(screen))
+    proved = LOOPS.fedres_joint(view)
+    screen.bound, screen.norm_g, screen.norm_l = view.bound, view.norm_g, view.norm_l
+    return proved, arrays[0], arrays[1]
 
 
 def rounds(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
@@ -206,8 +266,8 @@ def exact(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
     sums = [np.zeros(shape) for shape in [(dl, dl), dl, (dl, dg), (dg, dg), dg, (dg, dl)]]
     return _view(Exact, LOOPS.fedres_erm, [rows, dg, dl, len(history) - rows - 1, erm],
                  [xg.strides[0], xl.strides[0], y.strides[0]],
-                 [xg, xl, y, pred, history, wg, wl, *sums, np.empty((d, d)), np.empty(d),
-                  np.empty(d), np.empty(d), np.empty(d, np.int64)],
+                 [xg, xl, y, pred, history, wg, wl, *sums, np.empty(d), np.empty(d),
+                  np.empty((d, d)), np.empty(d), np.empty(d, np.int64)],
                  [radius])
 
 

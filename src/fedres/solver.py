@@ -16,8 +16,8 @@ incrementally and call solve_gram directly. solve_gram takes a leading
 stack axis, (..., d, d) and (..., d), and solves one independent problem
 per row: every row is first solved with the base ridge in one stacked
 call, and only the rows whose solution leaves the ball (or is not finite)
-are re-solved one at a time by the scalar path, bisection included. Each
-row's bits are those of a separate call.
+are re-solved one at a time by the scalar path, bisection included, in C
+where fedres.native loaded. Each row's bits are those of a separate call.
 
 The regret comparator alternating_joint_ls works on the same stacks: its
 data is client-major, xg (P, n, dg), xl (P, n, dl), y (P, n), and each of
@@ -30,7 +30,8 @@ summation order and with or without fused multiply-adds, so under any
 BLAS kernel, with Cauchy-Schwarz through the Gram traces and ||y||. The
 n-row pass then runs only on the last alternations (twice per fit on the
 three-way protocol's data, against 127 times when it ran after every
-alternation), and the result keeps its bits.
+alternation), and the result keeps its bits. The alternations it proves
+run in C where fedres.native loaded (119 of 120 on that data).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import numpy as np
 # (tests/test_solver.py pins the bits).
 from numpy.linalg._umath_linalg import solve1 as _stacked_solve
 
+from . import native
 from .errors import ConfigError
 
 BASE_RIDGE = 1e-10
@@ -95,26 +97,30 @@ def _solve_one(ata: np.ndarray, atb: np.ndarray, radius: float, w: np.ndarray) -
     """The scalar path for one (d, d) problem, given w, its stacked solve at
     the base ridge, outside the ball or not finite: a singular system's NaN
     is re-solved at a doubled ridge, then the bisection finds the ridge
-    whose solution is on the ball."""
-    if not np.isfinite(w).all():
-        w = _ridge_solve(ata, atb, BASE_RIDGE)
-        if float(np.linalg.norm(w)) <= radius:
-            return w
+    whose solution is on the ball. In C where fedres.native loaded (which
+    solves at the base ridge again), else this body, the reference."""
+    if native.LOOPS is not None:
+        return native.solve(ata, atb, radius)
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        if not np.isfinite(w).all():
+            w = _ridge_solve(ata, atb, BASE_RIDGE)
+            if float(np.linalg.norm(w)) <= radius:
+                return w
 
-    # ||w(lam)|| <= ||atb|| / lam, so this hi already satisfies the bound.
-    lo = BASE_RIDGE
-    hi = max(_norm_over(atb, radius), 2.0 * BASE_RIDGE)
-    w = _ridge_solve(ata, atb, hi)
-    while float(np.linalg.norm(w)) > radius:
-        hi *= 2.0
+        # ||w(lam)|| <= ||atb|| / lam, so this hi already satisfies the bound.
+        lo = BASE_RIDGE
+        hi = max(_norm_over(atb, radius), 2.0 * BASE_RIDGE)
         w = _ridge_solve(ata, atb, hi)
-    while hi - lo > _BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        trial = _ridge_solve(ata, atb, mid)
-        if float(np.linalg.norm(trial)) > radius:
-            lo = mid
-        else:
-            hi, w = mid, trial
+        while float(np.linalg.norm(w)) > radius:
+            hi *= 2.0
+            w = _ridge_solve(ata, atb, hi)
+        while hi - lo > _BISECT_REL_TOL * hi:
+            mid = 0.5 * (lo + hi)
+            trial = _ridge_solve(ata, atb, mid)
+            if float(np.linalg.norm(trial)) > radius:
+                lo = mid
+            else:
+                hi, w = mid, trial
     return w  # the solve that accepted hi: on the ball, or inside it
 
 
@@ -122,8 +128,7 @@ def _norm_over(v: np.ndarray, radius: float) -> float:
     """np.linalg.norm(v) / radius; where the squares pass the largest
     double, from v scaled by its largest |entry| instead, so that the
     quotient is finite wherever the true one is."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+    norm = float(np.linalg.norm(v))
     top = float(np.abs(v).max())
     if norm == math.inf and top < math.inf:
         scaled = v / top
@@ -135,20 +140,22 @@ def _ridge_solve(ata: np.ndarray, atb: np.ndarray, ridge: float) -> np.ndarray:
     """(ata + ridge I) w = atb, with the ridge doubled while that system is
     exactly singular; NaN if it still is at an infinite or NaN ridge.
 
-    LAPACK's dgesv fails only on a pivot that is exactly zero. The ridge
-    doubles until it passes the rounding of the diagonal, and from there
-    the pivots of a Gram matrix, which is positive semidefinite, are at
-    least about the ridge. At the latest, it reaches infinity (after about
-    1,100 doublings from BASE_RIDGE): every diagonal entry is then infinite,
-    and partial pivoting takes infinite or NaN pivots, never zero. A
-    non-finite ridge stops the loop all the same, so it ends on any input.
+    LAPACK's dgesv fails only on a pivot that is exactly zero, where solve1
+    flags an invalid value: np.linalg.solve's LinAlgError, and here the
+    FloatingPointError of _solve_one's np.errstate. The ridge doubles until
+    it passes the rounding of the diagonal, and from there the pivots of a
+    Gram matrix, which is positive semidefinite, are at least about the
+    ridge. At the latest, it reaches infinity (after about 1,100 doublings
+    from BASE_RIDGE): every diagonal entry is then infinite, and partial
+    pivoting takes infinite or NaN pivots, never zero. A non-finite ridge
+    stops the loop all the same, so it ends on any input.
     """
     while True:
         m = ata.copy()
         m.flat[:: m.shape[0] + 1] += ridge
         try:
-            return np.linalg.solve(m, atb)
-        except np.linalg.LinAlgError:
+            return _stacked_solve(m, atb, signature="dd->d")
+        except FloatingPointError:
             if not ridge < math.inf:
                 return np.full(atb.shape, math.nan)
             ridge *= 2.0
@@ -181,6 +188,10 @@ def alternating_joint_ls(
     alternation it cannot prove, the objective is evaluated and the loop
     is the plain one. A proved alternation would not have stopped, so the
     result has the bits of evaluating the objective after every one.
+
+    Where fedres.native loaded, the alternations the screen proves run in C
+    (native.alternate, with its formulas), and this loop, the reference,
+    goes on from the last of them.
 
     The proof. f is the exact objective and f^ its floating value. An
     alternation steps the locals from wl0 to wl1 at wg0, then the global
@@ -231,12 +242,14 @@ def alternating_joint_ls(
     gy, ly = (xgt @ y[..., None])[..., 0], (xlt @ y[..., None])[..., 0]
     screen = _DecreaseScreen(y, gram_g_total, gram_l)
 
-    wg = np.zeros(xg.shape[2])
-    wls = np.zeros((len(xl), xl.shape[2]))
+    done, wg, wls = 0, np.zeros(xg.shape[2]), np.zeros((len(xl), xl.shape[2]))
     prev = None  # the objective at the previous iterate, once the screen hands over
     # a singular block's stacked solve, a base-ridge solution's overflowing squares (solve_gram)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_ALTERNATIONS):
+        if native.LOOPS is not None:  # the alternations the screen proves, in C
+            done, wg, wls = native.alternate((gram_l, ly, cross, gram_g_total, gy), screen,
+                                             radius, tol, _MAX_ALTERNATIONS)
+        for _ in range(done, _MAX_ALTERNATIONS):
             wg0, wls0 = wg, wls
             rhs_l = ly - cross_t @ wg
             wls = solve_gram(gram_l, rhs_l, radius)

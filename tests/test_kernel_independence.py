@@ -6,7 +6,8 @@ compare two computations on the running kernel must hold on any of them:
 tests/test_differential.py (the loop oracles, and `@` against ndarray.dot),
 tests/test_native.py (the C loops against the Python paths: the C rounds
 against the blocks, the stacked exact path and the single-client loops,
-where the C loops loaded),
+the scalar solve and the comparator's alternations against their Python
+bodies, where the C loops loaded),
 the regret comparator against its per-iteration oracle in
 tests/test_solver.py (whose skipped objective evaluations rest on a
 rounding-error bound that must hold under any kernel) and criteria 3

@@ -20,6 +20,14 @@ path (the single-client loop switched off), through run() and through a
 step() sequence, on the single-client draws: predictions, models, the
 channel's history, the round count and run()'s error.
 
+The solver cases compare solve_gram's scalar path (native.solve) and the
+regret comparator's alternations (native.alternate) with their Python
+bodies: the scalar solve on duplicated and scaled columns, an overflowing
+bracket and non-finite inputs; the fit on joint_fits' draws and on its
+edges (empty blocks, a binding radius, a singular block, tol 0, and every
+alternation proved up to the limit). The in-place test takes the models'
+arrays before step() and run(), on every path.
+
 The P-client cases compare SGD's C round with the block path, through
 run() and through a step() sequence: predictions, residuals, models, the
 channel's history, fetch counts, messages in flight, the round count and
@@ -51,8 +59,10 @@ from fedres.core import HyperParams
 from fedres.engine import SgdSystem
 from fedres.erm import VARIANTS, ErmSystem
 from fedres.errors import ConfigError, InvariantError
+from fedres.solver import alternating_joint_ls, solve_gram
 
 from test_sgd import dataset_from_streams
+from test_solver import collinear_grams, joint_fits
 
 ROOT = Path(__file__).resolve().parent.parent
 LEARNERS = [(SgdSystem, "aligned"), (ErmSystem, "erm"), (ErmSystem, "fictitious")]
@@ -379,6 +389,158 @@ def test_models_of_another_width_are_config_errors(system, variant):
         with pytest.raises(ConfigError, match="dimension"):
             system.build(dataset_from_streams([streams]), 0, HyperParams(), 5, 0,
                          variant=variant, init_global=init_global, init_locals=[init_local])
+
+
+def python(call, *args):
+    """call(*args) with the C loops switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "LOOPS", None)
+        return call(*args)
+
+
+def assert_same_solve(ata, atb, radius):
+    """solver._solve_one in C against its Python body, bit for bit, on a
+    problem whose base-ridge solve solve_gram would hand it: outside the
+    ball or not finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = solver._stacked_solve(ata + solver._ridge_diagonal(len(atb)), atb)
+        assert not math.sqrt(w.dot(w)) <= radius
+    want = python(solver._solve_one, ata, atb, radius, w)
+    assert same_nans(solver._solve_one(ata, atb, radius, w)) == same_nans(want)
+    return want
+
+
+@needs_loops
+def test_the_scalar_solve_gives_the_python_bits():
+    """Duplicated and scaled columns at scales up to 1e150, whose Gram
+    blocks the base ridge often leaves singular: every row that takes the
+    scalar path, through native.solve and through the Python body. 60
+    derandomized draws (collinear_grams); at least 20 rows must be singular
+    at the base ridge, and 20 finite there but outside the ball."""
+    kinds = {"singular": 0, "outside": 0}
+
+    @examples(60)
+    @given(collinear_grams())
+    def check(grams):
+        ata, atb, radius = grams
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = solver._stacked_solve(ata + solver._ridge_diagonal(ata.shape[-1]), atb)
+            scalar = ~(np.sqrt(np.vecdot(w, w)) <= radius)
+        for i in np.flatnonzero(scalar):
+            assert_same_solve(ata[i], atb[i], radius)
+            kinds["singular" if np.isnan(w[i]).any() else "outside"] += 1
+
+    check()
+    assert min(kinds.values()) >= 20, kinds
+
+
+@needs_loops
+def test_the_scalar_solve_gives_the_python_bits_at_its_ends():
+    """The doubled ridge of a singular system (-BASE_RIDGE I; two equal
+    columns of 2**26 or 2**498), the bracket whose squares overflow
+    (entries of about 1e181), and the non-finite ends: NaN and infinite
+    right-hand sides, infinite and NaN Gram entries."""
+    x26, x498, x200 = (np.full(2, 2.0**k) for k in (26, 498, 200))
+    cases = [(-solver.BASE_RIDGE * np.eye(2), np.ones(2), 1e-3),
+             (np.outer(x26, x26), 3.0 * x26, 1e-3), (np.outer(x498, x498), 3.0 * x498, 1.0),
+             (np.outer(x200, x200), 3.0 * 2.0**400 * x200, 1.0),
+             (np.eye(2), np.array([math.nan, 1.0]), 1.0), (np.eye(2), np.array([math.inf, 1.0]), 1.0),
+             (np.full((2, 2), math.inf), np.ones(2), 1.0),
+             (np.array([[1.0, math.nan], [math.nan, 1.0]]), np.ones(2), 1.0)]
+    answers = [assert_same_solve(*case) for case in cases]
+    assert all(np.isfinite(w).all() for w in answers[:4])
+    assert np.isnan(answers[4]).any() and not np.isfinite(answers[5]).all()
+
+
+def assert_same_fit(xg, xl, y, radius, tol):
+    """alternating_joint_ls with its alternations in C against its Python
+    loop, bit for bit; returns how many alternations the C loop proved."""
+    want = python(alternating_joint_ls, xg, xl, y, radius, tol)
+    handed = []
+
+    def alternate(*args, c=native.alternate):
+        handed.append(c(*args))
+        return handed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "alternate", alternate)
+        got = alternating_joint_ls(xg, xl, y, radius, tol)
+    assert same_nans(*got[:2]) == same_nans(*want[:2]) and got[2].hex() == want[2].hex()
+    return handed[0][0]
+
+
+@needs_loops
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@given(joint_fits())
+@examples(100)
+def test_the_c_fit_matches_the_python_loop(fit):
+    """joint_fits' draws (P 1-6, dg and dl 0-4, scales 1e-150 to 1e152,
+    binding and loose radii, tol 0 to 1e-4)."""
+    assert_same_fit(*fit)
+
+
+@needs_loops
+@pytest.mark.parametrize("case", ["zero-width global", "zero-width local", "binding",
+                                  "singular", "tol 0", "max alternations"])
+def test_the_c_fit_matches_the_python_loop_on_its_edges(case):
+    """Each edge the C loop has: an empty block, a radius that binds on
+    both sides, a local block singular at the base ridge (two equal columns
+    of 1e10), tol 0, and a fit whose screen proves all _MAX_ALTERNATIONS
+    alternations (nearly collinear global and local features). The C loop
+    proves at least one alternation in each."""
+    rng = np.random.default_rng(3)
+    xg, xl = rng.normal(0, 1, (3, 40, 2)), rng.normal(0, 1, (3, 40, 2))
+    y = xg @ np.ones(2) + xl @ np.ones(2) + rng.normal(0, 0.1, (3, 40))
+    radius, tol = 10.0, 1e-8
+    if case.startswith("zero-width"):
+        xg, xl = (xg[..., :0], xl) if case == "zero-width global" else (xg, xl[..., :0])
+    elif case == "binding":
+        radius = 0.2
+    elif case == "singular":
+        xl = np.repeat(xl[..., :1] * 1e10, 2, axis=2)
+    elif case == "tol 0":
+        tol = 0.0
+    else:
+        xg = xg[:1, :, :1]
+        xl = xg + 0.03 * rng.normal(0, 1, xg.shape)
+        y, tol = xg[..., 0] + xl[..., 0] + rng.normal(0, 0.1, (1, 40)), 0.0
+    proved = assert_same_fit(xg, xl, y, radius, tol)
+    assert proved > 0 and (proved == solver._MAX_ALTERNATIONS) == (case == "max alternations")
+
+
+@pytest.mark.parametrize("loops", ["C", "Python"])
+@pytest.mark.parametrize("clients, delay", [(1, 0), (3, 1)])
+@pytest.mark.parametrize("system, variant", LEARNERS)
+def test_the_models_are_written_in_place(system, variant, clients, delay, loops, monkeypatch):
+    """wg and wl are written in place on every path: through step() (the
+    C round, or blocks of one and the stacked path) and run() (the C round,
+    the single-client loop, blocks or the stacked path), an array taken
+    from system.wg before is system.wg after, and holds the new model."""
+    if loops == "C" and native.LOOPS is None:
+        pytest.skip(f"the C loops are off: {native.FALLBACK_REASON}")
+    if loops == "Python":
+        monkeypatch.setattr(native, "LOOPS", None)
+    rng = np.random.default_rng(7)
+    streams = [(rng.normal(0, 1, (12, 2)), rng.normal(0, 1, (12, 2)), rng.normal(0, 1, 12))
+               for _ in range(clients)]
+
+    def build():
+        return system.build(dataset_from_streams(streams), delay, HyperParams(radius=0.5), 12, 0,
+                            variant=variant)
+
+    stepped, ran = build(), build()
+    wg, wl = stepped.wg, stepped.wl
+    for t in range(1, 13):
+        before = wg.copy()
+        stepped.step()
+        assert stepped.wg is wg and stepped.wl is wl
+        assert wg.tobytes() == stepped.channel._history[stepped.channel._reach + t].tobytes()
+    assert wg.tobytes() != before.tobytes()
+    wg, wl = ran.wg, ran.wl
+    ran.run()
+    assert ran.wg is wg and ran.wl is wl
+    assert same_nans(wg, wl) == same_nans(stepped.wg, stepped.wl)
 
 
 @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"

@@ -20,7 +20,9 @@ engine's round skeleton, the two solves and the two prefix-sum reads.
 
 The regret comparator's work is bounded the same way: the number of times
 solver.alternating_joint_ls evaluates its n-row objective per fit, which
-its Gram-space screen keeps to the alternations it cannot decide.
+its Gram-space screen keeps to the alternations it cannot decide, and the
+Python calls of a whole fit, on the three-way protocol's data and on the
+sweep's shape, with its screened alternations in Python and in C.
 """
 
 import cProfile
@@ -32,7 +34,7 @@ import pytest
 import fedres
 from fedres import native, solver
 from fedres.core import DEFAULT_RADIUS
-from fedres.datagen import gen_appendixc
+from fedres.datagen import MulticlassCorpus, gen_appendixc, partition_federated
 from fedres.engine import build_streams
 from fedres.harness import ExperimentConfig, build_dataset, dispatch
 
@@ -86,20 +88,60 @@ def test_calls_per_round_stay_within_bound(name, monkeypatch):
     assert calls_per_round(cfg, init) <= bound
 
 
-# name: (dataset, rounds, objective evaluations per fit); evaluating after
-# every alternation would take 127 and 3
-COMPARATOR_CASES = {
-    "appendixc": (lambda: gen_appendixc(20_000, 1), 20_000, 2),
-    "fleet": (lambda: build_dataset(CASES["sgd-fleet"][0], 0), 500, 2),
-}
+def sweep_dataset():
+    """The sweep workload's shape: a 10-class corpus of 3,000 rows and 40
+    features, about a third of them zero, carved into 10 clients' tasks
+    with 20 global and 20 local features each."""
+    rng = np.random.default_rng(0)
+    labels = rng.integers(1, 11, 3000)
+    features = rng.standard_normal((11, 40))[labels] + rng.standard_normal((3000, 40))
+    features[rng.random(features.shape) < 0.3] = 0.0
+    corpus = MulticlassCorpus(labels=labels, features=features, line_numbers=np.arange(1, 3001))
+    return partition_federated(corpus, clients=10, n0=ExperimentConfig().n0, seed=0)
+
+
+def fit_blocks(make_dataset, rounds: int) -> tuple:
+    """The comparator's client-major (xg, xl, y) over a dataset's streams."""
+    streams = build_streams(make_dataset(), rounds, 0, 1)
+    return tuple(a.swapaxes(0, 1).reshape(a.shape[1], rounds, *a.shape[3:]) for a in streams)
+
+
+def profiled_fit(name: str) -> list:
+    """The cProfile entries of one default comparator fit on a case's data."""
+    profile = cProfile.Profile()
+    profile.runcall(solver.alternating_joint_ls, *fit_blocks(*FITS[name]), DEFAULT_RADIUS)
+    return profile.getstats()
+
+
+# name: (dataset, rounds); the default fits run 126 alternations, 2 and 37
+FITS = {"appendixc": (lambda: gen_appendixc(20_000, 1), 20_000),
+        "fleet": (lambda: build_dataset(CASES["sgd-fleet"][0], 0), 500),
+        "sweep": (sweep_dataset, 2000)}
+# name: objective evaluations per fit; evaluating after every alternation
+# would take 127 and 3
+COMPARATOR_CASES = {"appendixc": 2, "fleet": 2}
 
 
 @pytest.mark.parametrize("name", COMPARATOR_CASES)
 def test_comparator_objective_evaluations_stay_within_bound(name):
-    make_dataset, rounds, bound = COMPARATOR_CASES[name]
-    streams = build_streams(make_dataset(), rounds, 0, 1)
-    xg, xl, y = (a.swapaxes(0, 1).reshape(a.shape[1], rounds, *a.shape[3:]) for a in streams)
-    profile = cProfile.Profile()
-    profile.runcall(solver.alternating_joint_ls, xg, xl, y, DEFAULT_RADIUS)
-    assert sum(entry.callcount for entry in profile.getstats()
-               if entry.code is solver._objective.__code__) <= bound
+    assert sum(entry.callcount for entry in profiled_fit(name)
+               if entry.code is solver._objective.__code__) <= COMPARATOR_CASES[name]
+
+
+# name: Python calls inside fedres per fit, measured in a fresh process (a
+# test that caches solver._ridge_diagonal's d first saves one); the -native
+# cases run the alternations the screen proves in C and the rest in Python,
+# the others every alternation in Python
+FIT_CASES = {"appendixc": 771, "appendixc-native": 21, "sweep": 234, "sweep-native": 36}
+
+
+@pytest.mark.parametrize("name", FIT_CASES)
+def test_comparator_calls_stay_within_bound(name, monkeypatch):
+    if name.endswith("-native"):
+        if native.LOOPS is None:
+            pytest.skip(f"the C loops are off: {native.FALLBACK_REASON}")
+    else:
+        monkeypatch.setattr(native, "LOOPS", None)
+    calls = sum(entry.callcount for entry in profiled_fit(name.removesuffix("-native"))
+                if not isinstance(entry.code, str) and entry.code.co_filename.startswith(PACKAGE))
+    assert calls <= FIT_CASES[name], calls

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedres import solver
+from fedres import native, solver
 from fedres.baselines import central_view, independent_view
 from fedres.core import DEFAULT_RADIUS
 from fedres.datagen import gen_appendixc, gen_example2, parse_libsvm, partition_federated
@@ -148,11 +148,11 @@ class TestSolveGram:
         every ridge stops at the first infinite one, as NaN."""
         ridges = []
 
-        def singular(m, b):
+        def singular(m, b, signature):
             ridges.append(float(m[0, 0]))
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise FloatingPointError("invalid value encountered in solve1")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(solver, "_stacked_solve", singular)
         assert np.isnan(solver._ridge_solve(np.zeros((2, 2)), np.ones(2), BASE_RIDGE)).all()
         assert ridges[0] == BASE_RIDGE and ridges[1:] == [2.0 * r for r in ridges[:-1]]
         assert ridges[-2] < math.inf == ridges[-1] and len(ridges) < 1200
@@ -371,18 +371,23 @@ def test_screened_comparator_keeps_the_oracle_bits(monkeypatch):
     not vacuous, each of these kinds must make up at least 10% of them:
     draws that skip an evaluation, that skip and then stop on the
     alternation the screen hands over, that never skip, that bind the
-    radius, that have a zero-width block, and that run at tol 0."""
+    radius, that have a zero-width block, and that run at tol 0. Where the
+    C loops run alternations, the count native.alternate returns adds their
+    two solves each."""
     objective, solve = solver._objective, solver.solve_gram
     counts = {"evaluations": 0, "solves": 0}
 
-    def counted(name, f):
+    def counted(name, f, count=lambda result: 1):
         def wrapper(*args):
-            counts[name] += 1
-            return f(*args)
+            result = f(*args)
+            counts[name] += count(result)
+            return result
         return wrapper
 
     monkeypatch.setattr(solver, "_objective", counted("evaluations", objective))
     monkeypatch.setattr(solver, "solve_gram", counted("solves", solve))
+    monkeypatch.setattr(native, "alternate", counted("solves", native.alternate,
+                                                     lambda result: 2 * result[0]))
     kinds = {k: 0 for k in ("skip", "stop at hand-over", "never skip", "binding", "zero width",
                             "tol 0")}
 
