@@ -3,7 +3,7 @@
 
    Each function here is the C form of a Python path, written to give the
    same bits and the same failures: fedres_rounds is SgdSystem's block path
-   under the aligned rule at batch size 1, for any number of clients;
+   under the aligned rule at any batch size, for any number of clients;
    fedres_erm is ErmSystem's path for one client at zero delay; fedres_joint
    runs solver.alternating_joint_ls's alternations while its screen proves
    them; and fedres_solve is solver.solve_gram's scalar path for one
@@ -31,6 +31,9 @@
                    C-order columns (a swapaxes view). fedres_erm subtracts
                    them from sums that are never -0.0, where ndarray.dot's
                    forms (bare at m = n = 1, daxpy at n = 1) agree
+   SgdSystem._gradients' np.add.reduce over the b rows of a (..., b, d) block
+   of terms, at b > 1, sums from 0.0 per (round, client): at d >= 2 the rows in
+   order from the first; at d = 1 NumPy's pairwise_sum (pairwise_sum below).
    solver's solve1 and np.linalg.solve are dgesv on a column-major copy of
    the matrix; where it fails (info != 0), solver._ridge_solve retries with
    the ridge doubled, as ridge_solve here does. */
@@ -419,87 +422,172 @@ int fedres_erm(const Exact *s, int64_t t0, int64_t n, int64_t *failure)
 }
 
 /* Rounds: a P-client run of engine.SgdSystem as fedres_rounds reads and
-   writes it. Round t (from 1) of client i reads the rows
-   xg + (t - 1) xg_row + i xg_client (dg,), the same of xl (dl,) and of y;
-   strides count elements, and the feature axes are unit-stride. Its
-   prediction and residual are entry (t - 1) clients + i of pred and resid.
+   writes it, in batches of b rows. Round t (from 1) of client i reads the
+   batch rows k = 0 .. b - 1 at xg + (t - 1) xg_row + i xg_client +
+   k xg_batch (dg,), the same of xl (dl,) and of y; strides count elements,
+   and the feature axes are unit-stride. The prediction and residual of a
+   batch row are entry ((t - 1) clients + i) b + k of pred and resid.
    history is the channel's (reach + rows + 1, dg) C-order history: client
    i fetches row t + fetch[i] in round t, and row reach + t gets the global
    model after round t. wg (dg,) and wl (clients, dl) are the models,
    stepped in place. alpha and lag are each client's uplink delay and round
-   trip, eta_local its step. Scratch of a round: the fetched products gp
-   (clients,), the stepped local models next (clients, dl), a local step v
-   (dl,) and the server's client sum gsum (dg,). */
+   trip in batch rounds, eta_local its step. Scratch of a round: the
+   fetched products gp (clients, b), the stepped local models next
+   (clients, dl), a gradient or local step g (max(dg, dl),) and the
+   server's client sum gsum (dg,); zeros (b,) are the residuals of a client
+   not live yet. */
 typedef struct {
-    blasint rows, clients, dg, dl, reach;
-    blasint xg_row, xg_client, xl_row, xl_client, y_row, y_client;
+    blasint rows, clients, batch, dg, dl, reach;
+    blasint xg_row, xg_client, xg_batch, xl_row, xl_client, xl_batch, y_row, y_client, y_batch;
     const double *xg, *xl, *y;
     double *pred, *resid, *history, *wg, *wl;
     const blasint *fetch, *alpha, *lag;
     const double *eta_local;
-    double *gp, *next, *v, *gsum;
+    double *gp, *next, *g, *gsum;
+    const double *zeros;
     double eta_global, radius;
 } Rounds;
 
-/* Round t of fedres_rounds; the failing client goes to *client. */
-static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_lag,
+/* NumPy's pairwise_sum of the terms (2.0 r_k) x_k, k = 0 .. n - 1, the x_k
+   xs elements apart: in order below 8 terms, eight partial sums up to 128
+   (PW_BLOCKSIZE), else the two halves split at a multiple of 8 */
+static double pairwise_sum(const double *r, const double *x, blasint xs, blasint n)
+{
+    double p[8], sum = 0.0;
+    blasint i, j;
+    if (n < 8) {
+        for (i = 0; i < n; i++)
+            sum += (2.0 * r[i]) * x[i * xs];
+        return sum;
+    }
+    if (n > 128) {
+        i = n / 2 - n / 2 % 8;
+        return pairwise_sum(r, x, xs, i) + pairwise_sum(r + i, x + i * xs, xs, n - i);
+    }
+    for (j = 0; j < 8; j++)
+        p[j] = (2.0 * r[j]) * x[j * xs];
+    for (i = 8; i < n - n % 8; i += 8)
+        for (j = 0; j < 8; j++)
+            p[j] += (2.0 * r[i + j]) * x[(i + j) * xs];
+    sum = ((p[0] + p[1]) + (p[2] + p[3])) + ((p[4] + p[5]) + (p[6] + p[7]));
+    for (; i < n; i++)
+        sum += (2.0 * r[i]) * x[i * xs];
+    return sum;
+}
+
+/* fedres_rounds compiles one_round twice, at b = 1 and at the view's b:
+   with b a constant the batch loops cost a run at b = 1 nothing */
+#define INLINE static inline __attribute__((always_inline))
+
+/* A client's batch-mean gradient (SgdSystem._gradients) from the
+   residuals r (b,) of its batch rows x, xs elements apart, d wide, as
+   *c times the returned row: at b = 1 (2.0 r) times x itself; else 1.0
+   times g, np.add.reduce's sum of the terms (2.0 r_k) x_k, from 0.0 - in
+   row order at d >= 2, pairwise_sum at d = 1 - then / b. 1.0 g is g, bit
+   for bit, and the callers' loops stay one pass at b = 1. */
+INLINE const double *gradient(const double *r, const double *x, blasint xs, blasint b, blasint d,
+                              double *g, double *c)
+{
+    blasint j, k;
+    *c = 2.0 * r[0];
+    if (b == 1)
+        return x;
+    *c = 1.0;
+    if (d == 1) {
+        g[0] = (0.0 + pairwise_sum(r, x, xs, b)) / b;
+        return g;
+    }
+    for (j = 0; j < d; j++)
+        g[j] = 0.0;
+    for (k = 0; k < b; k++) {
+        double ck = 2.0 * r[k];
+        for (j = 0; j < d; j++)
+            g[j] += ck * x[k * xs + j];
+    }
+    for (j = 0; j < d; j++)
+        g[j] /= b;
+    return g;
+}
+
+/* the batch row k of client i in round row + 1 */
+static const double *xg_at(const Rounds *s, blasint row, blasint i, blasint k)
+{
+    return s->xg + row * s->xg_row + i * s->xg_client + k * s->xg_batch;
+}
+
+static const double *xl_at(const Rounds *s, blasint row, blasint i, blasint k)
+{
+    return s->xl + row * s->xl_row + i * s->xl_client + k * s->xl_batch;
+}
+
+static double y_at(const Rounds *s, blasint row, blasint i, blasint k)
+{
+    return s->y[row * s->y_row + i * s->y_client + k * s->y_batch];
+}
+
+/* Round t of fedres_rounds at batch size b; the failing client goes to
+   *client. */
+INLINE int one_round(const Rounds *s, blasint b, blasint t, blasint min_alpha, blasint min_lag,
                      int64_t *client)
 {
-    blasint P = s->clients, dg = s->dg, dl = s->dl, row = t - 1, i, j, at;
-    double *resid = s->resid + row * P;
-    for (i = 0; i < P; i++)
-        s->gp[i] = vdot(s->xg + row * s->xg_row + i * s->xg_client,
-                        s->history + (t + s->fetch[i]) * dg, dg);
-    if (min_lag == 0) /* a zero round trip steps on its pre-step residual */
+    blasint P = s->clients, dg = s->dg, dl = s->dl, row = t - 1, i, j, k, at;
+    double *resid = s->resid + row * P * b;
+    for (i = 0; i < P; i++) {
+        const double *fetched = s->history + (t + s->fetch[i]) * dg;
+        for (k = 0; k < b; k++)
+            s->gp[i * b + k] = vdot(xg_at(s, row, i, k), fetched, dg);
+    }
+    if (min_lag == 0) /* a zero round trip steps on its pre-step residuals */
         for (i = 0; i < P; i++)
-            resid[i] = s->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client,
-                                       s->wl + i * dl, dl)
-                       - s->y[row * s->y_row + i * s->y_client];
-    /* every live client steps on the residual of round t - lag: the block
+            for (k = 0; k < b; k++)
+                resid[i * b + k] = s->gp[i * b + k]
+                                   + vdot(xl_at(s, row, i, k), s->wl + i * dl, dl)
+                                   - y_at(s, row, i, k);
+    /* every live client steps on the residuals of round t - lag: the block
        path's 2-D projection, row by row; wl changes only if every row does */
     for (i = 0; i < P; i++) {
-        const double *w = s->wl + i * dl, *x;
-        double c, eta = s->eta_local[i];
+        const double *w = s->wl + i * dl, *u;
+        double eta = s->eta_local[i], c;
         at = t - s->lag[i] - 1; /* the row of round t - lag */
         if (at < 0) {
             copy(s->next + i * dl, w, dl);
             continue;
         }
-        c = 2.0 * s->resid[at * P + i];
-        x = s->xl + at * s->xl_row + i * s->xl_client;
+        u = gradient(s->resid + (at * P + i) * b, xl_at(s, at, i, 0), s->xl_batch, b, dl, s->g,
+                     &c);
         for (j = 0; j < dl; j++)
-            s->v[j] = w[j] - eta * (c * x[j]);
-        if (project(s->v, dl, s->radius, s->next + i * dl)) {
+            s->g[j] = w[j] - eta * (c * u[j]);
+        if (project(s->g, dl, s->radius, s->next + i * dl)) {
             *client = i;
             return LOCAL_NOT_FINITE;
         }
     }
     copy(s->wl, s->next, P * dl);
-    for (i = 0; i < P; i++) {
-        double p = s->gp[i] + vdot(s->xl + row * s->xl_row + i * s->xl_client, s->wl + i * dl,
-                                   dl);
-        s->pred[row * P + i] = p;
-        resid[i] = p - s->y[row * s->y_row + i * s->y_client];
-    }
+    for (i = 0; i < P; i++)
+        for (k = 0; k < b; k++) {
+            double p = s->gp[i * b + k] + vdot(xl_at(s, row, i, k), s->wl + i * dl, dl);
+            s->pred[(row * P + i) * b + k] = p;
+            resid[i * b + k] = p - y_at(s, row, i, k);
+        }
     /* the server steps on the residuals of round t - alpha, summed in client
-       order from the first client; a client not live yet adds (2.0 * 0.0) x
-       of the row the block path reads, (t - alpha - 1) modulo the rows */
+       order from the first client; a client not live yet adds the gradient
+       of zeros at the row the block path reads, (t - alpha - 1) modulo the
+       rows */
     if (t > min_alpha) {
         for (i = 0; i < P; i++) {
-            const double *x;
+            const double *r = s->zeros, *u;
             double c;
             at = t - s->alpha[i] - 1; /* the row of round t - alpha */
             if (at >= 0) {
-                c = 2.0 * s->resid[at * P + i];
-            } else { /* not live yet: 2.0 * 0.0 */
-                c = 0.0;
+                r = s->resid + (at * P + i) * b;
+            } else {
                 at %= s->rows;
                 if (at < 0)
                     at += s->rows;
             }
-            x = s->xg + at * s->xg_row + i * s->xg_client;
+            u = gradient(r, xg_at(s, at, i, 0), s->xg_batch, b, dg, s->g, &c);
             for (j = 0; j < dg; j++)
-                s->gsum[j] = i ? s->gsum[j] + c * x[j] : c * x[j];
+                s->gsum[j] = i ? s->gsum[j] + c * u[j] : c * u[j];
         }
         for (j = 0; j < dg; j++) /* the step to project, in place of the sum */
             s->gsum[j] = s->wg[j] - s->eta_global * (0.0 + s->gsum[j]);
@@ -512,11 +600,12 @@ static int one_round(const Rounds *s, blasint t, blasint min_alpha, blasint min_
     return OK;
 }
 
-/* engine.SgdSystem's rounds t0 + 1 .. t0 + n under the aligned rule at
-   batch size 1, with the block path's bits. failure[0] gets the last round
-   run; on a failure it is the failing round, failure[1] gets its client
-   (-1 for the global model), and the models stay those in force when it
-   failed. */
+/* engine.SgdSystem's rounds t0 + 1 .. t0 + n under the aligned rule, a
+   batch of b rows per client and round at any b, with the block path's
+   bits: b = 1 is a batch of one, and at b > 1 each gradient sums its batch
+   in np.add.reduce's order (gradient). failure[0] gets the last round run;
+   on a failure it is the failing round, failure[1] gets its client (-1 for
+   the global model), and the models stay those in force when it failed. */
 int fedres_rounds(const Rounds *s, int64_t t0, int64_t n, int64_t *failure)
 {
     blasint min_alpha = INT64_MAX, min_lag = INT64_MAX, t, i;
@@ -528,7 +617,8 @@ int fedres_rounds(const Rounds *s, int64_t t0, int64_t n, int64_t *failure)
             min_lag = s->lag[i];
     }
     for (t = t0 + 1; t <= t0 + n && status == OK; t++)
-        status = one_round(s, t, min_alpha, min_lag, &failure[1]);
+        status = s->batch == 1 ? one_round(s, 1, t, min_alpha, min_lag, &failure[1])
+                               : one_round(s, s->batch, t, min_alpha, min_lag, &failure[1]);
     failure[0] = t - 1;
     return status;
 }

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gzip
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,10 +86,12 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
     """
     labels: list[int] = []
     lines: list[int] = []
-    # every entry as flat (row, column, value) lists, scattered in one assignment
-    rows: list[int] = []
-    columns: list[int] = []
-    values: list[float] = []
+    # every entry as flat (row, column, value) arrays, scattered in one assignment: one
+    # buffer each, sized by the colons (every entry has one), where growing lists would
+    # leave their outgrown buffers in the process's heap for the rest of its life
+    size = text.count(":")
+    rows, columns, values = (array(code, [0]) * size for code in "qqd")
+    k = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -113,13 +116,13 @@ def parse_libsvm(text: str) -> MulticlassCorpus:
             if index in seen:
                 raise ConfigError(f"line {lineno}: duplicate index {index}")
             seen.add(index)
-            rows.append(row)
-            columns.append(index - 1)
-            values.append(value)
+            rows[k], columns[k], values[k] = row, index - 1, value
+            k += 1
         labels.append(label)
         lines.append(lineno)
-    features = np.zeros((len(labels), max(columns, default=-1) + 1))
-    features[np.array(rows, dtype=int), np.array(columns, dtype=int)] = values
+    rows, columns = (np.frombuffer(a, dtype=np.int64)[:k] for a in (rows, columns))
+    features = np.zeros((len(labels), columns.max(initial=-1) + 1))
+    features[rows, columns] = np.frombuffer(values)[:k]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
         raise ConfigError(f"line {lines[int(np.argmin(finite))]}: non-finite feature value")

@@ -26,12 +26,12 @@ Round r lives in row r - 1 (see channel.Lag). The caller passes the whole
 their gathered exploration samples - and the rows are the result columns.
 b = 1 is an ordinary batch of one.
 
-Which path runs: under the aligned rule at batch size 1 - fleet's, the
-bandit's and the three-way protocol's shape - every round runs in C
-wherever fedres.native loaded and takes the rows (the C round, below);
-run() makes one call for all rows and step() one per round. The exact
-learners' C round (fedres.erm) keeps the same contract. Elsewhere (b > 1,
-the other variants, no C compiler) the Python paths run: blocks, and for
+Which path runs: under the aligned rule, at any batch size - fleet's, the
+bandit's, the sweep's and the three-way protocol's shapes - every round
+runs in C wherever fedres.native loaded and takes the rows (the C round,
+below); run() makes one call for all rows and step() one per round. The
+exact learners' C round (fedres.erm) keeps the same contract. Elsewhere
+(the other variants, no C compiler) the Python paths run: blocks, and for
 one client at zero delay with batch size 1 the single-client loop.
 
 Blocks: under the aligned rule everything the next
@@ -57,16 +57,20 @@ path is the reference the C round is tested against (tests/test_native.py).
 The C round (fedres.native.rounds and advance; _loops.c's fedres_rounds)
 runs the block path's rounds one at a time over the system's own arrays,
 through a view built once with the system, whose scratch arrays it holds:
-it reads the rows where they lie, at any row and client strides, fetches
-from the channel's history, writes predictions, residuals and every
-round's global model into their rows, and steps wg and wl in place. Every
-element is computed as the block path computes it: np.vecdot's elements
-are 0.0 + the OpenBLAS ddot NumPy calls, each row is projected as
-project_ball does, nudges included, the server sums clients in order from
-the first and adds that to 0.0, and a client not live yet adds
-(2.0 * 0.0) x of the row the block path reads for it. On a non-finite
-model it stops, with the models in force, and returns the round and
-client, which the InvariantError names as the block path's does.
+it reads the (N, P, b, ...) rows where they lie, at any row, client and
+batch strides, fetches from the channel's history, writes predictions,
+residuals and every round's global model into their rows, and steps wg
+and wl in place; b = 1 is a batch of one in the same loop. Every element
+is computed as the block path computes it: np.vecdot's elements are
+0.0 + the OpenBLAS ddot NumPy calls, per (round, client, batch row); a
+batch mean at b > 1 is np.add.reduce's sum of the b terms (2.0 r) x from
+0.0 - the rows in order at d >= 2, NumPy's pairwise_sum at d = 1 - then
+/ b; each row is projected as project_ball does, nudges included; the
+server sums clients in order from the first and adds that to 0.0; and a
+client not live yet adds the gradient of zero residuals at the rows the
+block path reads for it. On a non-finite model it stops, with the models
+in force, and returns the round and client, which the InvariantError
+names as the block path's does.
 
 Shared residual: both gradients of round s are 2 (pred_s - y_s) x, because
 the client's delayed pair and the server's (uplinked local prediction,
@@ -320,12 +324,11 @@ class SgdSystem(RoundSystem):
         self._wl_after = np.empty((min(block, self._rows), *self.wl.shape))
         self._single = self._single and self._aligned
         # the C round, which steps the models in place and writes the channel's history
-        self._rounds = None if native.LOOPS is None or not self._aligned or b != 1 else (
-            native.rounds(self._xg, self._xl, self.label[:, :, 0], self.prediction[:, :, 0],
-                          self.residual[:, :, 0], self.channel._history, self.wg, self.wl,
-                          fetch=self.channel._fetch, alpha=delays.alpha, lag=lags,
-                          eta_local=self.eta_local[:, 0], eta_global=float(self.eta_global),
-                          radius=float(self.radius)))
+        self._rounds = None if native.LOOPS is None or not self._aligned else native.rounds(
+            self.x_global, self.x_local, self.label, self.prediction, self.residual,
+            self.channel._history, self.wg, self.wl, fetch=self.channel._fetch,
+            alpha=delays.alpha, lag=lags, eta_local=self.eta_local[:, 0],
+            eta_global=float(self.eta_global), radius=float(self.radius))
 
     def _run_single(self) -> None:
         """Every round of one client at zero delay and batch size 1, the

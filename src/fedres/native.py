@@ -2,8 +2,8 @@
 
 _loops.c holds the C form of four Python paths, with their bits and their
 failures (see fedres.engine, fedres.erm and fedres.solver): fedres_rounds
-runs engine.SgdSystem's rounds under the aligned rule at batch size 1, for
-any number of clients, delays and warm-ups, as the block path computes
+runs engine.SgdSystem's rounds under the aligned rule at any batch size,
+for any number of clients, delays and warm-ups, as the block path computes
 them; fedres_erm runs erm.ErmSystem's rounds for one client at zero delay;
 solve() is solver._solve_one; alternate() runs the alternations of
 solver.alternating_joint_ls that its screen proves. The last three solve
@@ -62,11 +62,12 @@ class Rounds(ctypes.Structure):
     """_loops.c's Rounds: a P-client SGD run as fedres_rounds reads and writes it."""
 
     _fields_ = ([(name, ctypes.c_int64) for name in (
-                    "rows", "clients", "dg", "dl", "reach",
-                    "xg_row", "xg_client", "xl_row", "xl_client", "y_row", "y_client")]
+                    "rows", "clients", "batch", "dg", "dl", "reach",
+                    "xg_row", "xg_client", "xg_batch", "xl_row", "xl_client", "xl_batch",
+                    "y_row", "y_client", "y_batch")]
                 + [(name, ctypes.c_void_p) for name in (
                     "xg", "xl", "y", "pred", "resid", "history", "wg", "wl",
-                    "fetch", "alpha", "lag", "eta_local", "gp", "next", "v", "gsum")]
+                    "fetch", "alpha", "lag", "eta_local", "gp", "next", "g", "gsum", "zeros")]
                 + [(name, ctypes.c_double) for name in ("eta_global", "radius")])
 
 
@@ -172,10 +173,10 @@ LOOPS, FALLBACK_REASON = _load()
 
 
 def readable(xg: np.ndarray, xl: np.ndarray, y: np.ndarray) -> bool:
-    """Whether the C loops are loaded and read the rows xg (N, P, dg), xl
-    (N, P, dl) and labels y (N, P) in place: aligned float64 of one (N, P),
-    at whole-element strides, with unit-stride features where a block has
-    two or more."""
+    """Whether the C loops are loaded and read the rows xg (N, P, b, dg), xl
+    (N, P, b, dl) and labels y (N, P, b) in place (exact()'s without b):
+    aligned float64 of one leading shape, at whole-element strides, with
+    unit-stride features where a block has two or more."""
     return (LOOPS is not None and xg.shape[:-1] == xl.shape[:-1] == y.shape
             and xg.dtype == xl.dtype == y.dtype == np.float64
             and xg.flags.aligned and xl.flags.aligned and y.flags.aligned
@@ -219,35 +220,40 @@ def alternate(blocks: tuple, screen, radius: float, tol: float, limit: int) -> t
     global and local models after them; screen moves on with them."""
     p, dg, dl = blocks[2].shape
     d = max(dg, dl)
-    # wg, wl, then scratch: wg0, wl0, rhs_l, rhs_g, step_l, term_l, step_g, term_g, sum, a solve's
-    arrays = [np.zeros(dg), np.zeros((p, dl)), *map(np.empty, [dg, (p, dl), (p, dl), dg, p * dl,
-              p * dl, dg, dg, d, (d, d), d]), np.empty(d, np.int64)]
-    view = Joint(p, dg, dl, limit, *map(attrgetter("ctypes.data"), [*blocks, *arrays]), radius,
-                 tol, *attrgetter(*SCREEN)(screen))
+    # wg, wl, then scratch: wg0, wl0, rhs_l, rhs_g, step_l, term_l, step_g, term_g, sum, and a
+    # solve's lu, trial and int64 pivots, in one zeroed buffer whose address is read once
+    n = p * dl
+    starts = np.cumsum([0, dg, n, dg, n, n, dg, n, n, dg, dg, d, d * d, d])
+    buffer = np.zeros(starts[-1] + d)
+    view = Joint(p, dg, dl, limit, *map(attrgetter("ctypes.data"), blocks),
+                 *(buffer.ctypes.data + 8 * starts).tolist(), radius, tol,
+                 *attrgetter(*SCREEN)(screen))
     proved = LOOPS.fedres_joint(view)
     screen.bound, screen.norm_g, screen.norm_l = view.bound, view.norm_g, view.norm_l
-    return proved, arrays[0], arrays[1]
+    return proved, buffer[:dg], buffer[dg:dg + n].reshape(p, dl)
 
 
 def rounds(xg: np.ndarray, xl: np.ndarray, y: np.ndarray, pred: np.ndarray,
            resid: np.ndarray, history: np.ndarray, wg: np.ndarray, wl: np.ndarray, *,
            fetch, alpha, lag, eta_local, eta_global: float, radius: float) -> Rounds | None:
-    """A P-client SGD run as Rounds for advance(): the rows xg (N, P, dg),
-    xl (N, P, dl) and labels y (N, P), read in place; the predictions and
-    residuals (N, P), the channel's history (reach + N + 1, dg) and the models
-    wg (dg,) and wl (P, dl), written in place and C-contiguous; each client's
-    fetch row offset, uplink delay, round trip and local step (an int or
-    float for every client, or one each). None where readable() says no."""
+    """A P-client SGD run as Rounds for advance(), at any batch size b: the
+    rows xg (N, P, b, dg), xl (N, P, b, dl) and labels y (N, P, b), read in
+    place; the predictions and residuals (N, P, b), the channel's history
+    (reach + N + 1, dg) and the models wg (dg,) and wl (P, dl), written in
+    place and C-contiguous; each client's fetch row offset, uplink delay,
+    round trip (in batch rounds) and local step (an int or float for every
+    client, or one each). None where readable() says no."""
     if not readable(xg, xl, y):
         return None
-    rows, clients = y.shape
+    rows, clients, batch = y.shape
     per_client = [np.array(np.broadcast_to(v, clients), dtype=kind) for v, kind in
                   [(fetch, np.int64), (alpha, np.int64), (lag, np.int64), (eta_local, float)]]
     return _view(Rounds, LOOPS.fedres_rounds,
-                 [rows, clients, xg.shape[-1], xl.shape[-1], len(history) - rows - 1],
-                 xg.strides[:2] + xl.strides[:2] + y.strides,
-                 [xg, xl, y, pred, resid, history, wg, wl, *per_client, np.empty(clients),
-                  np.empty(wl.shape), np.empty(xl.shape[-1]), np.empty(xg.shape[-1])],
+                 [rows, clients, batch, xg.shape[-1], xl.shape[-1], len(history) - rows - 1],
+                 xg.strides[:3] + xl.strides[:3] + y.strides,
+                 [xg, xl, y, pred, resid, history, wg, wl, *per_client, np.empty((clients, batch)),
+                  np.empty(wl.shape), np.empty(max(xg.shape[-1], xl.shape[-1])),
+                  np.empty(xg.shape[-1]), np.zeros(batch)],
                  [eta_global, radius])
 
 

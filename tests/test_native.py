@@ -32,12 +32,15 @@ The P-client cases compare SGD's C round with the block path, through
 run() and through a step() sequence: predictions, residuals, models, the
 channel's history, fetch counts, messages in flight, the round count and
 the error, which names the round and the client. Hypothesis draws 1 to 6
-clients with their own delays from 0 to 6 each way (warm-ups that end
-client by client), dg and dl from 0 to 4 (the empty blocks of the
-Independent and Central views), per-client steps, an infinite or NaN
-global feature in a last row (which a client not live yet reads), and the
-single-client draw's signed zeros, radii, inits and scales. The examples are
-derandomized, so the module is deterministic.
+clients with their own delays from 0 to 6 batch rounds each way (warm-ups
+that end client by client), batch sizes 1, 2, 7, 8, 9, 10 and 17, dg and
+dl from 0 to 4 (the empty blocks of the Independent and Central views),
+per-client steps, an infinite or NaN global feature in a last row (which a
+client not live yet reads), and the single-client draw's signed zeros,
+radii, inits and scales; examples add a batch of 130 rows at d = 1 and
+blow-ups at b = 10. The batch-sum case pins the order in which NumPy sums
+a batch, which the C round mirrors. The examples are derandomized, so the
+module is deterministic.
 """
 
 import math
@@ -235,10 +238,12 @@ def test_collinear_columns_give_the_same_bits_in_both_loops(case):
 @st.composite
 def round_cases(draw):
     """A P-client SGD system's constructor arguments: (per-client streams,
-    delays, hyperparameters, initial global, initial locals)."""
-    clients, rounds = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    delays, hyperparameters, initial global, initial locals, batch size);
+    the delays are in samples, 0 to 6 batch rounds each way."""
+    clients, b = draw(st.integers(1, 6)), draw(st.sampled_from([1, 1, 1, 2, 7, 8, 9, 10, 17]))
+    rounds = b * draw(st.integers(1, 30))
     dg, dl = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    alpha, beta = (draw(st.lists(st.integers(0, 6), min_size=clients, max_size=clients))
+    alpha, beta = (draw(st.lists(st.integers(0, 6 * b), min_size=clients, max_size=clients))
                    for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale_g, scale_l = (10.0 ** draw(st.sampled_from([0, 0, 0, -3, 3, 20, 80, 160]))
@@ -262,23 +267,23 @@ def round_cases(draw):
                         eta_local=draw(st.lists(step, min_size=clients, max_size=clients)))
     init = st.sampled_from([0.0, -0.0, 0.1, 3.0, -1e3])  # 3.0 and -1e3: outside most balls
     return (streams, DelayConfig(tuple(alpha), tuple(beta)), hyper, np.full(dg, draw(init)),
-            [np.full(dl, draw(init)) for _ in range(clients)])
+            [np.full(dl, draw(init)) for _ in range(clients)], b)
 
 
 def run_rounds(case, loops, stepwise: bool) -> tuple:
     """(error, state) of the case's SGD run with native.LOOPS set to loops,
     through run() or a round at a time through step(); without the loops
     always in blocks, the reference."""
-    streams, delays, hyper, init_global, init_locals = case
+    streams, delays, hyper, init_global, init_locals, b = case
     rounds = len(streams[0][2])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(native, "LOOPS", loops)
-        system = SgdSystem.build(dataset_from_streams(streams), delays, hyper, rounds, 0,
+        system = SgdSystem.build(dataset_from_streams(streams), delays, hyper, rounds, 0, b,
                                  init_global=init_global, init_locals=init_locals)
         assert (system._rounds is not None) == (loops is not None)
         system._single = False  # the one-client, zero-delay draws too
         with np.errstate(over="ignore", invalid="ignore"):  # as run() and the bandit set
-            error = outcome(lambda: [system.step() for _ in range(rounds)] if stepwise
+            error = outcome(lambda: [system.step() for _ in range(rounds // b)] if stepwise
                             else system.run())
     channel = system.channel
     done = channel._last_published
@@ -296,6 +301,106 @@ def run_rounds(case, loops, stepwise: bool) -> tuple:
 def test_the_c_round_matches_the_block_path(case, stepwise):
     want = run_rounds(case, None, stepwise)
     assert run_rounds(case, native.LOOPS, stepwise) == want
+
+
+@needs_loops
+@pytest.mark.parametrize("stepwise", [False, True])
+@pytest.mark.parametrize("kind", ["pairwise split", "local blow-up", "global blow-up"])
+def test_the_c_round_matches_the_block_path_in_batches(kind, stepwise):
+    """Batches the draws above do not reach: one feature a side at b = 130,
+    whose batch sums np.add.reduce splits in two halves; and 3 clients at
+    b = 10 with delays of 1 to 3 batch rounds whose local or global model
+    blows up, which both paths must name by the same round and client."""
+    rng = np.random.default_rng(11)
+    b, d, rounds, scale, eta_global, eta_local = 10, 2, 400, 1.0, 1e-3, 1e12
+    if kind == "pairwise split":  # magnitudes 1e-5 to 1e5, which the two orders round apart
+        b, d, rounds, eta_global, eta_local = 130, 1, 1040, 0.05, 0.05
+        scale = 10.0 ** rng.integers(-5, 5, (rounds, d))
+    elif kind == "global blow-up":
+        eta_global, eta_local = 1e12, 1e-3
+    streams = [(rng.normal(0, 1, (rounds, d)) * scale, rng.normal(0, 1, (rounds, d)),
+                rng.normal(0, 1, rounds)) for _ in range(3)]
+    hyper = HyperParams(radius=1e300, eta_global=eta_global, eta_local=eta_local)
+    # round trips of 5, 2 and 3 batch rounds: client 1 steps first and blows up first
+    case = (streams, DelayConfig((3 * b, b, 1), (2 * b, 1, 2 * b)), hyper, np.ones(d),
+            [np.ones(d)] * 3, b)
+    want = run_rounds(case, None, stepwise)
+    assert (want[0] is None) == (b == 130)
+    if want[0] is not None:
+        assert ("global" if eta_global > 1.0 else "client 1 ") in want[0][1]
+    assert run_rounds(case, native.LOOPS, stepwise) == want
+
+
+@needs_loops
+@pytest.mark.parametrize("b", [1, 8])
+def test_the_c_round_keeps_the_sign_of_a_zero_gradient(b):
+    """Local features of -0.0 at d = 1 and residuals above zero make every
+    local gradient term -0.0: the block path's (2.0 r) x keeps it at b = 1,
+    and np.add.reduce's sum from 0.0 makes it +0.0 at b > 1, which local
+    models of -0.0 show: -0.0 - eta (-0.0) is +0.0, -0.0 - eta (+0.0) is -0.0."""
+    rng = np.random.default_rng(2)
+    streams = [(rng.normal(0, 1, (4 * b, 1)), np.full((4 * b, 1), -0.0), np.full(4 * b, -10.0))
+               for _ in range(2)]
+    case = (streams, DelayConfig((0, 1), (0, 1)), HyperParams(radius=1.0, eta_global=0.05,
+                                                              eta_local=0.05),
+            np.zeros(1), [np.full(1, -0.0)] * 2, b)
+    for stepwise in [False, True]:
+        want = run_rounds(case, None, stepwise)
+        assert want[0] is None and np.signbit(np.frombuffer(want[1][3])).all() == (b > 1)
+        assert run_rounds(case, native.LOOPS, stepwise) == want
+
+
+def pairwise_sum(terms) -> float:
+    """NumPy's pairwise_sum, written out: in order below 8 terms, eight
+    partial sums up to 128, else the halves split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+    parts = list(terms[:8])
+    for i in range(8, n - n % 8, 8):
+        parts = [p + term for p, term in zip(parts, terms[i:i + 8])]
+    total = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + \
+        ((parts[4] + parts[5]) + (parts[6] + parts[7]))
+    for term in terms[n - n % 8:]:
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("b", [2, 7, 8, 9, 10, 17, 130])
+def test_the_batch_sum_keeps_numpys_order(b):
+    """SgdSystem._gradients' np.add.reduce((2.0 * r)[..., None] * x, axis=-2),
+    which _loops.c's gradient mirrors, on every leading shape the block path
+    passes it - (P,) for a block of one round, (rounds, P) for longer blocks -
+    bit for bit: from 0.0, at d >= 2 the b rows in order from the first, at
+    d = 1 0.0 + NumPy's pairwise_sum. Terms of -0.0 and magnitudes from
+    1e-5 to 1e5 make the orders differ; a NumPy whose order differs fails
+    here."""
+    rng = np.random.default_rng(b)
+    differs = False
+    for lead in [(1,), (2,), (10,), (1, 10), (3, 10), (11, 10), (6, 3)]:
+        for d in [1, 2, 3, 4, 20]:
+            r = rng.normal(0, 1, (*lead, b)) * 10.0 ** rng.integers(-5, 5, (*lead, b))
+            x = rng.normal(0, 1, (*lead, b, d))
+            r.reshape(-1, b)[0] = -0.0  # a batch of -0.0 terms sums to +0.0
+            x[rng.random(x.shape) < 0.1] = -0.0
+            terms = (2.0 * r)[..., None] * x
+            got = np.add.reduce(terms, axis=-2)
+            rows, want = terms.reshape(-1, b, d), np.empty((terms[..., 0, :].size // d, d))
+            for i, j in np.ndindex(*want.shape):
+                in_order = 0.0
+                for term in rows[i, :, j].tolist():
+                    in_order += term
+                pairwise = 0.0 + pairwise_sum(rows[i, :, j].tolist())
+                want[i, j] = pairwise if d == 1 else in_order
+                differs |= in_order != pairwise
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), (lead, d)
+    assert differs == (b >= 8)  # the two orders part from 8 rows on
 
 
 def run_exact(case, loops, stepwise: bool) -> tuple:
@@ -335,19 +440,38 @@ def test_the_exact_c_round_matches_the_stacked_path(case, stepwise):
 def test_rows_the_c_round_cannot_read_take_the_block_path():
     """The C round reads whole-element strides of aligned float64 rows, with
     unit-stride features where a block has two or more: a gathered stream
-    (the bandit's) and the client-major views of build_streams qualify;
-    float32 rows and features at a stride of two do not."""
-    x, y = np.zeros((2, 5, 3, 1, 4)), np.zeros((5, 3, 1))
+    (the bandit's), the client-major views of build_streams and batches at
+    any whole-element stride (reversed, one row broadcast, every other row)
+    qualify, and give the block path's bits; float32 rows, features at a
+    stride of two and batch rows 36 bytes apart do not."""
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(0, 1, (2, 5, 3, 1, 4)), rng.normal(0, 1, (5, 3, 1))
+    xb, yb = rng.normal(0, 1, (2, 5, 3, 4, 4)), rng.normal(0, 1, (5, 3, 4))
+    # batch rows 36 bytes apart: misaligned from the second row on
+    odd = np.lib.stride_tricks.as_strided(np.zeros(200), (5, 3, 2, 4), (240, 80, 36, 8))
+    odd_y = np.lib.stride_tricks.as_strided(np.zeros(200), (5, 3, 2), (240, 80, 36))
 
-    def rounds(xg, xl, label):
-        return SgdSystem((xg, xl, label), DelayConfig.uniform(3, 1, 2), HyperParams())._rounds
+    def system(xg, xl, label):
+        return SgdSystem((xg, xl, label), DelayConfig.uniform(3, 1, 2), HyperParams(radius=0.5))
 
-    assert rounds(x[0], x[1], y) is not None
-    assert rounds(x[0].swapaxes(0, 1).copy().swapaxes(0, 1), x[1, ..., :1], y) is not None
-    assert rounds(x[0, ..., ::4], x[1, ..., ::4], y) is not None  # one feature: any stride
+    for args in [(x[0], x[1], y), (x[0].swapaxes(0, 1).copy().swapaxes(0, 1), x[1, ..., :1], y),
+                 (x[0, ..., ::4], x[1, ..., ::4], y),  # one feature: any stride
+                 (xb[0], xb[1], yb), (xb[0, :, :, ::-2], xb[1, :, :, ::2], yb[..., 1::2]),
+                 (np.broadcast_to(x[0], xb[0].shape), xb[1, ..., :1], yb[..., ::-1])]:
+        runs = []
+        for loops in [native.LOOPS, None]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(native, "LOOPS", loops)
+                built = system(*args)
+            assert (built._rounds is not None) == (loops is not None)
+            built.run()
+            runs.append(same_nans(built.prediction, built.residual, built.wg, built.wl))
+        assert runs[0] == runs[1]
     for args in [(x[0].astype(np.float32), x[1], y), (x[0], x[1], y.astype(np.float32)),
-                 (x[0, ..., ::2], x[1], y), (x[0], x[1, ..., ::2], y)]:
-        assert rounds(*args) is None
+                 (x[0, ..., ::2], x[1], y), (x[0], x[1, ..., ::2], y),
+                 (odd, xb[1, :, :, :2], yb[..., :2]), (xb[0, :, :, :2], odd, yb[..., :2]),
+                 (xb[0, :, :, :2], xb[1, :, :, :2], odd_y)]:
+        assert system(*args)._rounds is None
 
 
 @needs_loops

@@ -14,7 +14,9 @@ prefix-sum reads; their -native twins run the C loops, which make no
 Python call per round: what they count is set-up. The delayed SGD cases
 run blocks of several rounds, whose only per-round calls are the
 projections; their -native twins run every round in one call of the C
-round, so they count set-up and the regret comparator. The delayed exact
+round, so they count set-up and the regret comparator. The sweep-b10 cases
+do the same at batch size 10, where the C round runs too; independent
+runs at zero delay, in blocks of one round without the C loops. The delayed exact
 cases run the stacked P-client path a round at a time, through the
 engine's round skeleton, the two solves and the two prefix-sum reads.
 
@@ -59,6 +61,16 @@ CASES = {
                                           beta=5), None, 2.514),
     "sgd-long-delay-native": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000,
                                                alpha=100, beta=100), None, 0.0885),
+    # the sweep's batched shape, b = 10 at delays of one batch round: blocks of
+    # 2 batch rounds, or every round in one call of the C round
+    "sgd-sweep-b10": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000, alpha=10,
+                                       beta=10, batch_size=10), None, 0.818),
+    "sgd-sweep-b10-native": (ExperimentConfig(algo="fedres-sgd", clients=10, rounds=2000,
+                                              alpha=10, beta=10, batch_size=10), None, 0.1225),
+    "independent-sweep-b10": (ExperimentConfig(algo="independent", clients=10, rounds=2000,
+                                               batch_size=10), None, 1.331),
+    "independent-sweep-b10-native": (ExperimentConfig(algo="independent", clients=10,
+                                                      rounds=2000, batch_size=10), None, 0.1335),
     # the exact learners' stacked path, a round at a time
     "erm-delayed": (ExperimentConfig(algo="fedres-erm", clients=2, rounds=2000, alpha=1, beta=1),
                     None, 10.182),
